@@ -6,7 +6,9 @@ fingerprint (element order, centralizer size, number of square and cube
 roots), partial assignments are extended by closure over the generated
 subgroup, and any contradiction or collision prunes the branch. A
 complete consistent closure over a generating set of G is already a
-verified automorphism, so no post-validation is needed.
+verified automorphism, so no post-validation is needed. The disk cache
+stores generator images only and rebuilds each member through the same
+closure.
 """
 
 from __future__ import annotations
@@ -202,6 +204,40 @@ def _fingerprints(group: FiniteGroup) -> tuple:
     return tuple((orders[x], cent[x], sqrt_count[x], cbrt_count[x]) for x in range(n))
 
 
+def _close(table, pairs, n: int, complete: bool) -> Optional[list]:
+    """Extend (generator, image) pairs over the subgroup they generate.
+
+    Breadth-first from the identity, each reached a sets img[a*g] to
+    img[a]*h for every pair (g, h). Returns None on a contradiction or a
+    collision, or, with ``complete``, when fewer than n elements are
+    reached; otherwise the image list, -1 off the reached part. A
+    complete result is a bijection that respects products with a
+    generating set, hence an automorphism.
+    """
+    img = [-1] * n
+    img[0] = 0
+    used = bytearray(n)
+    used[0] = 1
+    queue = [0]  # exactly the elements with an image, in the order reached
+    for a in queue:
+        row = table[a]
+        trow = table[img[a]]
+        for g, h in pairs:
+            c = row[g]
+            tc = trow[h]
+            if img[c] == -1:
+                if used[tc]:
+                    return None
+                img[c] = tc
+                used[tc] = 1
+                queue.append(c)
+            elif img[c] != tc:
+                return None
+    if complete and len(queue) < n:
+        return None
+    return img
+
+
 def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> AutomorphismGroup:
     """Complete Aut(G) by backtracking over generator images.
 
@@ -226,51 +262,10 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     nodes = 0
     assigned: list = []
 
-    def extend() -> Optional[list]:
-        img = [-1] * n
-        img[0] = 0
-        used = bytearray(n)
-        used[0] = 1
-        for g, h in assigned:
-            if img[g] == -1:
-                if used[h]:
-                    return None
-                img[g] = h
-                used[h] = 1
-            elif img[g] != h:
-                return None
-        queue = [0]
-        enqueued = bytearray(n)
-        enqueued[0] = 1
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            ia = img[a]
-            row = table[a]
-            trow = table[ia]
-            for g, h in assigned:
-                c = row[g]
-                tc = trow[h]
-                if img[c] == -1:
-                    if used[tc]:
-                        return None
-                    img[c] = tc
-                    used[tc] = 1
-                elif img[c] != tc:
-                    return None
-                if not enqueued[c]:
-                    enqueued[c] = 1
-                    queue.append(c)
-        if len(assigned) == len(gens) and qi < n:
-            return None  # generating set must reach everything
-        return img if len(assigned) == len(gens) else []
-
     def backtrack(level: int):
         nonlocal nodes
-        if level == len(gens):
-            return
         g = gens[level]
+        last = level + 1 == len(gens)
         for h in candidates[level]:
             ok = True
             for gj, hj in assigned:
@@ -282,9 +277,9 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
                 continue
             assigned.append((g, h))
             nodes += 1
-            result = extend()
+            result = _close(table, assigned, n, last)
             if result is not None:
-                if result:
+                if last:
                     found.append(tuple(result))
                     if cap is not None and len(found) > cap:
                         raise CapExceeded("automorphism count exceeded cap", len(found))
@@ -299,7 +294,8 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (advisory: every cached member is re-verified on load)
+# Disk cache (advisory: members are stored as generator images and rebuilt
+# through _close on load)
 
 
 def default_cache_dir() -> Path:
@@ -314,9 +310,12 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
                        rebuild: bool = False, cap: Optional[int] = None) -> AutomorphismGroup:
     """Aut(G), consulting a JSON disk cache keyed by the table hash.
 
-    Cached image arrays are re-verified (bijectivity plus the
-    homomorphism law over a generating set, which implies it globally)
-    so a stale or corrupt cache can only cost time, not correctness.
+    Each cached member is rebuilt from its generator images by the
+    closure the enumerator uses, which proves it an automorphism, and
+    duplicate members are rejected. Completeness is trusted from the
+    table-hash key (``rebuild`` re-enumerates). Any file that fails to
+    load is re-enumerated and overwritten, so a stale or corrupt cache
+    can only cost time, not correctness.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = directory / f"aut-{group.table_hash}.json"
@@ -330,40 +329,45 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
     return result
 
 
+def _indices(values, n: int) -> bool:
+    """True iff ``values`` is a list of element indices (bools excluded)."""
+    return isinstance(values, list) and all(type(v) is int and 0 <= v < n for v in values)
+
+
 def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
         return None
-    if data.get("table_hash") != group.table_hash:
-        return None
-    members = data.get("members")
-    if not isinstance(members, list) or data.get("aut_order") != len(members):
+    if not isinstance(data, dict) or data.get("table_hash") != group.table_hash:
         return None
     n = group.order
-    gens = small_generating_set(group)
+    gens, members = data.get("generators"), data.get("members")
+    if (not _indices(gens, n) or not isinstance(members, list)
+            or data.get("aut_order") != len(members)):
+        return None
     table = group.table
-    verified = []
+    rebuilt = set()
     for images in members:
-        if not isinstance(images, list) or len(images) != n or len(set(images)) != n:
+        if not _indices(images, n) or len(images) != len(gens):
             return None
-        img = tuple(images)
-        for a in range(n):
-            row = table[a]
-            trow = table[img[a]]
-            if any(img[row[g]] != trow[img[g]] for g in gens):
-                return None
-        verified.append(img)
-    verified.sort()
-    maps = tuple(GroupMap(group, group, img) for img in verified)
+        img = _close(table, list(zip(gens, images)), n, True)
+        if img is None:
+            return None
+        rebuilt.add(tuple(img))
+    if len(rebuilt) != len(members):
+        return None  # a duplicate member
+    maps = tuple(GroupMap(group, group, img) for img in sorted(rebuilt))
     return AutomorphismGroup(group, maps, tuple(gens), 0)
 
 
 def _store_cache(path: Path, group: FiniteGroup, result: AutomorphismGroup) -> None:
+    gens = result.generating_set
     payload = {
         "table_hash": group.table_hash,
         "aut_order": result.order,
-        "members": [list(m.images) for m in result.members],
+        "generators": list(gens),
+        "members": [[m.images[g] for g in gens] for m in result.members],
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -43,10 +43,17 @@ class Catalog:
         self.add_entry(entry)
         return group
 
-    def build(self, name: str) -> FiniteGroup:
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._by_name
+
+    def entry(self, name: str) -> CatalogEntry:
         entry = self._by_name.get(name.lower())
         if entry is None:
             raise UnsupportedParameter(f"no catalog group named {name!r}")
+        return entry
+
+    def build(self, name: str) -> FiniteGroup:
+        entry = self.entry(name)
         if entry.name not in self._built:
             self._built[entry.name] = entry.build()
         return self._built[entry.name]
@@ -243,7 +250,7 @@ def resolve_name(name: str) -> str:
 def build_named_group(name: str, catalog: Optional[Catalog] = None) -> FiniteGroup:
     cat = catalog if catalog is not None else built_in_catalog()
     canonical = resolve_name(name)
-    if canonical.lower() in cat._by_name:
+    if canonical in cat:
         return cat.build(canonical)
     # parametric names beyond the shipped ranges (e.g. Z100, D40, S7)
     for pattern, builder in (

@@ -28,8 +28,8 @@ from .automorphisms import (
 )
 from .catalog import build_named_group
 from .cubing import classify_cubing_structure, cube_set, max_cube_ratio, ratio_json
-from .errors import CubeautError
-from .groups import FiniteGroup, group_to_json, load_group_file
+from .errors import CubeautError, FileFormatError
+from .groups import FiniteGroup, group_to_json, load_group_file, read_json_file
 from .sfs import (
     DEFAULT_EQUATIONS,
     LinearEquation,
@@ -50,10 +50,10 @@ def main(argv=None) -> int:
         return 2
     try:
         report, ok = args.handler(args)
+        _emit(report, args)
     except CubeautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 0 if ok else 1
 
 
@@ -200,20 +200,30 @@ def _group_summary(group: FiniteGroup) -> dict:
 def _parse_equations(specs) -> tuple:
     if not specs:
         return DEFAULT_EQUATIONS
-    return tuple(LinearEquation([int(c) for c in spec.split(",")]) for spec in specs)
+    try:
+        return tuple(LinearEquation([int(c) for c in spec.split(",")]) for spec in specs)
+    except ValueError:
+        raise CubeautError(f"--equation takes comma-separated integers, got {specs}")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise CubeautError(f"--bound takes a fraction like 4/17, got {text!r}")
 
 
 def _load_map(group: FiniteGroup, path: str) -> GroupMap:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    images = data["images"] if isinstance(data, dict) else data
-    return GroupMap(group, group, tuple(int(v) for v in images))
+    data = read_json_file(path)
+    images = data.get("images") if isinstance(data, dict) else data
+    if not isinstance(images, list) or not all(
+            type(v) is int and 0 <= v < group.order for v in images):
+        raise FileFormatError(path, "expected a list of element indices, "
+                                    "bare or under an 'images' key")
+    return GroupMap(group, group, tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .automorphisms import (
 from .errors import (
     BadDecomposition,
     BadIndex,
+    InternalCheckFailed,
     KNotAbelian,
     NotAbelian,
     NotClass2,
@@ -143,7 +144,8 @@ def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int,
     hits = {proj[back[h]] for h in sub.elements if group.table[h][x] in inside}
     # membership is constant on centralizer cosets, so sizes must agree
     raw = sum(1 for h in sub.elements if group.table[h][x] in inside)
-    assert raw == len(hits) * len(cent), "trace is not a union of centralizer cosets"
+    if raw != len(hits) * len(cent):
+        raise InternalCheckFailed("trace is not a union of centralizer cosets")
     basis = abelian_basis(qgrp)
     orders = tuple(qgrp.element_orders[b] for b in basis)
     vectors = element_vector_table(qgrp, basis)
@@ -210,8 +212,8 @@ def build_type_II(group: FiniteGroup, k_sub: Subgroup, x: int) -> tuple:
     ratio = Fraction(n + 1, 2 * n)
     report = cube_set(group, alpha, trusted=True)
     expected = {t[k][x] for k in k_sub.elements} | set(cent_k)
-    assert set(report.members) == expected and report.ratio == ratio, \
-        "type II postcondition failed"
+    if set(report.members) != expected or report.ratio != ratio:
+        raise InternalCheckFailed("type II postcondition failed")
     return alpha, ratio
 
 
@@ -280,9 +282,8 @@ def build_type_III(group: FiniteGroup, decomposition) -> tuple:
     alpha = GroupMap(group, group, tuple(images))
     check_automorphism(alpha)
     report = cube_set(group, alpha, trusted=True)
-    if derived.order == 2:
-        assert report.ratio == Fraction((1 << k) + 1, 1 << (k + 1)), \
-            "type III shape (i) postcondition failed"
+    if derived.order == 2 and report.ratio != Fraction((1 << k) + 1, 1 << (k + 1)):
+        raise InternalCheckFailed("type III shape (i) postcondition failed")
     return alpha, report.ratio
 
 

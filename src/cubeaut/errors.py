@@ -11,6 +11,10 @@ class CubeautError(Exception):
     """Base class for all package errors."""
 
 
+class InternalCheckFailed(CubeautError):
+    """An independent re-check of a computed result failed: a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # Cayley-table / group construction
 

@@ -46,7 +46,7 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], name: Optional[str] = None,
                  strict: bool = False, relabeling: Optional[tuple] = None):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = _int_rows(table)
         _validate_table(rows, strict=strict)
         self.table = rows
         self.order = len(rows)
@@ -446,7 +446,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     the relabeling permutation (old index -> new index) is recorded on
     the returned group.
     """
-    rows = [list(int(v) for v in row) for row in table]
+    rows = _int_rows(table)
     n = len(rows)
     if n < 1:
         raise NoIdentity("empty table")
@@ -470,6 +470,15 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
         rows = relabeled
         relabeling = tuple(sigma)
     return FiniteGroup(rows, name=name, strict=strict, relabeling=relabeling)
+
+
+def _int_rows(table) -> tuple:
+    """The table as tuples of ints; a bool entry is rejected, not read as 0 or 1."""
+    for i, row in enumerate(table):
+        if bool in set(map(type, row)):
+            j = list(map(type, row)).index(bool)
+            raise NotClosed(i, j, row[j])
+    return tuple(tuple(map(int, row)) for row in table)
 
 
 def _find_identity(rows) -> Optional[int]:
@@ -786,7 +795,7 @@ def load_group_json(data: dict, strict: bool = False, cap: int = 20000) -> Finit
             if not isinstance(row, list) or len(row) != len(table):
                 raise FileFormatError(f"table[{i}]", "row length differs from table size")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not (0 <= v < len(table)):
+                if type(v) is not int or not (0 <= v < len(table)):
                     raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{len(table) - 1}")
         return from_cayley_table(table, name=data.get("name"), strict=strict)
     if "generators" in data:
@@ -803,16 +812,20 @@ def load_group_json(data: dict, strict: bool = False, cap: int = 20000) -> Finit
     raise FileFormatError("$", "object has neither 'table' nor 'generators'")
 
 
-def load_group_file(path, strict: bool = False, cap: int = 20000) -> FiniteGroup:
+def read_json_file(path):
+    """Parsed JSON content of a file; FileFormatError if unreadable or malformed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(str(path), f"cannot read file: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
-    group = load_group_json(data, strict=strict, cap=cap)
+
+
+def load_group_file(path, strict: bool = False, cap: int = 20000) -> FiniteGroup:
+    group = load_group_json(read_json_file(path), strict=strict, cap=cap)
     if group.name is None:
         group.name = Path(path).stem
     return group

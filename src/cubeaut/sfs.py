@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import UnsupportedParameter
+from .errors import InternalCheckFailed, UnsupportedParameter
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,8 @@ def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
     search.run_from_zero()
     size = search.best
     n = instance.modulus
-    assert is_avoiding(search.best_set, n, instance.equations), \
-        "reported maximum set fails the independent re-check"
+    if not is_avoiding(search.best_set, n, instance.equations):
+        raise InternalCheckFailed("reported maximum set fails the independent re-check")
     sets: tuple = ()
     if collect_sets and search.exact:
         enum = enumerate_extremal(instance, size, budget=budget)
@@ -306,9 +306,8 @@ def enumerate_extremal(instance: SfsInstance, size: int,
     search.run_from_zero()
     n = instance.modulus
     raw = tuple(sorted(search.collected))
-    for s in raw:
-        assert is_avoiding(s, n, instance.equations), \
-            "enumerated set fails the independent re-check"
+    if not all(is_avoiding(s, n, instance.equations) for s in raw):
+        raise InternalCheckFailed("enumerated set fails the independent re-check")
     canonical = tuple(sorted({canonical_form(s, n) for s in raw}))
     return SfsEnumeration(instance, size, raw, canonical, search.exact, search.nodes)
 

@@ -20,31 +20,32 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .automorphisms import GroupMap, automorphism_group
+from .automorphisms import (
+    GroupMap,
+    automorphism_group,
+    check_automorphism,
+    induced_on_quotient,
+)
 from .catalog import Catalog, built_in_catalog
 from .cubing import (
     HALF,
     SOLVABILITY_BOUND,
     classify_cubing_structure,
-    coset_trace,
     cube_set,
     max_cube_ratio,
     ratio_json,
     Kind,
 )
-from .errors import HypothesisNotMet
+from .errors import HypothesisNotMet, InternalCheckFailed, UnsupportedParameter
 from .groups import FiniteGroup, load_group_file, max_abelian_subgroup_order
 from .sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
+PATTERN_IDS = ("pattern_abba", "pattern_ap", "pattern_ap2", "pattern_a2b", "pattern_a3b")
 CHECK_IDS = (
     "quotient_ratio_monotone",
     "cube_centralizer",
     "elementary_two_coset",
-    "pattern_abba",
-    "pattern_ap",
-    "pattern_ap2",
-    "pattern_a2b",
-    "pattern_a3b",
+    *PATTERN_IDS,
     "trace_avoidance",
     "coset_bound_half",
 )
@@ -224,7 +225,7 @@ class _Acc:
 
 def _record(acc: _Acc, ctx: GroupContext, img, check: str, witness: dict):
     if not revalidate(ctx.group, img, check, witness):
-        raise RuntimeError(
+        raise InternalCheckFailed(
             f"non-revalidating counterexample for {check} on {ctx.name}: {witness}")
     acc.failures.append({"group": ctx.name, "alpha": list(img), **witness})
 
@@ -239,7 +240,6 @@ def _check_patterns(ctx: GroupContext, img, members, mask, accs):
     inv = ctx.inverses
     squares = ctx.squares
     pow3 = ctx.pow3
-    names = ("pattern_abba", "pattern_ap", "pattern_ap2", "pattern_a2b", "pattern_a3b")
     for a in members:
         row = t[a]
         row_ba_col = a
@@ -254,7 +254,7 @@ def _check_patterns(ctx: GroupContext, img, members, mask, accs):
             commutes = (comm_a >> b) & 1
             fourth = (t[b][row_ba_col], t[inv_a][b], t[inv[sq_a]][b],
                       t[sq_a][b], t[cu_a][b])
-            for name, d in zip(names, fourth):
+            for name, d in zip(PATTERN_IDS, fourth):
                 if (mask >> d) & 1:
                     acc = accs[name]
                     acc.instances += 1
@@ -262,7 +262,8 @@ def _check_patterns(ctx: GroupContext, img, members, mask, accs):
                         _record(acc, ctx, img, name, {"a": a, "b": b})
 
 
-def _check_cube_centralizer(ctx: GroupContext, img, members, mask, acc: _Acc):
+def _check_cube_centralizer(ctx: GroupContext, img, members, mask, accs):
+    acc = accs["cube_centralizer"]
     comm = ctx.comm
     pow3 = ctx.pow3
     for x in members:
@@ -281,7 +282,8 @@ def _check_cube_centralizer(ctx: GroupContext, img, members, mask, acc: _Acc):
                         {"subgroup": list(powers), "x": x, "index": size // cent})
 
 
-def _check_elementary_two_coset(ctx: GroupContext, img, members, mask, acc: _Acc):
+def _check_elementary_two_coset(ctx: GroupContext, img, members, mask, accs):
+    acc = accs["elementary_two_coset"]
     t = ctx.group.table
     comm = ctx.comm
     squares = ctx.squares
@@ -303,7 +305,8 @@ def _check_elementary_two_coset(ctx: GroupContext, img, members, mask, acc: _Acc
                             {"subgroup": list(powers), "x": x, "h": h})
 
 
-def _check_quotient_monotone(ctx: GroupContext, img, members, mask, acc: _Acc):
+def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
+    acc = accs["quotient_ratio_monotone"]
     ctx.ensure_normal_data()
     n = ctx.group.order
     t_count = len(members)
@@ -319,7 +322,8 @@ def _check_quotient_monotone(ctx: GroupContext, img, members, mask, acc: _Acc):
                     {"normal": sorted(elem_set), "quotient_cube_count": tq})
 
 
-def _check_trace_avoidance(ctx: GroupContext, img, members, mask, acc: _Acc):
+def _check_trace_avoidance(ctx: GroupContext, img, members, mask, accs):
+    acc = accs["trace_avoidance"]
     t = ctx.group.table
     comm = ctx.comm
     for sub_mask, powers in ctx.cyclic_subgroups:
@@ -332,8 +336,8 @@ def _check_trace_avoidance(ctx: GroupContext, img, members, mask, acc: _Acc):
             # cyclic quotient: the coset of h^k is k mod m
             residues = {k % m for k, h in enumerate(powers) if (mask >> t[h][x]) & 1}
             raw = sum(1 for h in powers if (mask >> t[h][x]) & 1)
-            assert raw == len(residues) * cent, \
-                "trace is not a union of centralizer cosets"
+            if raw != len(residues) * cent:
+                raise InternalCheckFailed("trace is not a union of centralizer cosets")
             residue_list = sorted(residues)
             for eq_index, eq in enumerate(DEFAULT_EQUATIONS):
                 acc.instances += 1
@@ -369,7 +373,8 @@ def _max_subgroup_inside(group: FiniteGroup, members, mask) -> frozenset:
     return best
 
 
-def _check_coset_bound(ctx: GroupContext, img, members, mask, acc: _Acc):
+def _check_coset_bound(ctx: GroupContext, img, members, mask, accs):
+    acc = accs["coset_bound_half"]
     group = ctx.group
     n = group.order
     if 2 * len(members) <= n:
@@ -405,28 +410,35 @@ def _check_coset_bound(ctx: GroupContext, img, members, mask, acc: _Acc):
                     {"subgroup": h_elems, "coset_rep": min(coset)})
 
 
+# Check id -> bulk checker. One _check_patterns call fills all five
+# pattern accumulators.
+_CHECKERS = {
+    "quotient_ratio_monotone": _check_quotient_monotone,
+    "cube_centralizer": _check_cube_centralizer,
+    "elementary_two_coset": _check_elementary_two_coset,
+    **dict.fromkeys(PATTERN_IDS, _check_patterns),
+    "trace_avoidance": _check_trace_avoidance,
+    "coset_bound_half": _check_coset_bound,
+}
+
+
 def _run_all_checks(ctx: GroupContext, img, accs: dict):
     members, mask = _cube_members(ctx, img)
-    _check_quotient_monotone(ctx, img, members, mask, accs["quotient_ratio_monotone"])
-    _check_cube_centralizer(ctx, img, members, mask, accs["cube_centralizer"])
-    _check_elementary_two_coset(ctx, img, members, mask,
-                                accs["elementary_two_coset"])
-    _check_patterns(ctx, img, members, mask, accs)
-    _check_trace_avoidance(ctx, img, members, mask, accs["trace_avoidance"])
-    _check_coset_bound(ctx, img, members, mask, accs["coset_bound_half"])
+    for checker in dict.fromkeys(_CHECKERS.values()):
+        checker(ctx, img, members, mask, accs)
 
 
 # ---------------------------------------------------------------------------
-# Public single-instance checks
+# Public single-instance checks (the bulk checkers on one pair)
 
 
-def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
-                   runner) -> CheckReport:
+def _single_report(group: FiniteGroup, alpha: GroupMap, check: str) -> CheckReport:
     started = time.monotonic()
+    check_automorphism(alpha)
     ctx = GroupContext(group, group.name or "group")
     accs = {name: _Acc() for name in CHECK_IDS}
     members, mask = _cube_members(ctx, alpha.images)
-    runner(ctx, alpha.images, members, mask, accs)
+    _CHECKERS[check](ctx, alpha.images, members, mask, accs)
     acc = accs[check]
     report = CheckReport(check, acc.instances, acc.failures, acc.skipped,
                          scope={"group": group.name, "order": group.order})
@@ -439,7 +451,6 @@ def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
     """Cube ratio of G never exceeds that of any invariant factor group."""
     if normal is not None:
         started = time.monotonic()
-        from .automorphisms import induced_on_quotient
         pair = group.quotient(normal)
         induced = induced_on_quotient(alpha, normal, pair)
         whole = cube_set(group, alpha).ratio
@@ -453,102 +464,50 @@ def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
             })
         report.elapsed_ms = int((time.monotonic() - started) * 1000)
         return report
-    return _single_report(
-        group, alpha, "quotient_ratio_monotone",
-        lambda ctx, img, members, mask, accs: _check_quotient_monotone(
-            ctx, img, members, mask, accs["quotient_ratio_monotone"]))
+    return _single_report(group, alpha, "quotient_ratio_monotone")
 
 
 def check_centralizer_cube(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
     """Centralizers of x and x^3 agree for x in the cube set, and the
     centralizer index in any cyclic subgroup of the cube set is never a
     multiple of three."""
-    return _single_report(
-        group, alpha, "cube_centralizer",
-        lambda ctx, img, members, mask, accs: _check_cube_centralizer(
-            ctx, img, members, mask, accs["cube_centralizer"]))
-
-
-def _pattern_report(group, alpha, name) -> CheckReport:
-    return _single_report(
-        group, alpha, name,
-        lambda ctx, img, members, mask, accs: _check_patterns(
-            ctx, img, members, mask, accs))
+    return _single_report(group, alpha, "cube_centralizer")
 
 
 def check_abba(group, alpha):
     """a, b, ab, ba all cubed forces [a, b] = 1."""
-    return _pattern_report(group, alpha, "pattern_abba")
+    return _single_report(group, alpha, "pattern_abba")
 
 
 def check_ap(group, alpha):
     """a, b, ab, a^-1 b all cubed forces [a, b] = 1."""
-    return _pattern_report(group, alpha, "pattern_ap")
+    return _single_report(group, alpha, "pattern_ap")
 
 
 def check_ap2(group, alpha):
     """a, b, ab, a^-2 b all cubed forces [a, b] = 1."""
-    return _pattern_report(group, alpha, "pattern_ap2")
+    return _single_report(group, alpha, "pattern_ap2")
 
 
 def check_a2b(group, alpha):
     """a, b, ab, a^2 b all cubed forces [a, b] = 1."""
-    return _pattern_report(group, alpha, "pattern_a2b")
+    return _single_report(group, alpha, "pattern_a2b")
 
 
 def check_a3b(group, alpha):
     """a, b, ab, a^3 b all cubed forces [a, b] = 1."""
-    return _pattern_report(group, alpha, "pattern_a3b")
+    return _single_report(group, alpha, "pattern_a3b")
 
 
 def check_eltwoab(group, alpha):
     """When H/C_H(x^2) is elementary 2-abelian, hx is cubed iff h and x
     commute."""
-    return _single_report(
-        group, alpha, "elementary_two_coset",
-        lambda ctx, img, members, mask, accs: _check_elementary_two_coset(
-            ctx, img, members, mask, accs["elementary_two_coset"]))
+    return _single_report(group, alpha, "elementary_two_coset")
 
 
 def check_trace_avoidance(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
-    """Every cyclic-subgroup coset trace avoids both default equations.
-
-    This public form goes through coset_trace (the general machinery);
-    the bulk scans use an equivalent direct cyclic-residue path.
-    """
-    started = time.monotonic()
-    report = CheckReport("trace_avoidance",
-                         scope={"group": group.name, "order": group.order})
-    cube = cube_set(group, alpha)
-    inside = set(cube.members)
-    seen_masks = set()
-    for h in cube.members:
-        elements = sorted(group.closure([h]))
-        if not set(elements) <= inside:
-            continue
-        key = tuple(elements)
-        if key in seen_masks:
-            continue
-        seen_masks.add(key)
-        sub = group.subgroup(elements)
-        for x in cube.members:
-            trace = coset_trace(group, alpha, sub, x, trusted=True)
-            for eq_index, eq in enumerate(DEFAULT_EQUATIONS):
-                report.instances += 1
-                witness = find_nontrivial_solution(
-                    trace.trace, trace.quotient_order, eq)
-                if witness is not None:
-                    failure = {
-                        "group": group.name, "alpha": list(alpha.images),
-                        "subgroup": elements, "x": x,
-                        "modulus": trace.quotient_order,
-                        "trace": list(trace.trace), "equation": eq_index,
-                    }
-                    if not revalidate(group, alpha.images, "trace_avoidance", failure):
-                        raise RuntimeError("non-revalidating counterexample")
-                    report.failures.append(failure)
-    report.elapsed_ms = int((time.monotonic() - started) * 1000)
-    return report
+    """Every cyclic-subgroup coset trace avoids both default equations."""
+    return _single_report(group, alpha, "trace_avoidance")
 
 
 def check_coset_bound(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
@@ -558,14 +517,20 @@ def check_coset_bound(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
     if cube.ratio <= HALF:
         raise HypothesisNotMet(
             f"cube ratio {cube.ratio} is not above 1/2; check skipped")
-    return _single_report(
-        group, alpha, "coset_bound_half",
-        lambda ctx, img, members, mask, accs: _check_coset_bound(
-            ctx, img, members, mask, accs["coset_bound_half"]))
+    return _single_report(group, alpha, "coset_bound_half")
 
 
 # ---------------------------------------------------------------------------
 # Suite scans (parallelizable, deterministic)
+
+
+def _task(cat: Catalog, name: str, cache_dir, use_cache: bool, rebuild: bool,
+          **extra) -> dict:
+    """A picklable worker task: the entry's source plus the cache keyword
+    arguments of automorphism_group."""
+    cache = {"cache_dir": str(cache_dir) if cache_dir else None,
+             "use_cache": use_cache, "rebuild": rebuild}
+    return {"name": name, "source": cat.entry(name).source, "cache": cache, **extra}
 
 
 def _group_from_source(source) -> FiniteGroup:
@@ -578,8 +543,7 @@ def _group_from_source(source) -> FiniteGroup:
 def _property_task(task: dict) -> dict:
     group = _group_from_source(tuple(task["source"]))
     ctx = GroupContext(group, task["name"])
-    auts = automorphism_group(group, cache_dir=task["cache_dir"],
-                              use_cache=task["use_cache"], rebuild=task.get("rebuild", False))
+    auts = automorphism_group(group, **task["cache"])
     accs = {name: _Acc() for name in CHECK_IDS}
     pairs = 0
     if task["kind"] == "exhaustive":
@@ -619,16 +583,9 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     """
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
-    entries = {name: next(e for e in cat.entries if e.name == name)
-               for name, _ in cat.groups(order_cap=max(exhaustive_cap, sample_max))}
-
-    tasks = []
     exhaustive_names = cat.names(order_cap=exhaustive_cap)
-    for name in exhaustive_names:
-        tasks.append({"kind": "exhaustive", "name": name,
-                      "source": entries[name].source,
-                      "cache_dir": str(cache_dir) if cache_dir else None,
-                      "use_cache": use_cache, "rebuild": rebuild})
+    tasks = [_task(cat, name, cache_dir, use_cache, rebuild, kind="exhaustive")
+             for name in exhaustive_names]
     eligible = cat.names(order_cap=sample_max, min_order=sample_min)
     rng = random.Random(seed)
     draws_by_name: dict = {}
@@ -637,11 +594,8 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
         draws_by_name.setdefault(name, []).append(rng.getrandbits(48))
     for name in eligible:
         if name in draws_by_name:
-            tasks.append({"kind": "sampled", "name": name,
-                          "source": entries[name].source,
-                          "draws": draws_by_name[name],
-                          "cache_dir": str(cache_dir) if cache_dir else None,
-                          "use_cache": use_cache, "rebuild": rebuild})
+            tasks.append(_task(cat, name, cache_dir, use_cache, rebuild,
+                               kind="sampled", draws=draws_by_name[name]))
 
     results = _parallel(tasks, _property_task, jobs)
     exhaustive_pairs = sum(r["pairs"] for r, t in zip(results, tasks)
@@ -684,8 +638,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
 def _classification_task(task: dict) -> dict:
     group = _group_from_source(tuple(task["source"]))
     verdict = classify_cubing_structure(group)
-    auts = automorphism_group(group, cache_dir=task["cache_dir"],
-                              use_cache=task["use_cache"], rebuild=task.get("rebuild", False))
+    auts = automorphism_group(group, **task["cache"])
     ratio, witness = max_cube_ratio(group, auts=auts)
     row = {
         "group": task["name"],
@@ -709,12 +662,8 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
     constructed automorphism attains the maximum."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
-    tasks = []
-    for name, group in cat.groups(order_cap=order_cap):
-        entry = next(e for e in cat.entries if e.name == name)
-        tasks.append({"name": name, "source": entry.source,
-                      "cache_dir": str(cache_dir) if cache_dir else None,
-                      "use_cache": use_cache, "rebuild": rebuild})
+    tasks = [_task(cat, name, cache_dir, use_cache, rebuild)
+             for name in cat.names(order_cap=order_cap)]
     rows = _parallel(tasks, _classification_task, jobs)
     mismatches = [r for r in rows if not (r["equivalent"] and r["attains_max"])]
     return {
@@ -735,8 +684,7 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
 
 def _boundary_task(task: dict) -> dict:
     group = _group_from_source(tuple(task["source"]))
-    auts = automorphism_group(group, cache_dir=task["cache_dir"],
-                              use_cache=task["use_cache"], rebuild=task.get("rebuild", False))
+    auts = automorphism_group(group, **task["cache"])
     ratio, _ = max_cube_ratio(group, auts=auts)
     return {
         "group": task["name"],
@@ -755,16 +703,13 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
     the whole scanned catalog a ratio above 4/15 forces solvability."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
+    missing = [name for name in BOUNDARY_GROUPS if name not in cat]
+    if missing:
+        raise UnsupportedParameter(
+            f"catalog lacks the boundary groups {', '.join(missing)}")
     names = list(cat.names(order_cap=order_cap))
-    for name in BOUNDARY_GROUPS:
-        if name not in names:
-            names.append(name)
-    tasks = []
-    for name in names:
-        entry = next(e for e in cat.entries if e.name == name)
-        tasks.append({"name": name, "source": entry.source,
-                      "cache_dir": str(cache_dir) if cache_dir else None,
-                      "use_cache": use_cache, "rebuild": rebuild})
+    names += [name for name in BOUNDARY_GROUPS if name not in names]
+    tasks = [_task(cat, name, cache_dir, use_cache, rebuild) for name in names]
     rows = _parallel(tasks, _boundary_task, jobs)
     by_name = {r["group"]: r for r in rows}
     failures = []

@@ -360,3 +360,101 @@ def test_no_cache_leaves_no_files(tmp_path):
     g = builders.cyclic(7)
     automorphism_group(g, cache_dir=tmp_path, use_cache=False)
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_cache_stores_generator_images(tmp_path):
+    g = builders.symmetric(4)
+    first = automorphism_group(g, cache_dir=tmp_path)
+    payload = json.loads(next(tmp_path.glob("aut-*.json")).read_text())
+    gens = payload["generators"]
+    assert gens == list(first.generating_set)
+    assert payload["members"] == [[m.images[x] for x in gens] for m in first.members]
+
+
+def test_cache_load_equals_enumeration_on_catalog(tmp_path):
+    from cubeaut.catalog import built_in_catalog
+    for name, group in built_in_catalog().groups(order_cap=64):
+        enumerated = automorphism_group(group, cache_dir=tmp_path)
+        loaded = automorphism_group(group, cache_dir=tmp_path)
+        assert loaded.nodes == 0, name  # served from the cache
+        assert loaded.image_arrays == enumerated.image_arrays, name
+        assert loaded.generating_set == enumerated.generating_set, name
+
+
+def _cached_payload(tmp_path, group):
+    full = automorphism_group(group, cache_dir=tmp_path)
+    path = next(tmp_path.glob("aut-*.json"))
+    return full, path, json.loads(path.read_text())
+
+
+def _assert_reenumerated(tmp_path, group, path, full, payload):
+    path.write_text(json.dumps(payload))
+    result = automorphism_group(group, cache_dir=tmp_path)
+    assert result.nodes > 0  # the file was rejected and Aut(G) enumerated again
+    assert result.image_arrays == full.image_arrays
+    assert automorphism_group(group, cache_dir=tmp_path).nodes == 0  # overwritten
+
+
+def test_cache_rejects_member_breaking_a_relation(tmp_path):
+    g = builders.symmetric(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    gens = payload["generators"]
+    known = {tuple(m) for m in payload["members"]}
+    # same element orders as a real member, but no automorphism
+    bad = next([a, b] for a in range(g.order) for b in range(g.order)
+               if (a, b) not in known
+               and g.element_orders[a] == g.element_orders[gens[0]]
+               and g.element_orders[b] == g.element_orders[gens[1]])
+    payload["members"][-1] = bad
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_non_generating_generators(tmp_path):
+    g = builders.symmetric(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    # an order-3 and an order-2 element of A4 generate only A4; S4 acts
+    # faithfully on A4, so the image pairs stay distinct
+    a4 = g.derived_subgroup.elements
+    gens = [next(x for x in a4 if g.element_orders[x] == k) for k in (3, 2)]
+    payload["generators"] = gens
+    payload["members"] = [[m.images[x] for x in gens] for m in full.members]
+    assert len({tuple(m) for m in payload["members"]}) == full.order
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_duplicate_member(tmp_path):
+    g = builders.dihedral(5)
+    full, path, payload = _cached_payload(tmp_path, g)
+    payload["members"][-1] = payload["members"][0]
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("generator", "1"), ("generator", True), ("generator", 10), ("generator", -1),
+    ("image", 1.0), ("image", True), ("image", 10), ("image", -1),
+])
+def test_cache_rejects_bad_entries(tmp_path, field, value):
+    g = builders.dihedral(5)
+    full, path, payload = _cached_payload(tmp_path, g)
+    if field == "generator":
+        payload["generators"][0] = value
+    else:
+        payload["members"][1][0] = value
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_non_utf8_file(tmp_path):
+    g = builders.dihedral(5)
+    full, path, payload = _cached_payload(tmp_path, g)
+    path.write_bytes(b"\xff\xfe{}")
+    result = automorphism_group(g, cache_dir=tmp_path)
+    assert result.nodes > 0
+    assert result.image_arrays == full.image_arrays
+
+
+def test_cache_rejects_full_array_format(tmp_path):
+    g = builders.dihedral(5)
+    full, path, payload = _cached_payload(tmp_path, g)
+    old = {"table_hash": payload["table_hash"], "aut_order": full.order,
+           "members": [list(m.images) for m in full.members]}
+    _assert_reenumerated(tmp_path, g, path, full, old)

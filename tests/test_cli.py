@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubeaut import builders
 from cubeaut.cli import main
 from cubeaut.groups import group_to_json
@@ -145,6 +147,24 @@ def test_cube_ratio_rejects_bad_map(tmp_path, capsys):
     assert code == 2
 
 
+def test_cube_ratio_aut_file_missing(tmp_path, capsys):
+    code, out, err = run(capsys, "cube", "ratio", "z5",
+                         "--aut-file", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "cannot read" in err
+
+
+@pytest.mark.parametrize("content", [b"[0, 1,", b'{"images": "01234"}', b"[0, 1, 2, 3, 9]",
+                                     b'{"maps": [0, 1, 2, 3, 4]}', b"[0, 1.0, 2, 3, 4]",
+                                     b"\xff\xfe[0]"])
+def test_cube_ratio_aut_file_malformed(tmp_path, capsys, content):
+    path = tmp_path / "alpha.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "cube", "ratio", "z5", "--aut-file", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
 def test_cube_ratio_exponent(capsys):
     code, payload, _ = run_json(capsys, "cube", "ratio", "q8", "--exponent", "-1")
     assert code == 0
@@ -174,6 +194,26 @@ def test_sfs_custom_equation(capsys):
                                 "--equation", "1,1,-2")
     assert code == 0
     assert payload["T"] == 4  # AP-only oracle value
+
+
+def test_sfs_bad_equation(capsys):
+    code, out, err = run(capsys, "sfs", "t", "12", "--equation", "1,x,-2")
+    assert code == 2
+    assert err.startswith("error: ") and "--equation" in err
+
+
+def test_sfs_tau_range_bad_bound(capsys):
+    code, out, err = run(capsys, "sfs", "tau-range", "5", "6", "--bound", "4/0")
+    assert code == 2
+    assert err.startswith("error: ") and "--bound" in err
+
+
+@pytest.mark.parametrize("command", [["cube", "max", "z5"], ["group", "info", "q8"]])
+def test_csv_without_csv_form(capsys, cache_dir, command):
+    code, out, err = run(capsys, "--cache-dir", str(cache_dir), "--format", "csv",
+                         *command)
+    assert code == 2
+    assert err.startswith("error: no CSV form") and out == ""
 
 
 def test_sfs_table_text_and_exit(capsys):

@@ -52,6 +52,16 @@ def test_out_of_range_entry_rejected():
         from_cayley_table([[0, 1], [1, 2]])
 
 
+def test_boolean_entries_rejected():
+    with pytest.raises(GroupTableError):
+        FiniteGroup([[False, True], [True, False]])
+    with pytest.raises(GroupTableError):
+        from_cayley_table([[0, 1], [True, 0]])
+    with pytest.raises(FileFormatError) as info:
+        load_group_json({"table": [[False, True], [True, False]]})
+    assert "table[0][0]" in str(info.value)
+
+
 def test_no_identity_rejected():
     # Latin square with no two-sided identity element
     with pytest.raises(NoIdentity):

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from cubeaut import builders
-from cubeaut.automorphisms import enumerate_automorphisms, identity_map
+from cubeaut.automorphisms import GroupMap, enumerate_automorphisms, identity_map
+from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
-from cubeaut.errors import HypothesisNotMet
+from cubeaut.errors import HypothesisNotMet, NotAutomorphism, UnsupportedParameter
 from cubeaut.verifier import (
     CHECK_IDS,
     GroupContext,
@@ -123,6 +124,28 @@ def test_trace_avoidance_fast_path_matches_coset_trace():
                     trace = coset_trace(group, alpha, sub, x, trusted=True)
                     assert trace.quotient_order == m
                     assert list(trace.trace) == residues
+
+
+def test_trace_avoidance_public_op_is_the_scan():
+    for build in (lambda: builders.symmetric(4), lambda: builders.quaternion8()):
+        group = build()
+        for alpha in enumerate_automorphisms(group).members[:4]:
+            accs = {name: _Acc() for name in CHECK_IDS}
+            _run_all_checks(GroupContext(group, "g"), alpha.images, accs)
+            report = check_trace_avoidance(group, alpha)
+            assert report.instances == accs["trace_avoidance"].instances > 0
+            assert report.failures == accs["trace_avoidance"].failures == []
+
+
+@pytest.mark.parametrize("check", [
+    check_quotient_inequality, check_centralizer_cube, check_abba, check_ap,
+    check_ap2, check_a2b, check_a3b, check_eltwoab, check_trace_avoidance,
+])
+def test_public_checks_reject_non_automorphism(check):
+    g = builders.symmetric(3)
+    swap = GroupMap(g, g, (0, 2, 1, 3, 4, 5))
+    with pytest.raises(NotAutomorphism):
+        check(g, swap)
 
 
 def test_coset_bound_check():
@@ -244,6 +267,23 @@ def test_verify_boundary_named_groups_only(cache_dir):
                          by_name[name]["max_ratio"]["den"])
         assert ratio <= Fraction(4, 15)
         assert not by_name[name]["solvable"]
+
+
+def test_catalog_entry_lookup():
+    cat = built_in_catalog()
+    assert cat.entry("a5").name == "A5"
+    assert cat.entry("L2(7)").source == ("builtin", "L2(7)")
+    assert "pgl2(7)" in cat and "Q16" not in cat
+    with pytest.raises(UnsupportedParameter):
+        cat.entry("Q16")
+
+
+def test_verify_boundary_names_missing_groups(cache_dir):
+    tiny = Catalog([CatalogEntry("Z2", 2, lambda: builders.cyclic(2), ("builtin", "Z2"))])
+    with pytest.raises(UnsupportedParameter) as info:
+        verify_solvability_boundary(catalog=tiny, cache_dir=cache_dir)
+    for name in ("A5", "S5", "L2(7)", "PGL2(7)", "A6"):
+        assert name in str(info.value)
 
 
 def test_verify_abelian_indices_small():
