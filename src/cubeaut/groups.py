@@ -7,8 +7,9 @@ exactly at every order: small tables by the cubic triple loop, larger
 ones by Light's test over a generating set (which proves the same
 property). ``strict=True`` forces the cubic loop at any order.
 
-All structural queries are exact exhaustive computations; nothing here
-is randomized or approximate.
+All structural queries are exact; nothing here is randomized or
+approximate. Series and normality tests work on generating sets, which
+decide the same questions as the element-wise definitions.
 """
 
 from __future__ import annotations
@@ -206,12 +207,11 @@ class FiniteGroup:
         return Subgroup(self, tuple(members))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
+        """Elements g with H^g = H, tested on the generators of H: H^g is
+        generated by their conjugates and has the order of H."""
         sub._check_parent(self)
-        inside = set(sub.elements)
-        members = []
-        for g in self.elements():
-            if all(self.conjugate(h, g) in inside for h in sub.elements):
-                members.append(g)
+        members = [g for g in self.elements()
+                   if all(self.conjugate(h, g) in sub for h in sub.generators)]
         return Subgroup(self, tuple(members))
 
     def right_cosets(self, sub: "Subgroup") -> tuple:
@@ -232,22 +232,19 @@ class FiniteGroup:
 
     @cached_property
     def derived_subgroup(self) -> "Subgroup":
-        gens = {self.commutator(a, b) for a in self.elements() for b in self.elements()}
-        return self.subgroup_generated(gens)
+        """G', the second term of the derived series (G itself if perfect)."""
+        series = self.derived_series
+        return series[1] if len(series) > 1 else series[0]
 
     @cached_property
     def derived_series(self) -> tuple:
-        """(G, G', G'', ...) until the series stabilizes."""
-        series = [self.subgroup(range(self.order))]
-        while True:
-            last = series[-1]
-            nxt = _mutual_commutator(self, last.elements, last.elements)
-            if nxt.elements == last.elements:
-                break
-            series.append(nxt)
-            if nxt.order == 1:
-                break
-        return tuple(series)
+        """(G, G', G'', ...) until the series stabilizes.
+
+        The commutators of generators of H generate [H, H] as a normal
+        subgroup of H; [H, H] is characteristic in H, so normal in G, and
+        is also their normal closure in G.
+        """
+        return self._commutator_series(lambda gens: gens)
 
     @cached_property
     def is_solvable(self) -> bool:
@@ -255,18 +252,50 @@ class FiniteGroup:
 
     @cached_property
     def lower_central_series(self) -> tuple:
-        """(G, [G,G], [[G,G],G], ...) until stable."""
-        whole = self.subgroup(range(self.order))
-        series = [whole]
+        """(G, [G,G], [[G,G],G], ...) until stable.
+
+        [N, G] for a normal N is the normal closure of the commutators
+        [a, g] of generators a of N with generators g of G.
+        """
+        return self._commutator_series(lambda gens: self.generating_set)
+
+    def _commutator_series(self, partners) -> tuple:
+        """(G, N1, N2, ...) with N(i+1) = <[a, b] : a in gens N(i),
+        b in partners(gens N(i))>^G, until the series stabilizes."""
+        series = [Subgroup(self, tuple(range(self.order)))]
+        gens = self.generating_set
         while True:
-            last = series[-1]
-            nxt = _mutual_commutator(self, last.elements, whole.elements)
-            if nxt.elements == last.elements:
+            right = partners(gens)
+            commutators = [self.commutator(a, b) for a in gens for b in right]
+            inside, gens = self._normal_closure(commutators)
+            if len(inside) == series[-1].order:
                 break
-            series.append(nxt)
-            if nxt.order == 1:
+            series.append(Subgroup(self, tuple(sorted(inside))))
+            if len(inside) == 1:
                 break
         return tuple(series)
+
+    def _normal_closure(self, gens: Sequence[int]) -> tuple:
+        """<gens>^G, the least normal subgroup containing ``gens``.
+
+        Returns (element set, generators held). A generator is held when
+        it enlarges the subgroup; its conjugates by ``generating_set``
+        are then queued. Once every queued conjugate lies inside, the
+        subgroup is mapped into itself by generators of G, so it is normal.
+        """
+        held: list = []
+        inside = {0}
+        queue = list(gens)
+        i = 0
+        while i < len(queue):
+            x = queue[i]
+            i += 1
+            if x in inside:
+                continue
+            held.append(x)
+            inside = self.closure(held)
+            queue.extend(self.conjugate(x, g) for g in self.generating_set)
+        return inside, held
 
     @cached_property
     def nilpotency_class(self) -> Optional[int]:
@@ -296,9 +325,11 @@ class FiniteGroup:
         return FiniteGroup(table, name=label), tuple(proj)
 
     def is_normal(self, sub: "Subgroup") -> bool:
+        """H^g is inside H for g in ``generating_set``, tested on the
+        generators of H."""
         sub._check_parent(self)
-        inside = set(sub.elements)
-        return all(self.conjugate(h, g) in inside for g in self.elements() for h in sub.elements)
+        return all(self.conjugate(h, g) in sub
+                   for g in self.generating_set for h in sub.generators)
 
     def sylow(self, p: int) -> "Subgroup":
         """A Sylow p-subgroup, by normalizer ascent.
@@ -341,15 +372,25 @@ class FiniteGroup:
         """Greedy small generating set: repeatedly adjoin the element
         that most enlarges the generated subgroup (ties to the least
         index). Each step at least doubles the subgroup, so the result
-        has at most log2 |G| members."""
+        has at most log2 |G| members.
+
+        A candidate y inside <gens, x> for an earlier x cannot win, since
+        <gens, y> is no larger, so it is skipped; a candidate reaching
+        |G| ends the scan."""
         gens: list = []
         size = 1
         while size < self.order:
             best_x, best_size = None, 0
+            covered: set = set()
             for x in self.elements():
+                if x in covered:
+                    continue
                 closure = self.closure(gens + [x])
+                covered |= closure
                 if len(closure) > best_size:
                     best_x, best_size = x, len(closure)
+                    if best_size == self.order:
+                        break
             gens.append(best_x)
             size = best_size
         return tuple(gens)
@@ -412,10 +453,21 @@ class Subgroup:
     def _element_set(self) -> frozenset:
         return frozenset(self.elements)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Each element not yet in the span of those before it, in order."""
+        gens: list = []
+        reached = {0}
+        for x in self.elements:
+            if x not in reached:
+                gens.append(x)
+                reached = self.parent.closure(gens)
+        return tuple(gens)
+
     @property
     def is_abelian(self) -> bool:
         t = self.parent.table
-        return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
+        return all(t[a][b] == t[b][a] for a in self.generators for b in self.generators)
 
     def _check_parent(self, group: FiniteGroup) -> None:
         if self.parent is not group:
@@ -673,11 +725,6 @@ def _mixed_radix(limits):
             coords.append(rem % lim)
             rem //= lim
         yield tuple(reversed(coords))
-
-
-def _mutual_commutator(group: FiniteGroup, left: tuple, right: tuple) -> Subgroup:
-    gens = {group.commutator(a, b) for a in left for b in right}
-    return group.subgroup_generated(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,36 @@ def test_small_generating_set():
     assert len(gens) <= 3  # log2(8)
 
 
+def _unpruned_greedy_generating_set(group):
+    """Reference: the greedy scan over every element at every step."""
+    gens, size = [], 1
+    while size < group.order:
+        best_x, best_size = None, 0
+        for x in group.elements():
+            closure = group.closure(gens + [x])
+            if len(closure) > best_size:
+                best_x, best_size = x, len(closure)
+        gens.append(best_x)
+        size = best_size
+    return tuple(gens)
+
+
+def test_generating_set_equals_unpruned_greedy():
+    from cubeaut.catalog import built_in_catalog
+    for name, group in built_in_catalog().groups(order_cap=64):
+        assert group.generating_set == _unpruned_greedy_generating_set(group), name
+
+
+@pytest.mark.parametrize("build, nodes", [
+    (lambda: builders.symmetric(4), 30),
+    (lambda: builders.alternating(5), 140),
+    (lambda: builders.type3_group_ii(), 2344),
+])
+def test_enumeration_nodes_pinned(build, nodes):
+    # the backtracking runs over generator images, so these counts pin its path
+    assert enumerate_automorphisms(build()).nodes == nodes
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 

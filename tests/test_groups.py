@@ -393,6 +393,64 @@ def test_abelian_basis_reconstructs_group():
 
 
 # ---------------------------------------------------------------------------
+# Generator-level queries against element-wise references
+
+
+def _all_pairs_commutator_closure(group, left, right):
+    return group.subgroup_generated({group.commutator(a, b) for a in left for b in right})
+
+
+def _elementwise_series(group, against_whole):
+    whole = group.subgroup(range(group.order))
+    series = [whole]
+    while True:
+        last = series[-1]
+        right = whole.elements if against_whole else last.elements
+        nxt = _all_pairs_commutator_closure(group, last.elements, right)
+        if nxt.elements == last.elements:
+            break
+        series.append(nxt)
+        if nxt.order == 1:
+            break
+    return [s.elements for s in series]
+
+
+def _elementwise_normalizer(group, sub):
+    inside = set(sub.elements)
+    return tuple(g for g in group.elements()
+                 if all(group.conjugate(h, g) in inside for h in sub.elements))
+
+
+def _elementwise_is_normal(group, sub):
+    inside = set(sub.elements)
+    return all(group.conjugate(h, g) in inside for g in group.elements() for h in sub.elements)
+
+
+def _elementwise_is_abelian(sub):
+    t = sub.parent.table
+    return all(t[a][b] == t[b][a] for a in sub.elements for b in sub.elements)
+
+
+def test_generator_level_queries_match_elementwise():
+    from cubeaut.catalog import built_in_catalog
+    for name, group in built_in_catalog().groups(order_cap=64):
+        everything = group.elements()
+        assert (group.derived_subgroup.elements
+                == _all_pairs_commutator_closure(group, everything, everything).elements), name
+        assert [s.elements for s in group.derived_series] == _elementwise_series(group, False), name
+        assert ([s.elements for s in group.lower_central_series]
+                == _elementwise_series(group, True)), name
+        primes = [p for p in range(2, group.order + 1)
+                  if group.order % p == 0 and all(p % d for d in range(2, p))]
+        subs = list(group.normal_subgroups) + [group.sylow(p) for p in primes]
+        for sub in subs:
+            assert group.normalizer(sub).elements == _elementwise_normalizer(group, sub), name
+            assert group.is_normal(sub) == _elementwise_is_normal(group, sub), name
+            assert sub.is_abelian == _elementwise_is_abelian(sub), name
+            assert len(group.closure(sub.generators)) == sub.order, name
+
+
+# ---------------------------------------------------------------------------
 # Maximum abelian subgroup (oracle values from the full subgroup lattice)
 
 
