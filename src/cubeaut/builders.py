@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from .errors import UnsupportedParameter
-from .groups import FiniteGroup, from_permutation_generators
+from .groups import MAX_ORDER, FiniteGroup, from_permutation_generators
 
 MAX_SYMMETRIC_DEGREE = 8  # S8/A8 are accepted but already far above desk scale
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -24,10 +24,17 @@ _IRREDUCIBLE = {
 }
 
 
+def _check_order(order: int) -> None:
+    """Refuse a table above MAX_ORDER before allocating its order^2 entries."""
+    if order > MAX_ORDER:
+        raise UnsupportedParameter(f"order {order} is above the limit {MAX_ORDER}")
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n, written additively."""
     if n < 1:
         raise UnsupportedParameter("cyclic order must be positive")
+    _check_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, name=f"Z{n}")
 
@@ -40,6 +47,7 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 3:
         raise UnsupportedParameter("dihedral parameter must be >= 3")
     order = 2 * n
+    _check_order(order)
 
     def mul(x, y):
         i, e = x % n, x // n
@@ -302,6 +310,7 @@ def type3_group_i(k: int) -> FiniteGroup:
     if k < 1:
         raise UnsupportedParameter("k must be >= 1")
     order = 1 << (2 * k + 1)
+    _check_order(order)
 
     def mul(x, y):
         v1, w1, z1 = x >> (k + 1), (x >> 1) & ((1 << k) - 1), x & 1

@@ -1,4 +1,10 @@
-"""The shipped group catalog: built-in constructors plus ingested files.
+"""The shipped group catalog and the one table of group names.
+
+``REGISTRY`` holds one row per family (Z, D, T3i, S, A, L2, PGL2) and one
+per single group (Q8, T3ii, SL23, ..., the direct products), in catalog
+order. A row gives the canonical name, the spellings that denote it, the
+``group build`` word, the builder, the shipped parameters and the order.
+``built_in_catalog`` and ``build_named_group`` both read it.
 
 Entries are lazy (groups are built on first use) so iterating with an
 order cap never constructs the large projective tables. Duplicate
@@ -7,6 +13,8 @@ Cayley tables (same canonical hash) are dropped during iteration.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -82,99 +90,121 @@ class Catalog:
 # Built-in constructions beyond the plain builders
 
 
-def _order3_automorphism(group: FiniteGroup) -> list:
-    """First automorphism of composition order 3, as an image list."""
-    from .automorphisms import enumerate_automorphisms
-    for member in enumerate_automorphisms(group).members:
-        images = member.images
-        twice = tuple(images[images[x]] for x in range(group.order))
-        thrice = tuple(images[t] for t in twice)
-        if thrice == tuple(range(group.order)) and images != thrice:
-            return list(images)
-    raise UnsupportedParameter("group has no automorphism of order 3")
+def _cyclic_extension(base: FiniteGroup, sigma: list, m: int, name: str) -> FiniteGroup:
+    """base : C_m, the generator of C_m acting as the automorphism sigma
+    (whose order divides m); semidirect_product re-checks both."""
+    action = [list(range(base.order))]
+    for _ in range(m - 1):
+        action.append([sigma[x] for x in action[-1]])
+    g = builders.semidirect_product(base, builders.cyclic(m), action)
+    g.name = name
+    return g
 
 
 def special_linear_2_3() -> FiniteGroup:
-    """SL(2,3) as the quaternion group extended by a 3-cycle of i,j,k."""
-    q8 = builders.quaternion8()
-    sigma = _order3_automorphism(q8)
-    sigma2 = [sigma[sigma[x]] for x in range(8)]
-    ident = list(range(8))
-    g = builders.semidirect_product(q8, builders.cyclic(3), [ident, sigma, sigma2])
-    g.name = "SL23"
-    return g
+    """SL(2,3) as the quaternion group extended by a 3-cycle of i,j,k.
+
+    In Q8, x^a y^b is element 4b + a; sigma sends x to y and y to xy.
+    """
+    return _cyclic_extension(builders.quaternion8(), [0, 4, 2, 6, 5, 1, 7, 3], 3, "SL23")
 
 
 def heisenberg27() -> FiniteGroup:
     """The exponent-3 group of order 27: (C3 x C3) extended by a shear."""
     base = builders.direct_product(builders.cyclic(3), builders.cyclic(3))
     shear = [((a + b) % 3) * 3 + b for a in range(3) for b in range(3)]
-    shear2 = [shear[shear[x]] for x in range(9)]
-    g = builders.semidirect_product(base, builders.cyclic(3),
-                                    [list(range(9)), shear, shear2])
-    g.name = "Heis27"
-    return g
+    return _cyclic_extension(base, shear, 3, "Heis27")
 
 
 def frobenius20() -> FiniteGroup:
     """C5 : C4 with the generator acting as multiplication by 2."""
-    mult2 = [(2 * a) % 5 for a in range(5)]
-    mult4 = [mult2[mult2[a]] for a in range(5)]
-    mult3 = [mult2[mult4[a]] for a in range(5)]
-    g = builders.semidirect_product(builders.cyclic(5), builders.cyclic(4),
-                                    [list(range(5)), mult2, mult4, mult3])
-    g.name = "F20"
-    return g
+    return _cyclic_extension(builders.cyclic(5), [(2 * a) % 5 for a in range(5)], 4, "F20")
 
 
 def frobenius21() -> FiniteGroup:
     """C7 : C3 with the generator acting as multiplication by 2."""
-    mult2 = [(2 * a) % 7 for a in range(7)]
-    mult4 = [mult2[mult2[a]] for a in range(7)]
-    g = builders.semidirect_product(builders.cyclic(7), builders.cyclic(3),
-                                    [list(range(7)), mult2, mult4])
-    g.name = "F21"
-    return g
+    return _cyclic_extension(builders.cyclic(7), [(2 * a) % 7 for a in range(7)], 3, "F21")
 
 
 def generalized_dihedral_9() -> FiniteGroup:
     """(C3 x C3) : C2 with the involution inverting everything."""
     base = builders.direct_product(builders.cyclic(3), builders.cyclic(3))
-    inversion = [base.inv(x) for x in range(9)]
-    g = builders.semidirect_product(base, builders.cyclic(2),
-                                    [list(range(9)), inversion])
-    g.name = "GD9"
-    return g
+    return _cyclic_extension(base, [base.inv(x) for x in range(9)], 2, "GD9")
 
 
-_PRODUCTS = (
-    # (name, order, left builder, right builder)
-    ("Z2xZ2", 4, lambda: builders.cyclic(2), lambda: builders.cyclic(2)),
-    ("Z2xZ4", 8, lambda: builders.cyclic(2), lambda: builders.cyclic(4)),
-    ("Z2xZ2xZ2", 8, lambda: builders.direct_product(builders.cyclic(2), builders.cyclic(2)),
-     lambda: builders.cyclic(2)),
-    ("Z3xZ3", 9, lambda: builders.cyclic(3), lambda: builders.cyclic(3)),
-    ("Z2xZ6", 12, lambda: builders.cyclic(2), lambda: builders.cyclic(6)),
-    ("Z2xS3", 12, lambda: builders.cyclic(2), lambda: builders.symmetric(3)),
-    ("Z4xZ4", 16, lambda: builders.cyclic(4), lambda: builders.cyclic(4)),
-    ("Z2xD4", 16, lambda: builders.cyclic(2), lambda: builders.dihedral(4)),
-    ("Z2xQ8", 16, lambda: builders.cyclic(2), lambda: builders.quaternion8()),
-    ("Z3xS3", 18, lambda: builders.cyclic(3), lambda: builders.symmetric(3)),
-    ("Z2xA4", 24, lambda: builders.cyclic(2), lambda: builders.alternating(4)),
-    ("Z4xZ6", 24, lambda: builders.cyclic(4), lambda: builders.cyclic(6)),
-    ("Z3xD4", 24, lambda: builders.cyclic(3), lambda: builders.dihedral(4)),
-    ("Z3xQ8", 24, lambda: builders.cyclic(3), lambda: builders.quaternion8()),
-    ("Z5xZ5", 25, lambda: builders.cyclic(5), lambda: builders.cyclic(5)),
-    ("Z2xQ8xZ2", 32, lambda: builders.direct_product(builders.cyclic(2), builders.quaternion8()),
-     lambda: builders.cyclic(2)),
-    ("D4xZ4", 32, lambda: builders.dihedral(4), lambda: builders.cyclic(4)),
-    ("S3xS3", 36, lambda: builders.symmetric(3), lambda: builders.symmetric(3)),
-    ("Z6xZ6", 36, lambda: builders.cyclic(6), lambda: builders.cyclic(6)),
-    ("Z3xA4", 36, lambda: builders.cyclic(3), lambda: builders.alternating(4)),
-    ("Z5xD4", 40, lambda: builders.cyclic(5), lambda: builders.dihedral(4)),
-    ("Z7xQ8", 56, lambda: builders.cyclic(7), lambda: builders.quaternion8()),
-    ("Z2xZ2xZ16", 64, lambda: builders.direct_product(builders.cyclic(2), builders.cyclic(2)),
-     lambda: builders.cyclic(16)),
+# ---------------------------------------------------------------------------
+# The registry
+
+
+@dataclass(frozen=True)
+class _Row:
+    """A family when ``name`` holds ``{}`` for its parameter, else one group.
+
+    ``spelling`` is the regex of the lower-case names that denote the row,
+    with one group per parameter written in the name; ``word`` takes the
+    parameters as separate tokens. ``build`` and ``order`` take the
+    parameters; ``shipped`` lists the parameter tuples in the catalog.
+    """
+    name: str
+    spelling: str
+    build: Callable[..., FiniteGroup]
+    order: Callable[..., int]
+    shipped: tuple = ((),)
+    word: Optional[str] = None
+
+
+def _group(name: str, build: Callable[[], FiniteGroup], order: int,
+           word: Optional[str] = None) -> _Row:
+    return _Row(name, re.escape(name.lower()), build, lambda: order, word=word)
+
+
+def _product(name: str, order: int) -> _Row:
+    """The direct product of the factors the name spells, folded from the
+    left: Z2xQ8xZ2 is (Z2 x Q8) x Z2."""
+    def build():
+        factors = [_parse(f) for f in name.split("x")]
+        return functools.reduce(builders.direct_product,
+                                [row.build(*k) for row, k in factors])
+
+    return _group(name, build, order)
+
+
+_PAREN = r"[_(]?(\d+)\)?"  # l2_7, l2(7) and l27 all name L2(7)
+
+
+def _each(ks) -> tuple:
+    return tuple((k,) for k in ks)
+
+
+REGISTRY = (
+    _Row("Z{}", r"[zc](\d+)", lambda n: builders.cyclic(n), lambda n: n,
+         _each(range(1, 65)), "cyclic"),
+    _Row("D{}", r"d(\d+)", lambda n: builders.dihedral(n), lambda n: 2 * n,
+         _each(range(3, 33)), "dihedral"),
+    _group("Q8", lambda: builders.quaternion8(), 8, "quaternion8"),
+    _Row("T3i({})", "t3i" + _PAREN, lambda k: builders.type3_group_i(k),
+         lambda k: 2 ** (2 * k + 1), _each((1, 2)), "type3i"),
+    _group("T3ii", lambda: builders.type3_group_ii(), 64, "type3ii"),
+    _Row("S{}", r"s(\d+)", lambda n: builders.symmetric(n), math.factorial,
+         _each(range(2, 7)), "symmetric"),
+    _Row("A{}", r"a(\d+)", lambda n: builders.alternating(n),
+         lambda n: math.factorial(n) // 2, _each(range(3, 7)), "alternating"),
+    _group("SL23", special_linear_2_3, 24),
+    _group("Heis27", heisenberg27, 27),
+    _group("F20", frobenius20, 20),
+    _group("F21", frobenius21, 21),
+    _group("GD9", generalized_dihedral_9, 18),
+    _Row("L2({})", "l2" + _PAREN, lambda q: builders.psl2(q),
+         lambda q: q * (q * q - 1) // math.gcd(2, q - 1),
+         _each(builders.SUPPORTED_Q), "psl2"),
+    _Row("PGL2({})", "pgl2" + _PAREN, lambda q: builders.pgl2(q),
+         lambda q: q * (q * q - 1), _each(builders.SUPPORTED_Q), "pgl2"),
+    *(_product(name, order) for name, order in (
+        ("Z2xZ2", 4), ("Z2xZ4", 8), ("Z2xZ2xZ2", 8), ("Z3xZ3", 9), ("Z2xZ6", 12),
+        ("Z2xS3", 12), ("Z4xZ4", 16), ("Z2xD4", 16), ("Z2xQ8", 16), ("Z3xS3", 18),
+        ("Z2xA4", 24), ("Z4xZ6", 24), ("Z3xD4", 24), ("Z3xQ8", 24), ("Z5xZ5", 25),
+        ("Z2xQ8xZ2", 32), ("D4xZ4", 32), ("S3xS3", 36), ("Z6xZ6", 36), ("Z3xA4", 36),
+        ("Z5xD4", 40), ("Z7xQ8", 56), ("Z2xZ2xZ16", 64))),
 )
 
 
@@ -182,87 +212,52 @@ def built_in_catalog() -> Catalog:
     """The shipped catalog: every group the analyses name, plus a
     spread of positives and negatives for the classification scans."""
     catalog = Catalog()
-
-    def builtin(name, order, build):
-        catalog.add_entry(CatalogEntry(name, order, build, ("builtin", name)))
-
-    for n in range(1, 65):
-        builtin(f"Z{n}", n, lambda n=n: builders.cyclic(n))
-    for n in range(3, 33):
-        builtin(f"D{n}", 2 * n, lambda n=n: builders.dihedral(n))
-    builtin("Q8", 8, builders.quaternion8)
-    builtin("T3i(1)", 8, lambda: builders.type3_group_i(1))
-    builtin("T3i(2)", 32, lambda: builders.type3_group_i(2))
-    builtin("T3ii", 64, builders.type3_group_ii)
-    for n in range(2, 7):
-        builtin(f"S{n}", _factorial(n), lambda n=n: builders.symmetric(n))
-    for n in range(3, 7):
-        builtin(f"A{n}", _factorial(n) // 2, lambda n=n: builders.alternating(n))
-    builtin("SL23", 24, special_linear_2_3)
-    builtin("Heis27", 27, heisenberg27)
-    builtin("F20", 20, frobenius20)
-    builtin("F21", 21, frobenius21)
-    builtin("GD9", 18, generalized_dihedral_9)
-    for q in builders.SUPPORTED_Q:
-        order = q * (q * q - 1) // (2 if q % 2 else 1)
-        builtin(f"L2({q})", order, lambda q=q: builders.psl2(q))
-    for q in builders.SUPPORTED_Q:
-        builtin(f"PGL2({q})", q * (q * q - 1), lambda q=q: builders.pgl2(q))
-    for name, order, left, right in _PRODUCTS:
-        builtin(name, order,
-                lambda left=left, right=right: builders.direct_product(left(), right()))
+    for row in REGISTRY:
+        for params in row.shipped:
+            name = row.name.format(*params)
+            catalog.add_entry(CatalogEntry(name, row.order(*params),
+                                           functools.partial(row.build, *params),
+                                           ("builtin", name)))
     return catalog
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Name resolution for the CLI
-
-
-_PATTERNS = (
-    (re.compile(r"^[zc](\d+)$"), lambda m: f"Z{int(m.group(1))}"),
-    (re.compile(r"^d(\d+)$"), lambda m: f"D{int(m.group(1))}"),
-    (re.compile(r"^s(\d+)$"), lambda m: f"S{int(m.group(1))}"),
-    (re.compile(r"^a(\d+)$"), lambda m: f"A{int(m.group(1))}"),
-    (re.compile(r"^l2[_(]?(\d+)\)?$"), lambda m: f"L2({int(m.group(1))})"),
-    (re.compile(r"^pgl2[_(]?(\d+)\)?$"), lambda m: f"PGL2({int(m.group(1))})"),
-    (re.compile(r"^t3i[_(]?(\d+)\)?$"), lambda m: f"T3i({int(m.group(1))})"),
-)
-
-
-def resolve_name(name: str) -> str:
-    """Map CLI spellings (a5, z12, c12, l2_7, pgl2(7), ...) onto
-    catalog names."""
-    text = name.strip().lower()
-    for pattern, canon in _PATTERNS:
-        match = pattern.match(text)
-        if match:
-            return canon(match)
-    return name.strip()
+def _parse(name: str) -> Optional[tuple]:
+    """(row, parameters) for a spelling ``NAME [K]``: NAME is one of the
+    row's spellings, or its word followed by the parameters. None when
+    no row knows NAME."""
+    tokens = name.lower().split()
+    if not tokens:
+        return None
+    head, rest = tokens[0], tokens[1:]
+    for row in REGISTRY:
+        match = re.fullmatch(row.spelling, head)
+        if match is None and head != row.word:
+            continue
+        named = match.groups() if match else ()
+        wanted = row.name.count("{}") - len(named)
+        if len(rest) != wanted:
+            raise UnsupportedParameter(
+                f"{head!r} takes {wanted} numeric parameter(s) after it, got {len(rest)}")
+        try:
+            return row, tuple(int(k) for k in (*named, *rest))
+        except ValueError:
+            raise UnsupportedParameter(
+                f"{head!r} takes integer parameters, got {rest}") from None
+    return None
 
 
 def build_named_group(name: str, catalog: Optional[Catalog] = None) -> FiniteGroup:
+    """The group a spelling names (a5, z12, c12, l2_7, pgl2(7), cyclic 12,
+    ...): a catalog entry through ``Catalog.build``, a family member
+    outside the shipped range through its builder."""
     cat = catalog if catalog is not None else built_in_catalog()
-    canonical = resolve_name(name)
+    parsed = _parse(name)
+    if parsed is None:
+        if name.strip() in cat:
+            return cat.build(name.strip())
+        raise UnsupportedParameter(f"unknown group name {name!r}")
+    row, params = parsed
+    canonical = row.name.format(*params)
     if canonical in cat:
         return cat.build(canonical)
-    # parametric names beyond the shipped ranges (e.g. Z100, D40, S7)
-    for pattern, builder in (
-            (re.compile(r"^Z(\d+)$"), lambda n: builders.cyclic(n)),
-            (re.compile(r"^D(\d+)$"), lambda n: builders.dihedral(n)),
-            (re.compile(r"^S(\d+)$"), lambda n: builders.symmetric(n)),
-            (re.compile(r"^A(\d+)$"), lambda n: builders.alternating(n)),
-            (re.compile(r"^L2\((\d+)\)$"), lambda q: builders.psl2(q)),
-            (re.compile(r"^PGL2\((\d+)\)$"), lambda q: builders.pgl2(q)),
-            (re.compile(r"^T3i\((\d+)\)$"), lambda k: builders.type3_group_i(k)),
-    ):
-        match = pattern.match(canonical)
-        if match:
-            return builder(int(match.group(1)))
-    raise UnsupportedParameter(f"unknown group name {name!r}")
+    return row.build(*params)

@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import builders
 from .automorphisms import (
     GroupMap,
     automorphism_group,
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     group = top.add_parser("group", help="build, load and inspect groups").add_subparsers()
     build = group.add_parser("build", help="construct a built-in group")
-    build.add_argument("name", help="builder or catalog name (cyclic, psl2, a5, ...)")
+    build.add_argument("name", help="builder word or group name (cyclic, psl2, a5, ...)")
     build.add_argument("params", nargs="*", type=int)
     build.set_defaults(handler=_cmd_group_build)
     load = group.add_parser("load", help="validate and summarize a group file")
@@ -231,25 +230,7 @@ def _load_map(group: FiniteGroup, path: str) -> GroupMap:
 
 
 def _cmd_group_build(args):
-    name = args.name.lower()
-    table = {
-        "cyclic": lambda p: builders.cyclic(p[0]),
-        "dihedral": lambda p: builders.dihedral(p[0]),
-        "quaternion8": lambda p: builders.quaternion8(),
-        "symmetric": lambda p: builders.symmetric(p[0]),
-        "alternating": lambda p: builders.alternating(p[0]),
-        "psl2": lambda p: builders.psl2(p[0]),
-        "pgl2": lambda p: builders.pgl2(p[0]),
-        "type3i": lambda p: builders.type3_group_i(p[0]),
-        "type3ii": lambda p: builders.type3_group_ii(),
-    }
-    if name in table:
-        try:
-            group = table[name](args.params)
-        except IndexError:
-            raise CubeautError(f"builder {name!r} needs a numeric parameter")
-    else:
-        group = build_named_group(args.name)
+    group = build_named_group(" ".join([args.name, *map(str, args.params)]))
     return {"suite": "group-info", **_group_summary(group), "seed": args.seed}, True
 
 
@@ -393,8 +374,8 @@ def _cmd_verify_boundary(args):
 
 
 def _cmd_verify_abelian_indices(args):
-    qs = tuple(q for q in (5, 7, 9, 8, 11, 13) if q <= args.max_q)
-    budget = args.budget if args.budget else 2_000_000
+    qs = tuple(q for q in verifier.EXPECTED_ABELIAN_INDEX if q <= args.max_q)
+    budget = args.budget or verifier.ABELIAN_INDEX_BUDGET
     report = verifier.verify_abelian_indices(qs=qs, budget=budget, seed=args.seed)
     return report, report["pass"]
 

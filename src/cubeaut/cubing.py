@@ -519,9 +519,11 @@ def _try_type_ii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
 def _index_two_subgroups(group: FiniteGroup) -> list:
     """All subgroups of index 2: preimages of hyperplanes of the
     elementary abelian quotient G / (G' G^2)."""
-    squares = [group.table[g][g] for g in group.elements()]
+    # any subgroup containing G' is normal, and modulo G' the squares of
+    # the generators generate every square
+    squares = [group.table[g][g] for g in group.generating_set]
     m_sub = group.subgroup_generated(
-        list(group.derived_subgroup.elements) + squares)
+        list(group.derived_subgroup.generators) + squares)
     if m_sub.order == group.order:
         return []
     egrp, proj = group.quotient(m_sub)

@@ -37,6 +37,7 @@ from .errors import (
 )
 
 BRUTE_ASSOC_LIMIT = 40  # below this, the O(n^3) loop is cheap enough to be the default
+MAX_ORDER = 20000  # largest order a builder or a generator-form file may produce
 
 
 class FiniteGroup:
@@ -364,7 +365,7 @@ class FiniteGroup:
                 if qgrp.element_order(c) == p:
                     lift = next(g for g in range(ngrp.order) if qproj[g] == c)
                     break
-            current = self.subgroup_generated(list(current.elements) + [embed[lift]])
+            current = self.subgroup_generated(list(current.generators) + [embed[lift]])
         return current
 
     @cached_property
@@ -823,7 +824,7 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
-def load_group_json(data: dict, strict: bool = False, cap: int = 20000) -> FiniteGroup:
+def load_group_json(data: dict, strict: bool = False) -> FiniteGroup:
     """Build a group from either supported JSON shape.
 
     Cayley form: {"name":..., "order": n, "table": [[...], ...]}
@@ -855,7 +856,7 @@ def load_group_json(data: dict, strict: bool = False, cap: int = 20000) -> Finit
         for k, g in enumerate(gens):
             if not isinstance(g, list) or sorted(g) != list(range(degree)):
                 raise FileFormatError(f"generators[{k}]", f"not a permutation of 0..{degree - 1}")
-        return from_permutation_generators(gens, degree, cap=cap, name=data.get("name"))
+        return from_permutation_generators(gens, degree, cap=MAX_ORDER, name=data.get("name"))
     raise FileFormatError("$", "object has neither 'table' nor 'generators'")
 
 
@@ -871,8 +872,8 @@ def read_json_file(path):
         raise FileFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
 
 
-def load_group_file(path, strict: bool = False, cap: int = 20000) -> FiniteGroup:
-    group = load_group_json(read_json_file(path), strict=strict, cap=cap)
+def load_group_file(path, strict: bool = False) -> FiniteGroup:
+    group = load_group_json(read_json_file(path), strict=strict)
     if group.name is None:
         group.name = Path(path).stem
     return group

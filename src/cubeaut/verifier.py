@@ -51,6 +51,7 @@ CHECK_IDS = (
 )
 
 EXPECTED_ABELIAN_INDEX = {5: 12, 7: 24, 9: 40, 8: 56, 11: 60, 13: 84}
+ABELIAN_INDEX_BUDGET = 2_000_000  # search nodes per group in verify_abelian_indices
 BOUNDARY_GROUPS = ("A5", "S5", "L2(7)", "PGL2(7)", "A6")
 
 
@@ -743,8 +744,9 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
 # Maximum abelian subgroup table
 
 
-def verify_abelian_indices(qs=(5, 7, 9, 8, 11, 13), budget: int = 2_000_000,
-                  jobs: int = 1, seed: int = 0) -> dict:
+def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
+                           budget: int = ABELIAN_INDEX_BUDGET,
+                           jobs: int = 1, seed: int = 0) -> dict:
     """Indices of maximum abelian subgroups in the small projective
     simple groups, against the expected column."""
     from .builders import psl2

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubeaut
 from cubeaut import builders
 from cubeaut.cli import main
 from cubeaut.groups import group_to_json
@@ -93,6 +98,30 @@ def test_builder_missing_parameter(capsys):
     code, out, err = run(capsys, "group", "build", "cyclic")
     assert code == 2
     assert "parameter" in err
+
+
+@pytest.mark.parametrize("argv", [("quaternion8", "9"), ("a5", "7"), ("cyclic", "12", "5")])
+def test_builder_surplus_parameter(capsys, argv):
+    code, out, err = run(capsys, "group", "build", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "parameter" in err and out == ""
+
+
+# The child may map at most 1 GiB, so a builder that did allocate the
+# order^2 table would die of MemoryError (exit 1), not exhaust the machine.
+_LIMITED_CLI = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from cubeaut.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12")])
+def test_group_build_above_order_limit(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "group", "build", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "above the limit 20000" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
