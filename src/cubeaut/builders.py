@@ -13,7 +13,8 @@ from typing import Sequence
 from .errors import UnsupportedParameter
 from .groups import MAX_ORDER, FiniteGroup, from_permutation_generators
 
-MAX_SYMMETRIC_DEGREE = 8  # S8/A8 are accepted but already far above desk scale
+# bounds n before n! is formed; S8 and A8 pass it and are refused by order
+MAX_SYMMETRIC_DEGREE = 8
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 # irreducible polynomials for the non-prime fields, coefficients low-to-high
@@ -80,27 +81,30 @@ def quaternion8() -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on n points, n <= 8."""
+    """Symmetric group on n points, of order n! <= MAX_ORDER."""
     if not (1 <= n <= MAX_SYMMETRIC_DEGREE):
         raise UnsupportedParameter(f"symmetric degree must be 1..{MAX_SYMMETRIC_DEGREE}")
+    order = math.factorial(n)
+    _check_order(order)
     gens = []
     if n >= 2:
         gens.append(list(range(1, n)) + [0])      # n-cycle
         gens.append([1, 0] + list(range(2, n)))   # transposition
-    return from_permutation_generators(gens, n, cap=math.factorial(n), name=f"S{n}")
+    return from_permutation_generators(gens, n, cap=order, name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
-    """Alternating group on n points, n <= 8."""
+    """Alternating group on n points, of order n!/2 <= MAX_ORDER."""
     if not (1 <= n <= MAX_SYMMETRIC_DEGREE):
         raise UnsupportedParameter(f"alternating degree must be 1..{MAX_SYMMETRIC_DEGREE}")
+    cap = max(1, math.factorial(n) // 2)
+    _check_order(cap)
     gens = []
     for k in range(2, n):
         # 3-cycle (0 1 k)
         perm = list(range(n))
         perm[0], perm[1], perm[k] = 1, k, 0
         gens.append(perm)
-    cap = max(1, math.factorial(n) // 2)
     return from_permutation_generators(gens, n, cap=cap, name=f"A{n}")
 
 

@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sext.add_argument("n", type=int)
     sext.add_argument("size", type=int)
     sext.add_argument("--raw", action="store_true",
-                      help="list raw 0-containing sets, not canonical classes")
+                      help="text output: also list the raw 0-containing sets")
     sext.add_argument("--equation", action="append", default=None)
     sext.set_defaults(handler=_cmd_sfs_extremal)
 
@@ -398,7 +398,7 @@ def _emit(report: dict, args) -> None:
     if args.format == "csv":
         print(_to_csv(report), end="")
         return
-    print(_to_text(report))
+    print(_to_text(report, args))
 
 
 _CSV_ROWS = {
@@ -442,7 +442,7 @@ def _fmt_ratio(value) -> str:
     return str(value)
 
 
-def _to_text(report: dict) -> str:
+def _to_text(report: dict, args) -> str:
     suite = report.get("suite", "")
     lines = []
     if suite == "group-info":
@@ -486,11 +486,11 @@ def _to_text(report: dict) -> str:
                          f"{'ok' if row['match'] else 'MISMATCH'}")
         lines.append("table matches" if report["pass"] else "TABLE MISMATCH")
     elif suite == "sfs-extremal":
-        which = report["raw"] if report.get("raw") else []
         lines.append(f"avoiding {report['size']}-sets of Z_{report['n']} containing 0: "
                      f"{len(report['raw'])} raw, {len(report['canonical'])} canonical")
-        for s in which:
-            lines.append(f"  raw: {s}")
+        if args.raw:
+            for s in report["raw"]:
+                lines.append(f"  raw: {s}")
         for s in report["canonical"]:
             lines.append(f"  canonical: {s}")
     elif suite == "property-checks":

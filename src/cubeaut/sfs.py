@@ -3,10 +3,21 @@ linear equations.
 
 The default instance avoids non-trivial solutions (variables not all
 equal, repetition allowed) of both a+b=2c and a+2b=3c. The solver is a
-depth-first branch and bound over elements in ascending order with
-bitmask conflict tables; every reported set is re-verified by the
-independent exhaustive checker, which shares none of the incremental
-machinery.
+depth-first branch and bound over avoiding sets through 0, elements
+added in ascending order, with bitmask tables of the values that would
+complete a solution: per-pair conflict tables when every equation has
+three variables, else one forbidden mask per node from a table of
+solution masks.
+
+Multiplication by a unit keeps a set avoiding, so the search is rooted
+at the divisors d of n: it visits only sets whose least nonzero element
+is d and whose other elements w have gcd(w, n) >= d, the shape of the
+lexicographically least unit multiple of every avoiding set through 0
+(McKay's isomorph rejection, reduced to the root). Node counts count
+this restricted search. Extremal enumeration collects the canonical
+classes from it and reports the raw sets as their unit orbits. Every
+reported set is re-verified by the independent exhaustive checker,
+which shares none of the incremental machinery.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ class SfsResult:
     tau: Fraction
     extremal_sets: tuple  # canonical representatives, when collected
     exact: bool
-    nodes: int
+    nodes: int  # nodes of the divisor-rooted search
 
     def to_json(self) -> dict:
         return {
@@ -81,15 +92,25 @@ class SfsResult:
 def find_nontrivial_solution(subset: Sequence[int], n: int,
                              equation: LinearEquation) -> Optional[tuple]:
     """First assignment from the subset (repetition allowed) satisfying
-    the equation mod n with not all values equal, else None. Exhaustive
-    over |A|^k tuples in sorted order."""
+    the equation mod n with not all values equal, else None.
+
+    Exhaustive and in lexicographic order over the sorted subset: each of
+    the |A|^(k-1) prefixes of the first k-1 variables is tried in order,
+    and the values the last variable may take are looked up, ascending,
+    by their residue c_k*x mod n. The result is the first of the |A|^k
+    tuples in sorted order, as a plain scan over all of them finds."""
     elems = sorted(set(int(a) % n for a in subset))
-    coeffs = equation.coefficients
-    for assignment in product(elems, repeat=len(coeffs)):
-        if all(v == assignment[0] for v in assignment):
-            continue
-        if sum(c * v for c, v in zip(coeffs, assignment)) % n == 0:
-            return assignment
+    *head, penult, last = equation.coefficients
+    by_residue: dict = {}
+    for x in elems:
+        by_residue.setdefault(last * x % n, []).append(x)
+    weighted = [(penult * y, y) for y in elems]
+    for prefix in product(elems, repeat=len(head)):
+        partial = sum(c * v for c, v in zip(head, prefix))
+        for cy, y in weighted:
+            for x in by_residue.get(-(partial + cy) % n, ()):
+                if x != y or any(v != x for v in prefix):
+                    return prefix + (y, x)
     return None
 
 
@@ -116,47 +137,46 @@ def canonical_form(subset: Sequence[int], n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Conflict tables for 3-variable equations
+# Solution masks and conflict tables
 
 
-def _solve_congruence(coeff: int, rhs: int, n: int) -> list:
-    """All v with coeff*v = rhs (mod n)."""
-    coeff %= n
-    rhs %= n
-    if coeff == 0:
-        return list(range(n)) if rhs == 0 else []
-    g = math.gcd(coeff, n)
-    if rhs % g:
-        return []
-    reduced_n = n // g
-    v0 = (rhs // g) * pow(coeff // g, -1, reduced_n) % reduced_n
-    return [v0 + t * reduced_n for t in range(g)]
+def _solution_masks(n: int, coefficients) -> dict:
+    """rows[c % n][r]: bitmask of the v in Z_n with c*v = r (mod n)."""
+    rows = {}
+    for c in coefficients:
+        c %= n
+        if c not in rows:
+            row = [0] * n
+            for v in range(n):
+                row[c * v % n] |= 1 << v
+            rows[c] = row
+    return rows
 
 
 def _conflict_tables(n: int, equations: Sequence[LinearEquation]) -> tuple:
-    """pair[a][b]: mask of v completing a violation with a and b each
-    used once; double[e]: mask of v used twice against e used once."""
+    """For 3-variable equations. pair[a][b]: mask of v completing a
+    violation with a and b each used once; double[e]: mask of v used
+    twice against e used once."""
     pair = [[0] * n for _ in range(n)]
     double = [0] * n
     slots = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     for eq in equations:
         c = eq.coefficients
+        sol = _solution_masks(n, list(c) + [c[s1] + c[s2] for _, s1, s2 in slots])
         for v_slot, s1, s2 in slots:
-            cv = c[v_slot]
+            row_v = sol[c[v_slot] % n]
+            c1, c2 = c[s1], c[s2]
             for a in range(n):
-                row = pair[a]
-                for b in range(n):
-                    rhs = -(c[s1] * a + c[s2] * b)
-                    for v in _solve_congruence(cv, rhs, n):
-                        if not (a == b == v):
-                            row[b] |= 1 << v
-        for e_slot, s1, s2 in slots:
-            cv = c[s1] + c[s2]
-            ce = c[e_slot]
-            for e in range(n):
-                for v in _solve_congruence(cv, -ce * e, n):
-                    if v != e:
-                        double[e] |= 1 << v
+                base = -c1 * a
+                pair[a] = [m | row_v[(base - c2 * b) % n] for b, m in enumerate(pair[a])]
+            # e in this slot, v in both others
+            row_e = sol[(c1 + c2) % n]
+            ce = c[v_slot]
+            double = [m | row_e[-ce * e % n] for e, m in enumerate(double)]
+    # v = a = b (or v = e) is the trivial all-equal assignment
+    for a in range(n):
+        pair[a][a] &= ~(1 << a)
+        double[a] &= ~(1 << a)
     # a and b may land in either non-v slot
     for a in range(n):
         for b in range(a + 1, n):
@@ -165,11 +185,31 @@ def _conflict_tables(n: int, equations: Sequence[LinearEquation]) -> tuple:
     return pair, double
 
 
+def _slot_splits(n: int, equations: Sequence[LinearEquation]) -> list:
+    """Every way to put an equation's slots into a nonempty w part, a
+    nonempty v part and the rest, grouped by the rest's coefficients:
+    [(rest coefficients mod n, [(w coefficient sum, v coefficient sum)])]."""
+    groups: dict = {}
+    for eq in equations:
+        c = eq.coefficients
+        for parts in product(range(3), repeat=len(c)):
+            if 0 in parts and 1 in parts:
+                cw = sum(ci for ci, p in zip(c, parts) if p == 0) % n
+                cv = sum(ci for ci, p in zip(c, parts) if p == 1) % n
+                rest = tuple(sorted(ci % n for ci, p in zip(c, parts) if p == 2))
+                groups.setdefault(rest, set()).add((cw, cv))
+    return [(rest, sorted(pairs)) for rest, pairs in sorted(groups.items())]
+
+
 # ---------------------------------------------------------------------------
 # Branch and bound
 
 
 class _Search:
+    """Depth-first search over avoiding sets through 0, elements added in
+    ascending order. Invariant: every w in a node's candidate mask lies
+    above the node's elements and keeps the set avoiding when added."""
+
     def __init__(self, instance: SfsInstance, budget: Optional[int],
                  descending: bool, target: Optional[int]):
         self.n = instance.modulus
@@ -185,8 +225,19 @@ class _Search:
         self.fast = all(len(eq.coefficients) == 3 for eq in instance.equations)
         if self.fast:
             self.pair, self.double = _conflict_tables(self.n, instance.equations)
+        else:
+            self.splits = _slot_splits(self.n, instance.equations)
+            self.sol = _solution_masks(
+                self.n, {cw for _, pairs in self.splits for cw, _ in pairs})
 
     def run_from_zero(self):
+        """Multiplying by a unit keeps a set avoiding and sends each
+        nonzero a to gcd(a, n), the least element of its unit orbit. So
+        every avoiding set through 0 has a unit multiple whose least
+        nonzero element is d = min gcd(a, n), a divisor of n, and whose
+        other elements w have gcd(w, n) >= d. The root branches on those
+        d alone; the lexicographically least unit multiple of every set
+        has this shape, so no canonical class is lost."""
         n = self.n
         self.best, self.best_set = 1, (0,)
         if self.target == 1:
@@ -196,7 +247,17 @@ class _Search:
             if is_avoiding((0, v), n, self.instance.equations):
                 cand |= 1 << v
         self._greedy_seed(cand)
-        self._dfs((0,), cand)
+        roots = [d for d in range(1, n) if n % d == 0 and cand >> d & 1]
+        if self.descending:
+            roots.reverse()
+        for d in roots:
+            if not self.exact:
+                return
+            coarse = 0
+            for w in range(d + 1, n):
+                if math.gcd(w, n) >= d:
+                    coarse |= 1 << w
+            self._branch((0,), d, cand & coarse)
 
     def _greedy_seed(self, cand: int):
         if self.target is not None:
@@ -212,22 +273,31 @@ class _Search:
             self.best, self.best_set = len(current), tuple(current)
 
     def _children_mask(self, current: tuple, v: int, cand: int) -> int:
+        """The w in cand that keep current + (v, w) avoiding. A new
+        solution must use both v and w, since current + (v,) and
+        current + (w,) avoid."""
         if self.fast:
             removed = self.double[v] | self.pair[v][v]
             pair_v = self.pair[v]
             for u in current:
                 removed |= pair_v[u]
             return cand & ~removed
-        keep = 0
-        mask = cand
-        extended = list(current) + [v]
-        while mask:
-            w_bit = mask & -mask
-            mask ^= w_bit
-            w = w_bit.bit_length() - 1
-            if is_avoiding(extended + [w], self.n, self.instance.equations):
-                keep |= w_bit
-        return keep
+        if not cand:
+            return 0
+        # the slots taking v and w are split off; the rest take values
+        # in current, so each such assignment is met exactly once
+        n = self.n
+        removed = 0
+        for rest, pairs in self.splits:
+            sums = {0}
+            for c in rest:
+                sums = {(s + c * u) % n for s in sums for u in current}
+            for cw, cv in pairs:
+                row = self.sol[cw]
+                base = -cv * v
+                for r in sums:
+                    removed |= row[(base - r) % n]
+        return cand & ~removed
 
     def _dfs(self, current: tuple, cand: int):
         if self.target is None:
@@ -247,20 +317,21 @@ class _Search:
         for low in bits:
             if not self.exact:
                 return
-            v = low.bit_length() - 1
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                self.exact = False
-                return
-            extended = current + (v,)
-            if self.target is None and len(extended) > self.best:
-                self.best, self.best_set = len(extended), extended
-            if self.target is not None and len(extended) == self.target:
-                self.collected.append(extended)
-                continue
-            above = ~((low << 1) - 1)
-            child = self._children_mask(current, v, cand & above)
-            self._dfs(extended, child)
+            self._branch(current, low.bit_length() - 1, cand & ~((low << 1) - 1))
+
+    def _branch(self, current: tuple, v: int, above: int):
+        """Visit current + (v,); ``above`` holds the candidates above v."""
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            self.exact = False
+            return
+        extended = current + (v,)
+        if self.target is None and len(extended) > self.best:
+            self.best, self.best_set = len(extended), extended
+        if self.target is not None and len(extended) == self.target:
+            self.collected.append(extended)
+            return
+        self._dfs(extended, self._children_mask(current, v, above))
 
 
 def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
@@ -299,16 +370,23 @@ class SfsEnumeration:
 def enumerate_extremal(instance: SfsInstance, size: int,
                        budget: Optional[int] = None) -> SfsEnumeration:
     """All avoiding subsets of the target size containing 0, raw and
-    reduced to canonical form under multiplication by units."""
+    reduced to canonical form under multiplication by units.
+
+    The search visits only sets whose least nonzero element d divides n
+    and whose other elements w have gcd(w, n) >= d; the canonical form
+    of every avoiding set has that shape. The raw sets are the unit
+    orbits of the canonical classes (A = u^-1 * canonical(A)), and each
+    is re-checked by ``is_avoiding``."""
     if size < 1:
         raise UnsupportedParameter("target size must be >= 1")
     search = _Search(instance, budget, False, size)
     search.run_from_zero()
     n = instance.modulus
-    raw = tuple(sorted(search.collected))
+    canonical = tuple(sorted({canonical_form(s, n) for s in search.collected}))
+    raw = tuple(sorted({tuple(sorted(u * a % n for a in c))
+                        for c in canonical for u in units(n)}))
     if not all(is_avoiding(s, n, instance.equations) for s in raw):
         raise InternalCheckFailed("enumerated set fails the independent re-check")
-    canonical = tuple(sorted({canonical_form(s, n) for s in raw}))
     return SfsEnumeration(instance, size, raw, canonical, search.exact, search.nodes)
 
 

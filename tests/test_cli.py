@@ -115,7 +115,7 @@ _LIMITED_CLI = ("import resource, sys\n"
                 "sys.exit(main(sys.argv[1:]))\n")
 
 
-@pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12")])
+@pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12"), ("s8",), ("a8",)])
 def test_group_build_above_order_limit(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "group", "build", *argv],
@@ -266,6 +266,16 @@ def test_sfs_extremal_raw(capsys):
     assert len(payload["raw"]) == 16
     assert all(4 in s or 12 in s for s in payload["raw"])
     assert [0, 1, 4, 5] in payload["raw"]
+
+
+@pytest.mark.parametrize("flags, listed", [((), 0), (("--raw",), 16)])
+def test_sfs_extremal_text_lists_raw_only_with_flag(capsys, flags, listed):
+    code, out, _ = run(capsys, "sfs", "extremal", "16", "4", *flags)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].endswith(": 16 raw, 2 canonical")
+    assert sum(line.startswith("  raw: ") for line in lines) == listed
+    assert "  canonical: [0, 1, 4, 5]" in lines
 
 
 def test_sfs_tau_range(capsys):

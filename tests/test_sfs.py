@@ -1,9 +1,14 @@
+import math
 from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeaut.errors import UnsupportedParameter
 from cubeaut.sfs import (
+    _Search,
+    _conflict_tables,
     DEFAULT_EQUATIONS,
     THREE_TERM_AP,
     WEIGHTED_AP,
@@ -145,6 +150,146 @@ def test_even_modulus_halving_pairs():
                 for c in s:
                     if a != c:
                         assert (2 * a - 2 * c) % n != 0
+
+
+# T(n) for n = 61..72, as the benchmark's sfs-search workload pins them
+PINNED_T = {61: 8, 62: 8, 63: 8, 64: 8, 65: 8, 66: 8, 67: 8, 68: 9, 69: 8,
+            70: 9, 71: 10, 72: 9}
+
+
+def test_pinned_t_61_to_72():
+    got = {n: max_free_subset(SfsInstance(n)) for n in PINNED_T}
+    assert all(r.exact for r in got.values())
+    assert {n: r.size for n, r in got.items()} == PINNED_T
+
+
+# ---------------------------------------------------------------------------
+# The search's incremental machinery against the plain definitions
+
+FOUR_TERM = tuple(LinearEquation(c) for c in ((1, 1, -2), (1, 2, -3), (1, 1, 1, -3)))
+
+
+def old_children_mask(current, v, cand, n, equations):
+    """Per-candidate filter: keep w when current + (v, w) avoids."""
+    keep = 0
+    for w in range(n):
+        if cand >> w & 1 and is_avoiding(list(current) + [v, w], n, equations):
+            keep |= 1 << w
+    return keep
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_generic_children_mask_equals_per_candidate_filter(n):
+    instance = SfsInstance(n, FOUR_TERM)
+    best = max_free_subset(instance).size
+    for target in (None, best):
+        search = _Search(instance, None, False, target)
+        assert not search.fast
+        incremental = search._children_mask
+
+        def checked(current, v, cand):
+            got = incremental(current, v, cand)
+            assert got == old_children_mask(current, v, cand, n, FOUR_TERM)
+            return got
+
+        search._children_mask = checked
+        search.run_from_zero()
+
+
+def old_solve_congruence(coeff, rhs, n):
+    """All v with coeff*v = rhs (mod n)."""
+    coeff %= n
+    rhs %= n
+    if coeff == 0:
+        return list(range(n)) if rhs == 0 else []
+    g = math.gcd(coeff, n)
+    if rhs % g:
+        return []
+    reduced_n = n // g
+    v0 = (rhs // g) * pow(coeff // g, -1, reduced_n) % reduced_n
+    return [v0 + t * reduced_n for t in range(g)]
+
+
+def old_conflict_tables(n, equations):
+    pair = [[0] * n for _ in range(n)]
+    double = [0] * n
+    slots = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    for eq in equations:
+        c = eq.coefficients
+        for v_slot, s1, s2 in slots:
+            for a in range(n):
+                for b in range(n):
+                    rhs = -(c[s1] * a + c[s2] * b)
+                    for v in old_solve_congruence(c[v_slot], rhs, n):
+                        if not (a == b == v):
+                            pair[a][b] |= 1 << v
+        for e_slot, s1, s2 in slots:
+            for e in range(n):
+                for v in old_solve_congruence(c[s1] + c[s2], -c[e_slot] * e, n):
+                    if v != e:
+                        double[e] |= 1 << v
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair[a][b] = pair[b][a] = pair[a][b] | pair[b][a]
+    return pair, double
+
+
+def test_conflict_tables_equal_congruence_builder():
+    for n in range(1, 80):
+        assert _conflict_tables(n, DEFAULT_EQUATIONS) == \
+            old_conflict_tables(n, DEFAULT_EQUATIONS), n
+    others = (LinearEquation((2, 3, -5)), LinearEquation((4, -1, -3)))
+    for n in range(1, 30):
+        assert _conflict_tables(n, others) == old_conflict_tables(n, others), n
+
+
+def old_find_nontrivial_solution(subset, n, equation):
+    """The first of the |A|^k tuples in sorted order that solves the
+    equation with not all values equal."""
+    elems = sorted(set(a % n for a in subset))
+    coeffs = equation.coefficients
+    for assignment in product(elems, repeat=len(coeffs)):
+        if all(v == assignment[0] for v in assignment):
+            continue
+        if sum(c * v for c, v in zip(coeffs, assignment)) % n == 0:
+            return assignment
+    return None
+
+
+@given(n=st.integers(1, 30),
+       head=st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+       subset=st.lists(st.integers(0, 60), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_find_nontrivial_matches_full_scan(n, head, subset):
+    equation = LinearEquation(head + [-sum(head)])
+    assert find_nontrivial_solution(subset, n, equation) == \
+        old_find_nontrivial_solution(subset, n, equation)
+
+
+def unrestricted_enumeration(instance, size):
+    """Every avoiding size-set through 0: the search entered at the root
+    with every candidate, without the divisor restriction."""
+    n = instance.modulus
+    search = _Search(instance, None, False, size)
+    if size == 1:
+        search.collected.append((0,))
+    cand = sum(1 << v for v in range(1, n) if is_avoiding((0, v), n, instance.equations))
+    search._dfs((0,), cand)
+    return tuple(sorted(search.collected))
+
+
+@pytest.mark.parametrize("equations", [
+    DEFAULT_EQUATIONS, (THREE_TERM_AP,), (LinearEquation((1, 1, 1, -3)),)],
+    ids=["default", "ap", "four-term"])
+def test_enumeration_equals_unrestricted_search(equations):
+    for n in range(1, 41):
+        instance = SfsInstance(n, equations)
+        size = max_free_subset(instance).size
+        enum = enumerate_extremal(instance, size)
+        raw = unrestricted_enumeration(instance, size)
+        assert enum.exact
+        assert enum.raw == raw, n
+        assert enum.canonical == tuple(sorted({canonical_form(s, n) for s in raw})), n
 
 
 # ---------------------------------------------------------------------------
