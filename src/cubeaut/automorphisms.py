@@ -307,7 +307,7 @@ def default_cache_dir() -> Path:
 
 
 def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = True,
-                       rebuild: bool = False, cap: Optional[int] = None) -> AutomorphismGroup:
+                       rebuild: bool = False) -> AutomorphismGroup:
     """Aut(G), consulting a JSON disk cache keyed by the table hash.
 
     Each cached member is rebuilt from its generator images by the
@@ -323,7 +323,7 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
         cached = _load_cache(path, group)
         if cached is not None:
             return cached
-    result = enumerate_automorphisms(group, cap=cap)
+    result = enumerate_automorphisms(group)
     if use_cache:
         _store_cache(path, group, result)
     return result

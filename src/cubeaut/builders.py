@@ -313,8 +313,9 @@ def type3_group_i(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise UnsupportedParameter("k must be >= 1")
+    if 2 * k + 1 >= MAX_ORDER.bit_length():  # 2^(2k+1) > MAX_ORDER, tested before forming it
+        raise UnsupportedParameter(f"order 2^{2 * k + 1} is above the limit {MAX_ORDER}")
     order = 1 << (2 * k + 1)
-    _check_order(order)
 
     def mul(x, y):
         v1, w1, z1 = x >> (k + 1), (x >> 1) & ((1 << k) - 1), x & 1

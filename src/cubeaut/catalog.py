@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 
 from . import builders
 from .errors import UnsupportedParameter
-from .groups import FiniteGroup, load_group_file
+from .groups import FiniteGroup
 
 
 @dataclass
@@ -29,27 +29,16 @@ class CatalogEntry:
     name: str
     order: int
     build: Callable[[], FiniteGroup]
-    source: tuple  # ("builtin", name) or ("file", path), for worker rebuilds
 
 
 class Catalog:
-    """Ordered, lazily built, hash-deduplicated list of named groups."""
+    """Ordered, lazily built, hash-deduplicated list of named groups.
+    Each entry is built at most once per catalog object."""
 
     def __init__(self, entries=()):
         self.entries: list = list(entries)
         self._built: dict = {}
         self._by_name: dict = {e.name.lower(): e for e in self.entries}
-
-    def add_entry(self, entry: CatalogEntry) -> None:
-        self.entries.append(entry)
-        self._by_name[entry.name.lower()] = entry
-
-    def add_file(self, path) -> FiniteGroup:
-        group = load_group_file(path)
-        entry = CatalogEntry(group.name, group.order, lambda g=group: g,
-                             ("file", str(path)))
-        self.add_entry(entry)
-        return group
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._by_name
@@ -211,14 +200,9 @@ REGISTRY = (
 def built_in_catalog() -> Catalog:
     """The shipped catalog: every group the analyses name, plus a
     spread of positives and negatives for the classification scans."""
-    catalog = Catalog()
-    for row in REGISTRY:
-        for params in row.shipped:
-            name = row.name.format(*params)
-            catalog.add_entry(CatalogEntry(name, row.order(*params),
-                                           functools.partial(row.build, *params),
-                                           ("builtin", name)))
-    return catalog
+    return Catalog(CatalogEntry(row.name.format(*params), row.order(*params),
+                                functools.partial(row.build, *params))
+                   for row in REGISTRY for params in row.shipped)
 
 
 def _parse(name: str) -> Optional[tuple]:

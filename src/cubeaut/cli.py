@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,9 +51,15 @@ def main(argv=None) -> int:
     try:
         report, ok = args.handler(args)
         _emit(report, args)
+        sys.stdout.flush()
     except CubeautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; send the unwritten rest to devnull so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1
 
 
@@ -382,8 +389,7 @@ def _cmd_verify_abelian_indices(args):
 
 def _cmd_search_pattern(args):
     report = verifier.power_pattern_search(
-        args.n, order_cap=args.order_cap, jobs=args.jobs, seed=args.seed,
-        **_cache_kwargs(args))
+        args.n, order_cap=args.order_cap, seed=args.seed, **_cache_kwargs(args))
     return report, True  # a found counterexample is a result, not a failure
 
 

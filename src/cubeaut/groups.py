@@ -500,15 +500,8 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     the returned group.
     """
     rows = _int_rows(table)
+    _check_shape(rows)
     n = len(rows)
-    if n < 1:
-        raise NoIdentity("empty table")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise NotClosed(i, len(row), None)
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise NotClosed(i, j, v)
     ident = _find_identity(rows)
     if ident is None:
         raise NoIdentity("no two-sided identity element")
@@ -542,7 +535,8 @@ def _find_identity(rows) -> Optional[int]:
     return None
 
 
-def _validate_table(rows: tuple, strict: bool) -> None:
+def _check_shape(rows: tuple) -> None:
+    """A nonempty square table with every entry an index into it."""
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty table")
@@ -552,6 +546,11 @@ def _validate_table(rows: tuple, strict: bool) -> None:
         for j, v in enumerate(row):
             if not (0 <= v < n):
                 raise NotClosed(i, j, v)
+
+
+def _validate_table(rows: tuple, strict: bool) -> None:
+    _check_shape(rows)
+    n = len(rows)
     if any(rows[0][b] != b for b in range(n)) or any(rows[a][0] != a for a in range(n)):
         raise NoIdentity("element 0 is not a two-sided identity")
     full = set(range(n))

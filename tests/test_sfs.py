@@ -13,6 +13,7 @@ from cubeaut.sfs import (
     THREE_TERM_AP,
     WEIGHTED_AP,
     LinearEquation,
+    MAX_MODULUS,
     REFERENCE_TABLE,
     SfsInstance,
     canonical_form,
@@ -392,3 +393,8 @@ def test_generic_equation_fallback():
         return best
 
     assert result.size == brute(7)
+
+
+def test_tau_range_refuses_above_modulus_limit_before_searching():
+    with pytest.raises(UnsupportedParameter, match="above the limit"):
+        verify_tau_bound(MAX_MODULUS, MAX_MODULUS + 1, Fraction(1, 2))

@@ -256,6 +256,33 @@ def test_verify_classification_small(cache_dir):
     assert verdicts["Z9"] == "None"
 
 
+def _counting_catalog(builds: list) -> Catalog:
+    """C7 (absent from the built-in catalog), a second spelling of the
+    same table, and D4; each build is appended to ``builds``."""
+    def entry(name, order, build):
+        return CatalogEntry(name, order, lambda: builds.append(name) or build())
+    return Catalog([entry("C7", 7, lambda: builders.cyclic(7)),
+                    entry("Z7 again", 7, lambda: builders.cyclic(7)),
+                    entry("D4", 8, lambda: builders.dihedral(4))])
+
+
+def test_verify_classification_runs_on_its_own_catalog(cache_dir):
+    reports = [verify_classification(catalog=_counting_catalog([]), jobs=jobs,
+                                     cache_dir=cache_dir) for jobs in (1, 2)]
+    for report in reports:
+        assert report["pass"]
+        assert [r["group"] for r in report["rows"]] == ["C7", "D4"]
+    assert reports[0]["rows"] == reports[1]["rows"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_classification_builds_each_entry_once(cache_dir, jobs):
+    builds = []
+    verify_classification(catalog=_counting_catalog(builds), jobs=jobs,
+                          cache_dir=cache_dir)
+    assert sorted(builds) == ["C7", "D4", "Z7 again"]
+
+
 def test_verify_boundary_named_groups_only(cache_dir):
     # restrict the catalog-wide part to tiny orders; named five always run
     report = verify_solvability_boundary(order_cap=10, cache_dir=cache_dir)
@@ -272,14 +299,13 @@ def test_verify_boundary_named_groups_only(cache_dir):
 def test_catalog_entry_lookup():
     cat = built_in_catalog()
     assert cat.entry("a5").name == "A5"
-    assert cat.entry("L2(7)").source == ("builtin", "L2(7)")
     assert "pgl2(7)" in cat and "Q16" not in cat
     with pytest.raises(UnsupportedParameter):
         cat.entry("Q16")
 
 
 def test_verify_boundary_names_missing_groups(cache_dir):
-    tiny = Catalog([CatalogEntry("Z2", 2, lambda: builders.cyclic(2), ("builtin", "Z2"))])
+    tiny = Catalog([CatalogEntry("Z2", 2, lambda: builders.cyclic(2))])
     with pytest.raises(UnsupportedParameter) as info:
         verify_solvability_boundary(catalog=tiny, cache_dir=cache_dir)
     for name in ("A5", "S5", "L2(7)", "PGL2(7)", "A6"):
