@@ -1,14 +1,20 @@
 """Maps between finite groups and full automorphism-group enumeration.
 
-Automorphisms are enumerated by backtracking over the images of a small
-generating set. Candidate images are pre-filtered by a cheap invariant
-fingerprint (element order, centralizer size, number of square and cube
-roots), partial assignments are extended by closure over the generated
-subgroup, and any contradiction or collision prunes the branch. A
-complete consistent closure over a generating set of G is already a
-verified automorphism, so no post-validation is needed. The disk cache
-stores generator images only and rebuilds each member through the same
-closure.
+Aut(G) is enumerated as Inn(G) acting on the automorphisms that send
+the first generator g1 of a small generating set to the least element
+of a conjugacy class. Those are found by backtracking over the images
+of the generating set. Candidate images are pre-filtered by a cheap
+invariant fingerprint (element order, centralizer size, number of
+square and cube roots), partial assignments are extended by closure
+over the generated subgroup, and any contradiction or collision prunes
+the branch. A complete consistent closure over a generating set of G is
+already a verified automorphism, so no post-validation is needed. Each
+found b then gives one member x -> t^-1 b(x) t per conjugate t^-1 b(g1) t,
+built by table lookup; an inner automorphism composed with a verified
+automorphism is one, so no member is re-checked.
+
+The disk cache stores the generator images of the found b only. A load
+proves each one through the same closure and expands it the same way.
 """
 
 from __future__ import annotations
@@ -239,10 +245,18 @@ def _close(table, pairs, n: int, complete: bool) -> Optional[list]:
 
 
 def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> AutomorphismGroup:
-    """Complete Aut(G) by backtracking over generator images.
+    """Complete Aut(G) as Inn(G) acting on one image class of g1.
+
+    The backtracking sends the first ranked generator g1 only to the
+    least element r of each conjugacy class among its candidates; the
+    fingerprint is conjugation-invariant, so the classes are whole. Every
+    automorphism a with a(g1) = t^-1 r t is x -> t^-1 b(x) t for one b
+    found with b(g1) = r and one t of ``class_with_conjugators(r)``, so
+    ``_expand`` builds the rest by table lookup.
 
     Deterministic: members are sorted by their image arrays. Raises
-    CapExceeded if more than ``cap`` automorphisms are found.
+    CapExceeded, before any member is built, if Aut(G) has more than
+    ``cap`` members.
     """
     n = group.order
     if n == 1:
@@ -257,13 +271,23 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     ranked = sorted(range(len(gens)), key=lambda i: (len(candidates[i]), i))
     gens = [gens[i] for i in ranked]
     candidates = [candidates[i] for i in ranked]
+    g1 = gens[0]
+    # the root tries only the least element r of each candidate class
+    classes = {}  # r -> its class with conjugators
+    seen: set = set()
+    for x in candidates[0]:
+        if x not in seen:
+            classes[x] = group.class_with_conjugators(x)
+            seen.update(y for y, _ in classes[x])
+    candidates[0] = list(classes)
 
     found = []
+    total = 0
     nodes = 0
     assigned: list = []
 
     def backtrack(level: int):
-        nonlocal nodes
+        nonlocal nodes, total
         g = gens[level]
         last = level + 1 == len(gens)
         for h in candidates[level]:
@@ -281,21 +305,48 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
             if result is not None:
                 if last:
                     found.append(tuple(result))
-                    if cap is not None and len(found) > cap:
-                        raise CapExceeded("automorphism count exceeded cap", len(found))
+                    total += len(classes[result[g1]])
+                    if cap is not None and total > cap:
+                        raise CapExceeded("automorphism count exceeded cap", total)
                 else:
                     backtrack(level + 1)
             assigned.pop()
 
     backtrack(0)
-    found.sort()
-    members = tuple(GroupMap(group, group, images) for images in found)
+    members = tuple(GroupMap(group, group, images)
+                    for images in _expand(group, g1, found, classes))
     return AutomorphismGroup(group, members, tuple(gens), nodes)
 
 
+def _expand(group: FiniteGroup, g1: int, found: list, classes: dict) -> list:
+    """The sorted image arrays of x -> t^-1 b(x) t for every found b and
+    every t of the class of b(g1) in ``classes``.
+
+    No member is re-checked: an inner automorphism composed with a
+    verified automorphism is one. When the found b send g1 to one
+    element per class, as the enumerator's do, the members are distinct:
+    they send g1 to distinct conjugates, or differ as b does. The loop
+    runs t-major, so one conjugation array is alive at a time.
+    """
+    table, inv = group.table, group.inv
+    by_rep: dict = {}
+    for images in found:
+        by_rep.setdefault(images[g1], []).append(images)
+    members = []
+    for r, betas in by_rep.items():
+        members.extend(betas)  # the first pair (r, 0) conjugates by the identity
+        for _, t in classes[r][1:]:
+            conjugate = [table[c][t] for c in table[inv(t)]]  # x -> t^-1 x t
+            lookup = conjugate.__getitem__
+            members.extend(tuple(map(lookup, images)) for images in betas)
+    members.sort()
+    return members
+
+
 # ---------------------------------------------------------------------------
-# Disk cache (advisory: members are stored as generator images and rebuilt
-# through _close on load)
+# Disk cache (advisory: the members sending g1 to the least element of its
+# class are stored as generator images; a load proves each through _close
+# and expands it by conjugation)
 
 
 def default_cache_dir() -> Path:
@@ -310,12 +361,15 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
                        rebuild: bool = False) -> AutomorphismGroup:
     """Aut(G), consulting a JSON disk cache keyed by the table hash.
 
-    Each cached member is rebuilt from its generator images by the
-    closure the enumerator uses, which proves it an automorphism, and
-    duplicate members are rejected. Completeness is trusted from the
-    table-hash key (``rebuild`` re-enumerates). Any file that fails to
-    load is re-enumerated and overwritten, so a stale or corrupt cache
-    can only cost time, not correctness.
+    The file holds the generator images of the members that send the
+    first generator g1 to the least element of its conjugacy class. Each
+    is rebuilt by the closure the enumerator uses, which proves it an
+    automorphism, and expanded by conjugation as the enumerator does. A
+    file is rejected when the expanded count differs from its
+    ``aut_order`` or when two members coincide. Completeness is trusted from the table-hash key
+    (``rebuild`` re-enumerates). Any file that fails to load is
+    re-enumerated and overwritten, so a stale or corrupt cache can only
+    cost time, not correctness.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = directory / f"aut-{group.table_hash}.json"
@@ -342,32 +396,39 @@ def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     if not isinstance(data, dict) or data.get("table_hash") != group.table_hash:
         return None
     n = group.order
-    gens, members = data.get("generators"), data.get("members")
-    if (not _indices(gens, n) or not isinstance(members, list)
-            or data.get("aut_order") != len(members)):
+    gens, stored = data.get("generators"), data.get("members")
+    if not _indices(gens, n) or not isinstance(stored, list):
         return None
     table = group.table
-    rebuilt = set()
-    for images in members:
+    g1 = gens[0] if gens else 0
+    found = []
+    for images in stored:
         if not _indices(images, n) or len(images) != len(gens):
             return None
         img = _close(table, list(zip(gens, images)), n, True)
         if img is None:
             return None
-        rebuilt.add(tuple(img))
-    if len(rebuilt) != len(members):
+        found.append(tuple(img))
+    classes = {r: group.class_with_conjugators(r) for r in {img[g1] for img in found}}
+    if data.get("aut_order") != sum(len(classes[img[g1]]) for img in found):
+        return None
+    members = _expand(group, g1, found, classes)
+    if any(a == b for a, b in zip(members, members[1:])):
         return None  # a duplicate member
-    maps = tuple(GroupMap(group, group, img) for img in sorted(rebuilt))
+    maps = tuple(GroupMap(group, group, img) for img in members)
     return AutomorphismGroup(group, maps, tuple(gens), 0)
 
 
 def _store_cache(path: Path, group: FiniteGroup, result: AutomorphismGroup) -> None:
     gens = result.generating_set
+    g1 = gens[0] if gens else 0
+    representatives = {cls[0] for cls in group.conjugacy_classes}
     payload = {
         "table_hash": group.table_hash,
         "aut_order": result.order,
         "generators": list(gens),
-        "members": [[m.images[g] for g in gens] for m in result.members],
+        "members": [[m.images[g] for g in gens] for m in result.members
+                    if m.images[g1] in representatives],
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

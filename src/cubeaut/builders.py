@@ -28,7 +28,11 @@ _IRREDUCIBLE = {
 def _check_order(order: int) -> None:
     """Refuse a table above MAX_ORDER before allocating its order^2 entries."""
     if order > MAX_ORDER:
-        raise UnsupportedParameter(f"order {order} is above the limit {MAX_ORDER}")
+        try:
+            shown = str(order)
+        except ValueError:  # too many digits to convert to decimal
+            shown = f">= 2^{order.bit_length() - 1}"
+        raise UnsupportedParameter(f"order {shown} is above the limit {MAX_ORDER}")
 
 
 def cyclic(n: int) -> FiniteGroup:

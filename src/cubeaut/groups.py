@@ -396,6 +396,23 @@ class FiniteGroup:
             size = best_size
         return tuple(gens)
 
+    def class_with_conjugators(self, x: int) -> tuple:
+        """The conjugacy class of x as pairs (y, t) with y = t^-1 x t, one
+        t per member, found breadth-first from (x, 0) by conjugating with
+        ``generating_set``. The t form a right transversal of C_G(x)."""
+        table = self.table
+        gens = self.generating_set
+        inverses = [self.inv(g) for g in gens]
+        pairs = [(x, 0)]
+        seen = {x}
+        for y, t in pairs:
+            for g, g_inv in zip(gens, inverses):
+                z = table[table[g_inv][y]][g]
+                if z not in seen:
+                    seen.add(z)
+                    pairs.append((z, table[t][g]))
+        return tuple(pairs)
+
     @cached_property
     def conjugacy_classes(self) -> tuple:
         """Classes as sorted tuples, ordered by ascending least element."""
@@ -404,7 +421,7 @@ class FiniteGroup:
         for x in self.elements():
             if seen[x]:
                 continue
-            orbit = sorted({self.conjugate(x, g) for g in self.elements()})
+            orbit = sorted(y for y, _ in self.class_with_conjugators(x))
             for y in orbit:
                 seen[y] = True
             classes.append(tuple(orbit))

@@ -22,6 +22,7 @@ from cubeaut.automorphisms import (
     restrict,
     small_generating_set,
 )
+from cubeaut.automorphisms import _close, _fingerprints
 from cubeaut.catalog import heisenberg27
 from cubeaut.errors import CapExceeded, NotAutomorphism, NotInvariant
 
@@ -123,13 +124,72 @@ def test_generating_set_equals_unpruned_greedy():
 
 
 @pytest.mark.parametrize("build, nodes", [
-    (lambda: builders.symmetric(4), 30),
-    (lambda: builders.alternating(5), 140),
-    (lambda: builders.type3_group_ii(), 2344),
+    (lambda: builders.symmetric(4), 5),
+    (lambda: builders.alternating(5), 7),
+    (lambda: builders.type3_group_ii(), 1172),
 ])
 def test_enumeration_nodes_pinned(build, nodes):
     # the backtracking runs over generator images, so these counts pin its path
     assert enumerate_automorphisms(build()).nodes == nodes
+
+
+def _full_backtrack(group):
+    """Reference: the backtracking with every candidate image of the
+    first generator at the root. Returns (sorted image arrays, nodes,
+    root candidates)."""
+    n = group.order
+    if n == 1:
+        return ((0,),), 0, []
+    gens = list(group.generating_set)
+    fp = _fingerprints(group)
+    candidates = [[x for x in range(n) if fp[x] == fp[g]] for g in gens]
+    order_of, table, inv = group.element_orders, group.table, group.inv
+    ranked = sorted(range(len(gens)), key=lambda i: (len(candidates[i]), i))
+    gens = [gens[i] for i in ranked]
+    candidates = [candidates[i] for i in ranked]
+    found, assigned, nodes = [], [], 0
+
+    def backtrack(level):
+        nonlocal nodes
+        g = gens[level]
+        last = level + 1 == len(gens)
+        for h in candidates[level]:
+            if any(order_of[table[gj][g]] != order_of[table[hj][h]]
+                   or order_of[table[gj][inv(g)]] != order_of[table[hj][inv(h)]]
+                   for gj, hj in assigned):
+                continue
+            assigned.append((g, h))
+            nodes += 1
+            result = _close(table, assigned, n, last)
+            if result is not None:
+                if last:
+                    found.append(tuple(result))
+                else:
+                    backtrack(level + 1)
+            assigned.pop()
+
+    backtrack(0)
+    return tuple(sorted(found)), nodes, candidates[0]
+
+
+def _equality_groups():
+    from cubeaut.catalog import built_in_catalog
+    catalog = built_in_catalog()
+    yield from catalog.groups(order_cap=64)
+    for name in ("A5", "S5", "L2(7)", "PGL2(7)"):
+        yield name, catalog.build(name)
+
+
+def test_enumeration_equals_full_backtrack():
+    for name, group in _equality_groups():
+        arrays, nodes, roots = _full_backtrack(group)
+        result = enumerate_automorphisms(group)
+        assert result.image_arrays == arrays, name
+        class_size = {x: len(c) for c in group.conjugacy_classes for x in c}
+        if any(class_size[r] > 1 for r in roots):
+            assert result.nodes < nodes, name
+        else:
+            assert result.nodes == nodes, name
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +300,13 @@ def test_enumeration_deterministic_order():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_automorphisms(builders.quaternion8(), cap=5)
+
+
+def test_cap_counts_every_member_before_expansion():
+    s4 = builders.symmetric(4)
+    assert enumerate_automorphisms(s4, cap=24).order == 24
+    with pytest.raises(CapExceeded):
+        enumerate_automorphisms(s4, cap=23)
 
 
 def test_check_automorphism_rejects_non_homomorphism():
@@ -398,7 +465,12 @@ def test_cache_stores_generator_images(tmp_path):
     payload = json.loads(next(tmp_path.glob("aut-*.json")).read_text())
     gens = payload["generators"]
     assert gens == list(first.generating_set)
-    assert payload["members"] == [[m.images[x] for x in gens] for m in first.members]
+    # only the members sending the first generator to the least element
+    # of its conjugacy class; the rest are their conjugates
+    least = {c[0] for c in g.conjugacy_classes}
+    assert payload["members"] == [[m.images[x] for x in gens] for m in first.members
+                                  if m.images[gens[0]] in least]
+    assert len(payload["members"]) < first.order
 
 
 def test_cache_load_equals_enumeration_on_catalog(tmp_path):
@@ -488,3 +560,18 @@ def test_cache_rejects_full_array_format(tmp_path):
     old = {"table_hash": payload["table_hash"], "aut_order": full.order,
            "members": [list(m.images) for m in full.members]}
     _assert_reenumerated(tmp_path, g, path, full, old)
+
+
+def test_cache_rejects_every_member_layout(tmp_path):
+    # the layout that listed the generator images of all members
+    g = builders.symmetric(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    payload["members"] = [[m.images[x] for x in payload["generators"]] for m in full.members]
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_wrong_aut_order(tmp_path):
+    g = builders.symmetric(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    payload["aut_order"] = full.order - 1
+    _assert_reenumerated(tmp_path, g, path, full, payload)

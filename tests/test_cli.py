@@ -116,7 +116,8 @@ _LIMITED_CLI = ("import resource, sys\n"
 
 
 @pytest.mark.parametrize("argv", [("z100000",), ("type3i", "12"), ("s8",), ("a8",),
-                                  ("type3i", "100000")])
+                                  ("type3i", "100000"), ("dihedral", "9" * 4300),
+                                  ("d" + "9" * 4300,)])
 def test_group_build_above_order_limit(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "group", "build", *argv],

@@ -377,6 +377,30 @@ def test_conjugacy_classes():
     assert sum(len(c) for c in builders.alternating(5).conjugacy_classes) == 60
 
 
+def _elementwise_classes(group):
+    """Reference: each class as the set of x^g over every element g."""
+    seen, classes = set(), []
+    for x in group.elements():
+        if x not in seen:
+            orbit = sorted({group.conjugate(x, g) for g in group.elements()})
+            seen.update(orbit)
+            classes.append(tuple(orbit))
+    return tuple(classes)
+
+
+def test_class_with_conjugators_matches_elementwise_classes():
+    from cubeaut.catalog import built_in_catalog
+    for name, group in built_in_catalog().groups(order_cap=120):
+        reference = _elementwise_classes(group)
+        assert group.conjugacy_classes == reference, name
+        for cls in reference:
+            for x in (cls[0], cls[-1]):
+                pairs = group.class_with_conjugators(x)
+                assert pairs[0] == (x, 0), name
+                assert sorted(y for y, _ in pairs) == list(cls), name
+                assert all(group.conjugate(x, t) == y for y, t in pairs), name
+
+
 def test_abelian_basis_reconstructs_group():
     for build in (lambda: builders.cyclic(12),
                   lambda: builders.direct_product(builders.cyclic(2), builders.cyclic(4)),
