@@ -256,7 +256,10 @@ def _cmd_group_info(args):
 
 def _cmd_group_export(args):
     group = _resolve_group(args.target, args)
-    Path(args.out).write_text(json.dumps(group_to_json(group)), encoding="utf-8")
+    try:
+        Path(args.out).write_text(json.dumps(group_to_json(group)), encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(args.out, f"cannot write file: {exc}") from exc
     return {"suite": "group-export", "name": group.name, "order": group.order,
             "out": args.out, "seed": args.seed}, True
 

@@ -319,18 +319,9 @@ def find_type3_decomposition(group: FiniteGroup) -> tuple:
     return None, f"derived subgroup of order {derived.order} is not C2 or C2xC2"
 
 
-def _coset_reps(group: FiniteGroup, center: Subgroup) -> list:
-    qgrp, proj = group.quotient(center)
-    reps = [None] * qgrp.order
-    for g in group.elements():
-        if reps[proj[g]] is None:
-            reps[proj[g]] = g
-    return reps
-
-
 def _split_symplectic(group: FiniteGroup, derived: Subgroup, center: Subgroup) -> tuple:
     z = derived.elements[1]
-    reps = [g for g in _coset_reps(group, center) if g != 0]
+    reps = group.right_cosets(center)[0][1:]
     # seed with an independent generating set of G/Z: greedily extend
     basis = []
     span = center.elements
@@ -373,7 +364,7 @@ def _split_symplectic(group: FiniteGroup, derived: Subgroup, center: Subgroup) -
 def _split_two_planes(group: FiniteGroup, derived: Subgroup, center: Subgroup) -> tuple:
     if group.order // center.order != 16:
         return None, "central quotient does not have order 16"
-    reps = [g for g in _coset_reps(group, center) if g != 0]
+    reps = group.right_cosets(center)[0][1:]
     involutions = [d for d in derived.elements if d != 0]
     comm = {(u, v): group.commutator(u, v) for u in reps for v in reps}
     for z1 in involutions:

@@ -335,9 +335,10 @@ class FiniteGroup:
     def sylow(self, p: int) -> "Subgroup":
         """A Sylow p-subgroup, by normalizer ascent.
 
-        Starting from a cyclic p-subgroup, repeatedly adjoin an element
-        whose image has order p in N(P)/P. In a finite group this
-        always reaches the full p-part.
+        Starting from a cyclic p-subgroup P, repeatedly adjoin the least
+        g in N(P) with g not in P and g^p in P, i.e. the least element
+        whose coset has order p in N(P)/P; no quotient table is built.
+        While P is not Sylow, p divides |N(P)/P|, so such a g exists.
         """
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise UnsupportedParameter(f"{p} is not prime")
@@ -355,17 +356,9 @@ class FiniteGroup:
                 break
         current = self.subgroup_generated([seed])
         while current.order < p_part:
-            norm = self.normalizer(current)
-            ngrp, embed = norm.as_group()
-            back = {g: i for i, g in enumerate(embed)}
-            inner = ngrp.subgroup(sorted(back[h] for h in current.elements))
-            qgrp, qproj = ngrp.quotient(inner)
-            lift = None
-            for c in qgrp.elements():
-                if qgrp.element_order(c) == p:
-                    lift = next(g for g in range(ngrp.order) if qproj[g] == c)
-                    break
-            current = self.subgroup_generated(list(current.generators) + [embed[lift]])
+            lift = next(g for g in self.normalizer(current).elements
+                        if g not in current and self.pow(g, p) in current)
+            current = self.subgroup_generated(list(current.generators) + [lift])
         return current
 
     @cached_property

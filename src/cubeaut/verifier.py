@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .automorphisms import (
@@ -105,28 +106,13 @@ class GroupContext:
                 mask |= 1 << p
             cyclic.setdefault(mask, powers)
         self.cyclic_subgroups = tuple(sorted(cyclic.items(), key=lambda kv: kv[1]))
-        self.normal_data = None  # built on demand
 
-    def ensure_normal_data(self):
-        if self.normal_data is not None:
-            return
+    @cached_property
+    def normal_cosets(self) -> tuple:
+        """(element set, right-coset representatives) per normal subgroup."""
         group = self.group
-        data = []
-        for sub in group.normal_subgroups:
-            if sub.order == group.order:
-                qgrp, proj = None, None
-                reps = (0,)
-                q_pow3 = (0,)
-                data.append((sub._element_set, reps, proj, q_pow3, 1))
-                continue
-            qgrp, proj = group.quotient(sub)
-            reps = [None] * qgrp.order
-            for g in range(group.order):
-                if reps[proj[g]] is None:
-                    reps[proj[g]] = g
-            q_pow3 = tuple(qgrp.pow(c, 3) for c in range(qgrp.order))
-            data.append((sub._element_set, tuple(reps), proj, q_pow3, qgrp.order))
-        self.normal_data = data
+        return tuple((sub._element_set, group.right_cosets(sub)[0])
+                     for sub in group.normal_subgroups)
 
 
 def _cube_members(ctx: GroupContext, img) -> tuple:
@@ -308,17 +294,18 @@ def _check_elementary_two_coset(ctx: GroupContext, img, members, mask, accs):
 
 def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
     acc = accs["quotient_ratio_monotone"]
-    ctx.ensure_normal_data()
+    t = ctx.group.table
+    inv = ctx.inverses
+    pow3 = ctx.pow3
     n = ctx.group.order
     t_count = len(members)
-    for elem_set, reps, proj, q_pow3, m in ctx.normal_data:
+    for elem_set, reps in ctx.normal_cosets:
         if any(img[x] not in elem_set for x in elem_set):
             continue
         acc.instances += 1
-        if m == 1:
-            continue  # quotient ratio is computed over the trivial factor: 1
-        tq = sum(1 for c in range(m) if proj[img[reps[c]]] == q_pow3[c])
-        if t_count * m > tq * n:
+        # (Nr)^3 = Nr^3, so the coset Nr is cubed when img(r) (r^3)^-1 is in N
+        tq = sum(1 for r in reps if t[img[r]][inv[pow3[r]]] in elem_set)
+        if t_count * len(reps) > tq * n:
             _record(acc, ctx, img, "quotient_ratio_monotone",
                     {"normal": sorted(elem_set), "quotient_cube_count": tq})
 
@@ -576,11 +563,16 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     (group, automorphism) with group order in [sample_min, sample_max].
     """
     started = time.monotonic()
+    if sample_count < 0:
+        raise UnsupportedParameter(f"sample count {sample_count} is negative")
     cat = catalog if catalog is not None else built_in_catalog()
+    eligible = cat.names(order_cap=sample_max, min_order=sample_min)
+    if sample_count and not eligible:
+        raise UnsupportedParameter(
+            f"no catalog group has order in the sample window [{sample_min}, {sample_max}]")
     exhaustive_names = cat.names(order_cap=exhaustive_cap)
     tasks = [_task(cat, name, cache_dir, use_cache, rebuild, kind="exhaustive")
              for name in exhaustive_names]
-    eligible = cat.names(order_cap=sample_max, min_order=sample_min)
     rng = random.Random(seed)
     draws_by_name: dict = {}
     for _ in range(sample_count):

@@ -74,6 +74,14 @@ def test_group_load_and_export_roundtrip(tmp_path, capsys):
     assert json.loads(out_path.read_text())["order"] == 10
 
 
+def test_group_export_to_unwritable_path(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "q8.json"
+    code, out, err = run(capsys, "group", "export", "q8", str(out_path))
+    assert code == 2
+    assert err.startswith("error: ") and "cannot write" in err and out == ""
+    assert not out_path.exists()
+
+
 def test_group_load_bad_table_reports_location(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 9]]}))
@@ -345,6 +353,17 @@ def test_verify_properties_small(capsys, cache_dir):
     assert code == 0
     assert payload["pass"]
     assert payload["seed"] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--samples", "5", "--sample-max", "10"), "sample window [25, 10]"),
+    (("--samples", "-3"), "sample count -3 is negative"),
+])
+def test_verify_properties_refuses_empty_sample(capsys, cache_dir, argv, message):
+    code, out, err = run(capsys, "--cache-dir", str(cache_dir), "verify", "properties",
+                         "--order-cap", "4", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err and out == ""
 
 
 def test_search_pattern(capsys, cache_dir):

@@ -356,6 +356,35 @@ def test_sylow_order_is_exact_p_part():
             assert group.sylow(p).order == p_part
 
 
+def _quotient_ascent_sylow(group, p) -> tuple:
+    """Reference: the Sylow ascent that realized N(P) as its own group,
+    formed N(P)/P and lifted the least element of its first coset of
+    order p (quotient cosets are ordered by least element)."""
+    p_part, n = 1, group.order
+    while n % p == 0:
+        p_part, n = p_part * p, n // p
+    if p_part == 1:
+        return (0,)
+    x = next(x for x in group.elements() if group.element_orders[x] % p == 0)
+    current = group.subgroup_generated([group.pow(x, group.element_orders[x] // p)])
+    while current.order < p_part:
+        ngrp, embed = group.normalizer(current).as_group()
+        back = {g: i for i, g in enumerate(embed)}
+        qgrp, proj = ngrp.quotient(ngrp.subgroup(back[h] for h in current.elements))
+        c = next(c for c in qgrp.elements() if qgrp.element_order(c) == p)
+        lift = embed[next(g for g in ngrp.elements() if proj[g] == c)]
+        current = group.subgroup_generated(list(current.generators) + [lift])
+    return current.elements
+
+
+def test_sylow_equals_quotient_ascent():
+    from cubeaut.catalog import built_in_catalog
+    for name, group in built_in_catalog().groups(order_cap=360):
+        for p in range(2, group.order + 1):
+            if group.order % p == 0 and all(p % d for d in range(2, p)):
+                assert group.sylow(p).elements == _quotient_ascent_sylow(group, p), (name, p)
+
+
 def test_normal_subgroups():
     s4 = builders.symmetric(4)
     orders = sorted(sub.order for sub in s4.normal_subgroups)

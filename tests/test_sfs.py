@@ -398,3 +398,8 @@ def test_generic_equation_fallback():
 def test_tau_range_refuses_above_modulus_limit_before_searching():
     with pytest.raises(UnsupportedParameter, match="above the limit"):
         verify_tau_bound(MAX_MODULUS, MAX_MODULUS + 1, Fraction(1, 2))
+
+
+def test_tau_range_refuses_empty_range():
+    with pytest.raises(UnsupportedParameter, match="empty range"):
+        verify_tau_bound(60, 18, Fraction(4, 17))

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubeaut import builders
+from cubeaut import builders, verifier
+from cubeaut import groups as groups_module
 from cubeaut.automorphisms import GroupMap, enumerate_automorphisms, identity_map
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
@@ -56,6 +57,56 @@ def test_quotient_inequality_scans_all_normals():
     report = check_quotient_inequality(g, alpha)
     assert report.instances >= 3  # at least trivial, center, whole group
     assert not report.failures
+
+
+def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
+    """With every element passed as cubed, the scan records each invariant
+    N whose cubed-coset count is below |G/N|, with that count; it must equal
+    the count read from the quotient table, cubing in G/N."""
+    recorded, below = [], 0
+    monkeypatch.setattr(verifier, "_record",
+                        lambda acc, ctx, img, check, witness: recorded.append(witness))
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        everything = list(group.elements())
+        quotients = []
+        for sub in group.normal_subgroups:
+            qgrp, proj = group.quotient(sub)
+            reps = {}
+            for g in group.elements():
+                reps.setdefault(proj[g], g)
+            quotients.append((sub, qgrp, proj, reps))
+        for alpha in enumerate_automorphisms(group).members:
+            img = alpha.images
+            recorded.clear()
+            acc = _Acc()
+            verifier._check_quotient_monotone(ctx, img, everything, None,
+                                              {"quotient_ratio_monotone": acc})
+            below += len(recorded)
+            counts = {tuple(w["normal"]): w["quotient_cube_count"] for w in recorded}
+            invariant = 0
+            for sub, qgrp, proj, reps in quotients:
+                if {img[x] for x in sub.elements} != set(sub.elements):
+                    continue
+                invariant += 1
+                expected = sum(1 for c in qgrp.elements()
+                               if proj[img[reps[c]]] == qgrp.pow(c, 3))
+                assert counts.get(sub.elements, qgrp.order) == expected, name
+            assert acc.instances == invariant, name
+    assert below > 0
+
+
+def test_normal_cosets_and_sylow_build_no_table(monkeypatch):
+    catalog_groups = [group for _, group in built_in_catalog().groups(order_cap=60)]
+    validated = []
+    monkeypatch.setattr(groups_module, "_validate_table",
+                        lambda rows, strict: validated.append(len(rows)))
+    for group in catalog_groups:
+        GroupContext(group, group.name).normal_cosets
+        for p in range(2, group.order + 1):
+            if group.order % p == 0 and all(p % d for d in range(2, p)):
+                group.sylow(p)
+    assert validated == []
 
 
 def test_centralizer_cube_check():
