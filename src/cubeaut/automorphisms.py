@@ -50,16 +50,21 @@ class GroupMap:
         return all(self.images[x] == x for x in range(self.source.order))
 
     def homomorphism_witness(self) -> Optional[tuple]:
-        """None if the map respects products, else a violating pair."""
-        src, tgt, img = self.source.table, self.target.table, self.images
-        n = self.source.order
-        for a in range(n):
-            ia = img[a]
-            row = src[a]
-            trow = tgt[ia]
-            for b in range(n):
-                if img[row[b]] != trow[img[b]]:
-                    return (a, b)
+        """None if the map respects products, else a violating pair.
+
+        The law is checked on the pairs (a, g) with g in the source's
+        generating set; by induction over words that gives it for all
+        pairs, once 0 maps to 0. For a nontrivial source the law already
+        forces that, but the trivial group has no generators."""
+        tgt, img = self.target.table, self.images
+        if img[0] != 0:
+            return (0, 0)
+        gens = self.source.generating_set
+        for a, row in enumerate(self.source.table):
+            trow = tgt[img[a]]
+            for g in gens:
+                if img[row[g]] != trow[img[g]]:
+                    return (a, g)
         return None
 
     @property
@@ -179,23 +184,14 @@ def small_generating_set(group: FiniteGroup) -> list:
 
 
 def check_automorphism(m: GroupMap) -> None:
-    """Raise NotAutomorphism unless m is a verified automorphism.
-
-    Bijectivity plus the homomorphism law against a generating set is
-    checked; by induction over words that implies the law for all pairs.
-    """
+    """Raise NotAutomorphism unless m is a bijective endomorphism."""
     if m.source is not m.target:
         raise NotAutomorphism("source and target differ")
     if not m.is_bijective:
         raise NotAutomorphism("map is not a bijection")
-    img = m.images
-    table = m.source.table
-    for a in range(m.source.order):
-        row = table[a]
-        trow = table[img[a]]
-        for g in m.source.generating_set:
-            if img[row[g]] != trow[img[g]]:
-                raise NotAutomorphism("map is not a homomorphism", witness=(a, g))
+    witness = m.homomorphism_witness()
+    if witness is not None:
+        raise NotAutomorphism("map is not a homomorphism", witness=witness)
 
 
 def _fingerprints(group: FiniteGroup) -> tuple:
@@ -366,7 +362,7 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
     is rebuilt by the closure the enumerator uses, which proves it an
     automorphism, and expanded by conjugation as the enumerator does. A
     file is rejected when the expanded count differs from its
-    ``aut_order`` or when two members coincide. Completeness is trusted from the table-hash key
+    ``aut_order`` or when two members coincide. Completeness rests on the table-hash key
     (``rebuild`` re-enumerates). Any file that fails to load is
     re-enumerated and overwritten, so a stale or corrupt cache can only
     cost time, not correctness.

@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, help="automorphism cache directory")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--rebuild-cache", action="store_true")
-    parser.add_argument("--strict", action="store_true",
-                        help="force the cubic associativity check on loaded tables")
     top = parser.add_subparsers(dest="command")
 
     group = top.add_parser("group", help="build, load and inspect groups").add_subparsers()
@@ -118,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--equation", action="append", default=None,
                     help="coefficient list like 1,1,-2 (repeatable)")
     st.set_defaults(handler=_cmd_sfs_t)
-    srange = sfs.add_parser("tau-range", help="tau over a range with a strict bound")
+    srange = sfs.add_parser("tau-range", help="tau over a range, each below a bound")
     srange.add_argument("lo", type=int)
     srange.add_argument("hi", type=int)
     srange.add_argument("--bound", default="4/17")
@@ -172,10 +170,10 @@ def _cache_kwargs(args) -> dict:
     }
 
 
-def _resolve_group(target: str, args) -> FiniteGroup:
+def _resolve_group(target: str) -> FiniteGroup:
     path = Path(target)
     if path.suffix == ".json" or path.exists():
-        return load_group_file(path, strict=args.strict)
+        return load_group_file(path)
     return build_named_group(target)
 
 
@@ -242,7 +240,7 @@ def _cmd_group_build(args):
 
 
 def _cmd_group_load(args):
-    group = load_group_file(args.file, strict=args.strict)
+    group = load_group_file(args.file)
     summary = _group_summary(group)
     if group.relabeling:
         summary["relabeling"] = list(group.relabeling)
@@ -250,12 +248,12 @@ def _cmd_group_load(args):
 
 
 def _cmd_group_info(args):
-    group = _resolve_group(args.target, args)
+    group = _resolve_group(args.target)
     return {"suite": "group-info", **_group_summary(group), "seed": args.seed}, True
 
 
 def _cmd_group_export(args):
-    group = _resolve_group(args.target, args)
+    group = _resolve_group(args.target)
     try:
         Path(args.out).write_text(json.dumps(group_to_json(group)), encoding="utf-8")
     except OSError as exc:
@@ -269,7 +267,7 @@ def _cmd_group_export(args):
 
 
 def _cmd_cube_ratio(args):
-    group = _resolve_group(args.target, args)
+    group = _resolve_group(args.target)
     if args.aut_file and args.power is not None:
         raise CubeautError("--aut-file and --power are mutually exclusive")
     if args.aut_file:
@@ -296,7 +294,7 @@ def _cmd_cube_ratio(args):
 
 
 def _cmd_cube_max(args):
-    group = _resolve_group(args.target, args)
+    group = _resolve_group(args.target)
     auts = automorphism_group(group, **_cache_kwargs(args))
     ratio, witness = max_cube_ratio(group, n=args.exponent, auts=auts)
     return {
@@ -312,7 +310,7 @@ def _cmd_cube_max(args):
 
 
 def _cmd_cube_classify(args):
-    group = _resolve_group(args.target, args)
+    group = _resolve_group(args.target)
     verdict = classify_cubing_structure(group)
     payload = {"suite": "cube-classify", "group": group.name,
                "order": group.order, **verdict.to_json(), "seed": args.seed}

@@ -67,11 +67,10 @@ class CubeReport:
         }
 
 
-def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3,
-             trusted: bool = False) -> CubeReport:
-    """All g with alpha(g) = g^n, and the exact ratio |T| / |G|."""
-    if not trusted:
-        check_automorphism(alpha)
+def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3) -> CubeReport:
+    """All g with alpha(g) = g^n, and the exact ratio |T| / |G|; alpha
+    is checked to be an automorphism first."""
+    check_automorphism(alpha)
     targets = [group.pow(x, n) for x in group.elements()]
     img = alpha.images
     members = tuple(x for x in group.elements() if img[x] == targets[x])
@@ -120,14 +119,13 @@ class CosetTrace:
     cyclic: bool
 
 
-def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int,
-                trusted: bool = False) -> CosetTrace:
+def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int) -> CosetTrace:
     """The trace of the coset Hx in the abelian quotient H / C_H(x).
 
     Preconditions (each checked): H abelian, H inside the cube set,
     x in the cube set.
     """
-    report = cube_set(group, alpha, trusted=trusted)
+    report = cube_set(group, alpha)
     inside = set(report.members)
     if not sub.is_abelian:
         raise PreconditionViolated("H is not abelian")
@@ -206,11 +204,10 @@ def build_type_II(group: FiniteGroup, k_sub: Subgroup, x: int) -> tuple:
             k = t[g][xinv]
             images[g] = t[images[k]][x3]
     alpha = GroupMap(group, group, tuple(images))
-    check_automorphism(alpha)
     cent_k = [k for k in k_sub.elements if t[k][x] == t[x][k]]
     n = k_sub.order // len(cent_k)
     ratio = Fraction(n + 1, 2 * n)
-    report = cube_set(group, alpha, trusted=True)
+    report = cube_set(group, alpha)
     expected = {t[k][x] for k in k_sub.elements} | set(cent_k)
     if set(report.members) != expected or report.ratio != ratio:
         raise InternalCheckFailed("type II postcondition failed")
@@ -280,8 +277,7 @@ def build_type_III(group: FiniteGroup, decomposition) -> tuple:
     if any(v == -1 for v in images):
         raise BadDecomposition("factorization does not cover the group")
     alpha = GroupMap(group, group, tuple(images))
-    check_automorphism(alpha)
-    report = cube_set(group, alpha, trusted=True)
+    report = cube_set(group, alpha)
     if derived.order == 2 and report.ratio != Fraction((1 << k) + 1, 1 << (k + 1)):
         raise InternalCheckFailed("type III shape (i) postcondition failed")
     if (isinstance(decomposition, Type3Decomposition) and decomposition.shape == "ii"

@@ -1,11 +1,10 @@
 """Finite groups as element-indexed Cayley tables.
 
 Elements are the integers 0..n-1 and the identity is always element 0.
-Tables are validated at construction: closure, identity, Latin-square
-rows and columns, associativity and inverses. Associativity is checked
-exactly at every order: small tables by the cubic triple loop, larger
-ones by Light's test over a generating set (which proves the same
-property). ``strict=True`` forces the cubic loop at any order.
+Tables are validated at construction by three checks: every row is a
+permutation of 0..n-1, element 0 is a two-sided identity, and Light's
+test over a generating set proves associativity exactly. Together
+these make the table a group (see ``_validate_table``).
 
 All structural queries are exact; nothing here is randomized or
 approximate. Series and normality tests work on generating sets, which
@@ -36,7 +35,6 @@ from .errors import (
     UnsupportedParameter,
 )
 
-BRUTE_ASSOC_LIMIT = 40  # below this, the O(n^3) loop is cheap enough to be the default
 MAX_ORDER = 20000  # largest order a builder or a generator-form file may produce
 
 
@@ -47,9 +45,9 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: Optional[str] = None,
-                 strict: bool = False, relabeling: Optional[tuple] = None):
+                 relabeling: Optional[tuple] = None):
         rows = _int_rows(table)
-        _validate_table(rows, strict=strict)
+        _validate_table(rows)
         self.table = rows
         self.order = len(rows)
         self.name = name
@@ -500,8 +498,7 @@ class Subgroup:
 # Construction and validation
 
 
-def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None,
-                      strict: bool = False) -> FiniteGroup:
+def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:
     """Validate a raw table as a group.
 
     If the table is a group but its identity is some element e != 0,
@@ -510,7 +507,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     the returned group.
     """
     rows = _int_rows(table)
-    _check_shape(rows)
+    _check_rows(rows)  # before the relabeling indexes by entry value
     n = len(rows)
     ident = _find_identity(rows)
     if ident is None:
@@ -525,7 +522,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
                 relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
         rows = relabeled
         relabeling = tuple(sigma)
-    return FiniteGroup(rows, name=name, strict=strict, relabeling=relabeling)
+    return FiniteGroup(rows, name=name, relabeling=relabeling)
 
 
 def _int_rows(table) -> tuple:
@@ -545,49 +542,40 @@ def _find_identity(rows) -> Optional[int]:
     return None
 
 
-def _check_shape(rows: tuple) -> None:
-    """A nonempty square table with every entry an index into it."""
+def _check_rows(rows: tuple) -> None:
+    """A nonempty square table whose every row is a permutation of
+    0..n-1. Only a failing row is searched for its witness."""
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty table")
+    full = set(range(n))
     for i, row in enumerate(rows):
+        if len(row) == n and set(row) == full:
+            continue
         if len(row) != n:
             raise NotClosed(i, len(row), None)
         for j, v in enumerate(row):
             if not (0 <= v < n):
                 raise NotClosed(i, j, v)
+        if 0 not in row:
+            raise NoInverse(i)
+        raise NotLatin("row", i)
 
 
-def _validate_table(rows: tuple, strict: bool) -> None:
-    _check_shape(rows)
+def _validate_table(rows: tuple) -> None:
+    """Prove the table is a group: every row is a permutation of 0..n-1,
+    0 is a two-sided identity, and Light's test shows associativity.
+
+    Nothing more is needed. Row a contains 0, so a has a right inverse,
+    and a finite monoid in which every element has a right inverse is a
+    group. So the columns are permutations too and every inverse is
+    two-sided.
+    """
+    _check_rows(rows)
     n = len(rows)
     if any(rows[0][b] != b for b in range(n)) or any(rows[a][0] != a for a in range(n)):
         raise NoIdentity("element 0 is not a two-sided identity")
-    full = set(range(n))
-    for i, row in enumerate(rows):
-        if set(row) != full:
-            if 0 not in row:
-                raise NoInverse(i)
-            raise NotLatin("row", i)
-    for j in range(n):
-        if {rows[i][j] for i in range(n)} != full:
-            raise NotLatin("column", j)
-    if strict or n <= BRUTE_ASSOC_LIMIT:
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = rows[b]
-                rab = rows[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAssociative(a, b, c)
-    else:
-        _light_associativity(rows)
-    for a in range(n):
-        b = rows[a].index(0)
-        if rows[b][a] != 0:
-            raise NoInverse(a)
+    _light_associativity(rows)
 
 
 def _light_associativity(rows: tuple) -> None:
@@ -833,7 +821,7 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
-def load_group_json(data: dict, strict: bool = False) -> FiniteGroup:
+def load_group_json(data: dict) -> FiniteGroup:
     """Build a group from either supported JSON shape.
 
     Cayley form: {"name":..., "order": n, "table": [[...], ...]}
@@ -854,7 +842,7 @@ def load_group_json(data: dict, strict: bool = False) -> FiniteGroup:
             for j, v in enumerate(row):
                 if type(v) is not int or not (0 <= v < len(table)):
                     raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{len(table) - 1}")
-        return from_cayley_table(table, name=data.get("name"), strict=strict)
+        return from_cayley_table(table, name=data.get("name"))
     if "generators" in data:
         degree = data.get("degree")
         if not isinstance(degree, int) or degree < 1:
@@ -881,8 +869,8 @@ def read_json_file(path):
         raise FileFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
 
 
-def load_group_file(path, strict: bool = False) -> FiniteGroup:
-    group = load_group_json(read_json_file(path), strict=strict)
+def load_group_file(path) -> FiniteGroup:
+    group = load_group_json(read_json_file(path))
     if group.name is None:
         group.name = Path(path).stem
     return group

@@ -408,7 +408,7 @@ def tau(n: int, budget: Optional[int] = None) -> Fraction:
 
 def verify_tau_bound(lo: int, hi: int, bound: Fraction,
                      budget: Optional[int] = None) -> dict:
-    """Check tau_n < bound (strict, exact) for every n in [lo, hi]."""
+    """Check tau_n < bound, exactly and with equality failing, for every n in [lo, hi]."""
     if lo > hi:
         raise UnsupportedParameter(f"empty range: {lo} is above {hi}")
     instances = [SfsInstance(n) for n in range(lo, hi + 1)]  # refuse before searching

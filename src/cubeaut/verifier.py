@@ -566,11 +566,14 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     if sample_count < 0:
         raise UnsupportedParameter(f"sample count {sample_count} is negative")
     cat = catalog if catalog is not None else built_in_catalog()
-    eligible = cat.names(order_cap=sample_max, min_order=sample_min)
+    eligible = cat.names(order_cap=sample_max, min_order=sample_min) if sample_count else []
     if sample_count and not eligible:
         raise UnsupportedParameter(
             f"no catalog group has order in the sample window [{sample_min}, {sample_max}]")
     exhaustive_names = cat.names(order_cap=exhaustive_cap)
+    if not exhaustive_names and not sample_count:
+        raise UnsupportedParameter(
+            f"no catalog group has order at most {exhaustive_cap} and no sample is drawn")
     tasks = [_task(cat, name, cache_dir, use_cache, rebuild, kind="exhaustive")
              for name in exhaustive_names]
     rng = random.Random(seed)
@@ -648,8 +651,10 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
     constructed automorphism attains the maximum."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
-    tasks = [_task(cat, name, cache_dir, use_cache, rebuild)
-             for name in cat.names(order_cap=order_cap)]
+    names = cat.names(order_cap=order_cap)
+    if not names:
+        raise UnsupportedParameter(f"no catalog group has order at most {order_cap}")
+    tasks = [_task(cat, name, cache_dir, use_cache, rebuild) for name in names]
     rows = _parallel(tasks, _classification_task, jobs)
     mismatches = [r for r in rows if not (r["equivalent"] and r["attains_max"])]
     return {
@@ -735,6 +740,12 @@ def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
     simple groups, against the expected column."""
     from .builders import psl2
     started = time.monotonic()
+    known = ", ".join(map(str, sorted(EXPECTED_ABELIAN_INDEX)))
+    if not qs:
+        raise UnsupportedParameter(f"no q to check; expected indices are known for q = {known}")
+    for q in qs:
+        if q not in EXPECTED_ABELIAN_INDEX:
+            raise UnsupportedParameter(f"no expected index for q = {q}; known for q = {known}")
     rows = []
     failures = []
     for q in qs:
@@ -826,6 +837,8 @@ def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
                 }
         if counterexample:
             break
+    if not groups_scanned:
+        raise UnsupportedParameter(f"no catalog group has order at most {order_cap}")
     return {
         "suite": "power-pattern-search",
         "n": n,

@@ -61,6 +61,43 @@ def test_homomorphism_witness():
     assert s3.pow(s3.table[a][b], 2) != s3.table[s3.pow(a, 2)][s3.pow(b, 2)]
 
 
+def _all_pairs_witness(m):
+    """Reference check: the homomorphism law on every pair (a, b)."""
+    src, tgt, img = m.source.table, m.target.table, m.images
+    for a in m.source.elements():
+        for b in m.source.elements():
+            if img[src[a][b]] != tgt[img[a]][img[b]]:
+                return (a, b)
+    return None
+
+
+def test_homomorphism_witness_equals_all_pairs():
+    from itertools import product
+    from cubeaut.catalog import built_in_catalog
+
+    z2, z3, z4, s3 = (builders.cyclic(2), builders.cyclic(3), builders.cyclic(4),
+                      builders.symmetric(3))
+    v4 = builders.direct_product(z2, z2)
+    trivial = builders.cyclic(1)
+    maps = [GroupMap(src, tgt, images)
+            for src, tgt in ((z2, z2), (s3, z2), (z4, v4), (trivial, z3))
+            for images in product(range(tgt.order), repeat=src.order)]
+    for _, group in built_in_catalog().groups(order_cap=24):
+        maps.extend(power_map(group, n) for n in range(-3, 6))
+    maps.extend(enumerate_automorphisms(builders.symmetric(4)).members)
+    homomorphisms = 0
+    for m in maps:
+        witness = m.homomorphism_witness()
+        assert (witness is None) == (_all_pairs_witness(m) is None), m.images
+        if witness is None:
+            homomorphisms += 1
+        else:
+            a, b = witness
+            src, tgt, img = m.source.table, m.target.table, m.images
+            assert img[src[a][b]] != tgt[img[a]][img[b]]
+    assert 0 < homomorphisms < len(maps)
+
+
 def test_negative_power_map():
     z7 = builders.cyclic(7)
     inv = power_map(z7, -1)

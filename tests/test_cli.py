@@ -366,6 +366,18 @@ def test_verify_properties_refuses_empty_sample(capsys, cache_dir, argv, message
     assert err.startswith("error: ") and message in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "classification", "--order-cap", "-1"), "order at most -1"),
+    (("search", "pattern", "5", "--order-cap", "0"), "order at most 0"),
+    (("verify", "abelian-index", "--max-q", "1"), "no q to check"),
+    (("verify", "properties", "--order-cap", "0", "--samples", "0"), "no sample is drawn"),
+])
+def test_scan_with_empty_scope_is_refused(capsys, cache_dir, argv, message):
+    code, out, err = run(capsys, "--cache-dir", str(cache_dir), *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err and out == ""
+
+
 def test_search_pattern(capsys, cache_dir):
     code, payload, _ = run_json(capsys, "--cache-dir", str(cache_dir),
                                 "search", "pattern", "2", "--order-cap", "10")

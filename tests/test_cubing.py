@@ -61,7 +61,7 @@ def test_cyclic3_both_automorphisms():
 def test_cube_set_invariants():
     g = builders.symmetric(4)
     for m in enumerate_automorphisms(g).members:
-        report = cube_set(g, m, trusted=True)
+        report = cube_set(g, m)
         members = set(report.members)
         assert 0 in members
         assert all(g.inv(x) in members for x in members)
@@ -81,8 +81,8 @@ def test_generic_power_cube_set():
                                    if q8.element_orders[x] <= 2}
     # cubing equals inversion on elements of 2-power order
     for m in enumerate_automorphisms(q8).members:
-        assert cube_set(q8, m, n=3, trusted=True).members == \
-            cube_set(q8, m, n=-1, trusted=True).members
+        assert cube_set(q8, m, n=3).members == \
+            cube_set(q8, m, n=-1).members
 
 
 @pytest.mark.parametrize("build, expected", [
@@ -149,7 +149,7 @@ def test_trace_on_s3_type_ii():
     s3 = builders.symmetric(3)
     verdict = classify_cubing_structure(s3)
     alpha = verdict.constructed_alpha
-    members = set(cube_set(s3, alpha, trusted=True).members)
+    members = set(cube_set(s3, alpha).members)
     reflection = next(x for x in members if s3.element_orders[x] == 2)
     trivial = s3.subgroup([0])
     trace = coset_trace(s3, alpha, trivial, reflection)
@@ -180,7 +180,7 @@ def test_type_ii_on_s3():
     x = next(g for g in s3.elements() if g not in k)
     alpha, ratio = build_type_II(s3, k, x)
     assert ratio == Fraction(2, 3)
-    report = cube_set(s3, alpha, trusted=True)
+    report = cube_set(s3, alpha)
     assert report.ratio == ratio
     expected = {s3.table[kk][x] for kk in k.elements} | {0}
     assert set(report.members) == expected
@@ -232,7 +232,7 @@ def test_type_iii_constructions():
         assert len(dec.x_elements) == k
         alpha, ratio = build_type_III(g, dec)
         assert ratio == expected
-        assert cube_set(g, alpha, trusted=True).ratio == expected
+        assert cube_set(g, alpha).ratio == expected
 
 
 def test_type_iii_shape_ii_exact_ratio():
@@ -356,7 +356,7 @@ def test_quotient_ratio_inequality_instances():
     sylow3 = s3.sylow(3)
     assert {alpha.images[x] for x in sylow3.elements} == set(sylow3.elements)
     induced = induced_on_quotient(alpha, sylow3)
-    whole = cube_set(s3, alpha, trusted=True).ratio
-    factor = cube_set(induced.source, induced, trusted=True).ratio
+    whole = cube_set(s3, alpha).ratio
+    factor = cube_set(induced.source, induced).ratio
     assert whole <= factor
     assert factor == 1

@@ -100,7 +100,7 @@ def test_normal_cosets_and_sylow_build_no_table(monkeypatch):
     catalog_groups = [group for _, group in built_in_catalog().groups(order_cap=60)]
     validated = []
     monkeypatch.setattr(groups_module, "_validate_table",
-                        lambda rows, strict: validated.append(len(rows)))
+                        lambda rows: validated.append(len(rows)))
     for group in catalog_groups:
         GroupContext(group, group.name).normal_cosets
         for p in range(2, group.order + 1):
@@ -156,7 +156,7 @@ def test_trace_avoidance_fast_path_matches_coset_trace():
                   lambda: builders.quaternion8()):
         group = build()
         for alpha in enumerate_automorphisms(group).members[:6]:
-            report = cube_set(group, alpha, trusted=True)
+            report = cube_set(group, alpha)
             inside = set(report.members)
             mask = 0
             for x in inside:
@@ -172,7 +172,7 @@ def test_trace_avoidance_fast_path_matches_coset_trace():
                     m = size // cent
                     residues = sorted({k % m for k, h in enumerate(powers)
                                        if group.table[h][x] in inside})
-                    trace = coset_trace(group, alpha, sub, x, trusted=True)
+                    trace = coset_trace(group, alpha, sub, x)
                     assert trace.quotient_order == m
                     assert list(trace.trace) == residues
 
@@ -367,6 +367,16 @@ def test_verify_abelian_indices_small():
     report = verify_abelian_indices(qs=(5, 7), budget=500_000)
     assert report["pass"]
     assert [r["index"] for r in report["rows"]] == [12, 24]
+
+
+def test_verify_abelian_indices_refuses_unknown_q_before_building(monkeypatch):
+    def no_build(q):
+        raise AssertionError(f"psl2({q}) built")
+    monkeypatch.setattr(builders, "psl2", no_build)
+    with pytest.raises(UnsupportedParameter, match="no expected index for q = 4"):
+        verify_abelian_indices(qs=(5, 4))
+    with pytest.raises(UnsupportedParameter, match="no q to check"):
+        verify_abelian_indices(qs=())
 
 
 @pytest.mark.parametrize("n", [2, 3, -1, -2])
