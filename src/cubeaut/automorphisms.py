@@ -1,20 +1,29 @@
 """Maps between finite groups and full automorphism-group enumeration.
 
-Aut(G) is enumerated as Inn(G) acting on the automorphisms that send
-the first generator g1 of a small generating set to the least element
-of a conjugacy class. Those are found by backtracking over the images
-of the generating set. Candidate images are pre-filtered by a cheap
-invariant fingerprint (element order, centralizer size, number of
-square and cube roots), partial assignments are extended by closure
-over the generated subgroup, and any contradiction or collision prunes
-the branch. A complete consistent closure over a generating set of G is
-already a verified automorphism, so no post-validation is needed. Each
-found b then gives one member x -> t^-1 b(x) t per conjugate t^-1 b(g1) t,
-built by table lookup; an inner automorphism composed with a verified
-automorphism is one, so no member is re-checked.
+Aut(G) is enumerated one coset of Inn(G) at a time, by backtracking
+over the images h1, ..., hk of a small generating set g1, ..., gk.
+Candidate images are pre-filtered by a cheap invariant fingerprint
+(element order, centralizer size, number of square and cube roots),
+partial assignments are extended by closure over the generated
+subgroup, and any contradiction or collision prunes the branch. A
+complete consistent closure over a generating set of G is already a
+verified automorphism, so no post-validation is needed.
 
-The disk cache stores the generator images of the found b only. A load
-proves each one through the same closure and expands it the same way.
+Conjugating every image by one t gives x -> t^-1 b(x) t, a member of
+the same coset, so level i tries only the least element of each orbit
+under conjugation by C_G(h1, ..., h(i-1)). The search finds exactly one
+representative b per coset, the lexicographically least image tuple;
+|Aut(G)| is their number times [G : Z(G)], and the members of the coset
+of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
+built by table lookup, and sorted, only when a caller asks for
+``AutomorphismGroup.members``; an inner automorphism composed with a
+verified automorphism is one, so no member is re-checked. The
+Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
+{b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``).
+
+The disk cache stores the generator images of the representatives only.
+A load proves each one through the same closure and checks that it is
+canonical, without expanding any coset.
 """
 
 from __future__ import annotations
@@ -159,16 +168,53 @@ def induced_on_quotient(m: GroupMap, normal: Subgroup,
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """All automorphisms of a group, in canonical (image-array) order."""
+    """Aut(G) as one canonical representative per coset of Inn(G).
+
+    ``representatives`` holds the image arrays of the representatives b.
+    The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
+    transversal of Z(G), so ``order`` needs no member. ``members``
+    expands every coset, in canonical (image-array) order, on first use.
+    """
 
     base: FiniteGroup
-    members: tuple
-    generating_set: tuple = ()
+    representatives: tuple
+    generating_set: tuple
     nodes: int = 0
+
+    @cached_property
+    def _cosets(self) -> tuple:
+        return _center_cosets(self.base, self.generating_set)
+
+    @property
+    def transversal(self) -> tuple:
+        return self._cosets[0]
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return len(self.representatives) * len(self.transversal)
+
+    def member_images(self, rep: int, coset: int) -> tuple:
+        """The image array of x -> t^-1 b(x) t, for b the ``rep``-th
+        representative and t the ``coset``-th transversal element."""
+        return tuple(map(_conjugation(self.base, self.transversal[coset]).__getitem__,
+                         self.representatives[rep]))
+
+    @cached_property
+    def members(self) -> tuple:
+        """Every automorphism, sorted by image array.
+
+        No member is re-checked: an inner automorphism composed with a
+        verified automorphism is one. Distinct representatives lie in
+        distinct cosets and distinct t in distinct cosets of Z(G), so the
+        members are distinct. The transversal starts with the identity,
+        whose members are the representatives themselves; the loop runs
+        t-major, so one conjugation array is alive at a time."""
+        arrays = list(self.representatives)
+        for t in self.transversal[1:]:
+            lookup = _conjugation(self.base, t).__getitem__
+            arrays.extend(tuple(map(lookup, images)) for images in self.representatives)
+        arrays.sort()
+        return tuple(GroupMap(self.base, self.base, images) for images in arrays)
 
     def __iter__(self):
         return iter(self.members)
@@ -176,6 +222,39 @@ class AutomorphismGroup:
     @cached_property
     def image_arrays(self) -> tuple:
         return tuple(m.images for m in self.members)
+
+    @cached_property
+    def twisted_classes(self) -> tuple:
+        """Per representative b, the Inn(G)-conjugacy classes of its coset.
+
+        Conjugating x -> t^-1 b(x) t by the inner automorphism of s gives
+        the member of t' = b(s)^-1 t s, so a class is a b-twisted class
+        {b(s)^-1 t s}. Each is a tuple of transversal indices, found
+        breadth-first over the generators s; the classes of b come in
+        ascending order of their first index."""
+        table, inv = self.base.table, self.base.inv
+        coset_of = self._cosets[1]
+        transversal = self.transversal
+        result = []
+        for images in self.representatives:
+            moves = [(table[inv(images[s])], s) for s in self.generating_set]
+            seen = bytearray(len(transversal))
+            classes = []
+            for start in range(len(transversal)):
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                cls = [start]
+                for c in cls:
+                    t = transversal[c]
+                    for row, s in moves:
+                        d = coset_of[table[row[t]][s]]
+                        if not seen[d]:
+                            seen[d] = 1
+                            cls.append(d)
+                classes.append(tuple(cls))
+            result.append(tuple(classes))
+        return tuple(result)
 
 
 def small_generating_set(group: FiniteGroup) -> list:
@@ -204,6 +283,42 @@ def _fingerprints(group: FiniteGroup) -> tuple:
         sqrt_count[group.table[y][y]] += 1
         cbrt_count[group.pow(y, 3)] += 1
     return tuple((orders[x], cent[x], sqrt_count[x], cbrt_count[x]) for x in range(n))
+
+
+def _center_cosets(group: FiniteGroup, gens) -> tuple:
+    """(transversal, coset_of) for the center Z(G), the elements that
+    commute with every member of the generating set ``gens``: the least
+    element of each coset Zt in ascending order, and per element the
+    index of its coset."""
+    table = group.table
+    center = [z for z in group.elements() if all(table[z][g] == table[g][z] for g in gens)]
+    coset_of = [-1] * group.order
+    transversal = []
+    for t in group.elements():
+        if coset_of[t] < 0:
+            for z in center:
+                coset_of[table[z][t]] = len(transversal)
+            transversal.append(t)
+    return tuple(transversal), tuple(coset_of)
+
+
+def _conjugation(group: FiniteGroup, t: int) -> list:
+    """The array of x -> t^-1 x t."""
+    table = group.table
+    return [table[c][t] for c in table[group.inv(t)]]
+
+
+def _conjugates(group: FiniteGroup, cent, h: int):
+    """c^-1 h c for every c in ``cent``."""
+    table, inv = group.table, group.inv
+    return (table[table[inv(c)][h]][c] for c in cent)
+
+
+def _centralizing(group: FiniteGroup, cent, h: int) -> list:
+    """The members of ``cent`` that commute with h."""
+    table = group.table
+    row = table[h]
+    return [c for c in cent if table[c][h] == row[c]]
 
 
 def _close(table, pairs, n: int, complete: bool) -> Optional[list]:
@@ -241,22 +356,25 @@ def _close(table, pairs, n: int, complete: bool) -> Optional[list]:
 
 
 def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> AutomorphismGroup:
-    """Complete Aut(G) as Inn(G) acting on one image class of g1.
+    """Aut(G) as one canonical representative per coset of Inn(G).
 
-    The backtracking sends the first ranked generator g1 only to the
-    least element r of each conjugacy class among its candidates; the
-    fingerprint is conjugation-invariant, so the classes are whole. Every
-    automorphism a with a(g1) = t^-1 r t is x -> t^-1 b(x) t for one b
-    found with b(g1) = r and one t of ``class_with_conjugators(r)``, so
-    ``_expand`` builds the rest by table lookup.
+    The backtracking assigns the images h1, h2, ... of the ranked
+    generators g1, g2, ... and at level i tries only the least element
+    of each orbit of candidates under conjugation by C_G(h1, ..., h(i-1)),
+    the centralizer of the images assigned so far (carried as its part
+    of the transversal of Z(G), which acts trivially). The fingerprint
+    and the order filter are conjugation-invariant and a conjugated
+    assignment closes exactly when the original does, so each orbit
+    passes or fails as a whole. A found b is thus the lexicographically
+    least image tuple of its coset; the conjugators left fixing every
+    image form C_G(G) = Z(G), so each coset has exactly one.
 
-    Deterministic: members are sorted by their image arrays. Raises
-    CapExceeded, before any member is built, if Aut(G) has more than
-    ``cap`` members.
+    Deterministic. Raises CapExceeded, before any member is built, if
+    Aut(G) has more than ``cap`` members.
     """
     n = group.order
     if n == 1:
-        return AutomorphismGroup(group, (identity_map(group),), (), 0)
+        return AutomorphismGroup(group, ((0,),), (), 0)
     gens = small_generating_set(group)
     fp = _fingerprints(group)
     candidates = [[x for x in range(n) if fp[x] == fp[g]] for g in gens]
@@ -267,26 +385,21 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     ranked = sorted(range(len(gens)), key=lambda i: (len(candidates[i]), i))
     gens = [gens[i] for i in ranked]
     candidates = [candidates[i] for i in ranked]
-    g1 = gens[0]
-    # the root tries only the least element r of each candidate class
-    classes = {}  # r -> its class with conjugators
-    seen: set = set()
-    for x in candidates[0]:
-        if x not in seen:
-            classes[x] = group.class_with_conjugators(x)
-            seen.update(y for y, _ in classes[x])
-    candidates[0] = list(classes)
+    transversal, _ = _center_cosets(group, gens)
+    coset_size = len(transversal)  # the members per coset of Inn(G)
 
     found = []
-    total = 0
     nodes = 0
     assigned: list = []
 
-    def backtrack(level: int):
-        nonlocal nodes, total
+    def backtrack(level: int, cent: list):
+        nonlocal nodes
         g = gens[level]
         last = level + 1 == len(gens)
+        tried: set = set()
         for h in candidates[level]:
+            if h in tried:
+                continue  # conjugate under cent to a smaller candidate
             ok = True
             for gj, hj in assigned:
                 if (order_of[table[gj][g]] != order_of[table[hj][h]]
@@ -295,54 +408,37 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
                     break
             if not ok:
                 continue
+            tried.update(_conjugates(group, cent, h))
             assigned.append((g, h))
             nodes += 1
             result = _close(table, assigned, n, last)
             if result is not None:
                 if last:
                     found.append(tuple(result))
-                    total += len(classes[result[g1]])
+                    total = len(found) * coset_size
                     if cap is not None and total > cap:
                         raise CapExceeded("automorphism count exceeded cap", total)
                 else:
-                    backtrack(level + 1)
+                    backtrack(level + 1, _centralizing(group, cent, h))
             assigned.pop()
 
-    backtrack(0)
-    members = tuple(GroupMap(group, group, images)
-                    for images in _expand(group, g1, found, classes))
-    return AutomorphismGroup(group, members, tuple(gens), nodes)
+    backtrack(0, list(transversal))
+    return AutomorphismGroup(group, tuple(found), tuple(gens), nodes)
 
 
-def _expand(group: FiniteGroup, g1: int, found: list, classes: dict) -> list:
-    """The sorted image arrays of x -> t^-1 b(x) t for every found b and
-    every t of the class of b(g1) in ``classes``.
-
-    No member is re-checked: an inner automorphism composed with a
-    verified automorphism is one. When the found b send g1 to one
-    element per class, as the enumerator's do, the members are distinct:
-    they send g1 to distinct conjugates, or differ as b does. The loop
-    runs t-major, so one conjugation array is alive at a time.
-    """
-    table, inv = group.table, group.inv
-    by_rep: dict = {}
-    for images in found:
-        by_rep.setdefault(images[g1], []).append(images)
-    members = []
-    for r, betas in by_rep.items():
-        members.extend(betas)  # the first pair (r, 0) conjugates by the identity
-        for _, t in classes[r][1:]:
-            conjugate = [table[c][t] for c in table[inv(t)]]  # x -> t^-1 x t
-            lookup = conjugate.__getitem__
-            members.extend(tuple(map(lookup, images)) for images in betas)
-    members.sort()
-    return members
+def _is_canonical(group: FiniteGroup, cent, images) -> bool:
+    """True iff each image is the least of its orbit under conjugation
+    by the elements of ``cent`` commuting with the images before it."""
+    for h in images:
+        if min(_conjugates(group, cent, h)) < h:
+            return False
+        cent = _centralizing(group, cent, h)
+    return True
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (advisory: the members sending g1 to the least element of its
-# class are stored as generator images; a load proves each through _close
-# and expands it by conjugation)
+# Disk cache (advisory: the representatives are stored as generator images;
+# a load proves each through _close and checks that it is canonical)
 
 
 def default_cache_dir() -> Path:
@@ -357,15 +453,16 @@ def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = Tru
                        rebuild: bool = False) -> AutomorphismGroup:
     """Aut(G), consulting a JSON disk cache keyed by the table hash.
 
-    The file holds the generator images of the members that send the
-    first generator g1 to the least element of its conjugacy class. Each
-    is rebuilt by the closure the enumerator uses, which proves it an
-    automorphism, and expanded by conjugation as the enumerator does. A
-    file is rejected when the expanded count differs from its
-    ``aut_order`` or when two members coincide. Completeness rests on the table-hash key
-    (``rebuild`` re-enumerates). Any file that fails to load is
-    re-enumerated and overwritten, so a stale or corrupt cache can only
-    cost time, not correctness.
+    The file holds the generator images of the coset representatives
+    under the key ``representatives``. Each is rebuilt by the closure the
+    enumerator uses, which proves it an automorphism, and must be
+    canonical: its images orbit-least level by level, as the enumerator
+    finds them. A file is rejected when a representative repeats, when
+    #representatives * [G : Z(G)] differs from its ``aut_order``, or when
+    it lacks the key (a file of an earlier layout). Nothing is expanded.
+    Completeness rests on the table-hash key (``rebuild`` re-enumerates).
+    Any file that fails to load is re-enumerated and overwritten, so a
+    stale or corrupt cache can only cost time, not correctness.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = directory / f"aut-{group.table_hash}.json"
@@ -392,39 +489,34 @@ def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     if not isinstance(data, dict) or data.get("table_hash") != group.table_hash:
         return None
     n = group.order
-    gens, stored = data.get("generators"), data.get("members")
-    if not _indices(gens, n) or not isinstance(stored, list):
+    gens, stored = data.get("generators"), data.get("representatives")
+    if not _indices(gens, n) or not isinstance(stored, list) or not stored:
         return None
-    table = group.table
-    g1 = gens[0] if gens else 0
     found = []
     for images in stored:
         if not _indices(images, n) or len(images) != len(gens):
             return None
-        img = _close(table, list(zip(gens, images)), n, True)
+        img = _close(group.table, list(zip(gens, images)), n, True)
         if img is None:
             return None
         found.append(tuple(img))
-    classes = {r: group.class_with_conjugators(r) for r in {img[g1] for img in found}}
-    if data.get("aut_order") != sum(len(classes[img[g1]]) for img in found):
+    if len(set(found)) != len(found):
+        return None  # a repeated representative
+    result = AutomorphismGroup(group, tuple(found), tuple(gens), 0)
+    if data.get("aut_order") != result.order:
         return None
-    members = _expand(group, g1, found, classes)
-    if any(a == b for a, b in zip(members, members[1:])):
-        return None  # a duplicate member
-    maps = tuple(GroupMap(group, group, img) for img in members)
-    return AutomorphismGroup(group, maps, tuple(gens), 0)
+    if not all(_is_canonical(group, result.transversal, images) for images in stored):
+        return None
+    return result
 
 
 def _store_cache(path: Path, group: FiniteGroup, result: AutomorphismGroup) -> None:
     gens = result.generating_set
-    g1 = gens[0] if gens else 0
-    representatives = {cls[0] for cls in group.conjugacy_classes}
     payload = {
         "table_hash": group.table_hash,
         "aut_order": result.order,
         "generators": list(gens),
-        "members": [[m.images[g] for g in gens] for m in result.members
-                    if m.images[g1] in representatives],
+        "representatives": [[b[g] for g in gens] for b in result.representatives],
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

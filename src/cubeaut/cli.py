@@ -49,6 +49,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        _check_counts(args)
         report, ok = args.handler(args)
         _emit(report, args)
         sys.stdout.flush()
@@ -160,6 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # Shared helpers
+
+
+def _check_counts(args) -> None:
+    """Refuse a worker count or node budget below 1 before any command runs."""
+    if args.jobs < 1:
+        raise CubeautError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.budget is not None and args.budget < 1:
+        raise CubeautError(f"--budget must be at least 1, got {args.budget}")
 
 
 def _cache_kwargs(args) -> dict:
@@ -305,6 +314,10 @@ def _cmd_cube_max(args):
         "aut_order": auts.order,
         "max_ratio": ratio_json(ratio),
         "witness": list(witness.images),
+        "stats": {
+            "aut_representatives": len(auts.representatives),
+            "ratio_evaluations": sum(map(len, auts.twisted_classes)),
+        },
         "seed": args.seed,
     }, True
 
@@ -383,7 +396,7 @@ def _cmd_verify_boundary(args):
 
 def _cmd_verify_abelian_indices(args):
     qs = tuple(q for q in verifier.EXPECTED_ABELIAN_INDEX if q <= args.max_q)
-    budget = args.budget or verifier.ABELIAN_INDEX_BUDGET
+    budget = verifier.ABELIAN_INDEX_BUDGET if args.budget is None else args.budget
     report = verifier.verify_abelian_indices(qs=qs, budget=budget, seed=args.seed)
     return report, report["pass"]
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from operator import eq
 from typing import Optional
 
 from .automorphisms import (
@@ -83,18 +84,35 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
 
     Returns (ratio, witness map); the witness is the lexicographically
     least maximizing image array. Pass ``auts`` to reuse an enumeration.
+
+    Power maps commute with automorphisms, so a and its conjugates
+    phi a phi^-1 send the same number of elements to their n-th power.
+    One member per twisted class (an Inn(G)-conjugacy class of Aut(G))
+    is evaluated, and only the maximal classes are expanded to find the
+    witness; no other member is built.
     """
     if auts is None:
         auts = enumerate_automorphisms(group)
+    table = group.table
     targets = [group.pow(x, n) for x in group.elements()]
+    # t^-1 b(x) t = x^n iff b(x) = t x^n t^-1; one list per t evaluated
+    moved = {}
     best_count = -1
-    best = None
-    for member in auts.members:  # already sorted by image array
-        img = member.images
-        count = sum(1 for x in range(group.order) if img[x] == targets[x])
-        if count > best_count:
-            best_count, best = count, member
-    return Fraction(best_count, group.order), best
+    best = []  # (representative, class) pairs attaining best_count
+    for rep, classes in enumerate(auts.twisted_classes):
+        images = auts.representatives[rep]
+        for cls in classes:
+            if cls[0] not in moved:
+                t = auts.transversal[cls[0]]
+                row, t_inv = table[t], group.inv(t)
+                moved[cls[0]] = [table[row[y]][t_inv] for y in targets]
+            count = sum(map(eq, images, moved[cls[0]]))
+            if count > best_count:
+                best_count, best = count, []
+            if count == best_count:
+                best.append((rep, cls))
+    witness = min(auts.member_images(rep, c) for rep, cls in best for c in cls)
+    return Fraction(best_count, group.order), GroupMap(group, group, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ any worker count.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -545,9 +546,12 @@ def _property_task(task: dict) -> dict:
 
 
 def _parallel(tasks: list, worker, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    """``worker`` over ``tasks`` in order, on at most ``jobs`` processes,
+    never more than there are tasks or cores."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -160,23 +160,23 @@ def test_generating_set_equals_unpruned_greedy():
         assert group.generating_set == _unpruned_greedy_generating_set(group), name
 
 
-@pytest.mark.parametrize("build, nodes", [
-    (lambda: builders.symmetric(4), 5),
-    (lambda: builders.alternating(5), 7),
-    (lambda: builders.type3_group_ii(), 1172),
+@pytest.mark.parametrize("build, nodes, representatives", [
+    pytest.param(lambda: builders.symmetric(4), 2, 1, id="S4"),
+    pytest.param(lambda: builders.alternating(5), 3, 2, id="A5"),
+    pytest.param(lambda: builders.type3_group_ii(), 172, 128, id="T3ii"),
 ])
-def test_enumeration_nodes_pinned(build, nodes):
+def test_enumeration_nodes_pinned(build, nodes, representatives):
     # the backtracking runs over generator images, so these counts pin its path
-    assert enumerate_automorphisms(build()).nodes == nodes
+    result = enumerate_automorphisms(build())
+    assert (result.nodes, len(result.representatives)) == (nodes, representatives)
 
 
 def _full_backtrack(group):
-    """Reference: the backtracking with every candidate image of the
-    first generator at the root. Returns (sorted image arrays, nodes,
-    root candidates)."""
+    """Reference: the backtracking with every candidate image at every
+    level. Returns (sorted image arrays, nodes)."""
     n = group.order
     if n == 1:
-        return ((0,),), 0, []
+        return ((0,),), 0
     gens = list(group.generating_set)
     fp = _fingerprints(group)
     candidates = [[x for x in range(n) if fp[x] == fp[g]] for g in gens]
@@ -206,7 +206,7 @@ def _full_backtrack(group):
             assigned.pop()
 
     backtrack(0)
-    return tuple(sorted(found)), nodes, candidates[0]
+    return tuple(sorted(found)), nodes
 
 
 def _equality_groups():
@@ -219,14 +219,17 @@ def _equality_groups():
 
 def test_enumeration_equals_full_backtrack():
     for name, group in _equality_groups():
-        arrays, nodes, roots = _full_backtrack(group)
+        arrays, nodes = _full_backtrack(group)
         result = enumerate_automorphisms(group)
         assert result.image_arrays == arrays, name
-        class_size = {x: len(c) for c in group.conjugacy_classes for x in c}
-        if any(class_size[r] > 1 for r in roots):
-            assert result.nodes < nodes, name
-        else:
+        # one leaf per coset of Inn(G) instead of one per member, on a
+        # subtree of the reference's
+        assert len(result.representatives) * (group.order // group.center.order) \
+            == len(arrays), name
+        if group.is_abelian:
             assert result.nodes == nodes, name
+        else:
+            assert result.nodes < nodes, name
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +347,12 @@ def test_cap_counts_every_member_before_expansion():
     assert enumerate_automorphisms(s4, cap=24).order == 24
     with pytest.raises(CapExceeded):
         enumerate_automorphisms(s4, cap=23)
+    # T3ii: each representative stands for [G : Z(G)] = 16 members
+    t3ii = builders.type3_group_ii()
+    assert enumerate_automorphisms(t3ii, cap=2048).order == 2048
+    with pytest.raises(CapExceeded) as caught:
+        enumerate_automorphisms(t3ii, cap=2047)
+    assert caught.value.found == 2048
 
 
 def test_check_automorphism_rejects_non_homomorphism():
@@ -476,7 +485,7 @@ def test_corrupt_cache_is_rebuilt(tmp_path):
     automorphism_group(g, cache_dir=tmp_path)
     path = next(tmp_path.glob("aut-*.json"))
     payload = json.loads(path.read_text())
-    payload["members"][0] = [0, 2, 1, 3, 4, 5]  # not an automorphism of S3
+    payload["representatives"][0] = [0, 2, 1, 3, 4, 5]  # not generator images
     path.write_text(json.dumps(payload))
     rebuilt = automorphism_group(g, cache_dir=tmp_path)
     assert rebuilt.order == 6
@@ -497,17 +506,20 @@ def test_no_cache_leaves_no_files(tmp_path):
 
 
 def test_cache_stores_generator_images(tmp_path):
-    g = builders.symmetric(4)
+    g = builders.type3_group_ii()
     first = automorphism_group(g, cache_dir=tmp_path)
     payload = json.loads(next(tmp_path.glob("aut-*.json")).read_text())
     gens = payload["generators"]
     assert gens == list(first.generating_set)
-    # only the members sending the first generator to the least element
-    # of its conjugacy class; the rest are their conjugates
-    least = {c[0] for c in g.conjugacy_classes}
-    assert payload["members"] == [[m.images[x] for x in gens] for m in first.members
-                                  if m.images[gens[0]] in least]
-    assert len(payload["members"]) < first.order
+    assert set(payload) == {"table_hash", "aut_order", "generators", "representatives"}
+    # one representative per coset of Inn(G): the lexicographically least
+    # generator images among the members x -> t^-1 b(x) t of its coset
+    images = [tuple(m.images[x] for x in gens) for m in first.members]
+    inner = [tuple(g.conjugate(x, t) for x in g.elements()) for t in g.elements()]
+    least = sorted({min(tuple(conj[y] for y in b) for conj in inner) for b in images})
+    assert payload["representatives"] == [list(b) for b in least]
+    assert len(least) * g.order // g.center.order == first.order == payload["aut_order"]
+    assert len(least) == 128
 
 
 def test_cache_load_equals_enumeration_on_catalog(tmp_path):
@@ -516,6 +528,7 @@ def test_cache_load_equals_enumeration_on_catalog(tmp_path):
         enumerated = automorphism_group(group, cache_dir=tmp_path)
         loaded = automorphism_group(group, cache_dir=tmp_path)
         assert loaded.nodes == 0, name  # served from the cache
+        assert loaded.representatives == enumerated.representatives, name
         assert loaded.image_arrays == enumerated.image_arrays, name
         assert loaded.generating_set == enumerated.generating_set, name
 
@@ -538,13 +551,13 @@ def test_cache_rejects_member_breaking_a_relation(tmp_path):
     g = builders.symmetric(4)
     full, path, payload = _cached_payload(tmp_path, g)
     gens = payload["generators"]
-    known = {tuple(m) for m in payload["members"]}
-    # same element orders as a real member, but no automorphism
+    known = {tuple(m) for m in payload["representatives"]}
+    # same element orders as a real representative, but no automorphism
     bad = next([a, b] for a in range(g.order) for b in range(g.order)
                if (a, b) not in known
                and g.element_orders[a] == g.element_orders[gens[0]]
                and g.element_orders[b] == g.element_orders[gens[1]])
-    payload["members"][-1] = bad
+    payload["representatives"][-1] = bad
     _assert_reenumerated(tmp_path, g, path, full, payload)
 
 
@@ -556,15 +569,33 @@ def test_cache_rejects_non_generating_generators(tmp_path):
     a4 = g.derived_subgroup.elements
     gens = [next(x for x in a4 if g.element_orders[x] == k) for k in (3, 2)]
     payload["generators"] = gens
-    payload["members"] = [[m.images[x] for x in gens] for m in full.members]
-    assert len({tuple(m) for m in payload["members"]}) == full.order
+    payload["representatives"] = [[m.images[x] for x in gens] for m in full.members]
+    assert len({tuple(m) for m in payload["representatives"]}) == full.order
     _assert_reenumerated(tmp_path, g, path, full, payload)
 
 
 def test_cache_rejects_duplicate_member(tmp_path):
+    # a repeated representative keeps the count at |Aut(D5)| = 2 * 10
     g = builders.dihedral(5)
     full, path, payload = _cached_payload(tmp_path, g)
-    payload["members"][-1] = payload["members"][0]
+    assert len(payload["representatives"]) == 2
+    payload["representatives"][-1] = payload["representatives"][0]
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_non_canonical_representative(tmp_path):
+    # another member of the same coset: an automorphism, distinct from
+    # every stored one, with the right count, but not orbit-least
+    g = builders.type3_group_ii()
+    full, path, payload = _cached_payload(tmp_path, g)
+    gens = payload["generators"]
+    first = payload["representatives"][0]
+    other = next([g.conjugate(x, t) for x in first] for t in g.elements()
+                 if [g.conjugate(x, t) for x in first] != first)
+    assert other not in payload["representatives"]
+    payload["representatives"][0] = other
+    assert is_automorphism(GroupMap(g, g, tuple(_close(g.table, list(zip(gens, other)),
+                                                       g.order, True))))
     _assert_reenumerated(tmp_path, g, path, full, payload)
 
 
@@ -578,7 +609,7 @@ def test_cache_rejects_bad_entries(tmp_path, field, value):
     if field == "generator":
         payload["generators"][0] = value
     else:
-        payload["members"][1][0] = value
+        payload["representatives"][1][0] = value
     _assert_reenumerated(tmp_path, g, path, full, payload)
 
 
@@ -603,8 +634,25 @@ def test_cache_rejects_every_member_layout(tmp_path):
     # the layout that listed the generator images of all members
     g = builders.symmetric(4)
     full, path, payload = _cached_payload(tmp_path, g)
-    payload["members"] = [[m.images[x] for x in payload["generators"]] for m in full.members]
+    payload["representatives"] = [[m.images[x] for x in payload["generators"]]
+                                  for m in full.members]
     _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_class_representative_layout(tmp_path):
+    # the layout that stored, under "members", the generator images of
+    # every member sending the first generator to the least element of
+    # its conjugacy class
+    g = builders.type3_group_ii()
+    full, path, payload = _cached_payload(tmp_path, g)
+    gens = payload["generators"]
+    least = {c[0] for c in g.conjugacy_classes}
+    old = {"table_hash": payload["table_hash"], "aut_order": full.order,
+           "generators": gens,
+           "members": [[m.images[x] for x in gens] for m in full.members
+                       if m.images[gens[0]] in least]}
+    assert len(old["members"]) > len(payload["representatives"])
+    _assert_reenumerated(tmp_path, g, path, full, old)
 
 
 def test_cache_rejects_wrong_aut_order(tmp_path):
@@ -612,3 +660,40 @@ def test_cache_rejects_wrong_aut_order(tmp_path):
     full, path, payload = _cached_payload(tmp_path, g)
     payload["aut_order"] = full.order - 1
     _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builders.symmetric(4),
+    lambda: builders.alternating(5),
+    lambda: builders.dihedral(4),
+    lambda: builders.quaternion8(),
+    lambda: builders.type3_group_i(1),
+    heisenberg27,
+])
+def test_twisted_classes_are_inner_conjugacy_classes(build):
+    """Reference: the orbits of Inn(G) acting on the members by
+    conjugation, alpha -> inn(s)^-1 alpha inn(s)."""
+    g = build()
+    auts = enumerate_automorphisms(g)
+    orbits = set()
+    for m in auts.members:
+        orbit = set()
+        for s in g.elements():
+            s_inv = g.inv(s)
+            orbit.add(tuple(g.conjugate(m.images[g.conjugate(x, s_inv)], s)
+                            for x in g.elements()))
+        orbits.add(frozenset(orbit))
+    classes = {frozenset(auts.member_images(rep, c) for c in cls)
+               for rep, per_rep in enumerate(auts.twisted_classes) for cls in per_rep}
+    assert classes == orbits
+
+
+def test_order_and_max_ratio_build_no_member(tmp_path):
+    from cubeaut.cubing import max_cube_ratio
+    g = builders.type3_group_ii()
+    for auts in (automorphism_group(g, cache_dir=tmp_path),   # enumerated
+                 automorphism_group(g, cache_dir=tmp_path)):  # loaded
+        assert auts.order == 2048
+        max_cube_ratio(g, auts=auts)
+        max_cube_ratio(g, n=2, auts=auts)
+        assert "members" not in vars(auts)

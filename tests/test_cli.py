@@ -171,6 +171,9 @@ def test_cube_max_a5(capsys, cache_dir):
     assert code == 0
     assert payload["max_ratio"] == {"num": 4, "den": 15}
     assert payload["aut_order"] == 120
+    # Aut(A5) = S5 is two cosets of Inn(A5); each splits into four
+    # Inn-conjugacy classes
+    assert payload["stats"] == {"aut_representatives": 2, "ratio_evaluations": 8}
 
 
 def test_cube_classify(capsys):
@@ -266,6 +269,27 @@ def test_sfs_bad_equation(capsys):
     code, out, err = run(capsys, "sfs", "t", "12", "--equation", "1,x,-2")
     assert code == 2
     assert err.startswith("error: ") and "--equation" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--jobs", "-3", "verify", "classification", "--order-cap", "4"),
+     "--jobs must be at least 1, got -3"),
+    (("--jobs", "0", "cube", "max", "a5"), "--jobs must be at least 1, got 0"),
+    (("--budget", "-5", "sfs", "t", "40"), "--budget must be at least 1, got -5"),
+    (("--budget", "0", "verify", "abelian-index", "--max-q", "5"),
+     "--budget must be at least 1, got 0"),
+])
+def test_counts_below_one_are_refused(capsys, cache_dir, argv, message):
+    code, out, err = run(capsys, "--cache-dir", str(cache_dir), *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err and out == ""
+
+
+def test_abelian_index_budget_is_passed_through(capsys):
+    code, payload, _ = run_json(capsys, "--budget", "1", "verify", "abelian-index",
+                                "--max-q", "5")
+    assert code == 1
+    assert [row["exact"] for row in payload["rows"]] == [False]
 
 
 def test_sfs_tau_range_bad_bound(capsys):

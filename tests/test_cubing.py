@@ -106,6 +106,31 @@ def test_max_ratio_witness_is_lex_least():
     assert witness.images == tuple(g.pow(x, 3) for x in g.elements())
 
 
+def _brute_max_ratio(group, auts, n):
+    """Reference: count every member, sorted; the first strict maximum
+    is the least maximizing image array."""
+    targets = [group.pow(x, n) for x in group.elements()]
+    best_count, best = -1, None
+    for member in auts.members:
+        count = sum(1 for x in group.elements() if member.images[x] == targets[x])
+        if count > best_count:
+            best_count, best = count, member.images
+    return Fraction(best_count, group.order), best
+
+
+def test_twisted_class_max_equals_brute_force():
+    from cubeaut.catalog import built_in_catalog
+    catalog = built_in_catalog()
+    groups = [g for _, g in catalog.groups(order_cap=64)]
+    groups += [catalog.build(name) for name in ("A5", "S5", "L2(7)", "PGL2(7)", "A6")]
+    for group in groups:
+        auts = enumerate_automorphisms(group)
+        for n in (3, 2):
+            ratio, witness = max_cube_ratio(group, n=n, auts=auts)
+            assert (ratio, witness.images) == _brute_max_ratio(group, auts, n), \
+                (group.name, n)
+
+
 # ---------------------------------------------------------------------------
 # Coset traces
 

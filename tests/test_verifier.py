@@ -326,6 +326,41 @@ def test_verify_classification_runs_on_its_own_catalog(cache_dir):
     assert reports[0]["rows"] == reports[1]["rows"]
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    maps in this process, so no process starts."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [
+    (5000, 64, [5]),  # bounded by the 5 tasks
+    (4, 2, [2]),      # bounded by the cores
+    (3, None, []),    # an unknown core count is taken as one: no pool
+    (1, 64, []),
+    (0, 64, []),
+])
+def test_parallel_bounds_the_pool(monkeypatch, cache_dir, jobs, cores, workers):
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    report = verify_classification(order_cap=4, jobs=jobs, cache_dir=cache_dir)
+    assert report["groups"] == 5 and report["pass"]
+    assert _RecordingPool.created == workers
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_classification_builds_each_entry_once(cache_dir, jobs):
     builds = []
