@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CapExceeded, NotAutomorphism, NotInvariant
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _is_permutation
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,9 @@ class GroupMap:
 
     @property
     def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.source.order
+        """The images are 0..|target|-1 once each; there are |source| of
+        them, so the orders agree."""
+        return _is_permutation(self.images, self.target.order)
 
 
 def is_homomorphism(m: GroupMap) -> bool:
@@ -257,11 +259,6 @@ class AutomorphismGroup:
         return tuple(result)
 
 
-def small_generating_set(group: FiniteGroup) -> list:
-    """Greedy generating set of size at most log2 |G| (cached on the group)."""
-    return list(group.generating_set)
-
-
 def check_automorphism(m: GroupMap) -> None:
     """Raise NotAutomorphism unless m is a bijective endomorphism."""
     if m.source is not m.target:
@@ -375,7 +372,7 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     n = group.order
     if n == 1:
         return AutomorphismGroup(group, ((0,),), (), 0)
-    gens = small_generating_set(group)
+    gens = group.generating_set
     fp = _fingerprints(group)
     candidates = [[x for x in range(n) if fp[x] == fp[g]] for g in gens]
     order_of = group.element_orders

@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from .errors import UnsupportedParameter
-from .groups import MAX_ORDER, FiniteGroup, from_permutation_generators
+from .groups import MAX_ORDER, FiniteGroup, _is_permutation, from_permutation_generators
 
 # bounds n before n! is formed; S8 and A8 pass it and are refused by order
 MAX_SYMMETRIC_DEGREE = 8
@@ -143,9 +143,9 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     """
     if len(action) != h.order:
         raise UnsupportedParameter("need one automorphism of N per element of H")
-    maps = [tuple(int(v) for v in m) for m in action]
+    maps = [tuple(m) for m in action]
     for k, m in enumerate(maps):
-        if sorted(m) != list(range(n.order)):
+        if not _is_permutation(m, n.order):
             raise UnsupportedParameter(f"action[{k}] is not a permutation of N")
         for a in range(n.order):
             for b in range(n.order):

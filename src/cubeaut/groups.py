@@ -6,6 +6,11 @@ permutation of 0..n-1, element 0 is a two-sided identity, and Light's
 test over a generating set proves associativity exactly. Together
 these make the table a group (see ``_validate_table``).
 
+A table entry must be a Python int: a bool, float or str is refused
+with a ``NotClosed`` witness, never converted. Table rows, permutation
+generators, semidirect-product actions and automorphism images all pass
+one test of "a permutation of 0..n-1", ``_is_permutation``.
+
 All structural queries are exact; nothing here is randomized or
 approximate. Series and normality tests work on generating sets, which
 decide the same questions as the element-wise definitions.
@@ -46,10 +51,8 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], name: Optional[str] = None,
                  relabeling: Optional[tuple] = None):
-        rows = _int_rows(table)
-        _validate_table(rows)
-        self.table = rows
-        self.order = len(rows)
+        self.table = _validate_table(table)
+        self.order = len(self.table)
         self.name = name
         self.identity = 0
         self.relabeling = relabeling
@@ -387,35 +390,27 @@ class FiniteGroup:
             size = best_size
         return tuple(gens)
 
-    def class_with_conjugators(self, x: int) -> tuple:
-        """The conjugacy class of x as pairs (y, t) with y = t^-1 x t, one
-        t per member, found breadth-first from (x, 0) by conjugating with
-        ``generating_set``. The t form a right transversal of C_G(x)."""
-        table = self.table
-        gens = self.generating_set
-        inverses = [self.inv(g) for g in gens]
-        pairs = [(x, 0)]
-        seen = {x}
-        for y, t in pairs:
-            for g, g_inv in zip(gens, inverses):
-                z = table[table[g_inv][y]][g]
-                if z not in seen:
-                    seen.add(z)
-                    pairs.append((z, table[t][g]))
-        return tuple(pairs)
-
     @cached_property
     def conjugacy_classes(self) -> tuple:
-        """Classes as sorted tuples, ordered by ascending least element."""
+        """Classes as sorted tuples, ordered by ascending least element.
+        Each is found breadth-first from its least element by conjugating
+        with ``generating_set``."""
+        table = self.table
+        moves = [(table[self.inv(g)], g) for g in self.generating_set]
         seen = [False] * self.order
         classes = []
         for x in self.elements():
             if seen[x]:
                 continue
-            orbit = sorted(y for y, _ in self.class_with_conjugators(x))
+            seen[x] = True
+            orbit = [x]
             for y in orbit:
-                seen[y] = True
-            classes.append(tuple(orbit))
+                for row_inv, g in moves:
+                    z = table[row_inv[y]][g]
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+            classes.append(tuple(sorted(orbit)))
         return tuple(classes)
 
     @cached_property
@@ -506,8 +501,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     the relabeling permutation (old index -> new index) is recorded on
     the returned group.
     """
-    rows = _int_rows(table)
-    _check_rows(rows)  # before the relabeling indexes by entry value
+    rows = _check_rows(table)  # before the relabeling indexes by entry value
     n = len(rows)
     ident = _find_identity(rows)
     if ident is None:
@@ -525,13 +519,11 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     return FiniteGroup(rows, name=name, relabeling=relabeling)
 
 
-def _int_rows(table) -> tuple:
-    """The table as tuples of ints; a bool entry is rejected, not read as 0 or 1."""
-    for i, row in enumerate(table):
-        if bool in set(map(type, row)):
-            j = list(map(type, row)).index(bool)
-            raise NotClosed(i, j, row[j])
-    return tuple(tuple(map(int, row)) for row in table)
+def _is_permutation(values, n: int) -> bool:
+    """True iff ``values`` holds each of 0..n-1 exactly once, every entry
+    of type int (a bool, float or str is not an index)."""
+    return (len(values) == n and set(map(type, values)) <= {int}
+            and len(set(values)) == n and min(values) >= 0 and max(values) < n)
 
 
 def _find_identity(rows) -> Optional[int]:
@@ -542,40 +534,43 @@ def _find_identity(rows) -> Optional[int]:
     return None
 
 
-def _check_rows(rows: tuple) -> None:
-    """A nonempty square table whose every row is a permutation of
-    0..n-1. Only a failing row is searched for its witness."""
+def _check_rows(table) -> tuple:
+    """The rows of a nonempty square table whose every row is a
+    permutation of 0..n-1, as tuples. Only a failing row is searched for
+    its witness."""
+    rows = tuple(map(tuple, table))
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty table")
-    full = set(range(n))
     for i, row in enumerate(rows):
-        if len(row) == n and set(row) == full:
+        if _is_permutation(row, n):
             continue
         if len(row) != n:
             raise NotClosed(i, len(row), None)
         for j, v in enumerate(row):
-            if not (0 <= v < n):
+            if type(v) is not int or not (0 <= v < n):
                 raise NotClosed(i, j, v)
         if 0 not in row:
             raise NoInverse(i)
         raise NotLatin("row", i)
+    return rows
 
 
-def _validate_table(rows: tuple) -> None:
+def _validate_table(table) -> tuple:
     """Prove the table is a group: every row is a permutation of 0..n-1,
     0 is a two-sided identity, and Light's test shows associativity.
 
     Nothing more is needed. Row a contains 0, so a has a right inverse,
     and a finite monoid in which every element has a right inverse is a
     group. So the columns are permutations too and every inverse is
-    two-sided.
+    two-sided. Returns the rows as tuples.
     """
-    _check_rows(rows)
+    rows = _check_rows(table)
     n = len(rows)
     if any(rows[0][b] != b for b in range(n)) or any(rows[a][0] != a for a in range(n)):
         raise NoIdentity("element 0 is not a two-sided identity")
     _light_associativity(rows)
+    return rows
 
 
 def _light_associativity(rows: tuple) -> None:
@@ -634,8 +629,8 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
         raise UnsupportedParameter("degree must be positive")
     gens = []
     for k, g in enumerate(generators):
-        perm = tuple(int(v) for v in g)
-        if sorted(perm) != list(range(degree)):
+        perm = tuple(g)
+        if not _is_permutation(perm, degree):
             raise UnsupportedParameter(f"generator {k} is not a permutation of 0..{degree - 1}")
         gens.append(perm)
     ident = tuple(range(degree))
@@ -673,8 +668,7 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
                 gen_col = gen_cols[gi]
                 cols[target] = [gen_col[v] for v in col_b]
                 queue.append(target)
-    table = [[cols[b][a] for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=name)
+    return FiniteGroup(list(zip(*cols)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -845,13 +839,13 @@ def load_group_json(data: dict) -> FiniteGroup:
         return from_cayley_table(table, name=data.get("name"))
     if "generators" in data:
         degree = data.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:
             raise FileFormatError("degree", "expected a positive integer")
         gens = data["generators"]
         if not isinstance(gens, list):
             raise FileFormatError("generators", "expected a list of permutations")
         for k, g in enumerate(gens):
-            if not isinstance(g, list) or sorted(g) != list(range(degree)):
+            if not isinstance(g, list) or not _is_permutation(g, degree):
                 raise FileFormatError(f"generators[{k}]", f"not a permutation of 0..{degree - 1}")
         return from_permutation_generators(gens, degree, cap=MAX_ORDER, name=data.get("name"))
     raise FileFormatError("$", "object has neither 'table' nor 'generators'")

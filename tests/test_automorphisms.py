@@ -20,7 +20,6 @@ from cubeaut.automorphisms import (
     is_n_abelian,
     power_map,
     restrict,
-    small_generating_set,
 )
 from cubeaut.automorphisms import _close, _fingerprints
 from cubeaut.catalog import heisenberg27
@@ -114,6 +113,15 @@ def test_compose_and_invert():
         assert compose(m1, invert(m1)).is_identity
 
 
+def test_bijection_needs_equal_orders():
+    z2, z4 = builders.cyclic(2), builders.cyclic(4)
+    assert GroupMap(z4, z4, (0, 3, 2, 1)).is_bijective
+    for m in (GroupMap(z2, z4, (0, 2)), GroupMap(z4, z2, (0, 1, 0, 1))):
+        assert not m.is_bijective
+        with pytest.raises(NotAutomorphism):
+            invert(m)
+
+
 def test_inner_automorphism_order():
     s3 = builders.symmetric(3)
     transposition = next(x for x in s3.elements() if s3.element_orders[x] == 2)
@@ -128,14 +136,14 @@ def test_inner_automorphism_order():
 
 
 def test_small_generating_set():
-    assert small_generating_set(builders.cyclic(7)) == [1]
-    assert small_generating_set(builders.cyclic(1)) == []
+    assert builders.cyclic(7).generating_set == (1,)
+    assert builders.cyclic(1).generating_set == ()
     s4 = builders.symmetric(4)
-    gens = small_generating_set(s4)
+    gens = s4.generating_set
     assert len(gens) <= 2
     assert len(s4.closure(gens)) == 24
     q8 = builders.quaternion8()
-    gens = small_generating_set(q8)
+    gens = q8.generating_set
     assert len(q8.closure(gens)) == 8
     assert len(gens) <= 3  # log2(8)
 

@@ -1,11 +1,17 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cubeaut").glob("*.py"))
+from cubeaut.catalog import Catalog
+from cubeaut.groups import FiniteGroup
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "cubeaut").glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -14,3 +20,21 @@ def test_no_bare_asserts(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_traced_methods_exist():
+    """Every method the traced benchmark wraps by name is defined on its
+    class: the query tuples of perfbench/tracing.py, and each
+    ``_wrap_method`` call there that names its attribute literally."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    classes = {"FiniteGroup": FiniteGroup, "Catalog": Catalog}
+    wrapped = [("FiniteGroup", attr) for attr in tracing.STRUCTURAL + tracing.TABLE_QUERIES]
+    for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_wrap_method"
+                and isinstance(node.args[2], ast.Constant)):
+            wrapped.append((node.args[1].id, node.args[2].value))
+    assert ("FiniteGroup", "__init__") in wrapped and ("Catalog", "build") in wrapped
+    missing = [f"{cls}.{attr}" for cls, attr in wrapped if attr not in vars(classes[cls])]
+    assert not missing, f"perfbench/tracing.py wraps undefined methods: {missing}"
