@@ -65,6 +65,7 @@ class GroupMap:
         generating set; by induction over words that gives it for all
         pairs, once 0 maps to 0. For a nontrivial source the law already
         forces that, but the trivial group has no generators."""
+        self._check_images()
         tgt, img = self.target.table, self.images
         if img[0] != 0:
             return (0, 0)
@@ -75,6 +76,17 @@ class GroupMap:
                 if img[row[g]] != trow[img[g]]:
                     return (a, g)
         return None
+
+    def _check_images(self) -> None:
+        """Raise NotAutomorphism unless every image is an int naming an
+        element of the target, before any is used as an index: a bool,
+        a float or a negative index is refused. Only a failing array is
+        searched for its witness."""
+        img, order = self.images, self.target.order
+        if set(map(type, img)) <= {int} and min(img) >= 0 and max(img) < order:
+            return
+        x = next(x for x, y in enumerate(img) if type(y) is not int or not 0 <= y < order)
+        raise NotAutomorphism(f"image of {x} is {img[x]!r}, not an element of the target")
 
     @property
     def is_bijective(self) -> bool:
@@ -115,6 +127,7 @@ def compose(first: GroupMap, then: GroupMap) -> GroupMap:
     """Apply ``first``, then ``then`` (matching right-action notation)."""
     if first.target is not then.source:
         raise NotAutomorphism("maps are not composable")
+    first._check_images()
     return GroupMap(first.source, then.target,
                     tuple(then.images[first.images[x]] for x in range(first.source.order)))
 
@@ -149,6 +162,7 @@ def induced_on_quotient(m: GroupMap, normal: Subgroup,
     """
     if m.source is not normal.parent:
         raise NotInvariant("subgroup belongs to a different group")
+    m._check_images()
     if {m.images[x] for x in normal.elements} != set(normal.elements):
         raise NotInvariant("subgroup is not mapped onto itself")
     if quotient_pair is None:

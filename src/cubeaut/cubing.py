@@ -27,6 +27,7 @@ from .errors import (
     InternalCheckFailed,
     KNotAbelian,
     NotAbelian,
+    NotAutomorphism,
     NotClass2,
     OrderDivisibleBy3,
     PreconditionViolated,
@@ -70,7 +71,9 @@ class CubeReport:
 
 def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3) -> CubeReport:
     """All g with alpha(g) = g^n, and the exact ratio |T| / |G|; alpha
-    is checked to be an automorphism first."""
+    is checked to be an automorphism of ``group`` first."""
+    if alpha.source is not group:
+        raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
     targets = [group.pow(x, n) for x in group.elements()]
     img = alpha.images

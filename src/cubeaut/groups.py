@@ -23,6 +23,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -127,24 +129,32 @@ class FiniteGroup:
 
     @cached_property
     def commuting_masks(self) -> tuple:
-        """Per element, a bitmask of all elements commuting with it."""
+        """Per element, a bitmask of all elements commuting with it.
+
+        Computed once per conjugacy class: a class of one element is
+        central, and otherwise the table is scanned for C(x), x the
+        least member, and each member c^-1 x c gets c^-1 C(x) c."""
         t = self.table
         n = self.order
-        masks = []
-        for a in range(n):
-            row = t[a]
-            m = 0
-            for b in range(n):
-                if row[b] == t[b][a]:
-                    m |= 1 << b
-            masks.append(m)
+        full = (1 << n) - 1
+        masks = [full] * n
+        for walk in self._class_walks():
+            if len(walk) == 1:
+                continue
+            x = walk[0][0]
+            cent = list(compress(range(n), map(eq, t[x], map(itemgetter(x), t))))
+            for y, c in walk:
+                row_inv = t[self.inv(c)]
+                masks[y] = sum(1 << t[row_inv[z]][c] for z in cent)
         return tuple(masks)
 
     @cached_property
     def table_hash(self) -> str:
-        """Canonical hash of the row-major table, used as a cache key."""
-        payload = json.dumps([list(r) for r in self.table], separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """Canonical hash of the row-major table, used as a cache key: the
+        sha256 of its compact JSON text, [[0,1,...],[1,...],...]."""
+        labels = list(map(str, range(self.order)))
+        rows = "],[".join(",".join(map(labels.__getitem__, row)) for row in self.table)
+        return hashlib.sha256(f"[[{rows}]]".encode()).hexdigest()
 
     # -- subgroups ----------------------------------------------------------
 
@@ -392,26 +402,30 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy_classes(self) -> tuple:
-        """Classes as sorted tuples, ordered by ascending least element.
-        Each is found breadth-first from its least element by conjugating
-        with ``generating_set``."""
+        """Classes as sorted tuples, ordered by ascending least element."""
+        return tuple(tuple(sorted(y for y, _ in walk)) for walk in self._class_walks())
+
+    def _class_walks(self) -> list:
+        """Per conjugacy class, ascending by least element x, the pairs
+        (y, c) with y = c^-1 x c, found breadth-first from (x, 0) by
+        conjugating with ``generating_set``."""
         table = self.table
         moves = [(table[self.inv(g)], g) for g in self.generating_set]
         seen = [False] * self.order
-        classes = []
+        walks = []
         for x in self.elements():
             if seen[x]:
                 continue
             seen[x] = True
-            orbit = [x]
-            for y in orbit:
+            walk = [(x, 0)]
+            for y, c in walk:
                 for row_inv, g in moves:
                     z = table[row_inv[y]][g]
                     if not seen[z]:
                         seen[z] = True
-                        orbit.append(z)
-            classes.append(tuple(sorted(orbit)))
-        return tuple(classes)
+                        walk.append((z, table[c][g]))
+            walks.append(walk)
+        return walks
 
     @cached_property
     def normal_subgroups(self) -> tuple:
@@ -566,8 +580,8 @@ def _validate_table(table) -> tuple:
     two-sided. Returns the rows as tuples.
     """
     rows = _check_rows(table)
-    n = len(rows)
-    if any(rows[0][b] != b for b in range(n)) or any(rows[a][0] != a for a in range(n)):
+    ident = tuple(range(len(rows)))
+    if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
         raise NoIdentity("element 0 is not a two-sided identity")
     _light_associativity(rows)
     return rows
@@ -604,16 +618,16 @@ def _light_associativity(rows: tuple) -> None:
                 if d not in seen:
                     seen.add(d)
                     queue.append(d)
+    # row a*s against row s read through row a; only a failing row is
+    # searched for its least c
     for s in gens:
-        col_s = [rows[x][s] for x in range(n)]
         row_s = rows[s]
-        for a in range(n):
-            as_ = col_s[a]
-            row_a = rows[a]
-            row_as = rows[as_]
-            for c in range(n):
-                if row_as[c] != row_a[row_s[c]]:
-                    raise NotAssociative(a, s, c)
+        through_s = itemgetter(*row_s)  # n >= 2 here, so it returns a tuple
+        for a, row_a in enumerate(rows):
+            row_as = rows[row_a[s]]
+            if row_as != through_s(row_a):
+                c = next(c for c in range(n) if row_as[c] != row_a[row_s[c]])
+                raise NotAssociative(a, s, c)
 
 
 def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int,
@@ -636,39 +650,25 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    i = 0
-    while i < len(elems):
-        current = elems[i]
-        i += 1
-        for g in gens:
-            product = tuple(g[current[pt]] for pt in range(degree))
+    origin = []  # per element after the identity, (b, i) with it = b*g_i
+    for b, current in enumerate(elems):  # elems grows during the loop
+        for i, g in enumerate(gens):
+            product = tuple(map(g.__getitem__, current))
             if product not in index:
                 if len(elems) >= cap:
                     raise CapExceeded("permutation closure exceeded cap", len(elems))
                 index[product] = len(elems)
                 elems.append(product)
-    n = len(elems)
-    # column-by-word construction: col_b[a] = index(a*b), built by composing
-    # generator columns along each element's BFS word
-    gen_cols = []
-    for g in gens:
-        col = [index[tuple(g[e[pt]] for pt in range(degree))] for e in elems]
-        gen_cols.append(col)
-    cols = [None] * n
-    cols[0] = list(range(n))
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        b = queue[qi]
-        qi += 1
-        col_b = cols[b]
-        for gi, g in enumerate(gens):
-            target = gen_cols[gi][b]
-            if cols[target] is None:
-                gen_col = gen_cols[gi]
-                cols[target] = [gen_col[v] for v in col_b]
-                queue.append(target)
-    return FiniteGroup(list(zip(*cols)), name=name)
+                origin.append((b, i))
+    # row b*g is row b read through the left column of g, index(g*x) per
+    # x, so rows come out whole and need no transpose. With one element
+    # ``origin`` is empty: no getter of a single index (which would
+    # return a bare entry) is called.
+    lefts = [itemgetter(*[index[tuple(map(x.__getitem__, g))] for x in elems]) for g in gens]
+    rows = [tuple(range(len(elems)))]
+    for b, i in origin:
+        rows.append(lefts[i](rows[b]))
+    return FiniteGroup(rows, name=name)
 
 
 # ---------------------------------------------------------------------------

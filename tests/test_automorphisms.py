@@ -97,6 +97,22 @@ def test_homomorphism_witness_equals_all_pairs():
     assert 0 < homomorphisms < len(maps)
 
 
+@pytest.mark.parametrize("bad", [5, -1, True, 1.5])
+def test_images_outside_the_target_are_refused(bad):
+    z2 = builders.cyclic(2)
+    m = GroupMap(z2, z2, (0, bad))
+    with pytest.raises(NotAutomorphism):
+        is_homomorphism(m)
+    with pytest.raises(NotAutomorphism):
+        m.homomorphism_witness()
+    with pytest.raises(NotAutomorphism):
+        compose(m, identity_map(z2))
+    assert not is_automorphism(m)
+    z4 = builders.cyclic(4)  # the bad image sits outside the normal subgroup
+    with pytest.raises(NotAutomorphism):
+        induced_on_quotient(GroupMap(z4, z4, (0, bad, 2, 3)), z4.subgroup([0, 2]))
+
+
 def test_negative_power_map():
     z7 = builders.cyclic(7)
     inv = power_map(z7, -1)

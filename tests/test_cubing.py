@@ -73,6 +73,15 @@ def test_cube_set_rejects_non_automorphism():
         cube_set(s3, power_map(s3, 2))
 
 
+def test_cube_set_rejects_map_on_another_group():
+    z3 = builders.cyclic(3)
+    foreign = identity_map(builders.cyclic(2))  # an automorphism, of Z2
+    with pytest.raises(NotAutomorphism):
+        cube_set(z3, foreign)
+    with pytest.raises(NotAutomorphism):
+        coset_trace(z3, foreign, z3.subgroup([0]), 0)
+
+
 def test_generic_power_cube_set():
     # exponent -1: fixed points of inversion-composed maps
     q8 = builders.quaternion8()

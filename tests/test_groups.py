@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import permutations, product
@@ -15,6 +16,7 @@ from cubeaut.errors import (
     NoIdentity,
     NoInverse,
     NotASubgroup,
+    NotAssociative,
     NotAutomorphism,
     NotClosed,
     NotNormal,
@@ -206,7 +208,11 @@ def _perturbations(rows, rng):
     return out
 
 
-def test_validator_equals_cubic_reference():
+def _validator_tables() -> list:
+    """The empty table, every n x n table with n <= 3 and entries
+    0..n-1, the 4x4 tables with an identity border and permutation rows,
+    and the catalog groups of order <= 64 and D30 with their seeded
+    perturbations."""
     from cubeaut.catalog import built_in_catalog
 
     tables = [[]]
@@ -224,6 +230,11 @@ def test_validator_equals_cubic_reference():
     for rows in bases:
         tables.append([list(r) for r in rows])
         tables.extend(_perturbations(rows, rng))
+    return tables
+
+
+def test_validator_equals_cubic_reference():
+    tables = _validator_tables()
     accepted = 0
     for rows in tables:
         try:
@@ -235,6 +246,91 @@ def test_validator_equals_cubic_reference():
             assert group.table == tuple(tuple(r) for r in rows)
             accepted += 1
     assert len(tables) > 20000 and 0 < accepted < len(tables)
+
+
+def _per_entry_light_witness(rows):
+    """Reference Light's test, entry by entry: the first (a, s, c) in
+    generator, row, column order with (a*s)*c != a*(s*c), or None."""
+    n = len(rows)
+    gens = []
+    seen = {0}
+    for x in range(1, n):
+        if x in seen:
+            continue
+        gens.append(x)
+        queue = [0]
+        seen = {0}
+        for g in gens:
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+        i = 0
+        while i < len(queue):
+            a = queue[i]
+            i += 1
+            for g in gens:
+                for d in (rows[a][g], rows[g][a]):
+                    if d not in seen:
+                        seen.add(d)
+                        queue.append(d)
+    for s in gens:
+        for a in range(n):
+            for c in range(n):
+                if rows[rows[a][s]][c] != rows[a][rows[s][c]]:
+                    return (a, s, c)
+    return None
+
+
+def test_associativity_witness_equals_per_entry_reference():
+    failed = 0
+    for rows in _validator_tables():
+        try:
+            FiniteGroup(rows)
+        except NotAssociative as exc:
+            assert exc.witness == _per_entry_light_witness(rows), rows
+            failed += 1
+        except GroupTableError:
+            pass
+    assert failed > 500
+
+
+def _pairwise_commuting_masks(group):
+    """Reference: per a, the mask of every b with a*b == b*a."""
+    t = group.table
+    masks = []
+    for a in group.elements():
+        m = 0
+        for b in group.elements():
+            if t[a][b] == t[b][a]:
+                m |= 1 << b
+        masks.append(m)
+    return tuple(masks)
+
+
+def _reference_groups():
+    from cubeaut.catalog import built_in_catalog
+
+    named = [(name, group) for name, group in built_in_catalog().groups(order_cap=64)]
+    named += [("A5", builders.alternating(5)), ("S5", builders.symmetric(5)),
+              ("L2(7)", builders.psl2(7)), ("PGL2(7)", builders.pgl2(7)),
+              ("A6", builders.alternating(6))]
+    return named
+
+
+def test_commuting_masks_equal_pairwise_reference():
+    for name, group in _reference_groups():
+        assert group.commuting_masks == _pairwise_commuting_masks(group), name
+
+
+def test_table_hash_is_sha256_of_compact_json():
+    for name, group in _reference_groups():
+        payload = json.dumps([list(r) for r in group.table], separators=(",", ":"))
+        assert group.table_hash == hashlib.sha256(payload.encode()).hexdigest(), name
+    # cache files are keyed by these digests; a change here orphans them
+    assert (FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).table_hash
+            == "9ae3a8423176ba4b10daebe31239c0dfe362500241361d9bf376ac01a4cb73fc")
+    assert (builders.alternating(5).table_hash
+            == "f506fa6ca4e2eed818b269d874239c6162fde8f822979851c7e6f55c78eca87b")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +362,53 @@ def test_closure_cap_enforced():
 def test_bad_generator_rejected():
     with pytest.raises(UnsupportedParameter):
         from_permutation_generators([[0, 0, 1]], 3, cap=10)
+
+
+def _reference_permutation_table(generators, degree):
+    """Reference closure: BFS over elements, then every generator column
+    recomputed by a second pass, then the columns composed per element
+    along its BFS word and transposed entry by entry."""
+    gens = [tuple(g) for g in generators]
+    ident = tuple(range(degree))
+    elems, index = [ident], {ident: 0}
+    i = 0
+    while i < len(elems):
+        current = elems[i]
+        i += 1
+        for g in gens:
+            product = tuple(g[current[pt]] for pt in range(degree))
+            if product not in index:
+                index[product] = len(elems)
+                elems.append(product)
+    n = len(elems)
+    gen_cols = [[index[tuple(g[e[pt]] for pt in range(degree))] for e in elems] for g in gens]
+    cols = [None] * n
+    cols[0] = list(range(n))
+    queue = [0]
+    for b in queue:
+        for gen_col in gen_cols:
+            target = gen_col[b]
+            if cols[target] is None:
+                cols[target] = [gen_col[v] for v in cols[b]]
+                queue.append(target)
+    return tuple(tuple(cols[b][a] for b in range(n)) for a in range(n))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builders.symmetric(4), lambda: builders.alternating(5),
+    lambda: builders.psl2(7), lambda: builders.pgl2(7), lambda: builders.alternating(6),
+], ids=["S4", "A5", "L2(7)", "PGL2(7)", "A6"])
+def test_permutation_closure_equals_reference(build, monkeypatch):
+    calls = []
+
+    def recording(generators, degree, cap, name=None):
+        calls.append(([list(g) for g in generators], degree))
+        return from_permutation_generators(generators, degree, cap, name=name)
+
+    monkeypatch.setattr(builders, "from_permutation_generators", recording)
+    group = build()
+    (generators, degree), = calls
+    assert group.table == _reference_permutation_table(generators, degree)
 
 
 # ---------------------------------------------------------------------------
