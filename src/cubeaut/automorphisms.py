@@ -16,8 +16,10 @@ representative b per coset, the lexicographically least image tuple;
 |Aut(G)| is their number times [G : Z(G)], and the members of the coset
 of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
 built by table lookup, and sorted, only when a caller asks for
-``AutomorphismGroup.members``; an inner automorphism composed with a
-verified automorphism is one, so no member is re-checked. The
+``AutomorphismGroup.members``; ``member_at(k)`` ranks the members by
+their images of 1..L, L the largest generator, and builds only the k-th.
+An inner automorphism composed with a verified automorphism is one, so
+no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
 {b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``).
 
@@ -189,7 +191,8 @@ class AutomorphismGroup:
     ``representatives`` holds the image arrays of the representatives b.
     The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
     transversal of Z(G), so ``order`` needs no member. ``members``
-    expands every coset, in canonical (image-array) order, on first use.
+    expands every coset, in canonical (image-array) order, on first use;
+    ``member_at(k)`` builds only the k-th of them.
     """
 
     base: FiniteGroup
@@ -231,6 +234,30 @@ class AutomorphismGroup:
             arrays.extend(tuple(map(lookup, images)) for images in self.representatives)
         arrays.sort()
         return tuple(GroupMap(self.base, self.base, images) for images in arrays)
+
+    def member_at(self, k: int) -> GroupMap:
+        """``members[k]``, built alone: the other members are ranked but
+        not built."""
+        rep, coset = self._ranks[k]
+        return GroupMap(self.base, self.base, self.member_images(rep, coset))
+
+    @cached_property
+    def _ranks(self) -> tuple:
+        """(rep, coset) of every member, in the order of ``members``.
+
+        {1..L}, L the largest generator, holds a generating set, so two
+        members that agree on 1..L are equal and the image prefixes over
+        1..L sort the members as their whole image arrays do. The loop
+        runs t-major, so one conjugation array is alive at a time."""
+        last = max(self.generating_set, default=0)
+        heads = [images[1:last + 1] for images in self.representatives]
+        keyed = []
+        for coset, t in enumerate(self.transversal):
+            lookup = _conjugation(self.base, t).__getitem__
+            keyed.extend((tuple(map(lookup, head)), rep, coset)
+                         for rep, head in enumerate(heads))
+        keyed.sort()
+        return tuple((rep, coset) for _, rep, coset in keyed)
 
     def __iter__(self):
         return iter(self.members)

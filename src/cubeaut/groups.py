@@ -158,15 +158,22 @@ class FiniteGroup:
 
     # -- subgroups ----------------------------------------------------------
 
+    def _check_element(self, x) -> None:
+        """Raise NotASubgroup unless x is an int naming an element: a
+        bool, float, str or out-of-range index is refused, not converted."""
+        if type(x) is not int or not 0 <= x < self.order:
+            raise NotASubgroup(f"{x!r} is not an element index in 0..{self.order - 1}")
+
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
         """Validate an element list as a subgroup and wrap it."""
-        elems = sorted(set(int(e) for e in elements))
+        elements = list(elements)
+        for x in elements:
+            self._check_element(x)
+        elems = sorted(set(elements))
         if not elems or elems[0] != 0:
             raise NotASubgroup("subgroup must contain the identity 0")
         inside = set(elems)
         for a in elems:
-            if a < 0 or a >= self.order:
-                raise NotASubgroup(f"element {a} out of range")
             if self.inv(a) not in inside:
                 raise NotASubgroup(f"inverse of {a} missing")
             for b in elems:
@@ -214,7 +221,8 @@ class FiniteGroup:
             for x in target.elements:
                 mask &= self.commuting_masks[x]
         else:
-            mask = self.commuting_masks[int(target)]
+            self._check_element(target)
+            mask = self.commuting_masks[target]
         members = [a for a in self.elements() if (mask >> a) & 1]
         return Subgroup(self, tuple(members))
 
@@ -429,22 +437,31 @@ class FiniteGroup:
 
     @cached_property
     def normal_subgroups(self) -> tuple:
-        """All normal subgroups, as joins of element normal closures."""
+        """All normal subgroups, as joins of element normal closures.
+
+        The join of normal subgroups N and M is the product NM, the union
+        of the cosets Nm for m in M, so it is built coset by coset."""
         base = []
         seen = set()
         for cls in self.conjugacy_classes:
-            closure = frozenset(self.closure(cls))
+            closure = frozenset(self._normal_closure(cls[:1])[0])
             if closure not in seen:
                 seen.add(closure)
                 base.append(closure)
+        table = self.table
         lattice = {frozenset({0})}
         queue = [frozenset({0})]
         while queue:
             current = queue.pop()
+            rows = [table[x] for x in current]
             for b in base:
                 if b <= current:
                     continue
-                joined = frozenset(self.closure(current | b))
+                joined = set(current)
+                for m in b:
+                    if m not in joined:
+                        joined.update(map(itemgetter(m), rows))
+                joined = frozenset(joined)
                 if joined not in lattice:
                     lattice.add(joined)
                     queue.append(joined)

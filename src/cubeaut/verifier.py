@@ -107,6 +107,10 @@ class GroupContext:
                 mask |= 1 << p
             cyclic.setdefault(mask, powers)
         self.cyclic_subgroups = tuple(sorted(cyclic.items(), key=lambda kv: kv[1]))
+        # (trace, modulus) -> per equation of DEFAULT_EQUATIONS, whether the
+        # trace has a nontrivial solution; traces repeat across x and maps
+        self.trace_solutions: dict = {}
+        self.trace_solves = 0
 
     @cached_property
     def normal_cosets(self) -> tuple:
@@ -328,9 +332,16 @@ def _check_trace_avoidance(ctx: GroupContext, img, members, mask, accs):
             if raw != len(residues) * cent:
                 raise InternalCheckFailed("trace is not a union of centralizer cosets")
             residue_list = sorted(residues)
-            for eq_index, eq in enumerate(DEFAULT_EQUATIONS):
-                acc.instances += 1
-                if find_nontrivial_solution(residue_list, m, eq) is not None:
+            key = (tuple(residue_list), m)
+            solved = ctx.trace_solutions.get(key)
+            if solved is None:
+                solved = tuple(find_nontrivial_solution(residue_list, m, eq) is not None
+                               for eq in DEFAULT_EQUATIONS)
+                ctx.trace_solutions[key] = solved
+                ctx.trace_solves += len(solved)
+            acc.instances += len(solved)
+            for eq_index, hit in enumerate(solved):
+                if hit:
                     _record(acc, ctx, img, "trace_avoidance",
                             {"subgroup": list(powers), "x": x, "modulus": m,
                              "trace": residue_list, "equation": eq_index})
@@ -527,18 +538,15 @@ def _property_task(task: dict) -> dict:
     ctx = GroupContext(group, task["name"])
     auts = automorphism_group(group, **task["cache"])
     accs = {name: _Acc() for name in CHECK_IDS}
-    pairs = 0
     if task["kind"] == "exhaustive":
-        for member in auts.members:
-            pairs += 1
-            _run_all_checks(ctx, member.images, accs)
+        members = auts.members
     else:
-        for draw in task["draws"]:
-            member = auts.members[draw % auts.order]
-            pairs += 1
-            _run_all_checks(ctx, member.images, accs)
+        members = [auts.member_at(draw % auts.order) for draw in task["draws"]]
+    for member in members:
+        _run_all_checks(ctx, member.images, accs)
     return {
-        "pairs": pairs,
+        "pairs": len(members),
+        "trace_solves": ctx.trace_solves,
         "checks": {name: {"instances": acc.instances, "failures": acc.failures,
                           "skipped": acc.skipped}
                    for name, acc in accs.items()},
@@ -565,6 +573,12 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     Exhaustive: all automorphisms of all catalog groups of order at
     most ``exhaustive_cap``. Sampled: ``sample_count`` draws of
     (group, automorphism) with group order in [sample_min, sample_max].
+    A draw builds only its own automorphism (``member_at``).
+
+    The ``stats`` block holds two work counters: ``members_built``, the
+    automorphisms built (every member of an exhaustive group, one per
+    draw, so one per pair), and ``trace_solves``, the calls of the
+    equation solver (each group solves a distinct trace once).
     """
     started = time.monotonic()
     if sample_count < 0:
@@ -611,6 +625,8 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
             report.failures.extend(part["failures"])
             report.skipped += part["skipped"]
         reports.append(report)
+    stats = {"members_built": exhaustive_pairs + sampled_pairs,
+             "trace_solves": sum(r["trace_solves"] for r in results)}
     elapsed = int((time.monotonic() - started) * 1000)
     for report in reports:
         report.elapsed_ms = elapsed
@@ -620,6 +636,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
         "scope": scope,
         "checks": [r.to_json() for r in reports],
         "pass": all(not r.failures for r in reports),
+        "stats": stats,
         "elapsed_ms": elapsed,
     }
 

@@ -304,6 +304,22 @@ def test_inner_automorphisms_inside_aut():
         assert auts.order % len(inner) == 0
 
 
+def test_member_at_equals_members():
+    """member_at(k) is members[k] for every k, built without the rest: on
+    every catalog group of order <= 64 (Z1 among them) and A5, L2(7), A6,
+    L2(9), where [G : Z(G)] > 1 makes the ranks interleave cosets."""
+    from cubeaut.catalog import built_in_catalog
+    catalog = built_in_catalog()
+    groups = [*catalog.groups(order_cap=64),
+              *((name, catalog.build(name)) for name in ("A5", "L2(7)", "A6", "L2(9)"))]
+    assert "Z1" in dict(groups)
+    for name, group in groups:
+        auts = enumerate_automorphisms(group)
+        drawn = [auts.member_at(k) for k in range(auts.order)]
+        assert "members" not in vars(auts), name
+        assert drawn == list(auts.members), name
+
+
 def test_every_member_is_verified_automorphism():
     g = builders.dihedral(6)
     auts = enumerate_automorphisms(g)

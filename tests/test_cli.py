@@ -419,6 +419,15 @@ def test_jobs_do_not_change_reports(capsys, cache_dir):
     assert strip_elapsed(payload1) == strip_elapsed(payload4)
 
 
+def test_properties_stats_do_not_depend_on_jobs(capsys, cache_dir):
+    args = ["--cache-dir", str(cache_dir), "--seed", "3", "verify", "properties",
+            "--order-cap", "10", "--samples", "12", "--sample-max", "48"]
+    stats = [run_json(capsys, "--jobs", jobs, *args)[1]["stats"] for jobs in ("1", "4")]
+    assert stats[0] == stats[1]
+    assert stats[0]["trace_solves"] > 0
+    assert set(stats[0]) == {"members_built", "trace_solves"}
+
+
 def test_no_subcommand_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -652,6 +653,61 @@ def test_normal_subgroups():
     assert orders == [1, 4, 12, 24]
     a5 = builders.alternating(5)
     assert sorted(s.order for s in a5.normal_subgroups) == [1, 60]
+
+
+def _closure_join_lattice(group):
+    """Normal subgroups as sorted element tuples, each base subgroup the
+    closure of a whole conjugacy class and each join the closure of the
+    union of two element sets."""
+    base = []
+    for cls in group.conjugacy_classes:
+        closure = frozenset(group.closure(cls))
+        if closure not in base:
+            base.append(closure)
+    lattice = {frozenset({0})}
+    queue = [frozenset({0})]
+    while queue:
+        current = queue.pop()
+        for b in base:
+            if b <= current:
+                continue
+            joined = frozenset(group.closure(current | b))
+            if joined not in lattice:
+                lattice.add(joined)
+                queue.append(joined)
+    return sorted((len(s), tuple(sorted(s))) for s in lattice)
+
+
+def test_normal_subgroups_equal_closure_joins():
+    from cubeaut.catalog import built_in_catalog
+    catalog = built_in_catalog()
+    named = ("A5", "S5", "L2(7)", "PGL2(7)", "A6")
+    for name, group in [*catalog.groups(order_cap=64),
+                        *((name, catalog.build(name)) for name in named)]:
+        subs = group.normal_subgroups
+        assert [(s.order, s.elements) for s in subs] == _closure_join_lattice(group), name
+
+
+@pytest.mark.parametrize("elements, bad", [
+    ([0, 2.7], 2.7),
+    ([0, 2.0], 2.0),
+    ([0, True, 2, 3], True),
+    ([0, "2"], "2"),
+    ([0, -2], -2),
+    ([0, 4], 4),
+    ([2, 0, None], None),
+])
+def test_subgroup_refuses_non_indices(elements, bad):
+    """An element is an int in 0..n-1 (bool excluded): anything else is
+    refused by name, never converted, before the list is sorted."""
+    with pytest.raises(NotASubgroup, match=f"^{re.escape(repr(bad))} is not an element"):
+        builders.cyclic(4).subgroup(elements)
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", True, 4, -1])
+def test_centralizer_refuses_non_indices(bad):
+    with pytest.raises(NotASubgroup, match=f"^{re.escape(repr(bad))} is not an element"):
+        builders.cyclic(4).centralizer(bad)
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])

@@ -56,3 +56,23 @@ def test_traced_methods_exist():
     assert ("FiniteGroup", "__init__") in wrapped and ("Catalog", "build") in wrapped
     missing = [f"{cls}.{attr}" for cls, attr in wrapped if attr not in vars(classes[cls])]
     assert not missing, f"perfbench/tracing.py wraps undefined methods: {missing}"
+
+
+def test_no_process_wide_caches():
+    """No functools.lru_cache or functools.cache in the package. Caches
+    live on the object whose data they hold (a cached_property, a dict on
+    a scan's GroupContext), so memory is freed with a scan's groups, and
+    a --jobs worker's report cannot depend on the tasks it ran before."""
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names if alias.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and getattr(node.value, "id", None) == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} functools.{name}" for name in names]
+    assert not found, f"process-wide caches: {found}"

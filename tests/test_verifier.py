@@ -4,7 +4,12 @@ import pytest
 
 from cubeaut import builders, verifier
 from cubeaut import groups as groups_module
-from cubeaut.automorphisms import GroupMap, enumerate_automorphisms, identity_map
+from cubeaut.automorphisms import (
+    AutomorphismGroup,
+    GroupMap,
+    enumerate_automorphisms,
+    identity_map,
+)
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
 from cubeaut.errors import HypothesisNotMet, NotAutomorphism, UnsupportedParameter
@@ -27,9 +32,12 @@ from cubeaut.verifier import (
     verify_solvability_boundary,
     verify_abelian_indices,
     verify_classification,
+    _check_trace_avoidance,
+    _cube_members,
     _run_all_checks,
     _Acc,
 )
+from cubeaut.sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,51 @@ def test_trace_avoidance_public_op_is_the_scan():
             assert report.failures == accs["trace_avoidance"].failures == []
 
 
+def _unmemoized_trace_avoidance(ctx, img, members, mask, acc):
+    """The trace scan with one solver call per (trace, equation) pair."""
+    t = ctx.group.table
+    for sub_mask, powers in ctx.cyclic_subgroups:
+        if sub_mask & ~mask:
+            continue
+        size = len(powers)
+        for x in members:
+            cent = (sub_mask & ctx.comm[x]).bit_count()
+            m = size // cent
+            residue_list = sorted({k % m for k, h in enumerate(powers)
+                                   if (mask >> t[h][x]) & 1})
+            for eq_index, eq in enumerate(DEFAULT_EQUATIONS):
+                acc.instances += 1
+                if find_nontrivial_solution(residue_list, m, eq) is not None:
+                    acc.failures.append({"group": ctx.name, "alpha": list(img),
+                                         "subgroup": list(powers), "x": x, "modulus": m,
+                                         "trace": residue_list, "equation": eq_index})
+
+
+def test_trace_memo_equals_unmemoized_loop():
+    """Over every member of the catalog groups of order <= 24, plus x -> x^3
+    on S3 (not an automorphism). Under it every element is cubed: the
+    three transpositions give A3 the trace {0, 1, 2} mod 3, which solves
+    a + b = 2c, so the second and third are memo hits on a failing trace."""
+    s3 = builders.symmetric(3)
+    cases = [(name, group, [m.images for m in enumerate_automorphisms(group).members])
+             for name, group in built_in_catalog().groups(order_cap=24)]
+    cases.append(("S3 cubing map", s3, [tuple(s3.pow(x, 3) for x in s3.elements())]))
+    for name, group, arrays in cases:
+        ctx = GroupContext(group, name)
+        memo = {"trace_avoidance": _Acc()}
+        plain = _Acc()
+        for img in arrays:
+            members, mask = _cube_members(ctx, img)
+            _check_trace_avoidance(ctx, img, members, mask, memo)
+            _unmemoized_trace_avoidance(ctx, img, members, mask, plain)
+        assert memo["trace_avoidance"].instances == plain.instances, name
+        assert memo["trace_avoidance"].failures == plain.failures, name
+        assert ctx.trace_solves == len(DEFAULT_EQUATIONS) * len(ctx.trace_solutions), name
+    failing = {(tuple(f["trace"]), f["modulus"]) for f in plain.failures}
+    assert ((0, 1, 2), 3) in failing
+    assert len(plain.failures) > len(DEFAULT_EQUATIONS) * len(failing)  # repeats were hits
+
+
 @pytest.mark.parametrize("check", [
     check_quotient_inequality, check_centralizer_cube, check_abba, check_ap,
     check_ap2, check_a2b, check_a3b, check_eltwoab, check_trace_avoidance,
@@ -295,6 +348,27 @@ def test_verify_properties_jobs_match(cache_dir):
         assert left["instances"] == right["instances"]
         assert left["skipped"] == right["skipped"]
         assert left["failures"] == right["failures"]
+
+
+def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
+    """A sampled-only scan draws each automorphism through member_at and
+    reports what indexing the sorted members reports."""
+    kwargs = dict(exhaustive_cap=0, sample_count=30, sample_min=16,
+                  sample_max=64, seed=9, cache_dir=cache_dir)
+    monkeypatch.setattr(AutomorphismGroup, "member_at", lambda self, k: self.members[k])
+    expected = verify_properties(**kwargs)
+    monkeypatch.undo()
+
+    def refuse(self):
+        raise AssertionError("a sampled draw built every member")
+
+    monkeypatch.setattr(AutomorphismGroup, "members", property(refuse))
+    report = verify_properties(**kwargs)
+    assert report["scope"]["exhaustive_pairs"] == 0
+    assert report["stats"]["members_built"] == report["scope"]["sampled_pairs"] == 30
+    assert report["stats"] == expected["stats"]
+    assert [{**c, "elapsed_ms": 0} for c in report["checks"]] \
+        == [{**c, "elapsed_ms": 0} for c in expected["checks"]]
 
 
 def test_verify_classification_small(cache_dir):
