@@ -15,9 +15,9 @@ under conjugation by C_G(h1, ..., h(i-1)). The search finds exactly one
 representative b per coset, the lexicographically least image tuple;
 |Aut(G)| is their number times [G : Z(G)], and the members of the coset
 of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
-built by table lookup, and sorted, only when a caller asks for
-``AutomorphismGroup.members``; ``member_at(k)`` ranks the members by
-their images of 1..L, L the largest generator, and builds only the k-th.
+ranked by their images of 1..L, L the largest generator, and built by
+table lookup only when a caller asks: ``AutomorphismGroup.members``
+places every member at its rank, ``member_at(k)`` builds only the k-th.
 An inner automorphism composed with a verified automorphism is one, so
 no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
@@ -225,15 +225,20 @@ class AutomorphismGroup:
         No member is re-checked: an inner automorphism composed with a
         verified automorphism is one. Distinct representatives lie in
         distinct cosets and distinct t in distinct cosets of Z(G), so the
-        members are distinct. The transversal starts with the identity,
-        whose members are the representatives themselves; the loop runs
-        t-major, so one conjugation array is alive at a time."""
-        arrays = list(self.representatives)
-        for t in self.transversal[1:]:
+        members are distinct. Each is placed at its rank (``_ranks``).
+        The transversal starts with the identity, whose members are the
+        representatives themselves; the loop runs t-major, so one
+        conjugation array is alive at a time."""
+        rank = {pair: k for k, pair in enumerate(self._ranks)}
+        members = [None] * self.order
+        for rep, images in enumerate(self.representatives):
+            members[rank[rep, 0]] = GroupMap(self.base, self.base, images)
+        for coset, t in enumerate(self.transversal[1:], 1):
             lookup = _conjugation(self.base, t).__getitem__
-            arrays.extend(tuple(map(lookup, images)) for images in self.representatives)
-        arrays.sort()
-        return tuple(GroupMap(self.base, self.base, images) for images in arrays)
+            for rep, images in enumerate(self.representatives):
+                members[rank[rep, coset]] = GroupMap(
+                    self.base, self.base, tuple(map(lookup, images)))
+        return tuple(members)
 
     def member_at(self, k: int) -> GroupMap:
         """``members[k]``, built alone: the other members are ranked but

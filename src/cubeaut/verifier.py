@@ -110,7 +110,6 @@ class GroupContext:
         # (trace, modulus) -> per equation of DEFAULT_EQUATIONS, whether the
         # trace has a nontrivial solution; traces repeat across x and maps
         self.trace_solutions: dict = {}
-        self.trace_solves = 0
 
     @cached_property
     def normal_cosets(self) -> tuple:
@@ -338,7 +337,6 @@ def _check_trace_avoidance(ctx: GroupContext, img, members, mask, accs):
                 solved = tuple(find_nontrivial_solution(residue_list, m, eq) is not None
                                for eq in DEFAULT_EQUATIONS)
                 ctx.trace_solutions[key] = solved
-                ctx.trace_solves += len(solved)
             acc.instances += len(solved)
             for eq_index, hit in enumerate(solved):
                 if hit:
@@ -540,13 +538,19 @@ def _property_task(task: dict) -> dict:
     accs = {name: _Acc() for name in CHECK_IDS}
     if task["kind"] == "exhaustive":
         members = auts.members
+        drawn = 0
     else:
         members = [auts.member_at(draw % auts.order) for draw in task["draws"]]
+        drawn = len(members)
     for member in members:
         _run_all_checks(ctx, member.images, accs)
     return {
         "pairs": len(members),
-        "trace_solves": ctx.trace_solves,
+        # the expanded members, if this task's Aut(G) built them, and the draws
+        "members_built": len(vars(auts).get("members", ())) + drawn,
+        # one per distinct trace and equation, one per failure's re-check
+        "trace_solves": (len(ctx.trace_solutions) * len(DEFAULT_EQUATIONS)
+                         + len(accs["trace_avoidance"].failures)),
         "checks": {name: {"instances": acc.instances, "failures": acc.failures,
                           "skipped": acc.skipped}
                    for name, acc in accs.items()},
@@ -576,9 +580,11 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     A draw builds only its own automorphism (``member_at``).
 
     The ``stats`` block holds two work counters: ``members_built``, the
-    automorphisms built (every member of an exhaustive group, one per
-    draw, so one per pair), and ``trace_solves``, the calls of the
-    equation solver (each group solves a distinct trace once).
+    automorphisms built (the expanded ``members`` of every group whose
+    task built them, plus one per draw), and ``trace_solves``, the calls
+    of the equation solver (each group solves a distinct trace once per
+    equation; a recorded failure is solved once more, when it is
+    re-checked).
     """
     started = time.monotonic()
     if sample_count < 0:
@@ -625,7 +631,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
             report.failures.extend(part["failures"])
             report.skipped += part["skipped"]
         reports.append(report)
-    stats = {"members_built": exhaustive_pairs + sampled_pairs,
+    stats = {"members_built": sum(r["members_built"] for r in results),
              "trace_solves": sum(r["trace_solves"] for r in results)}
     elapsed = int((time.monotonic() - started) * 1000)
     for report in reports:

@@ -304,10 +304,22 @@ def test_inner_automorphisms_inside_aut():
         assert auts.order % len(inner) == 0
 
 
+def _sorted_member_arrays(auts) -> list:
+    """Every member x -> t^-1 b(x) t as a full image array, sorted: the
+    order ``members`` had before members were placed by rank."""
+    group = auts.base
+    arrays = []
+    for t in auts.transversal:
+        conj = [group.conjugate(x, t) for x in group.elements()]
+        arrays.extend(tuple(conj[y] for y in images) for images in auts.representatives)
+    return sorted(arrays)
+
+
 def test_member_at_equals_members():
-    """member_at(k) is members[k] for every k, built without the rest: on
-    every catalog group of order <= 64 (Z1 among them) and A5, L2(7), A6,
-    L2(9), where [G : Z(G)] > 1 makes the ranks interleave cosets."""
+    """member_at(k) and members[k] are the k-th of the fully sorted image
+    arrays, for every k, and member_at builds no other member: on every
+    catalog group of order <= 64 (Z1 among them) and A5, L2(7), A6, L2(9),
+    where [G : Z(G)] > 1 makes the ranks interleave cosets."""
     from cubeaut.catalog import built_in_catalog
     catalog = built_in_catalog()
     groups = [*catalog.groups(order_cap=64),
@@ -315,9 +327,11 @@ def test_member_at_equals_members():
     assert "Z1" in dict(groups)
     for name, group in groups:
         auts = enumerate_automorphisms(group)
-        drawn = [auts.member_at(k) for k in range(auts.order)]
+        expected = _sorted_member_arrays(auts)
+        drawn = [auts.member_at(k).images for k in range(auts.order)]
         assert "members" not in vars(auts), name
-        assert drawn == list(auts.members), name
+        assert drawn == expected, name
+        assert [m.images for m in auts.members] == expected, name
 
 
 def test_every_member_is_verified_automorphism():
