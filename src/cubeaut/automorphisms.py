@@ -16,8 +16,8 @@ representative b per coset, the lexicographically least image tuple;
 |Aut(G)| is their number times [G : Z(G)], and the members of the coset
 of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
 ranked by their images of 1..L, L the largest generator, and built by
-table lookup only when a caller asks: ``AutomorphismGroup.members``
-places every member at its rank, ``member_at(k)`` builds only the k-th.
+table lookup only when a caller asks: ``AutomorphismGroup.member_at(k)``
+builds only the k-th, and ``members`` is ``member_at`` over every rank.
 An inner automorphism composed with a verified automorphism is one, so
 no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
@@ -143,13 +143,19 @@ def invert(m: GroupMap) -> GroupMap:
     return GroupMap(m.target, m.source, tuple(inverse))
 
 
-def restrict(m: GroupMap, sub: Subgroup) -> GroupMap:
-    """Restriction of m to an invariant subgroup, on the subgroup-as-group."""
+def _check_invariant(m: GroupMap, sub: Subgroup) -> None:
+    """Raise NotInvariant unless sub is a subgroup of m's source that m
+    maps onto itself; the images are checked to be elements first."""
     if m.source is not sub.parent:
         raise NotInvariant("subgroup belongs to a different group")
-    image_set = {m.images[x] for x in sub.elements}
-    if image_set != set(sub.elements):
+    m._check_images()
+    if {m.images[x] for x in sub.elements} != set(sub.elements):
         raise NotInvariant("subgroup is not mapped onto itself")
+
+
+def restrict(m: GroupMap, sub: Subgroup) -> GroupMap:
+    """Restriction of m to an invariant subgroup, on the subgroup-as-group."""
+    _check_invariant(m, sub)
     sgrp, embed = sub.as_group()
     back = {g: i for i, g in enumerate(embed)}
     return GroupMap(sgrp, sgrp, tuple(back[m.images[g]] for g in embed))
@@ -162,11 +168,7 @@ def induced_on_quotient(m: GroupMap, normal: Subgroup,
     ``quotient_pair`` may carry a precomputed (quotient, projection) for
     reuse across many maps.
     """
-    if m.source is not normal.parent:
-        raise NotInvariant("subgroup belongs to a different group")
-    m._check_images()
-    if {m.images[x] for x in normal.elements} != set(normal.elements):
-        raise NotInvariant("subgroup is not mapped onto itself")
+    _check_invariant(m, normal)
     if quotient_pair is None:
         quotient_pair = m.source.quotient(normal)
     qgrp, proj = quotient_pair
@@ -190,9 +192,9 @@ class AutomorphismGroup:
 
     ``representatives`` holds the image arrays of the representatives b.
     The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
-    transversal of Z(G), so ``order`` needs no member. ``members``
-    expands every coset, in canonical (image-array) order, on first use;
-    ``member_at(k)`` builds only the k-th of them.
+    transversal of Z(G), so ``order`` needs no member. ``member_at(k)``
+    builds the k-th member in canonical (image-array) order alone;
+    ``members`` is ``member_at`` over every rank, built on first use.
     """
 
     base: FiniteGroup
@@ -214,31 +216,21 @@ class AutomorphismGroup:
 
     def member_images(self, rep: int, coset: int) -> tuple:
         """The image array of x -> t^-1 b(x) t, for b the ``rep``-th
-        representative and t the ``coset``-th transversal element."""
+        representative and t the ``coset``-th transversal element. The
+        transversal starts with the identity, so coset 0 is b's own
+        tuple."""
+        if coset == 0:
+            return self.representatives[rep]
         return tuple(map(_conjugation(self.base, self.transversal[coset]).__getitem__,
                          self.representatives[rep]))
 
     @cached_property
     def members(self) -> tuple:
-        """Every automorphism, sorted by image array.
-
-        No member is re-checked: an inner automorphism composed with a
-        verified automorphism is one. Distinct representatives lie in
-        distinct cosets and distinct t in distinct cosets of Z(G), so the
-        members are distinct. Each is placed at its rank (``_ranks``).
-        The transversal starts with the identity, whose members are the
-        representatives themselves; the loop runs t-major, so one
-        conjugation array is alive at a time."""
-        rank = {pair: k for k, pair in enumerate(self._ranks)}
-        members = [None] * self.order
-        for rep, images in enumerate(self.representatives):
-            members[rank[rep, 0]] = GroupMap(self.base, self.base, images)
-        for coset, t in enumerate(self.transversal[1:], 1):
-            lookup = _conjugation(self.base, t).__getitem__
-            for rep, images in enumerate(self.representatives):
-                members[rank[rep, coset]] = GroupMap(
-                    self.base, self.base, tuple(map(lookup, images)))
-        return tuple(members)
+        """Every automorphism, sorted by image array: ``member_at`` over
+        every rank. Distinct representatives lie in distinct cosets and
+        distinct t in distinct cosets of Z(G), so the members are
+        distinct."""
+        return tuple(map(self.member_at, range(self.order)))
 
     def member_at(self, k: int) -> GroupMap:
         """``members[k]``, built alone: the other members are ranked but

@@ -116,6 +116,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product; element a*|H| + b encodes the pair (a, b)."""
     hn = h.order
     order = g.order * hn
+    _check_order(order)
     table = [[0] * order for _ in range(order)]
     for a1 in range(g.order):
         grow = g.table[a1]
@@ -141,6 +142,7 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     with action[k1*k2] = action[k1] after action[k2], matching the
     product (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 h2).
     """
+    _check_order(n.order * h.order)
     if len(action) != h.order:
         raise UnsupportedParameter("need one automorphism of N per element of H")
     maps = [tuple(m) for m in action]

@@ -63,14 +63,6 @@ class CapExceeded(CubeautError):
         super().__init__(f"{message} (found {found} so far)")
 
 
-class BudgetExceeded(CubeautError):
-    """A search exhausted its node budget before proving optimality."""
-
-    def __init__(self, message: str, best: int):
-        self.best = best
-        super().__init__(f"{message} (best bound so far: {best})")
-
-
 # ---------------------------------------------------------------------------
 # Subgroup / quotient structure
 

@@ -1,14 +1,17 @@
 """Property verification over concrete (group, automorphism) instances.
 
 Each check asserts a commutation or counting statement over every pair
-or coset meeting its hypothesis; a failing instance is re-validated
-from the raw multiplication table before it is reported, and a
-non-revalidating failure aborts the run as an internal bug.
+or coset meeting its hypothesis and accumulates into a ``CheckReport``.
+A failing instance enters a report only through ``_record``, which
+re-validates it from the raw multiplication table first; a
+non-revalidating failure aborts the run as an internal bug. The public
+single-instance checks run the same checkers on one pair.
 
 Scans run exhaustively over all automorphisms of all catalog groups up
-to a small order cap, plus a seeded sample of larger instances. The
-sample list is derived once from the seed, so reports are identical at
-any worker count.
+to a small order cap, plus a seeded sample of larger instances; each
+pair builds only its own automorphism (``AutomorphismGroup.member_at``).
+The sample list is derived once from the seed, so reports are identical
+at any worker count.
 """
 
 from __future__ import annotations
@@ -22,12 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .automorphisms import (
-    GroupMap,
-    automorphism_group,
-    check_automorphism,
-    induced_on_quotient,
-)
+from .automorphisms import GroupMap, _check_invariant, automorphism_group, check_automorphism
 from .catalog import Catalog, built_in_catalog
 from .cubing import (
     HALF,
@@ -38,7 +36,13 @@ from .cubing import (
     ratio_json,
     Kind,
 )
-from .errors import HypothesisNotMet, InternalCheckFailed, UnsupportedParameter
+from .errors import (
+    HypothesisNotMet,
+    InternalCheckFailed,
+    NotAutomorphism,
+    NotNormal,
+    UnsupportedParameter,
+)
 from .groups import FiniteGroup, max_abelian_subgroup_order
 from .sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
@@ -185,10 +189,19 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
                  if proj[img[reps[c]]] == qgrp.pow(c, 3))
         return t_count * qgrp.order > tq * group.order
     if check == "trace_avoidance":
-        residues, modulus, eq_index = (witness["trace"], witness["modulus"],
-                                       witness["equation"])
-        return find_nontrivial_solution(
-            residues, modulus, DEFAULT_EQUATIONS[eq_index]) is not None
+        # H must be <h> listed as h^0, h^1, ..., and the trace is re-derived
+        h_elems, x, modulus = witness["subgroup"], witness["x"], witness["modulus"]
+        h = h_elems[1] if len(h_elems) > 1 else 0
+        powers = [0]
+        while t[powers[-1]][h] != 0:
+            powers.append(t[powers[-1]][h])
+        if h_elems != powers or not (all(in_cube(u) for u in h_elems) and in_cube(x)):
+            return False
+        if len(h_elems) // sum(1 for u in h_elems if t[u][x] == t[x][u]) != modulus:
+            return False
+        residues = sorted({k % modulus for k, u in enumerate(h_elems) if in_cube(t[u][x])})
+        return residues == witness["trace"] and find_nontrivial_solution(
+            residues, modulus, DEFAULT_EQUATIONS[witness["equation"]]) is not None
     if check == "coset_bound_half":
         h_elems = witness["subgroup"]
         cube = {g for g in range(group.order) if in_cube(g)}
@@ -203,18 +216,8 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
     raise ValueError(f"unknown check id {check!r}")
 
 
-class _Acc:
-    """Accumulator for one check over many (group, map) instances."""
-
-    __slots__ = ("instances", "failures", "skipped")
-
-    def __init__(self):
-        self.instances = 0
-        self.failures = []
-        self.skipped = 0
-
-
-def _record(acc: _Acc, ctx: GroupContext, img, check: str, witness: dict):
+def _record(acc: CheckReport, ctx: GroupContext, img, check: str, witness: dict):
+    """The one way a failure enters a report: after it re-validates."""
     if not revalidate(ctx.group, img, check, witness):
         raise InternalCheckFailed(
             f"non-revalidating counterexample for {check} on {ctx.name}: {witness}")
@@ -430,39 +433,37 @@ def _run_all_checks(ctx: GroupContext, img, accs: dict):
 # Public single-instance checks (the bulk checkers on one pair)
 
 
-def _single_report(group: FiniteGroup, alpha: GroupMap, check: str) -> CheckReport:
+def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
+                   ctx: Optional[GroupContext] = None,
+                   scope: Optional[dict] = None) -> CheckReport:
     started = time.monotonic()
+    if alpha.source is not group:
+        raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
-    ctx = GroupContext(group, group.name or "group")
-    accs = {name: _Acc() for name in CHECK_IDS}
+    ctx = ctx or GroupContext(group, group.name or "group")
+    reports = {name: CheckReport(name) for name in CHECK_IDS}
     members, mask = _cube_members(ctx, alpha.images)
-    _CHECKERS[check](ctx, alpha.images, members, mask, accs)
-    acc = accs[check]
-    report = CheckReport(check, acc.instances, acc.failures, acc.skipped,
-                         scope={"group": group.name, "order": group.order})
+    _CHECKERS[check](ctx, alpha.images, members, mask, reports)
+    report = reports[check]
+    report.scope = scope or {"group": group.name, "order": group.order}
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     return report
 
 
 def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
                               normal=None) -> CheckReport:
-    """Cube ratio of G never exceeds that of any invariant factor group."""
-    if normal is not None:
-        started = time.monotonic()
-        pair = group.quotient(normal)
-        induced = induced_on_quotient(alpha, normal, pair)
-        whole = cube_set(group, alpha).ratio
-        factor = cube_set(pair[0], induced).ratio
-        report = CheckReport("quotient_ratio_monotone", 1,
-                             scope={"group": group.name, "normal": list(normal.elements)})
-        if whole > factor:
-            report.failures.append({
-                "group": group.name, "alpha": list(alpha.images),
-                "normal": list(normal.elements),
-            })
-        report.elapsed_ms = int((time.monotonic() - started) * 1000)
-        return report
-    return _single_report(group, alpha, "quotient_ratio_monotone")
+    """Cube ratio of G never exceeds that of any invariant factor group:
+    every one, or only G/``normal``. The single N runs the scan's check
+    on a context whose only normal subgroup is N."""
+    if normal is None:
+        return _single_report(group, alpha, "quotient_ratio_monotone")
+    if not group.is_normal(normal):
+        raise NotNormal(f"subgroup of order {normal.order} is not normal")
+    _check_invariant(alpha, normal)
+    ctx = GroupContext(group, group.name or "group")
+    ctx.normal_cosets = ((normal._element_set, group.right_cosets(normal)[0]),)
+    return _single_report(group, alpha, "quotient_ratio_monotone", ctx,
+                          {"group": group.name, "normal": list(normal.elements)})
 
 
 def check_centralizer_cube(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
@@ -532,28 +533,24 @@ def _task(cat: Catalog, name: str, cache_dir, use_cache: bool, rebuild: bool,
 
 
 def _property_task(task: dict) -> dict:
+    """Every check over the task's automorphisms, one built at a time:
+    all ranks of an exhaustive task, the drawn ranks of a sampled one."""
     group = task["group"]
     ctx = GroupContext(group, task["name"])
     auts = automorphism_group(group, **task["cache"])
-    accs = {name: _Acc() for name in CHECK_IDS}
+    reports = {name: CheckReport(name) for name in CHECK_IDS}
     if task["kind"] == "exhaustive":
-        members = auts.members
-        drawn = 0
+        ranks = range(auts.order)
     else:
-        members = [auts.member_at(draw % auts.order) for draw in task["draws"]]
-        drawn = len(members)
-    for member in members:
-        _run_all_checks(ctx, member.images, accs)
+        ranks = [draw % auts.order for draw in task["draws"]]
+    for k in ranks:
+        _run_all_checks(ctx, auts.member_at(k).images, reports)
     return {
-        "pairs": len(members),
-        # the expanded members, if this task's Aut(G) built them, and the draws
-        "members_built": len(vars(auts).get("members", ())) + drawn,
+        "pairs": len(ranks),
         # one per distinct trace and equation, one per failure's re-check
         "trace_solves": (len(ctx.trace_solutions) * len(DEFAULT_EQUATIONS)
-                         + len(accs["trace_avoidance"].failures)),
-        "checks": {name: {"instances": acc.instances, "failures": acc.failures,
-                          "skipped": acc.skipped}
-                   for name, acc in accs.items()},
+                         + len(reports["trace_avoidance"].failures)),
+        "checks": reports,
     }
 
 
@@ -577,14 +574,12 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     Exhaustive: all automorphisms of all catalog groups of order at
     most ``exhaustive_cap``. Sampled: ``sample_count`` draws of
     (group, automorphism) with group order in [sample_min, sample_max].
-    A draw builds only its own automorphism (``member_at``).
+    Each pair builds only its own automorphism (``member_at``).
 
-    The ``stats`` block holds two work counters: ``members_built``, the
-    automorphisms built (the expanded ``members`` of every group whose
-    task built them, plus one per draw), and ``trace_solves``, the calls
-    of the equation solver (each group solves a distinct trace once per
-    equation; a recorded failure is solved once more, when it is
-    re-checked).
+    The ``stats`` block holds one work counter, ``trace_solves``: the
+    calls of the equation solver (each group solves a distinct trace
+    once per equation; a recorded failure is solved once more, when it
+    is re-checked).
     """
     started = time.monotonic()
     if sample_count < 0:
@@ -627,12 +622,11 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
         report = CheckReport(name, scope=dict(scope), seed=seed)
         for result in results:
             part = result["checks"][name]
-            report.instances += part["instances"]
-            report.failures.extend(part["failures"])
-            report.skipped += part["skipped"]
+            report.instances += part.instances
+            report.failures.extend(part.failures)
+            report.skipped += part.skipped
         reports.append(report)
-    stats = {"members_built": sum(r["members_built"] for r in results),
-             "trace_solves": sum(r["trace_solves"] for r in results)}
+    stats = {"trace_solves": sum(r["trace_solves"] for r in results)}
     elapsed = int((time.monotonic() - started) * 1000)
     for report in reports:
         report.elapsed_ms = elapsed
@@ -852,8 +846,8 @@ def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
         ctx = GroupContext(group, name)
         auts = automorphism_group(group, cache_dir=cache_dir,
                                   use_cache=use_cache, rebuild=rebuild)
-        for member in auts.members:
-            img = member.images
+        for k in range(auts.order):
+            img = auts.member_at(k).images
             members, mask = _cube_members(ctx, img)
             witness, pairs = pattern_witness(group, members, mask, n)
             pairs_scanned += pairs

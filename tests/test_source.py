@@ -76,3 +76,22 @@ def test_no_process_wide_caches():
                 continue
             found += [f"{path.name}:{node.lineno} functools.{name}" for name in names]
     assert not found, f"process-wide caches: {found}"
+
+
+def test_failures_recorded_only_through_record():
+    """In verifier.py a failure enters a report only through _record,
+    which re-validates it from the raw table first: no other code calls
+    ``<expr>.failures.append``."""
+    tree = ast.parse((ROOT / "src" / "cubeaut" / "verifier.py").read_text(encoding="utf-8"))
+
+    def appends(node):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "append" and isinstance(n.func.value, ast.Attribute)
+                and n.func.value.attr == "failures"}
+
+    inside = set().union(*(appends(node) for node in ast.walk(tree)
+                           if isinstance(node, ast.FunctionDef) and node.name == "_record"))
+    outside = sorted(appends(tree) - inside)
+    assert inside, "_record no longer appends a failure"
+    assert not outside, f"failures appended outside _record at lines {outside}"

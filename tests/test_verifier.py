@@ -9,10 +9,17 @@ from cubeaut.automorphisms import (
     GroupMap,
     enumerate_automorphisms,
     identity_map,
+    induced_on_quotient,
 )
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
-from cubeaut.errors import HypothesisNotMet, NotAutomorphism, UnsupportedParameter
+from cubeaut.errors import (
+    HypothesisNotMet,
+    NotAutomorphism,
+    NotInvariant,
+    NotNormal,
+    UnsupportedParameter,
+)
 from cubeaut.verifier import (
     CHECK_IDS,
     GroupContext,
@@ -35,7 +42,7 @@ from cubeaut.verifier import (
     _check_trace_avoidance,
     _cube_members,
     _run_all_checks,
-    _Acc,
+    CheckReport,
 )
 from cubeaut.sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
@@ -87,7 +94,7 @@ def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
         for alpha in enumerate_automorphisms(group).members:
             img = alpha.images
             recorded.clear()
-            acc = _Acc()
+            acc = CheckReport("quotient_ratio_monotone")
             verifier._check_quotient_monotone(ctx, img, everything, None,
                                               {"quotient_ratio_monotone": acc})
             below += len(recorded)
@@ -102,6 +109,48 @@ def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
                 assert counts.get(sub.elements, qgrp.order) == expected, name
             assert acc.instances == invariant, name
     assert below > 0
+
+
+def test_single_normal_check_equals_quotient_table():
+    """check_quotient_inequality on one N fails exactly when the cube
+    ratio of G exceeds that of the induced map on the quotient table G/N,
+    over every alpha and every alpha-invariant normal N of the catalog
+    groups of order <= 24."""
+    checked = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        quotients = [(sub, group.quotient(sub)) for sub in group.normal_subgroups]
+        for alpha in enumerate_automorphisms(group).members:
+            whole = cube_set(group, alpha).ratio
+            for sub, pair in quotients:
+                if {alpha(x) for x in sub.elements} != set(sub.elements):
+                    continue
+                factor = cube_set(pair[0], induced_on_quotient(alpha, sub, pair)).ratio
+                report = check_quotient_inequality(group, alpha, sub)
+                assert report.instances == 1, name
+                assert bool(report.failures) == (whole > factor), name
+                assert report.scope == {"group": group.name, "normal": list(sub.elements)}
+                checked += 1
+    assert checked > 1908  # more than one N per exhaustive pair
+
+
+@pytest.mark.parametrize("fault", ["not normal", "not invariant", "not automorphism"])
+@pytest.mark.parametrize("build", [lambda: builders.symmetric(3),
+                                   lambda: builders.symmetric(4)], ids=["S3", "S4"])
+def test_single_normal_check_refuses_each_fault(build, fault):
+    g = build()
+    derived = g.derived_subgroup  # A3 or A4, characteristic
+    a = next(x for x in g.elements() if x not in derived)
+    c = next(x for x in derived.elements if x)
+    images = list(g.elements())
+    images[a], images[c] = c, a
+    swap = GroupMap(g, g, tuple(images))  # moves the derived subgroup: no automorphism
+    alpha, normal, error = {
+        "not normal": (identity_map(g), g.sylow(2), NotNormal),
+        "not invariant": (swap, derived, NotInvariant),
+        "not automorphism": (swap, g.subgroup(g.elements()), NotAutomorphism),
+    }[fault]
+    with pytest.raises(error):
+        check_quotient_inequality(g, alpha, normal)
 
 
 def test_normal_cosets_and_sylow_build_no_table(monkeypatch):
@@ -189,7 +238,7 @@ def test_trace_avoidance_public_op_is_the_scan():
     for build in (lambda: builders.symmetric(4), lambda: builders.quaternion8()):
         group = build()
         for alpha in enumerate_automorphisms(group).members[:4]:
-            accs = {name: _Acc() for name in CHECK_IDS}
+            accs = {name: CheckReport(name) for name in CHECK_IDS}
             _run_all_checks(GroupContext(group, "g"), alpha.images, accs)
             report = check_trace_avoidance(group, alpha)
             assert report.instances == accs["trace_avoidance"].instances > 0
@@ -238,8 +287,8 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
     for name, group, arrays in cases:
         ctx = GroupContext(group, name)
         calls.clear()
-        memo = {"trace_avoidance": _Acc()}
-        plain = _Acc()
+        memo = {"trace_avoidance": CheckReport("trace_avoidance")}
+        plain = CheckReport("trace_avoidance")
         for img in arrays:
             members, mask = _cube_members(ctx, img)
             _check_trace_avoidance(ctx, img, members, mask, memo)
@@ -264,6 +313,17 @@ def test_public_checks_reject_non_automorphism(check):
         check(g, swap)
 
 
+@pytest.mark.parametrize("check", [
+    check_quotient_inequality, check_centralizer_cube, check_abba, check_ap,
+    check_ap2, check_a2b, check_a3b, check_eltwoab, check_trace_avoidance,
+    check_coset_bound,
+])
+def test_public_checks_reject_map_on_another_group(check):
+    """The identity of Z2 is an automorphism, but not one of Z3."""
+    with pytest.raises(NotAutomorphism, match="does not act on this group"):
+        check(builders.cyclic(3), identity_map(builders.cyclic(2)))
+
+
 def test_coset_bound_check():
     g = builders.symmetric(3)
     alpha = classify_cubing_structure(g).constructed_alpha
@@ -282,7 +342,7 @@ def test_type3_alpha_passes_all_checks():
     g = builders.type3_group_ii()
     alpha = classify_cubing_structure(g).constructed_alpha
     ctx = GroupContext(g, "T3ii")
-    accs = {name: _Acc() for name in CHECK_IDS}
+    accs = {name: CheckReport(name) for name in CHECK_IDS}
     _run_all_checks(ctx, alpha.images, accs)
     for name, acc in accs.items():
         assert not acc.failures, name
@@ -317,13 +377,44 @@ def test_revalidation_accepts_genuine_pattern_instance():
 
 
 def test_trace_revalidation():
-    g = builders.cyclic(4)
-    img = tuple(range(4))
-    witness = {"trace": [0, 1], "modulus": 2, "equation": 0}
-    # {0,1} in Z2 has (0,0,1) solving a+b=2c: genuine violation shape
+    """Under x -> x^3 on S3 (not an automorphism) every element is cubed:
+    A3 = <h> has the trace {0, 1, 2} mod 3 at a transposition x, which
+    solves a + b = 2c. The trace and modulus are re-derived from the
+    table, so a witness that misstates either is rejected."""
+    g = builders.symmetric(3)
+    img = tuple(g.pow(x, 3) for x in g.elements())
+    h = next(y for y in g.elements() if g.element_order(y) == 3)
+    x = next(y for y in g.elements() if g.element_order(y) == 2)
+    witness = {"subgroup": [0, h, g.mul(h, h)], "x": x, "modulus": 3,
+               "trace": [0, 1, 2], "equation": 0}
     assert revalidate(g, img, "trace_avoidance", witness)
-    witness = {"trace": [0], "modulus": 4, "equation": 0}
-    assert not revalidate(g, img, "trace_avoidance", witness)
+    for wrong in ({"trace": [0, 1]}, {"modulus": 1, "trace": [0]},
+                  {"subgroup": [h, 0, g.mul(h, h)]}, {"subgroup": [0, h]}):
+        assert not revalidate(g, img, "trace_avoidance", {**witness, **wrong}), wrong
+
+
+def test_unsolvable_trace_does_not_revalidate():
+    """Under the identity of S3 the cube set is the involutions. For
+    transpositions s != x, H = <s> and x lie in it, C_H(x) = 1 gives the
+    modulus 2, and sx has order 3, so the trace is {0}: every stated
+    field matches the table, and only the solver, which finds nothing in
+    a singleton, rejects the witness."""
+    g = builders.symmetric(3)
+    s, x = [y for y in g.elements() if g.element_order(y) == 2][:2]
+    witness = {"subgroup": [0, s], "x": x, "modulus": 2, "trace": [0], "equation": 0}
+    assert not revalidate(g, tuple(g.elements()), "trace_avoidance", witness)
+
+
+@pytest.mark.parametrize("witness", [
+    {"subgroup": list(range(8)), "x": 5, "modulus": 3, "trace": [0, 1, 2], "equation": 0},
+    {"subgroup": [0], "x": 0, "modulus": 3, "trace": [0, 1, 2], "equation": 0},
+])
+def test_fabricated_trace_witness_does_not_revalidate(witness):
+    """Under the identity of Z8 the cube set is {0, 4}. The first witness
+    names a subgroup and x outside it, the second a modulus that
+    |H| / |C_H(x)| = 1 contradicts; both state a solvable trace."""
+    g = builders.cyclic(8)
+    assert not revalidate(g, tuple(range(8)), "trace_avoidance", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +455,18 @@ def test_verify_properties_jobs_match(cache_dir):
 
 def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
     """A sampled-only scan draws each automorphism through member_at and
-    reports what indexing the sorted members reports. ``members_built``
-    sees the difference: drawing through ``members`` builds every member
-    of each drawn group."""
+    reports what indexing the sorted members reports. Here ``members`` is
+    expanded coset by coset and sorted, without member_at's ranks."""
     kwargs = dict(exhaustive_cap=0, sample_count=30, sample_min=16,
                   sample_max=64, seed=9, cache_dir=cache_dir)
+
+    def sorted_members(self):
+        arrays = sorted(self.member_images(rep, coset)
+                        for rep in range(len(self.representatives))
+                        for coset in range(len(self.transversal)))
+        return tuple(GroupMap(self.base, self.base, images) for images in arrays)
+
+    monkeypatch.setattr(AutomorphismGroup, "members", property(sorted_members))
     monkeypatch.setattr(AutomorphismGroup, "member_at", lambda self, k: self.members[k])
     expected = verify_properties(**kwargs)
     monkeypatch.undo()
@@ -379,8 +477,7 @@ def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
     monkeypatch.setattr(AutomorphismGroup, "members", property(refuse))
     report = verify_properties(**kwargs)
     assert report["scope"]["exhaustive_pairs"] == 0
-    assert report["stats"]["members_built"] == report["scope"]["sampled_pairs"] == 30
-    assert expected["stats"]["members_built"] > report["stats"]["members_built"]
+    assert report["scope"]["sampled_pairs"] == 30
     assert report["stats"]["trace_solves"] == expected["stats"]["trace_solves"]
     assert [{**c, "elapsed_ms": 0} for c in report["checks"]] \
         == [{**c, "elapsed_ms": 0} for c in expected["checks"]]
