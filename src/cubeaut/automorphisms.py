@@ -23,8 +23,10 @@ no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
 {b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``).
 
-The disk cache stores the generator images of the representatives only.
-A load proves each one through the same closure and checks that it is
+``automorphism_group`` enumerates unless its caller names a cache
+directory; only then does it hash the table and read or write a file.
+The file stores the generator images of the representatives only. A
+load proves each one through the same closure and checks that it is
 canonical, without expanding any coset.
 """
 
@@ -472,42 +474,35 @@ def _is_canonical(group: FiniteGroup, cent, images) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (advisory: the representatives are stored as generator images;
-# a load proves each through _close and checks that it is canonical)
+# Disk cache, only in a directory the caller names (advisory: the
+# representatives are stored as generator images; a load proves each
+# through _close and checks that it is canonical)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("CUBEAUT_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return Path(xdg) / "cubeaut"
+def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
+    """Aut(G), read from or stored in ``cache_dir`` when one is named.
 
-
-def automorphism_group(group: FiniteGroup, cache_dir=None, use_cache: bool = True,
-                       rebuild: bool = False) -> AutomorphismGroup:
-    """Aut(G), consulting a JSON disk cache keyed by the table hash.
-
-    The file holds the generator images of the coset representatives
-    under the key ``representatives``. Each is rebuilt by the closure the
-    enumerator uses, which proves it an automorphism, and must be
-    canonical: its images orbit-least level by level, as the enumerator
-    finds them. A file is rejected when a representative repeats, when
-    #representatives * [G : Z(G)] differs from its ``aut_order``, or when
-    it lacks the key (a file of an earlier layout). Nothing is expanded.
-    Completeness rests on the table-hash key (``rebuild`` re-enumerates).
-    Any file that fails to load is re-enumerated and overwritten, so a
-    stale or corrupt cache can only cost time, not correctness.
+    Without a directory this is ``enumerate_automorphisms(group)``: no
+    table hash is computed and no file is touched. With one, the file
+    ``aut-<table_hash>.json`` holds the generator images of the coset
+    representatives under the key ``representatives``. Each is rebuilt
+    by the closure the enumerator uses, which proves it an automorphism,
+    and must be canonical: its images orbit-least level by level, as the
+    enumerator finds them. A file is rejected when a representative
+    repeats, when #representatives * [G : Z(G)] differs from its
+    ``aut_order``, or when it lacks the key (a file of an earlier
+    layout). Nothing is expanded. Completeness rests on the table-hash
+    key. Any file that fails to load is re-enumerated and overwritten,
+    so a stale or corrupt cache can only cost time, not correctness.
     """
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    path = directory / f"aut-{group.table_hash}.json"
-    if use_cache and not rebuild:
-        cached = _load_cache(path, group)
-        if cached is not None:
-            return cached
+    if cache_dir is None:
+        return enumerate_automorphisms(group)
+    path = Path(cache_dir) / f"aut-{group.table_hash}.json"
+    cached = _load_cache(path, group)
+    if cached is not None:
+        return cached
     result = enumerate_automorphisms(group)
-    if use_cache:
-        _store_cache(path, group, result)
+    _store_cache(path, group, result)
     return result
 
 

@@ -57,8 +57,9 @@ class Catalog:
 
     def groups(self, order_cap: Optional[int] = None,
                min_order: int = 1) -> Iterator[tuple]:
-        """Yield (name, group) in catalog order, deduplicated by table
-        hash, skipping entries outside [min_order, order_cap]."""
+        """Yield (name, group) in catalog order, deduplicated by their
+        tables (equal rows, compared exactly), skipping entries outside
+        [min_order, order_cap]."""
         seen = set()
         for entry in self.entries:
             if order_cap is not None and entry.order > order_cap:
@@ -66,9 +67,9 @@ class Catalog:
             if entry.order < min_order:
                 continue
             group = self.build(entry.name)
-            if group.table_hash in seen:
+            if group.table in seen:
                 continue
-            seen.add(group.table_hash)
+            seen.add(group.table)
             yield entry.name, group
 
     def names(self, order_cap: Optional[int] = None, min_order: int = 1) -> list:

@@ -19,13 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .automorphisms import (
-    GroupMap,
-    automorphism_group,
-    default_cache_dir,
-    identity_map,
-    power_map,
-)
+from .automorphisms import GroupMap, _indices, automorphism_group, identity_map, power_map
 from .catalog import build_named_group
 from .cubing import classify_cubing_structure, cube_set, max_cube_ratio, ratio_json
 from .errors import CubeautError, FileFormatError
@@ -49,7 +43,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        _check_counts(args)
+        _check_options(args)
         report, ok = args.handler(args)
         _emit(report, args)
         sys.stdout.flush()
@@ -72,9 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None, help="search node budget")
-    parser.add_argument("--cache-dir", default=None, help="automorphism cache directory")
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--rebuild-cache", action="store_true")
+    parser.add_argument("--cache-dir", default=None,
+                        help="read and store Aut(G) in this directory (default: no cache)")
     top = parser.add_subparsers(dest="command")
 
     group = top.add_parser("group", help="build, load and inspect groups").add_subparsers()
@@ -163,20 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # Shared helpers
 
 
-def _check_counts(args) -> None:
-    """Refuse a worker count or node budget below 1 before any command runs."""
+def _check_options(args) -> None:
+    """Refuse a worker count or node budget below 1, or an empty cache
+    directory, before any command runs."""
     if args.jobs < 1:
         raise CubeautError(f"--jobs must be at least 1, got {args.jobs}")
     if args.budget is not None and args.budget < 1:
         raise CubeautError(f"--budget must be at least 1, got {args.budget}")
-
-
-def _cache_kwargs(args) -> dict:
-    return {
-        "cache_dir": args.cache_dir or default_cache_dir(),
-        "use_cache": not args.no_cache,
-        "rebuild": args.rebuild_cache,
-    }
+    if args.cache_dir == "":
+        raise CubeautError("--cache-dir needs a directory; omit it to run without a cache")
 
 
 def _resolve_group(target: str) -> FiniteGroup:
@@ -232,8 +220,7 @@ def _parse_fraction(text: str) -> Fraction:
 def _load_map(group: FiniteGroup, path: str) -> GroupMap:
     data = read_json_file(path)
     images = data.get("images") if isinstance(data, dict) else data
-    if not isinstance(images, list) or not all(
-            type(v) is int and 0 <= v < group.order for v in images):
+    if not _indices(images, group.order):
         raise FileFormatError(path, "expected a list of element indices, "
                                     "bare or under an 'images' key")
     return GroupMap(group, group, tuple(images))
@@ -304,7 +291,7 @@ def _cmd_cube_ratio(args):
 
 def _cmd_cube_max(args):
     group = _resolve_group(args.target)
-    auts = automorphism_group(group, **_cache_kwargs(args))
+    auts = automorphism_group(group, args.cache_dir)
     ratio, witness = max_cube_ratio(group, n=args.exponent, auts=auts)
     return {
         "suite": "cube-max",
@@ -376,21 +363,21 @@ def _cmd_verify_properties(args):
     report = verifier.verify_properties(
         exhaustive_cap=args.order_cap, sample_count=args.samples,
         sample_max=args.sample_max, seed=args.seed, jobs=args.jobs,
-        **_cache_kwargs(args))
+        cache_dir=args.cache_dir)
     return report, report["pass"]
 
 
 def _cmd_verify_classification(args):
     report = verifier.verify_classification(
         order_cap=args.order_cap, jobs=args.jobs, seed=args.seed,
-        **_cache_kwargs(args))
+        cache_dir=args.cache_dir)
     return report, report["pass"]
 
 
 def _cmd_verify_boundary(args):
     report = verifier.verify_solvability_boundary(
         order_cap=args.order_cap, jobs=args.jobs, seed=args.seed,
-        **_cache_kwargs(args))
+        cache_dir=args.cache_dir)
     return report, report["pass"]
 
 
@@ -403,7 +390,7 @@ def _cmd_verify_abelian_indices(args):
 
 def _cmd_search_pattern(args):
     report = verifier.power_pattern_search(
-        args.n, order_cap=args.order_cap, seed=args.seed, **_cache_kwargs(args))
+        args.n, order_cap=args.order_cap, seed=args.seed, cache_dir=args.cache_dir)
     return report, True  # a found counterexample is a result, not a failure
 
 
@@ -447,8 +434,6 @@ def _to_csv(report: dict) -> str:
             value = row.get(col)
             if isinstance(value, dict) and "num" in value:
                 value = f"{value['num']}/{value['den']}"
-            if col == "failures" and isinstance(value, list):
-                value = len(value)
             values.append(value)
         writer.writerow(values)
     return out.getvalue()

@@ -523,13 +523,10 @@ def check_coset_bound(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
 # Suite scans (parallelizable, deterministic)
 
 
-def _task(cat: Catalog, name: str, cache_dir, use_cache: bool, rebuild: bool,
-          **extra) -> dict:
+def _task(cat: Catalog, name: str, cache_dir, **extra) -> dict:
     """A picklable worker task: the group the catalog built to
-    deduplicate, plus the cache keyword arguments of automorphism_group."""
-    cache = {"cache_dir": str(cache_dir) if cache_dir else None,
-             "use_cache": use_cache, "rebuild": rebuild}
-    return {"name": name, "group": cat.build(name), "cache": cache, **extra}
+    deduplicate, plus the cache directory of automorphism_group."""
+    return {"name": name, "group": cat.build(name), "cache_dir": cache_dir, **extra}
 
 
 def _property_task(task: dict) -> dict:
@@ -537,7 +534,7 @@ def _property_task(task: dict) -> dict:
     all ranks of an exhaustive task, the drawn ranks of a sampled one."""
     group = task["group"]
     ctx = GroupContext(group, task["name"])
-    auts = automorphism_group(group, **task["cache"])
+    auts = automorphism_group(group, task["cache_dir"])
     reports = {name: CheckReport(name) for name in CHECK_IDS}
     if task["kind"] == "exhaustive":
         ranks = range(auts.order)
@@ -567,8 +564,7 @@ def _parallel(tasks: list, worker, jobs: int) -> list:
 def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 24,
                   sample_count: int = 500, sample_min: int = 25,
                   sample_max: int = 360, seed: int = 0, jobs: int = 1,
-                  cache_dir=None, use_cache: bool = True,
-                  rebuild: bool = False) -> dict:
+                  cache_dir=None) -> dict:
     """Run every check over the exhaustive scope plus a seeded sample.
 
     Exhaustive: all automorphisms of all catalog groups of order at
@@ -593,7 +589,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     if not exhaustive_names and not sample_count:
         raise UnsupportedParameter(
             f"no catalog group has order at most {exhaustive_cap} and no sample is drawn")
-    tasks = [_task(cat, name, cache_dir, use_cache, rebuild, kind="exhaustive")
+    tasks = [_task(cat, name, cache_dir, kind="exhaustive")
              for name in exhaustive_names]
     rng = random.Random(seed)
     draws_by_name: dict = {}
@@ -602,8 +598,8 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
         draws_by_name.setdefault(name, []).append(rng.getrandbits(48))
     for name in eligible:
         if name in draws_by_name:
-            tasks.append(_task(cat, name, cache_dir, use_cache, rebuild,
-                               kind="sampled", draws=draws_by_name[name]))
+            tasks.append(_task(cat, name, cache_dir, kind="sampled",
+                               draws=draws_by_name[name]))
 
     results = _parallel(tasks, _property_task, jobs)
     exhaustive_pairs = sum(r["pairs"] for r, t in zip(results, tasks)
@@ -648,7 +644,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
 def _classification_task(task: dict) -> dict:
     group = task["group"]
     verdict = classify_cubing_structure(group)
-    auts = automorphism_group(group, **task["cache"])
+    auts = automorphism_group(group, task["cache_dir"])
     ratio, witness = max_cube_ratio(group, auts=auts)
     row = {
         "group": task["name"],
@@ -665,8 +661,7 @@ def _classification_task(task: dict) -> dict:
 
 
 def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64,
-                     jobs: int = 1, cache_dir=None, use_cache: bool = True,
-                     rebuild: bool = False, seed: int = 0) -> dict:
+                     jobs: int = 1, cache_dir=None, seed: int = 0) -> dict:
     """On every catalog group up to the cap: a structural verdict exists
     iff the brute-force maximum ratio exceeds 1/2, and when it does the
     constructed automorphism attains the maximum."""
@@ -675,7 +670,7 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
     names = cat.names(order_cap=order_cap)
     if not names:
         raise UnsupportedParameter(f"no catalog group has order at most {order_cap}")
-    tasks = [_task(cat, name, cache_dir, use_cache, rebuild) for name in names]
+    tasks = [_task(cat, name, cache_dir) for name in names]
     rows = _parallel(tasks, _classification_task, jobs)
     mismatches = [r for r in rows if not (r["equivalent"] and r["attains_max"])]
     return {
@@ -696,7 +691,7 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
 
 def _boundary_task(task: dict) -> dict:
     group = task["group"]
-    auts = automorphism_group(group, **task["cache"])
+    auts = automorphism_group(group, task["cache_dir"])
     ratio, _ = max_cube_ratio(group, auts=auts)
     return {
         "group": task["name"],
@@ -709,8 +704,7 @@ def _boundary_task(task: dict) -> dict:
 
 def verify_solvability_boundary(catalog: Optional[Catalog] = None,
                                 order_cap: int = 64, jobs: int = 1,
-                                cache_dir=None, use_cache: bool = True,
-                                rebuild: bool = False, seed: int = 0) -> dict:
+                                cache_dir=None, seed: int = 0) -> dict:
     """The named boundary groups max out at 4/15 (A5 exactly), and on
     the whole scanned catalog a ratio above 4/15 forces solvability."""
     started = time.monotonic()
@@ -721,7 +715,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
             f"catalog lacks the boundary groups {', '.join(missing)}")
     names = list(cat.names(order_cap=order_cap))
     names += [name for name in BOUNDARY_GROUPS if name not in names]
-    tasks = [_task(cat, name, cache_dir, use_cache, rebuild) for name in names]
+    tasks = [_task(cat, name, cache_dir) for name in names]
     rows = _parallel(tasks, _boundary_task, jobs)
     by_name = {r["group"]: r for r in rows}
     failures = []
@@ -827,8 +821,7 @@ def pattern_witness(group: FiniteGroup, members, mask, n: int) -> tuple:
 
 
 def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
-                    order_cap: int = 24, cache_dir=None, use_cache: bool = True,
-                    rebuild: bool = False, seed: int = 0) -> dict:
+                    order_cap: int = 24, cache_dir=None, seed: int = 0) -> dict:
     """Search all (G, alpha, a, b) in scope for a, b, ab, a^n b all in
     the cube set with [a, b] != 1.
 
@@ -844,8 +837,7 @@ def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
     for name, group in cat.groups(order_cap=order_cap):
         groups_scanned += 1
         ctx = GroupContext(group, name)
-        auts = automorphism_group(group, cache_dir=cache_dir,
-                                  use_cache=use_cache, rebuild=rebuild)
+        auts = automorphism_group(group, cache_dir)
         for k in range(auts.order):
             img = auts.member_at(k).images
             members, mask = _cube_members(ctx, img)

@@ -546,17 +546,18 @@ def test_corrupt_cache_is_rebuilt(tmp_path):
     assert all(is_automorphism(m) for m in rebuilt.members)
 
 
-def test_rebuild_flag_overwrites(tmp_path):
-    g = builders.cyclic(5)
-    automorphism_group(g, cache_dir=tmp_path)
-    result = automorphism_group(g, cache_dir=tmp_path, rebuild=True)
-    assert result.order == 4
-
-
-def test_no_cache_leaves_no_files(tmp_path):
+def test_no_directory_touches_no_file(tmp_path, monkeypatch):
+    # without a directory Aut(G) is enumerated: no hash, no file, wherever
+    # HOME and the cache variables of earlier layouts point
+    for key in ("HOME", "XDG_CACHE_HOME", "CUBEAUT_CACHE_DIR"):
+        monkeypatch.setenv(key, str(tmp_path / key))
+    monkeypatch.chdir(tmp_path)
     g = builders.cyclic(7)
-    automorphism_group(g, cache_dir=tmp_path, use_cache=False)
-    assert not list(tmp_path.glob("*.json"))
+    result = automorphism_group(g)
+    assert result.nodes > 0
+    assert result.representatives == enumerate_automorphisms(g).representatives
+    assert "table_hash" not in g.__dict__
+    assert not list(tmp_path.iterdir())
 
 
 def test_cache_stores_generator_images(tmp_path):

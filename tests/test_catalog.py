@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cubeaut import builders
@@ -89,3 +92,29 @@ def test_declared_orders_match_built_orders():
             assert large.pop(entry.name) == entry.order
     assert not large
 
+
+
+def _sha256_key(group) -> str:
+    """The key the catalog once deduplicated by: the sha256 of the
+    table's compact JSON text."""
+    text = json.dumps([list(row) for row in group.table], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_dedupe_by_rows_equals_sha256_dedupe():
+    cat = built_in_catalog()
+    in_scope = [e.name for e in cat.entries if e.order <= 504]
+    seen, expected = set(), []
+    for name in in_scope:
+        key = _sha256_key(cat.build(name))
+        if key not in seen:
+            seen.add(key)
+            expected.append(name)
+    names = cat.names(order_cap=504)
+    assert names == expected
+    assert [n for n in in_scope if n not in names] == ["S2", "A3", "L2(3)", "PGL2(2)"]
+
+
+def test_catalog_groups_compute_no_table_hash():
+    groups = [group for _, group in built_in_catalog().groups(order_cap=64)]
+    assert groups and not [g.name for g in groups if "table_hash" in g.__dict__]

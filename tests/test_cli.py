@@ -198,6 +198,31 @@ def test_cube_max_a5(capsys, cache_dir):
     assert payload["stats"] == {"aut_representatives": 2, "ratio_evaluations": 8}
 
 
+def test_cube_max_without_cache_dir_writes_nothing(tmp_path):
+    # HOME and the cache variables of earlier layouts name empty
+    # directories; without --cache-dir none of them, nor the working
+    # directory, gains a file
+    dirs = {key: tmp_path / key for key in ("HOME", "XDG_CACHE_HOME", "CUBEAUT_CACHE_DIR", "cwd")}
+    for path in dirs.values():
+        path.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1]),
+           **{key: str(path) for key, path in dirs.items() if key != "cwd"}}
+    proc = subprocess.run([sys.executable, "-m", "cubeaut.cli", "--format", "json",
+                           "cube", "max", "a5"], capture_output=True, text=True,
+                          env=env, cwd=dirs["cwd"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["max_ratio"] == {"num": 4, "den": 15}
+    assert sorted(tmp_path.rglob("*")) == sorted(dirs.values())
+
+
+def test_empty_cache_dir_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--cache-dir", "", "cube", "max", "a5")
+    assert code == 2
+    assert err.startswith("error: ") and "--cache-dir" in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_cube_classify(capsys):
     code, payload, _ = run_json(capsys, "cube", "classify", "s3")
     assert code == 0

@@ -2,17 +2,28 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
+from cubeaut import builders, cli
+from cubeaut.automorphisms import automorphism_group
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cubeaut").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -44,9 +55,7 @@ def test_traced_methods_exist():
     """Every method the traced benchmark wraps by name is defined on its
     class: the query tuples of perfbench/tracing.py, and each
     ``_wrap_method`` call there that names its attribute literally."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load(TRACING, "perfbench_tracing")
     classes = {"FiniteGroup": FiniteGroup, "Catalog": Catalog}
     wrapped = [("FiniteGroup", attr) for attr in tracing.STRUCTURAL + tracing.TABLE_QUERIES]
     for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8"))):
@@ -95,3 +104,34 @@ def test_failures_recorded_only_through_record():
     outside = sorted(appends(tree) - inside)
     assert inside, "_record no longer appends a failure"
     assert not outside, f"failures appended outside _record at lines {outside}"
+
+
+def test_package_reads_no_environment():
+    """What the package does depends on its arguments only: no
+    os.environ or os.getenv (a cache directory, for one, is named by
+    the caller)."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names if alias.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and getattr(node.value, "id", None) == "os"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} os.{name}" for name in names]
+    assert not found, f"environment reads: {found}"
+
+
+def test_benchmark_calls_still_bind(tmp_path):
+    """The calls perfbench/workloads.py makes: automorphism_group(group,
+    cache_dir=...) and every CLI_COMMANDS entry behind --cache-dir."""
+    workloads = _load(WORKLOADS, "perfbench_workloads")
+    inspect.signature(automorphism_group).bind(builders.cyclic(2), cache_dir=tmp_path)
+    parser = cli._build_parser()
+    for command in workloads.CLI_COMMANDS:
+        args = parser.parse_args(["--format", "json", "--jobs", "1", "--seed", "101",
+                                  "--cache-dir", str(tmp_path), *command])
+        assert args.cache_dir == str(tmp_path) and hasattr(args, "handler"), command
