@@ -8,7 +8,7 @@ order. A row gives the canonical name, the spellings that denote it, the
 
 Entries are lazy (groups are built on first use) so iterating with an
 order cap never constructs the large projective tables. Duplicate
-Cayley tables (same canonical hash) are dropped during iteration.
+Cayley tables (equal rows tuples) are dropped during iteration.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class CatalogEntry:
 
 
 class Catalog:
-    """Ordered, lazily built, hash-deduplicated list of named groups.
+    """Ordered, lazily built list of named groups, deduplicated by table.
     Each entry is built at most once per catalog object."""
 
     def __init__(self, entries=()):

@@ -151,10 +151,17 @@ class FiniteGroup:
     @cached_property
     def table_hash(self) -> str:
         """Canonical hash of the row-major table, used as a cache key: the
-        sha256 of its compact JSON text, [[0,1,...],[1,...],...]."""
+        sha256 of its compact JSON text, [[0,1,...],[1,...],...]. The text
+        is fed to the hash one row at a time, so no copy of it is held."""
         labels = list(map(str, range(self.order)))
-        rows = "],[".join(",".join(map(labels.__getitem__, row)) for row in self.table)
-        return hashlib.sha256(f"[[{rows}]]".encode()).hexdigest()
+        digest = hashlib.sha256(b"[[")
+        separator = b""
+        for row in self.table:
+            digest.update(separator)
+            digest.update(",".join(map(labels.__getitem__, row)).encode())
+            separator = b"],["
+        digest.update(b"]]")
+        return digest.hexdigest()
 
     # -- subgroups ----------------------------------------------------------
 

@@ -334,6 +334,15 @@ def test_member_at_equals_members():
         assert [m.images for m in auts.members] == expected, name
 
 
+@pytest.mark.parametrize("name", ["A6", "T3ii", "S3"])
+def test_members_built_t_major_equal_member_at(name):
+    """``members``, built one transversal element at a time, holds at
+    each rank the member ``member_at`` builds alone."""
+    from cubeaut.catalog import built_in_catalog
+    auts = enumerate_automorphisms(built_in_catalog().build(name))
+    assert auts.members == tuple(map(auts.member_at, range(auts.order)))
+
+
 def test_every_member_is_verified_automorphism():
     g = builders.dihedral(6)
     auts = enumerate_automorphisms(g)

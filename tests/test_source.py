@@ -1,9 +1,11 @@
 """Source-level rules for the package."""
 
 import ast
+import functools
 import importlib.util
 import inspect
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,20 @@ def test_traced_methods_exist():
     assert ("FiniteGroup", "__init__") in wrapped and ("Catalog", "build") in wrapped
     missing = [f"{cls}.{attr}" for cls, attr in wrapped if attr not in vars(classes[cls])]
     assert not missing, f"perfbench/tracing.py wraps undefined methods: {missing}"
+
+
+def test_traced_queries_are_wrappable():
+    """Every FiniteGroup query the traced benchmark wraps is a
+    functools.cached_property or a plain function: the two kinds
+    ``_wrap_method`` in perfbench/tracing.py re-wraps. It wraps anything
+    else, a property for one, as a callable, so a traced run fails where
+    the untraced run and the other tests pass."""
+    tracing = _load(TRACING, "perfbench_tracing")
+    kinds = {attr: vars(FiniteGroup).get(attr)
+             for attr in tracing.STRUCTURAL + tracing.TABLE_QUERIES}
+    odd = [f"{attr}: {type(value).__name__}" for attr, value in kinds.items()
+           if not isinstance(value, (functools.cached_property, types.FunctionType))]
+    assert not odd, f"FiniteGroup queries perfbench/tracing.py cannot wrap: {odd}"
 
 
 def test_no_process_wide_caches():
