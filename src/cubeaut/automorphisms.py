@@ -17,8 +17,7 @@ representative b per coset, the lexicographically least image tuple;
 of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
 ranked by their images of 1..L, L the largest generator, and built by
 table lookup only when a caller asks: ``AutomorphismGroup.member_at(k)``
-builds only the k-th, and ``members`` builds all of them in rank order,
-one conjugation array per transversal element.
+builds only the k-th, and ``members`` is ``member_at`` over every rank.
 An inner automorphism composed with a verified automorphism is one, so
 no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
@@ -197,8 +196,7 @@ class AutomorphismGroup:
     The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
     transversal of Z(G), so ``order`` needs no member. ``member_at(k)``
     builds the k-th member in canonical (image-array) order alone;
-    ``members`` holds ``member_at(k)`` for every rank k, built on first
-    use one transversal element at a time.
+    ``members`` is ``member_at`` over every rank, built on first use.
     """
 
     base: FiniteGroup
@@ -233,16 +231,8 @@ class AutomorphismGroup:
         """Every automorphism, sorted by image array: ``member_at`` over
         every rank. Distinct representatives lie in distinct cosets and
         distinct t in distinct cosets of Z(G), so the members are
-        distinct. The loop runs t-major, so the members of one t share
-        its conjugation array, and each is then placed at its rank."""
-        base = self.base
-        built = {}
-        for coset, t in enumerate(self.transversal):
-            lookup = _conjugation(base, t).__getitem__
-            for rep, images in enumerate(self.representatives):
-                built[rep, coset] = GroupMap(
-                    base, base, images if coset == 0 else tuple(map(lookup, images)))
-        return tuple(map(built.__getitem__, self._ranks))
+        distinct."""
+        return tuple(map(self.member_at, range(self.order)))
 
     def member_at(self, k: int) -> GroupMap:
         """``members[k]``, built alone: the other members are ranked but
