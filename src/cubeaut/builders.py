@@ -326,7 +326,7 @@ def type3_group_i(k: int) -> FiniteGroup:
     def mul(x, y):
         v1, w1, z1 = x >> (k + 1), (x >> 1) & ((1 << k) - 1), x & 1
         v2, w2, z2 = y >> (k + 1), (y >> 1) & ((1 << k) - 1), y & 1
-        zinc = bin(w1 & v2).count("1") & 1
+        zinc = (w1 & v2).bit_count() & 1
         return ((v1 ^ v2) << (k + 1)) | ((w1 ^ w2) << 1) | (z1 ^ z2 ^ zinc)
 
     table = [[mul(x, y) for y in range(order)] for x in range(order)]

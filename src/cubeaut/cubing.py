@@ -143,9 +143,11 @@ class CosetTrace:
 def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int) -> CosetTrace:
     """The trace of the coset Hx in the abelian quotient H / C_H(x).
 
-    Preconditions (each checked): H abelian, H inside the cube set,
-    x in the cube set.
+    Preconditions (each checked): H a subgroup of ``group``, H abelian,
+    H inside the cube set, x an element in the cube set.
     """
+    sub._check_parent(group)
+    group._check_element(x)
     report = cube_set(group, alpha)
     inside = set(report.members)
     if not sub.is_abelian:
@@ -200,6 +202,8 @@ def build_type_II(group: FiniteGroup, k_sub: Subgroup, x: int) -> tuple:
     Returns (automorphism, ratio) with ratio (n+1)/2n for
     n = (K : C_K(x)); the cube set is exactly Kx together with C_K(x).
     """
+    k_sub._check_parent(group)
+    group._check_element(x)
     if 2 * k_sub.order != group.order:
         raise BadIndex("K must have index 2")
     if not k_sub.is_abelian:

@@ -221,9 +221,10 @@ class FiniteGroup:
         members = [a for a in range(n) if self.commuting_masks[a] == full]
         return Subgroup(self, tuple(members))
 
-    def centralizer(self, target) -> "Subgroup":
+    def centralizer(self, target: "int | Subgroup") -> "Subgroup":
         """Centralizer of an element or of a Subgroup."""
         if isinstance(target, Subgroup):
+            target._check_parent(self)
             mask = -1
             for x in target.elements:
                 mask &= self.commuting_masks[x]
@@ -768,7 +769,7 @@ def max_abelian_subgroup_order(group: FiniteGroup, budget: int = 2_000_000) -> M
     """
     n = group.order
     comm = group.commuting_masks
-    priority = sorted(range(n), key=lambda x: (-bin(comm[x]).count("1"), x))
+    priority = sorted(range(n), key=lambda x: (-comm[x].bit_count(), x))
     position = [0] * n
     for pos, x in enumerate(priority):
         position[x] = pos

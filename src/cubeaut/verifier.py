@@ -4,8 +4,11 @@ Each check asserts a commutation or counting statement over every pair
 or coset meeting its hypothesis and accumulates into a ``CheckReport``.
 A failing instance enters a report only through ``_record``, which
 re-validates it from the raw multiplication table first; a
-non-revalidating failure aborts the run as an internal bug. The public
-single-instance checks run the same checkers on one pair.
+non-revalidating failure aborts the run as an internal bug. One walk
+fills all five pattern reports, and one walk over the pairs (H, x),
+H a cyclic subgroup inside the cube set and x in it, fills the three
+coset reports. The public single-instance checks run the same checkers
+on one pair, and each returns only its own report.
 
 Scans run exhaustively over all automorphisms of all catalog groups up
 to a small order cap, plus a seeded sample of larger instances; each
@@ -43,7 +46,7 @@ from .errors import (
     NotNormal,
     UnsupportedParameter,
 )
-from .groups import FiniteGroup, max_abelian_subgroup_order
+from .groups import FiniteGroup, Subgroup, _mask_of, max_abelian_subgroup_order
 from .sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
 PATTERN_IDS = ("pattern_abba", "pattern_ap", "pattern_ap2", "pattern_a2b", "pattern_a3b")
@@ -106,10 +109,7 @@ class GroupContext:
             while x != 0:
                 powers.append(x)
                 x = group.table[x][h]
-            mask = 0
-            for p in powers:
-                mask |= 1 << p
-            cyclic.setdefault(mask, powers)
+            cyclic.setdefault(_mask_of(powers), powers)
         self.cyclic_subgroups = tuple(sorted(cyclic.items(), key=lambda kv: kv[1]))
         # (trace, modulus) -> per equation of DEFAULT_EQUATIONS, whether the
         # trace has a nontrivial solution; traces repeat across x and maps
@@ -125,10 +125,7 @@ class GroupContext:
 
 def _cube_members(ctx: GroupContext, img) -> tuple:
     members = [x for x in range(ctx.group.order) if img[x] == ctx.pow3[x]]
-    mask = 0
-    for x in members:
-        mask |= 1 << x
-    return members, mask
+    return members, _mask_of(members)
 
 
 # ---------------------------------------------------------------------------
@@ -256,49 +253,6 @@ def _check_patterns(ctx: GroupContext, img, members, mask, accs):
                         _record(acc, ctx, img, name, {"a": a, "b": b})
 
 
-def _check_cube_centralizer(ctx: GroupContext, img, members, mask, accs):
-    acc = accs["cube_centralizer"]
-    comm = ctx.comm
-    pow3 = ctx.pow3
-    for x in members:
-        acc.instances += 1
-        if comm[x] != comm[pow3[x]]:
-            _record(acc, ctx, img, "cube_centralizer", {"x": x})
-    for sub_mask, powers in ctx.cyclic_subgroups:
-        if sub_mask & ~mask:
-            continue
-        size = len(powers)
-        for x in members:
-            cent = (sub_mask & comm[x]).bit_count()
-            acc.instances += 1
-            if (size // cent) % 3 == 0:
-                _record(acc, ctx, img, "cube_centralizer",
-                        {"subgroup": list(powers), "x": x, "index": size // cent})
-
-
-def _check_elementary_two_coset(ctx: GroupContext, img, members, mask, accs):
-    acc = accs["elementary_two_coset"]
-    t = ctx.group.table
-    comm = ctx.comm
-    squares = ctx.squares
-    for sub_mask, powers in ctx.cyclic_subgroups:
-        if sub_mask & ~mask:
-            continue
-        for x in members:
-            x2 = squares[x]
-            cent2_mask = sub_mask & comm[x2]
-            if any(not (cent2_mask >> squares[u]) & 1 for u in powers):
-                continue  # quotient by C_H(x^2) is not elementary abelian of exponent 2
-            comm_x = comm[x]
-            for h in powers:
-                acc.instances += 1
-                in_cube = (mask >> t[h][x]) & 1
-                commutes = (comm_x >> h) & 1
-                if in_cube != commutes:
-                    _record(acc, ctx, img, "elementary_two_coset",
-                            {"subgroup": list(powers), "x": x, "h": h})
-
-
 def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
     acc = accs["quotient_ratio_monotone"]
     t = ctx.group.table
@@ -317,21 +271,45 @@ def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
                     {"normal": sorted(elem_set), "quotient_cube_count": tq})
 
 
-def _check_trace_avoidance(ctx: GroupContext, img, members, mask, accs):
-    acc = accs["trace_avoidance"]
+def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
+    """The three checks on a coset Hx, H a cyclic subgroup inside the
+    cube set and x in it, in one walk over the (H, x) pairs: the
+    centralizer index, the elementary-two-coset rule and the trace."""
+    cube_acc = accs["cube_centralizer"]
+    two_acc = accs["elementary_two_coset"]
+    trace_acc = accs["trace_avoidance"]
     t = ctx.group.table
     comm = ctx.comm
+    pow3 = ctx.pow3
+    squares = ctx.squares
+    for x in members:
+        cube_acc.instances += 1
+        if comm[x] != comm[pow3[x]]:
+            _record(cube_acc, ctx, img, "cube_centralizer", {"x": x})
     for sub_mask, powers in ctx.cyclic_subgroups:
         if sub_mask & ~mask:
             continue
         size = len(powers)
         for x in members:
-            cent = (sub_mask & comm[x]).bit_count()
+            comm_x = comm[x]
+            cent = (sub_mask & comm_x).bit_count()
             m = size // cent
+            cube_acc.instances += 1
+            if m % 3 == 0:
+                _record(cube_acc, ctx, img, "cube_centralizer",
+                        {"subgroup": list(powers), "x": x, "index": m})
+            hits = [(mask >> t[h][x]) & 1 for h in powers]
+            # the rule needs H/C_H(x^2) elementary abelian of exponent 2
+            cent2_mask = sub_mask & comm[squares[x]]
+            if all((cent2_mask >> squares[u]) & 1 for u in powers):
+                two_acc.instances += size
+                for h, hit in zip(powers, hits):
+                    if hit != (comm_x >> h) & 1:
+                        _record(two_acc, ctx, img, "elementary_two_coset",
+                                {"subgroup": list(powers), "x": x, "h": h})
             # cyclic quotient: the coset of h^k is k mod m
-            residues = {k % m for k, h in enumerate(powers) if (mask >> t[h][x]) & 1}
-            raw = sum(1 for h in powers if (mask >> t[h][x]) & 1)
-            if raw != len(residues) * cent:
+            residues = {k % m for k, hit in enumerate(hits) if hit}
+            if sum(hits) != len(residues) * cent:
                 raise InternalCheckFailed("trace is not a union of centralizer cosets")
             residue_list = sorted(residues)
             key = (tuple(residue_list), m)
@@ -340,10 +318,10 @@ def _check_trace_avoidance(ctx: GroupContext, img, members, mask, accs):
                 solved = tuple(find_nontrivial_solution(residue_list, m, eq) is not None
                                for eq in DEFAULT_EQUATIONS)
                 ctx.trace_solutions[key] = solved
-            acc.instances += len(solved)
+            trace_acc.instances += len(solved)
             for eq_index, hit in enumerate(solved):
                 if hit:
-                    _record(acc, ctx, img, "trace_avoidance",
+                    _record(trace_acc, ctx, img, "trace_avoidance",
                             {"subgroup": list(powers), "x": x, "modulus": m,
                              "trace": residue_list, "equation": eq_index})
 
@@ -364,10 +342,7 @@ def _max_subgroup_inside(group: FiniteGroup, members, mask) -> frozenset:
             closed = frozenset(group.closure(list(current) + [x]))
             if closed in seen:
                 continue
-            closed_mask = 0
-            for e in closed:
-                closed_mask |= 1 << e
-            if closed_mask & ~mask:
+            if _mask_of(closed) & ~mask:
                 continue
             seen.add(closed)
             stack.append(closed)
@@ -412,13 +387,12 @@ def _check_coset_bound(ctx: GroupContext, img, members, mask, accs):
 
 
 # Check id -> bulk checker. One _check_patterns call fills all five
-# pattern accumulators.
+# pattern accumulators, one _check_cyclic_cosets call the three coset ones.
 _CHECKERS = {
     "quotient_ratio_monotone": _check_quotient_monotone,
-    "cube_centralizer": _check_cube_centralizer,
-    "elementary_two_coset": _check_elementary_two_coset,
+    **dict.fromkeys(("cube_centralizer", "elementary_two_coset", "trace_avoidance"),
+                    _check_cyclic_cosets),
     **dict.fromkeys(PATTERN_IDS, _check_patterns),
-    "trace_avoidance": _check_trace_avoidance,
     "coset_bound_half": _check_coset_bound,
 }
 
@@ -451,7 +425,7 @@ def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
 
 
 def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
-                              normal=None) -> CheckReport:
+                              normal: Optional[Subgroup] = None) -> CheckReport:
     """Cube ratio of G never exceeds that of any invariant factor group:
     every one, or only G/``normal``. The single N runs the scan's check
     on a context whose only normal subgroup is N."""
@@ -469,7 +443,8 @@ def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
 def check_centralizer_cube(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
     """Centralizers of x and x^3 agree for x in the cube set, and the
     centralizer index in any cyclic subgroup of the cube set is never a
-    multiple of three."""
+    multiple of three. Runs the (H, x) walk the three coset checks share
+    and returns this check's report."""
     return _single_report(group, alpha, "cube_centralizer")
 
 
@@ -500,12 +475,15 @@ def check_a3b(group, alpha):
 
 def check_eltwoab(group, alpha):
     """When H/C_H(x^2) is elementary 2-abelian, hx is cubed iff h and x
-    commute."""
+    commute. Runs the (H, x) walk the three coset checks share and
+    returns this check's report."""
     return _single_report(group, alpha, "elementary_two_coset")
 
 
 def check_trace_avoidance(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
-    """Every cyclic-subgroup coset trace avoids both default equations."""
+    """Every cyclic-subgroup coset trace avoids both default equations.
+    Runs the (H, x) walk the three coset checks share and returns this
+    check's report."""
     return _single_report(group, alpha, "trace_avoidance")
 
 

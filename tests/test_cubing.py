@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from cubeaut.errors import (
     BadIndex,
     KNotAbelian,
     NotAbelian,
+    NotASubgroup,
     NotAutomorphism,
     OrderDivisibleBy3,
     PreconditionViolated,
@@ -242,6 +244,18 @@ def test_type_ii_errors():
     assert nonabelian.order == 6
     with pytest.raises(KNotAbelian):
         build_type_II(d6, nonabelian, 1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 6, -1])
+def test_coset_trace_and_type_ii_refuse_non_indices(bad):
+    """x is an int naming an element: True is not taken for element 1."""
+    s3 = builders.symmetric(3)
+    a3 = s3.subgroup_generated([next(x for x in s3.elements() if s3.element_orders[x] == 3)])
+    pattern = f"^{re.escape(repr(bad))} is not an element"
+    with pytest.raises(NotASubgroup, match=pattern):
+        coset_trace(s3, identity_map(s3), a3, bad)
+    with pytest.raises(NotASubgroup, match=pattern):
+        build_type_II(s3, a3, bad)
 
 
 def test_type_ii_center_condition():

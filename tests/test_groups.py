@@ -10,9 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeaut import builders
-from cubeaut.automorphisms import GroupMap, check_automorphism
+from cubeaut.automorphisms import (
+    GroupMap,
+    check_automorphism,
+    identity_map,
+    induced_on_quotient,
+    restrict,
+)
+from cubeaut.cubing import build_type_II, coset_trace
 from cubeaut.errors import (
     CapExceeded,
+    CubeautError,
     FileFormatError,
     GroupTableError,
     NoIdentity,
@@ -34,6 +42,7 @@ from cubeaut.groups import (
     load_group_json,
     max_abelian_subgroup_order,
 )
+from cubeaut.verifier import check_quotient_inequality
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +727,38 @@ def test_subgroup_refuses_non_indices(elements, bad):
     refused by name, never converted, before the list is sorted."""
     with pytest.raises(NotASubgroup, match=f"^{re.escape(repr(bad))} is not an element"):
         builders.cyclic(4).subgroup(elements)
+
+
+# Every public call of groups, cubing, automorphisms and verifier that
+# takes a Subgroup, as module.qualname -> call(group, subgroup).
+# tests/test_source.py requires an entry here for each one.
+FOREIGN_SUBGROUP_CALLS = {
+    "groups.FiniteGroup.centralizer": lambda g, h: g.centralizer(h),
+    "groups.FiniteGroup.normalizer": lambda g, h: g.normalizer(h),
+    "groups.FiniteGroup.right_cosets": lambda g, h: g.right_cosets(h),
+    "groups.FiniteGroup.quotient": lambda g, h: g.quotient(h),
+    "groups.FiniteGroup.is_normal": lambda g, h: g.is_normal(h),
+    "cubing.coset_trace": lambda g, h: coset_trace(g, identity_map(g), h, 1),
+    "cubing.build_type_II": lambda g, h: build_type_II(g, h, 1),
+    "automorphisms.restrict": lambda g, h: restrict(identity_map(g), h),
+    "automorphisms.induced_on_quotient": lambda g, h: induced_on_quotient(identity_map(g), h),
+    "verifier.check_quotient_inequality":
+        lambda g, h: check_quotient_inequality(g, identity_map(g), h),
+}
+
+
+@pytest.mark.parametrize("host", ["D4", "Z2", "S3"])
+@pytest.mark.parametrize("call", FOREIGN_SUBGROUP_CALLS.values(), ids=FOREIGN_SUBGROUP_CALLS)
+def test_foreign_subgroup_is_refused(call, host):
+    """A3 of one S3 is refused by every call on another group: a larger
+    one (read by S3's labels, it would give a wrong answer), a smaller
+    one (an index error) and a second S3 with the same table."""
+    s3 = builders.symmetric(3)
+    a3 = s3.subgroup_generated([next(x for x in s3.elements() if s3.element_orders[x] == 3)])
+    group = {"D4": builders.dihedral(4), "Z2": builders.cyclic(2),
+             "S3": builders.symmetric(3)}[host]
+    with pytest.raises(CubeautError, match="^subgroup belongs to a different group$"):
+        call(group, a3)
 
 
 @pytest.mark.parametrize("bad", [1.9, "1", True, 4, -1])

@@ -4,13 +4,14 @@ import ast
 import functools
 import importlib.util
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from cubeaut import builders, cli
+from cubeaut import automorphisms, builders, cli, cubing, groups, verifier
 from cubeaut.automorphisms import automorphism_group
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
@@ -18,6 +19,7 @@ from cubeaut.groups import FiniteGroup
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cubeaut").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
+TEST_GROUPS = ROOT / "tests" / "test_groups.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
@@ -151,3 +153,29 @@ def test_benchmark_calls_still_bind(tmp_path):
         args = parser.parse_args(["--format", "json", "--jobs", "1", "--seed", "101",
                                   "--cache-dir", str(tmp_path), *command])
         assert args.cache_dir == str(tmp_path) and hasattr(args, "handler"), command
+
+
+def test_every_subgroup_parameter_has_a_foreign_subgroup_case():
+    """Each public function or method of groups, cubing, automorphisms
+    and verifier with a parameter annotated Subgroup has an entry in
+    FOREIGN_SUBGROUP_CALLS of tests/test_groups.py, which checks that a
+    subgroup of another group is refused. So a new call that takes a
+    Subgroup cannot skip the parent check untested."""
+    taking = set()
+    for module in (groups, cubing, automorphisms, verifier):
+        prefix = module.__name__.rpartition(".")[2]
+        found = [(name, obj) for name, obj in vars(module).items()
+                 if getattr(obj, "__module__", None) == module.__name__]
+        found += [(f"{cls_name}.{name}", obj) for cls_name, cls in found
+                  if inspect.isclass(cls) for name, obj in vars(cls).items()]
+        taking |= {f"{prefix}.{name}" for name, obj in found
+                   if inspect.isfunction(obj) and not any(part.startswith("_")
+                                                          for part in name.split("."))
+                   and any(re.search(r"\bSubgroup\b", str(p.annotation))
+                           for p in inspect.signature(obj).parameters.values())}
+    cases = next(node.value for node in ast.parse(TEST_GROUPS.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "FOREIGN_SUBGROUP_CALLS")
+    covered = {key.value for key in cases.keys}
+    assert "groups.FiniteGroup.centralizer" in taking and "cubing.coset_trace" in taking
+    assert taking <= covered, f"no foreign-subgroup case for {sorted(taking - covered)}"

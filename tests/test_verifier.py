@@ -39,7 +39,7 @@ from cubeaut.verifier import (
     verify_solvability_boundary,
     verify_abelian_indices,
     verify_classification,
-    _check_trace_avoidance,
+    _check_cyclic_cosets,
     _cube_members,
     _run_all_checks,
     CheckReport,
@@ -265,6 +265,20 @@ def _unmemoized_trace_avoidance(ctx, img, members, mask, acc):
                                          "trace": residue_list, "equation": eq_index})
 
 
+COSET_CHECKS = ("cube_centralizer", "elementary_two_coset", "trace_avoidance")
+
+
+def _catalog_maps_and_cubing(*groups):
+    """(name, group, image arrays): every automorphism of each catalog
+    group of order <= 24, then x -> x^3 (not an automorphism) on each of
+    ``groups``, under which every element is cubed."""
+    cases = [(name, group, [m.images for m in enumerate_automorphisms(group).members])
+             for name, group in built_in_catalog().groups(order_cap=24)]
+    cases += [(f"{g.name} cubing map", g, [tuple(g.pow(x, 3) for x in g.elements())])
+              for g in groups]
+    return cases
+
+
 def test_trace_memo_equals_unmemoized_loop(monkeypatch):
     """Over every member of the catalog groups of order <= 24, plus x -> x^3
     on S3 (not an automorphism). Under it every element is cubed: the
@@ -280,18 +294,14 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
         return find_nontrivial_solution(*args)
 
     monkeypatch.setattr(verifier, "find_nontrivial_solution", counted)
-    s3 = builders.symmetric(3)
-    cases = [(name, group, [m.images for m in enumerate_automorphisms(group).members])
-             for name, group in built_in_catalog().groups(order_cap=24)]
-    cases.append(("S3 cubing map", s3, [tuple(s3.pow(x, 3) for x in s3.elements())]))
-    for name, group, arrays in cases:
+    for name, group, arrays in _catalog_maps_and_cubing(builders.symmetric(3)):
         ctx = GroupContext(group, name)
         calls.clear()
-        memo = {"trace_avoidance": CheckReport("trace_avoidance")}
+        memo = {name: CheckReport(name) for name in COSET_CHECKS}
         plain = CheckReport("trace_avoidance")
         for img in arrays:
             members, mask = _cube_members(ctx, img)
-            _check_trace_avoidance(ctx, img, members, mask, memo)
+            _check_cyclic_cosets(ctx, img, members, mask, memo)
             _unmemoized_trace_avoidance(ctx, img, members, mask, plain)
         assert memo["trace_avoidance"].instances == plain.instances, name
         assert memo["trace_avoidance"].failures == plain.failures, name
@@ -300,6 +310,99 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
     failing = {(tuple(f["trace"]), f["modulus"]) for f in plain.failures}
     assert ((0, 1, 2), 3) in failing
     assert len(plain.failures) > len(DEFAULT_EQUATIONS) * len(failing)  # repeats were hits
+
+
+def _separate_cube_centralizer(ctx, img, members, mask, accs):
+    acc = accs["cube_centralizer"]
+    comm = ctx.comm
+    pow3 = ctx.pow3
+    for x in members:
+        acc.instances += 1
+        if comm[x] != comm[pow3[x]]:
+            verifier._record(acc, ctx, img, "cube_centralizer", {"x": x})
+    for sub_mask, powers in ctx.cyclic_subgroups:
+        if sub_mask & ~mask:
+            continue
+        size = len(powers)
+        for x in members:
+            cent = (sub_mask & comm[x]).bit_count()
+            acc.instances += 1
+            if (size // cent) % 3 == 0:
+                verifier._record(acc, ctx, img, "cube_centralizer",
+                                 {"subgroup": list(powers), "x": x, "index": size // cent})
+
+
+def _separate_elementary_two_coset(ctx, img, members, mask, accs):
+    acc = accs["elementary_two_coset"]
+    t = ctx.group.table
+    comm = ctx.comm
+    squares = ctx.squares
+    for sub_mask, powers in ctx.cyclic_subgroups:
+        if sub_mask & ~mask:
+            continue
+        for x in members:
+            cent2_mask = sub_mask & comm[squares[x]]
+            if any(not (cent2_mask >> squares[u]) & 1 for u in powers):
+                continue
+            for h in powers:
+                acc.instances += 1
+                if (mask >> t[h][x]) & 1 != (comm[x] >> h) & 1:
+                    verifier._record(acc, ctx, img, "elementary_two_coset",
+                                     {"subgroup": list(powers), "x": x, "h": h})
+
+
+def _separate_trace_avoidance(ctx, img, members, mask, accs):
+    acc = accs["trace_avoidance"]
+    t = ctx.group.table
+    for sub_mask, powers in ctx.cyclic_subgroups:
+        if sub_mask & ~mask:
+            continue
+        for x in members:
+            m = len(powers) // (sub_mask & ctx.comm[x]).bit_count()
+            residue_list = sorted({k % m for k, h in enumerate(powers)
+                                   if (mask >> t[h][x]) & 1})
+            key = (tuple(residue_list), m)
+            if key not in ctx.trace_solutions:
+                ctx.trace_solutions[key] = tuple(
+                    find_nontrivial_solution(residue_list, m, eq) is not None
+                    for eq in DEFAULT_EQUATIONS)
+            acc.instances += len(DEFAULT_EQUATIONS)
+            for eq_index, hit in enumerate(ctx.trace_solutions[key]):
+                if hit:
+                    verifier._record(acc, ctx, img, "trace_avoidance",
+                                     {"subgroup": list(powers), "x": x, "modulus": m,
+                                      "trace": residue_list, "equation": eq_index})
+
+
+def test_coset_walk_equals_three_separate_walks():
+    """One walk over the (H, x) pairs fills the three coset reports as
+    three walks, one per check, did: the same instances, the same
+    failures in the same order, and the same memo of solved traces. The
+    cubing maps give failures of all three. On S4's, some pairs fail the
+    elementary-two-coset hypothesis; that skips the rule's own loop, but
+    the other two checks still count those pairs."""
+    hypothesis_fails = 0
+    for name, group, arrays in _catalog_maps_and_cubing(
+            builders.symmetric(3), builders.symmetric(4), builders.alternating(4)):
+        ctx, ref_ctx = GroupContext(group, name), GroupContext(group, name)
+        merged = {check: CheckReport(check) for check in COSET_CHECKS}
+        separate = {check: CheckReport(check) for check in COSET_CHECKS}
+        for img in arrays:
+            members, mask = _cube_members(ctx, img)
+            _check_cyclic_cosets(ctx, img, members, mask, merged)
+            for walk in (_separate_cube_centralizer, _separate_elementary_two_coset,
+                         _separate_trace_avoidance):
+                walk(ref_ctx, img, members, mask, separate)
+        for check in COSET_CHECKS:
+            assert merged[check].instances == separate[check].instances, (name, check)
+            assert merged[check].failures == separate[check].failures, (name, check)
+        assert list(ctx.trace_solutions.items()) == list(ref_ctx.trace_solutions.items()), name
+        if name == "S4 cubing map":  # every element is cubed: all pairs are walked
+            hypothesis_fails = sum(
+                1 for sub_mask, powers in ctx.cyclic_subgroups for x in members
+                if any(not (sub_mask & ctx.comm[ctx.squares[x]]) >> ctx.squares[u] & 1
+                       for u in powers))
+    assert hypothesis_fails
 
 
 @pytest.mark.parametrize("check", [
