@@ -39,7 +39,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .errors import CapExceeded, NotAutomorphism, NotInvariant
+from .errors import NotAutomorphism, NotInvariant
 from .groups import FiniteGroup, Subgroup, _is_permutation
 
 
@@ -146,10 +146,10 @@ def invert(m: GroupMap) -> GroupMap:
 
 
 def _check_invariant(m: GroupMap, sub: Subgroup) -> None:
-    """Raise NotInvariant unless sub is a subgroup of m's source that m
-    maps onto itself; the images are checked to be elements first."""
-    if m.source is not sub.parent:
-        raise NotInvariant("subgroup belongs to a different group")
+    """Raise NotASubgroup unless sub is a subgroup of m's source, and
+    NotInvariant unless m maps it onto itself; the images are checked to
+    be elements first."""
+    sub._check_parent(m.source)
     m._check_images()
     if {m.images[x] for x in sub.elements} != set(sub.elements):
         raise NotInvariant("subgroup is not mapped onto itself")
@@ -163,17 +163,10 @@ def restrict(m: GroupMap, sub: Subgroup) -> GroupMap:
     return GroupMap(sgrp, sgrp, tuple(back[m.images[g]] for g in embed))
 
 
-def induced_on_quotient(m: GroupMap, normal: Subgroup,
-                        quotient_pair: Optional[tuple] = None) -> GroupMap:
-    """The automorphism induced on G/N by an N-invariant map.
-
-    ``quotient_pair`` may carry a precomputed (quotient, projection) for
-    reuse across many maps.
-    """
+def induced_on_quotient(m: GroupMap, normal: Subgroup) -> GroupMap:
+    """The automorphism induced on G/N by an N-invariant map."""
     _check_invariant(m, normal)
-    if quotient_pair is None:
-        quotient_pair = m.source.quotient(normal)
-    qgrp, proj = quotient_pair
+    qgrp, proj = m.source.quotient(normal)
     images = [0] * qgrp.order
     seen = [False] * qgrp.order
     for g in m.source.elements():
@@ -392,7 +385,7 @@ def _close(table, pairs, n: int, complete: bool) -> Optional[list]:
     return img
 
 
-def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> AutomorphismGroup:
+def enumerate_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     """Aut(G) as one canonical representative per coset of Inn(G).
 
     The backtracking assigns the images h1, h2, ... of the ranked
@@ -406,8 +399,7 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     least image tuple of its coset; the conjugators left fixing every
     image form C_G(G) = Z(G), so each coset has exactly one.
 
-    Deterministic. Raises CapExceeded, before any member is built, if
-    Aut(G) has more than ``cap`` members.
+    Deterministic.
     """
     n = group.order
     if n == 1:
@@ -423,7 +415,6 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
     gens = [gens[i] for i in ranked]
     candidates = [candidates[i] for i in ranked]
     transversal, _ = _center_cosets(group, gens)
-    coset_size = len(transversal)  # the members per coset of Inn(G)
 
     found = []
     nodes = 0
@@ -452,9 +443,6 @@ def enumerate_automorphisms(group: FiniteGroup, cap: Optional[int] = None) -> Au
             if result is not None:
                 if last:
                     found.append(tuple(result))
-                    total = len(found) * coset_size
-                    if cap is not None and total > cap:
-                        raise CapExceeded("automorphism count exceeded cap", total)
                 else:
                     backtrack(level + 1, _centralizing(group, cent, h))
             assigned.pop()

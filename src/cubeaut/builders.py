@@ -10,8 +10,15 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .automorphisms import GroupMap
 from .errors import UnsupportedParameter
-from .groups import MAX_ORDER, FiniteGroup, _is_permutation, from_permutation_generators
+from .groups import (
+    MAX_ORDER,
+    FiniteGroup,
+    _is_permutation,
+    from_permutation_generators,
+    prime_divisors,
+)
 
 # bounds n before n! is formed; S8 and A8 pass it and are refused by order
 MAX_SYMMETRIC_DEGREE = 8
@@ -113,24 +120,11 @@ def alternating(n: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product; element a*|H| + b encodes the pair (a, b)."""
-    hn = h.order
-    order = g.order * hn
-    _check_order(order)
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(g.order):
-        grow = g.table[a1]
-        for b1 in range(hn):
-            hrow = h.table[b1]
-            left = a1 * hn + b1
-            row = table[left]
-            for a2 in range(g.order):
-                base = grow[a2] * hn
-                off = a2 * hn
-                for b2 in range(hn):
-                    row[off + b2] = base + hrow[b2]
-    name = f"{g.name or 'G'}x{h.name or 'H'}"
-    return FiniteGroup(table, name=name)
+    """Direct product: the semidirect product with the trivial action, so
+    element a*|H| + b encodes the pair (a, b)."""
+    group = semidirect_product(g, h, [range(g.order)] * h.order)
+    group.name = f"{g.name or 'G'}x{h.name or 'H'}"
+    return group
 
 
 def semidirect_product(n: FiniteGroup, h: FiniteGroup,
@@ -140,7 +134,9 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     ``action[k]`` is the image array of the automorphism of N attached
     to element k of H. The action must be a homomorphism into Aut(N)
     with action[k1*k2] = action[k1] after action[k2], matching the
-    product (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 h2).
+    product (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 h2). Each
+    action[k] is checked on N's generating set, and, with action[0] the
+    identity, the law on H's: every k2 is a word in them.
     """
     _check_order(n.order * h.order)
     if len(action) != h.order:
@@ -149,16 +145,13 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     for k, m in enumerate(maps):
         if not _is_permutation(m, n.order):
             raise UnsupportedParameter(f"action[{k}] is not a permutation of N")
-        for a in range(n.order):
-            for b in range(n.order):
-                if m[n.table[a][b]] != n.table[m[a]][m[b]]:
-                    raise UnsupportedParameter(f"action[{k}] is not an automorphism of N")
+        if GroupMap(n, n, m).homomorphism_witness() is not None:
+            raise UnsupportedParameter(f"action[{k}] is not an automorphism of N")
     if maps[0] != tuple(range(n.order)):
         raise UnsupportedParameter("action[0] must be the identity map")
-    for k1 in range(h.order):
-        for k2 in range(h.order):
-            composed = tuple(maps[k1][maps[k2][x]] for x in range(n.order))
-            if maps[h.table[k1][k2]] != composed:
+    for k1, m1 in enumerate(maps):
+        for g in h.generating_set:
+            if maps[h.table[k1][g]] != tuple(map(m1.__getitem__, maps[g])):
                 raise UnsupportedParameter("action is not a homomorphism into Aut(N)")
     hn = h.order
     order = n.order * hn
@@ -183,21 +176,19 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
 
 
 def _field_tables(q: int):
-    """Addition and multiplication tables for GF(q), q a prime power <= 13.
+    """Addition and multiplication tables for GF(q), q a prime power
+    (in ``_IRREDUCIBLE`` unless prime).
 
     Elements are 0..q-1; non-prime fields encode polynomials base p
     with the constant term as the low digit.
     """
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            break
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    primes = prime_divisors(q)
+    if len(primes) != 1:
         raise UnsupportedParameter(f"{q} is not a prime power")
+    p = primes[0]
+    k = 1
+    while p ** k < q:
+        k += 1
     if k == 1:
         add = [[(a + b) % p for b in range(q)] for a in range(q)]
         mul = [[(a * b) % p for b in range(q)] for a in range(q)]
@@ -266,7 +257,7 @@ def _projective_group(q: int, extend_to_gl: bool, name: str, expected: int) -> F
     for x in range(1, q):
         inverse[x] = next(y for y in range(1, q) if mul[x][y] == 1)
     # p-basis of the field: 1, u, u^2, ... where u encodes the polynomial x
-    p = next(p for p in (2, 3, 5, 7, 11, 13) if q % p == 0)
+    p = prime_divisors(q)[0]
     basis = [1]
     while p ** len(basis) < q:
         basis.append(mul[basis[-1]][p])

@@ -23,7 +23,7 @@ from .automorphisms import GroupMap, _indices, automorphism_group, identity_map,
 from .catalog import build_named_group
 from .cubing import classify_cubing_structure, cube_set, max_cube_ratio, ratio_json
 from .errors import CubeautError, FileFormatError
-from .groups import FiniteGroup, group_to_json, load_group_file, read_json_file
+from .groups import FiniteGroup, group_to_json, load_group_file, prime_divisors, read_json_file
 from .sfs import (
     DEFAULT_EQUATIONS,
     LinearEquation,
@@ -175,16 +175,7 @@ def _resolve_group(target: str) -> FiniteGroup:
 
 
 def _group_summary(group: FiniteGroup) -> dict:
-    sylow_orders = {}
-    n = group.order
-    p = 2
-    remaining = n
-    while remaining > 1:
-        if remaining % p == 0:
-            sylow_orders[str(p)] = group.sylow(p).order
-            while remaining % p == 0:
-                remaining //= p
-        p += 1
+    sylow_orders = {str(p): group.sylow(p).order for p in prime_divisors(group.order)}
     return {
         "name": group.name,
         "order": group.order,

@@ -34,7 +34,7 @@ from .errors import (
     SylowCondition,
     XInK,
 )
-from .groups import FiniteGroup, Subgroup, abelian_basis, element_vector_table
+from .groups import FiniteGroup, Subgroup, abelian_basis, element_vector_table, prime_divisors
 
 HALF = Fraction(1, 2)
 SOLVABILITY_BOUND = Fraction(4, 15)
@@ -251,11 +251,11 @@ class Type3Decomposition:
     z_elements: tuple
 
 
-def build_type_III(group: FiniteGroup, decomposition) -> tuple:
+def build_type_III(group: FiniteGroup, decomposition: Type3Decomposition) -> tuple:
     """The class-2 construction (a x1^e1 ... xk^ek) -> a^3 x1^3e1 ... xk^3ek.
 
-    ``decomposition`` provides the a- and x-generators (as a
-    Type3Decomposition or a plain (a_list, x_list) pair). A is the
+    ``decomposition`` provides the a- and x-generators, each an element
+    index (see ``FiniteGroup._check_element``). A is the
     subgroup generated by the center and the a-generators; every group
     element must factor uniquely as a * x1^e1 ... xk^ek with e in {0,1}.
 
@@ -267,10 +267,8 @@ def build_type_III(group: FiniteGroup, decomposition) -> tuple:
     subgroup (shape (ii)) the mixed word x1 x2 has centralizer index 4
     and the ratio is 9/16.
     """
-    if isinstance(decomposition, Type3Decomposition):
-        a_gens, x_gens = decomposition.a_elements, decomposition.x_elements
-    else:
-        a_gens, x_gens = decomposition
+    a_gens, x_gens = decomposition.a_elements, decomposition.x_elements
+    group._check_elements([*a_gens, *x_gens])
     if group.order % 3 == 0:
         raise OrderDivisibleBy3("type III needs gcd(|G|, 3) = 1")
     derived = group.derived_subgroup
@@ -305,8 +303,7 @@ def build_type_III(group: FiniteGroup, decomposition) -> tuple:
     report = cube_set(group, alpha)
     if derived.order == 2 and report.ratio != Fraction((1 << k) + 1, 1 << (k + 1)):
         raise InternalCheckFailed("type III shape (i) postcondition failed")
-    if (isinstance(decomposition, Type3Decomposition) and decomposition.shape == "ii"
-            and report.ratio != Fraction(9, 16)):
+    if decomposition.shape == "ii" and report.ratio != Fraction(9, 16):
         raise InternalCheckFailed("type III shape (ii) postcondition failed")
     return alpha, report.ratio
 
@@ -483,13 +480,9 @@ def classify_cubing_structure(group: FiniteGroup) -> ClassificationVerdict:
 def _try_type_iii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
     if group.order % 3 == 0 or group.nilpotency_class != 2:
         return None
-    remaining = group.order
-    for p in range(3, group.order + 1, 2):
-        if remaining % p == 0:
-            while remaining % p == 0:
-                remaining //= p
-            if not group.sylow(p).is_abelian:
-                return None
+    for p in prime_divisors(group.order):
+        if p != 2 and not group.sylow(p).is_abelian:
+            return None
     sylow2 = group.sylow(2)
     s2grp, embed = sylow2.as_group()
     decomposition, _ = find_type3_decomposition(s2grp)

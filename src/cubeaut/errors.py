@@ -56,7 +56,7 @@ class UnsupportedParameter(CubeautError):
 
 
 class CapExceeded(CubeautError):
-    """A closure or enumeration grew past the caller-supplied cap."""
+    """A permutation closure grew past the caller-supplied cap."""
 
     def __init__(self, message: str, found: int):
         self.found = found

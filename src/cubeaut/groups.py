@@ -171,11 +171,18 @@ class FiniteGroup:
         if type(x) is not int or not 0 <= x < self.order:
             raise NotASubgroup(f"{x!r} is not an element index in 0..{self.order - 1}")
 
+    def _check_elements(self, values: list) -> None:
+        """``_check_element`` on every value, by one C-level test of the
+        list; only a failing list is searched for its first witness."""
+        if values and not (set(map(type, values)) <= {int}
+                           and min(values) >= 0 and max(values) < self.order):
+            for x in values:
+                self._check_element(x)
+
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
         """Validate an element list as a subgroup and wrap it."""
         elements = list(elements)
-        for x in elements:
-            self._check_element(x)
+        self._check_elements(elements)
         elems = sorted(set(elements))
         if not elems or elems[0] != 0:
             raise NotASubgroup("subgroup must contain the identity 0")
@@ -194,7 +201,10 @@ class FiniteGroup:
         return Subgroup(self, tuple(sorted(self.closure(gens))))
 
     def closure(self, gens: Iterable[int]) -> set:
-        """Element set of the subgroup generated by ``gens``."""
+        """Element set of the subgroup generated by ``gens``, each an
+        element index (see ``_check_element``)."""
+        gens = list(gens)
+        self._check_elements(gens)
         gens = [g for g in gens if g != 0]
         seen = {0}
         queue = [0]
@@ -367,7 +377,7 @@ class FiniteGroup:
         whose coset has order p in N(P)/P; no quotient table is built.
         While P is not Sylow, p divides |N(P)/P|, so such a g exists.
         """
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if type(p) is not int or prime_divisors(p) != (p,):
             raise UnsupportedParameter(f"{p} is not prime")
         p_part = 1
         n = self.order
@@ -526,6 +536,21 @@ class Subgroup:
         table = [[index[self.parent.table[a][b]] for b in self.elements] for a in self.elements]
         name = f"{self.parent.name or 'G'}<{self.order}>"
         return FiniteGroup(table, name=name), tuple(self.elements)
+
+
+def prime_divisors(n: int) -> tuple:
+    """The primes dividing n, ascending, by trial division; () for n < 2."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,10 @@ class _Search:
     above the node's elements and keeps the set avoiding when added."""
 
     def __init__(self, instance: SfsInstance, budget: Optional[int],
-                 descending: bool, target: Optional[int]):
+                 target: Optional[int]):
         self.n = instance.modulus
         self.instance = instance
         self.budget = budget
-        self.descending = descending
         self.target = target  # when set, collect all avoiding sets of this size
         self.nodes = 0
         self.exact = True
@@ -256,8 +255,6 @@ class _Search:
                 cand |= 1 << v
         self._greedy_seed(cand)
         roots = [d for d in range(1, n) if n % d == 0 and cand >> d & 1]
-        if self.descending:
-            roots.reverse()
         for d in roots:
             if not self.exact:
                 return
@@ -314,17 +311,12 @@ class _Search:
         else:
             if len(current) + cand.bit_count() < self.target:
                 return
-        bits = []
         mask = cand
         while mask:
-            low = mask & -mask
-            bits.append(low)
-            mask ^= low
-        if self.descending:
-            bits.reverse()
-        for low in bits:
             if not self.exact:
                 return
+            low = mask & -mask
+            mask ^= low
             self._branch(current, low.bit_length() - 1, cand & ~((low << 1) - 1))
 
     def _branch(self, current: tuple, v: int, above: int):
@@ -343,7 +335,7 @@ class _Search:
 
 
 def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
-                    collect_sets: bool = False, descending: bool = False) -> SfsResult:
+                    collect_sets: bool = False) -> SfsResult:
     """Exact maximum size of an avoiding subset of Z_n.
 
     The equations are translation invariant, so the search fixes 0 in
@@ -352,7 +344,7 @@ def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
     gathered by a second pass. If the node budget runs out the result
     carries the best certified lower bound with exact=False.
     """
-    search = _Search(instance, budget, descending, None)
+    search = _Search(instance, budget, None)
     search.run_from_zero()
     size = search.best
     n = instance.modulus
@@ -387,7 +379,7 @@ def enumerate_extremal(instance: SfsInstance, size: int,
     is re-checked by ``is_avoiding``."""
     if size < 1:
         raise UnsupportedParameter("target size must be >= 1")
-    search = _Search(instance, budget, False, size)
+    search = _Search(instance, budget, size)
     search.run_from_zero()
     n = instance.modulus
     canonical = tuple(sorted({canonical_form(s, n) for s in search.collected}))

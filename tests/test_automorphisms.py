@@ -23,7 +23,7 @@ from cubeaut.automorphisms import (
 )
 from cubeaut.automorphisms import _close, _fingerprints
 from cubeaut.catalog import heisenberg27
-from cubeaut.errors import CapExceeded, NotAutomorphism, NotInvariant
+from cubeaut.errors import NotAutomorphism, NotInvariant
 
 
 def phi(n):
@@ -389,24 +389,6 @@ def test_enumeration_deterministic_order():
     second = enumerate_automorphisms(g).image_arrays
     assert first == second
     assert list(first) == sorted(first)
-
-
-def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        enumerate_automorphisms(builders.quaternion8(), cap=5)
-
-
-def test_cap_counts_every_member_before_expansion():
-    s4 = builders.symmetric(4)
-    assert enumerate_automorphisms(s4, cap=24).order == 24
-    with pytest.raises(CapExceeded):
-        enumerate_automorphisms(s4, cap=23)
-    # T3ii: each representative stands for [G : Z(G)] = 16 members
-    t3ii = builders.type3_group_ii()
-    assert enumerate_automorphisms(t3ii, cap=2048).order == 2048
-    with pytest.raises(CapExceeded) as caught:
-        enumerate_automorphisms(t3ii, cap=2047)
-    assert caught.value.found == 2048
 
 
 def test_check_automorphism_rejects_non_homomorphism():

@@ -13,6 +13,7 @@ from cubeaut.catalog import frobenius20, heisenberg27, special_linear_2_3
 from cubeaut.cubing import (
     HALF,
     Kind,
+    Type3Decomposition,
     build_type_I,
     build_type_II,
     build_type_III,
@@ -319,7 +320,7 @@ def test_find_decomposition_rejects_class_three():
 def test_type_iii_validates_order():
     with pytest.raises(OrderDivisibleBy3):
         build_type_III(builders.direct_product(builders.cyclic(3), builders.quaternion8()),
-                       ((), ()))
+                       Type3Decomposition("i", (), (), ()))
 
 
 # ---------------------------------------------------------------------------

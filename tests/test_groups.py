@@ -17,10 +17,9 @@ from cubeaut.automorphisms import (
     induced_on_quotient,
     restrict,
 )
-from cubeaut.cubing import build_type_II, coset_trace
+from cubeaut.cubing import Type3Decomposition, build_type_II, build_type_III, coset_trace
 from cubeaut.errors import (
     CapExceeded,
-    CubeautError,
     FileFormatError,
     GroupTableError,
     NoIdentity,
@@ -41,6 +40,7 @@ from cubeaut.groups import (
     load_group_file,
     load_group_json,
     max_abelian_subgroup_order,
+    prime_divisors,
 )
 from cubeaut.verifier import check_quotient_inequality
 
@@ -500,6 +500,95 @@ def test_semidirect_product_validates_action():
         builders.semidirect_product(c3, c2, [[0, 1, 2], [1, 2, 0]])  # not order 2
 
 
+def _reference_direct_table(g, h):
+    """The direct-product table loop builders.direct_product once ran on
+    its own: element a*|H| + b encodes the pair (a, b)."""
+    hn = h.order
+    order = g.order * hn
+    table = [[0] * order for _ in range(order)]
+    for a1 in range(g.order):
+        grow = g.table[a1]
+        for b1 in range(hn):
+            hrow = h.table[b1]
+            row = table[a1 * hn + b1]
+            for a2 in range(g.order):
+                base = grow[a2] * hn
+                off = a2 * hn
+                for b2 in range(hn):
+                    row[off + b2] = base + hrow[b2]
+    return tuple(map(tuple, table))
+
+
+def test_direct_product_equals_reference_loop():
+    """direct_product is the semidirect product with the trivial action:
+    same table as the old loop, and the GxH name, on every catalog
+    product (folded from the left, as the catalog builds it) and on
+    A5 x Z4 and S3 x A5."""
+    from functools import reduce
+
+    from cubeaut.catalog import REGISTRY, _parse
+    products = [row.name for row in REGISTRY if "x" in row.name]
+    assert len(products) == 23
+    cases = [[row.build(*k) for row, k in map(_parse, name.split("x"))] for name in products]
+    cases += [[builders.alternating(5), builders.cyclic(4)],
+              [builders.symmetric(3), builders.alternating(5)]]
+    for factors in cases:
+        group = reduce(builders.direct_product, factors)
+        reference = reduce(lambda g, h: FiniteGroup(_reference_direct_table(g, h),
+                                                    name=f"{g.name}x{h.name}"), factors)
+        assert group.table == reference.table, reference.name
+        assert group.name == reference.name
+
+
+def _reference_action_refusal(n, h, action):
+    """The message the old all-pairs checks of semidirect_product refuse
+    ``action`` with, or None: each action[k] against every pair of N,
+    then the law action[k1*k2] = action[k1] after action[k2] on every
+    pair of H."""
+    maps = [tuple(m) for m in action]
+    for k, m in enumerate(maps):
+        if sorted(m) != list(range(n.order)):
+            return f"action[{k}] is not a permutation of N"
+        for a in range(n.order):
+            for b in range(n.order):
+                if m[n.table[a][b]] != n.table[m[a]][m[b]]:
+                    return f"action[{k}] is not an automorphism of N"
+    if maps[0] != tuple(range(n.order)):
+        return "action[0] must be the identity map"
+    for k1 in range(h.order):
+        for k2 in range(h.order):
+            composed = tuple(maps[k1][maps[k2][x]] for x in range(n.order))
+            if maps[h.table[k1][k2]] != composed:
+                return "action is not a homomorphism into Aut(N)"
+    return None
+
+
+def test_action_checks_equal_all_pairs_reference():
+    """semidirect_product checks each action[k] on N's generators and
+    the action law on H's generators. For every permutation s of N, the
+    action k -> s^k of the cyclic H (and its shift k -> s^(k+1), whose
+    action[0] is the identity only for s = 1) is accepted or refused as
+    the all-pairs checks did, with the same message."""
+    v4 = builders.direct_product(builders.cyclic(2), builders.cyclic(2))
+    outcomes = {}
+    for n in (builders.cyclic(3), builders.cyclic(4), v4, builders.symmetric(3)):
+        for h in (builders.cyclic(2), builders.cyclic(3), builders.cyclic(4)):
+            for sigma in permutations(range(n.order)):
+                powers = [tuple(range(n.order))]
+                for _ in range(h.order):
+                    powers.append(tuple(sigma[x] for x in powers[-1]))
+                for action in (powers[:-1], powers[1:]):
+                    expected = _reference_action_refusal(n, h, action)
+                    try:
+                        builders.semidirect_product(n, h, action)
+                        got = None
+                    except UnsupportedParameter as exc:
+                        got = str(exc)
+                    assert got == expected, (n.name, h.name, sigma, action)
+                    outcomes[expected] = outcomes.get(expected, 0) + 1
+    assert len(outcomes) == 5  # accepted, and each of the four refusals
+
+
 def test_type3_group_structure():
     g1 = builders.type3_group_i(1)
     assert g1.derived_subgroup.order == 2
@@ -729,6 +818,39 @@ def test_subgroup_refuses_non_indices(elements, bad):
         builders.cyclic(4).subgroup(elements)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 99, 4.0, "1", None], ids=repr)
+def test_generators_refuse_non_indices(bad):
+    """closure, subgroup_generated and build_type_III's a- and
+    x-elements refuse what subgroup refuses, by name (before: on S3,
+    closure([-1]) gave {0, 5, -1}, closure([True]) {0, True, 3} and
+    closure([99]) an IndexError; on Q8, x = 99 an IndexError and
+    x = 4.0 a TypeError)."""
+    s3 = builders.symmetric(3)
+    q8 = builders.quaternion8()
+    message = f"^{re.escape(repr(bad))} is not an element"
+    for call in (lambda: s3.closure([1, bad]),
+                 lambda: s3.subgroup_generated([bad, 1]),
+                 lambda: build_type_III(q8, Type3Decomposition("i", (1,), (bad,), ())),
+                 lambda: build_type_III(q8, Type3Decomposition("i", (bad,), (4,), ()))):
+        with pytest.raises(NotASubgroup, match=message):
+            call()
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3, True, 3.0, 2.5], ids=repr)
+def test_sylow_refuses_non_primes(p):
+    """Only an int prime is a Sylow prime (before: 3.0 ended in a
+    TypeError and 2.5 gave the trivial subgroup)."""
+    with pytest.raises(UnsupportedParameter, match=f"^{re.escape(str(p))} is not prime$"):
+        builders.symmetric(4).sylow(p)
+
+
+def test_prime_divisors_equal_brute_force():
+    for n in range(1, 2001):
+        expected = tuple(p for p in range(2, n + 1)
+                         if n % p == 0 and all(p % d for d in range(2, p)))
+        assert prime_divisors(n) == expected, n
+
+
 # Every public call of groups, cubing, automorphisms and verifier that
 # takes a Subgroup, as module.qualname -> call(group, subgroup).
 # tests/test_source.py requires an entry here for each one.
@@ -757,7 +879,7 @@ def test_foreign_subgroup_is_refused(call, host):
     a3 = s3.subgroup_generated([next(x for x in s3.elements() if s3.element_orders[x] == 3)])
     group = {"D4": builders.dihedral(4), "Z2": builders.cyclic(2),
              "S3": builders.symmetric(3)}[host]
-    with pytest.raises(CubeautError, match="^subgroup belongs to a different group$"):
+    with pytest.raises(NotASubgroup, match="^subgroup belongs to a different group$"):
         call(group, a3)
 
 

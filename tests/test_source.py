@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cubeaut import automorphisms, builders, cli, cubing, groups, verifier
-from cubeaut.automorphisms import automorphism_group
+from cubeaut import automorphisms, cli, cubing, groups, verifier
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
 
@@ -144,10 +143,27 @@ def test_package_reads_no_environment():
 
 
 def test_benchmark_calls_still_bind(tmp_path):
-    """The calls perfbench/workloads.py makes: automorphism_group(group,
-    cache_dir=...) and every CLI_COMMANDS entry behind --cache-dir."""
+    """The calls perfbench/workloads.py makes: every call of a package
+    function that passes a keyword (automorphism_group(group,
+    cache_dir=...), max_free_subset(instance, collect_sets=...),
+    max_cube_ratio(g, auts=...), ...) binds to its signature, and every
+    CLI_COMMANDS entry parses behind --cache-dir. So an option the
+    benchmark uses cannot be removed while tier-1 passes."""
     workloads = _load(WORKLOADS, "perfbench_workloads")
-    inspect.signature(automorphism_group).bind(builders.cyclic(2), cache_dir=tmp_path)
+    modules = {name: getattr(workloads, name) for name in
+               ("automorphisms", "catalog", "cli", "cubing", "groups", "sfs")}
+    bound = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        root = node.func if isinstance(node, ast.Call) and node.keywords else None
+        while isinstance(root, (ast.Attribute, ast.Call)):
+            root = root.value if isinstance(root, ast.Attribute) else root.func
+        if getattr(root, "id", None) not in modules:
+            continue
+        function = eval(compile(ast.Expression(node.func), str(WORKLOADS), "eval"), modules)
+        inspect.signature(function).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        bound.add(ast.unparse(node.func))
+    assert {"automorphisms.automorphism_group", "sfs.max_free_subset",
+            "cubing.max_cube_ratio", "catalog.built_in_catalog().groups"} <= bound, bound
     parser = cli._build_parser()
     for command in workloads.CLI_COMMANDS:
         args = parser.parse_args(["--format", "json", "--jobs", "1", "--seed", "101",
