@@ -123,8 +123,9 @@ def is_n_abelian(group: FiniteGroup, n: int) -> bool:
 
 
 def inner_automorphism(group: FiniteGroup, g: int) -> GroupMap:
-    """Conjugation x -> g^-1 x g."""
-    return GroupMap(group, group, tuple(group.conjugate(x, g) for x in group.elements()))
+    """Conjugation x -> g^-1 x g; g must be an element index."""
+    group._check_element(g)
+    return GroupMap(group, group, tuple(_conjugation(group, g)))
 
 
 def compose(first: GroupMap, then: GroupMap) -> GroupMap:

@@ -135,18 +135,24 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     to element k of H. The action must be a homomorphism into Aut(N)
     with action[k1*k2] = action[k1] after action[k2], matching the
     product (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 h2). Each
-    action[k] is checked on N's generating set, and, with action[0] the
-    identity, the law on H's: every k2 is a word in them.
+    distinct action[k] is checked on N's generating set, and, with
+    action[0] the identity, the law on H's: every k2 is a word in them.
     """
     _check_order(n.order * h.order)
     if len(action) != h.order:
         raise UnsupportedParameter("need one automorphism of N per element of H")
     maps = [tuple(m) for m in action]
+    # the law is checked once per distinct map (a direct product repeats
+    # one map |H| times); passing the permutation test makes m hashable
+    checked = set()
     for k, m in enumerate(maps):
         if not _is_permutation(m, n.order):
             raise UnsupportedParameter(f"action[{k}] is not a permutation of N")
+        if m in checked:
+            continue
         if GroupMap(n, n, m).homomorphism_witness() is not None:
             raise UnsupportedParameter(f"action[{k}] is not an automorphism of N")
+        checked.add(m)
     if maps[0] != tuple(range(n.order)):
         raise UnsupportedParameter("action[0] must be the identity map")
     for k1, m1 in enumerate(maps):

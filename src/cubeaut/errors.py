@@ -137,10 +137,6 @@ class PreconditionViolated(CubeautError):
         super().__init__(msg)
 
 
-class HypothesisNotMet(CubeautError):
-    """A check's ambient hypothesis fails, so the check is skipped."""
-
-
 # ---------------------------------------------------------------------------
 # File ingestion
 

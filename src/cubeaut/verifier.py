@@ -7,8 +7,10 @@ re-validates it from the raw multiplication table first; a
 non-revalidating failure aborts the run as an internal bug. One walk
 fills all five pattern reports, and one walk over the pairs (H, x),
 H a cyclic subgroup inside the cube set and x in it, fills the three
-coset reports. The public single-instance checks run the same checkers
-on one pair, and each returns only its own report.
+coset reports. ``check_property(group, alpha, check)`` runs the
+checker of one check id on a single pair and returns that id's report;
+``check_quotient_inequality`` runs the quotient check on one normal
+subgroup.
 
 Scans run exhaustively over all automorphisms of all catalog groups up
 to a small order cap, plus a seeded sample of larger instances; each
@@ -34,13 +36,11 @@ from .cubing import (
     HALF,
     SOLVABILITY_BOUND,
     classify_cubing_structure,
-    cube_set,
     max_cube_ratio,
     ratio_json,
     Kind,
 )
 from .errors import (
-    HypothesisNotMet,
     InternalCheckFailed,
     NotAutomorphism,
     NotNormal,
@@ -408,29 +408,38 @@ def _run_all_checks(ctx: GroupContext, img, accs: dict):
 
 
 def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
-                   ctx: Optional[GroupContext] = None,
-                   scope: Optional[dict] = None) -> CheckReport:
+                   ctx: GroupContext, scope: dict) -> CheckReport:
     started = time.monotonic()
     if alpha.source is not group:
         raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
-    ctx = ctx or GroupContext(group, group.name or "group")
     reports = {name: CheckReport(name) for name in CHECK_IDS}
     members, mask = _cube_members(ctx, alpha.images)
     _CHECKERS[check](ctx, alpha.images, members, mask, reports)
     report = reports[check]
-    report.scope = scope or {"group": group.name, "order": group.order}
+    report.scope = scope
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     return report
 
 
+def check_property(group: FiniteGroup, alpha: GroupMap, check: str) -> CheckReport:
+    """The report of ``check``, an id of ``CHECK_IDS``, on the one pair
+    (group, alpha): the scan's checker on a fresh context, so a pair the
+    scan skips is skipped here too. A checker that fills several reports
+    in one walk returns only this one."""
+    if check not in CHECK_IDS:  # a tuple test: an unhashable id is refused too
+        raise UnsupportedParameter(
+            f"unknown check {check!r}; known checks: {', '.join(CHECK_IDS)}")
+    return _single_report(group, alpha, check, GroupContext(group, group.name or "group"),
+                          {"group": group.name, "order": group.order})
+
+
 def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
-                              normal: Optional[Subgroup] = None) -> CheckReport:
-    """Cube ratio of G never exceeds that of any invariant factor group:
-    every one, or only G/``normal``. The single N runs the scan's check
-    on a context whose only normal subgroup is N."""
-    if normal is None:
-        return _single_report(group, alpha, "quotient_ratio_monotone")
+                              normal: Subgroup) -> CheckReport:
+    """Cube ratio of G never exceeds that of the invariant factor group
+    G/``normal``: the scan's check on a context whose only normal
+    subgroup is N. Every invariant N at once is
+    ``check_property(group, alpha, "quotient_ratio_monotone")``."""
     if not group.is_normal(normal):
         raise NotNormal(f"subgroup of order {normal.order} is not normal")
     _check_invariant(alpha, normal)
@@ -438,63 +447,6 @@ def check_quotient_inequality(group: FiniteGroup, alpha: GroupMap,
     ctx.normal_cosets = ((normal._element_set, group.right_cosets(normal)[0]),)
     return _single_report(group, alpha, "quotient_ratio_monotone", ctx,
                           {"group": group.name, "normal": list(normal.elements)})
-
-
-def check_centralizer_cube(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
-    """Centralizers of x and x^3 agree for x in the cube set, and the
-    centralizer index in any cyclic subgroup of the cube set is never a
-    multiple of three. Runs the (H, x) walk the three coset checks share
-    and returns this check's report."""
-    return _single_report(group, alpha, "cube_centralizer")
-
-
-def check_abba(group, alpha):
-    """a, b, ab, ba all cubed forces [a, b] = 1."""
-    return _single_report(group, alpha, "pattern_abba")
-
-
-def check_ap(group, alpha):
-    """a, b, ab, a^-1 b all cubed forces [a, b] = 1."""
-    return _single_report(group, alpha, "pattern_ap")
-
-
-def check_ap2(group, alpha):
-    """a, b, ab, a^-2 b all cubed forces [a, b] = 1."""
-    return _single_report(group, alpha, "pattern_ap2")
-
-
-def check_a2b(group, alpha):
-    """a, b, ab, a^2 b all cubed forces [a, b] = 1."""
-    return _single_report(group, alpha, "pattern_a2b")
-
-
-def check_a3b(group, alpha):
-    """a, b, ab, a^3 b all cubed forces [a, b] = 1."""
-    return _single_report(group, alpha, "pattern_a3b")
-
-
-def check_eltwoab(group, alpha):
-    """When H/C_H(x^2) is elementary 2-abelian, hx is cubed iff h and x
-    commute. Runs the (H, x) walk the three coset checks share and
-    returns this check's report."""
-    return _single_report(group, alpha, "elementary_two_coset")
-
-
-def check_trace_avoidance(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
-    """Every cyclic-subgroup coset trace avoids both default equations.
-    Runs the (H, x) walk the three coset checks share and returns this
-    check's report."""
-    return _single_report(group, alpha, "trace_avoidance")
-
-
-def check_coset_bound(group: FiniteGroup, alpha: GroupMap) -> CheckReport:
-    """With cube ratio above one half: every coset of a maximum
-    subgroup inside the cube set meets it, in at most half the coset."""
-    cube = cube_set(group, alpha)
-    if cube.ratio <= HALF:
-        raise HypothesisNotMet(
-            f"cube ratio {cube.ratio} is not above 1/2; check skipped")
-    return _single_report(group, alpha, "coset_bound_half")
 
 
 # ---------------------------------------------------------------------------

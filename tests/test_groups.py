@@ -15,6 +15,7 @@ from cubeaut.automorphisms import (
     check_automorphism,
     identity_map,
     induced_on_quotient,
+    inner_automorphism,
     restrict,
 )
 from cubeaut.cubing import Type3Decomposition, build_type_II, build_type_III, coset_trace
@@ -540,6 +541,19 @@ def test_direct_product_equals_reference_loop():
         assert group.name == reference.name
 
 
+def test_repeated_action_map_is_checked_once(monkeypatch):
+    """semidirect_product runs the automorphism test once per distinct
+    action map: the trivial action of Z8 on Z3 repeats one map eight
+    times, so direct_product(Z3, Z8) makes one homomorphism_witness call."""
+    z3, z8 = builders.cyclic(3), builders.cyclic(8)
+    calls = []
+    witness = GroupMap.homomorphism_witness
+    monkeypatch.setattr(GroupMap, "homomorphism_witness",
+                        lambda m: calls.append(m.images) or witness(m))
+    assert builders.direct_product(z3, z8).order == 24
+    assert calls == [(0, 1, 2)]
+
+
 def _reference_action_refusal(n, h, action):
     """The message the old all-pairs checks of semidirect_product refuse
     ``action`` with, or None: each action[k] against every pair of N,
@@ -820,16 +834,18 @@ def test_subgroup_refuses_non_indices(elements, bad):
 
 @pytest.mark.parametrize("bad", [-1, True, 99, 4.0, "1", None], ids=repr)
 def test_generators_refuse_non_indices(bad):
-    """closure, subgroup_generated and build_type_III's a- and
-    x-elements refuse what subgroup refuses, by name (before: on S3,
-    closure([-1]) gave {0, 5, -1}, closure([True]) {0, True, 3} and
-    closure([99]) an IndexError; on Q8, x = 99 an IndexError and
-    x = 4.0 a TypeError)."""
+    """closure, subgroup_generated, inner_automorphism and
+    build_type_III's a- and x-elements refuse what subgroup refuses, by
+    name (before: on S3, closure([-1]) gave {0, 5, -1}, closure([True])
+    {0, True, 3} and closure([99]) an IndexError, and
+    inner_automorphism(s3, -1) conjugated by 5; on Q8, x = 99 an
+    IndexError and x = 4.0 a TypeError)."""
     s3 = builders.symmetric(3)
     q8 = builders.quaternion8()
     message = f"^{re.escape(repr(bad))} is not an element"
     for call in (lambda: s3.closure([1, bad]),
                  lambda: s3.subgroup_generated([bad, 1]),
+                 lambda: inner_automorphism(s3, bad),
                  lambda: build_type_III(q8, Type3Decomposition("i", (1,), (bad,), ())),
                  lambda: build_type_III(q8, Type3Decomposition("i", (bad,), (4,), ()))):
         with pytest.raises(NotASubgroup, match=message):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cubeaut
 from cubeaut import automorphisms, cli, cubing, groups, verifier
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
@@ -35,6 +36,20 @@ def test_no_bare_asserts(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_package_exports_match_imports():
+    """cubeaut.__all__ lists each public name the package's __init__
+    binds, once, and nothing else: a deleted function cannot stay
+    exported, nor an imported one go unexported. Submodules, bound as
+    attributes by their import, are not exports."""
+    exported = cubeaut.__all__
+    bound = {name for name, value in vars(cubeaut).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    duplicates = sorted({name for name in exported if exported.count(name) > 1})
+    assert not duplicates, f"exported twice: {duplicates}"
+    assert set(exported) == bound, (f"bound, not exported: {sorted(bound - set(exported))}; "
+                                    f"exported, not bound: {sorted(set(exported) - bound)}")
 
 
 def test_stdlib_only():

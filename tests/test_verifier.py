@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from cubeaut.automorphisms import (
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
 from cubeaut.errors import (
-    HypothesisNotMet,
     NotAutomorphism,
     NotInvariant,
     NotNormal,
@@ -22,17 +22,10 @@ from cubeaut.errors import (
 )
 from cubeaut.verifier import (
     CHECK_IDS,
+    PATTERN_IDS,
     GroupContext,
-    check_a2b,
-    check_a3b,
-    check_abba,
-    check_ap,
-    check_ap2,
-    check_centralizer_cube,
-    check_coset_bound,
-    check_eltwoab,
+    check_property,
     check_quotient_inequality,
-    check_trace_avoidance,
     power_pattern_search,
     revalidate,
     verify_properties,
@@ -69,7 +62,7 @@ def test_quotient_inequality_s3_sylow():
 def test_quotient_inequality_scans_all_normals():
     g = builders.type3_group_i(1)
     alpha = classify_cubing_structure(g).constructed_alpha
-    report = check_quotient_inequality(g, alpha)
+    report = check_property(g, alpha, "quotient_ratio_monotone")
     assert report.instances >= 3  # at least trivial, center, whole group
     assert not report.failures
 
@@ -169,7 +162,7 @@ def test_normal_cosets_and_sylow_build_no_table(monkeypatch):
 def test_centralizer_cube_check():
     for build in (lambda: builders.symmetric(4), lambda: builders.alternating(5)):
         g = build()
-        report = check_centralizer_cube(g, identity_map(g))
+        report = check_property(g, identity_map(g), "cube_centralizer")
         assert report.instances > 0
         assert not report.failures
 
@@ -178,15 +171,15 @@ def test_pattern_checks_pass_on_catalog_samples():
     for build in (lambda: builders.alternating(5), lambda: builders.dihedral(6)):
         g = build()
         alpha = identity_map(g)
-        for check in (check_abba, check_ap, check_ap2, check_a2b, check_a3b):
-            report = check(g, alpha)
+        for check in PATTERN_IDS:
+            report = check_property(g, alpha, check)
             assert not report.failures
 
 
 def test_pattern_instances_counted_on_abelian():
     g = builders.cyclic(8)
     from cubeaut.automorphisms import power_map
-    report = check_abba(g, power_map(g, 3))
+    report = check_property(g, power_map(g, 3), "pattern_abba")
     # the whole group is cubed, so every ordered pair is an instance
     assert report.instances == 64
     assert not report.failures
@@ -195,14 +188,14 @@ def test_pattern_instances_counted_on_abelian():
 def test_eltwoab_check():
     g = builders.symmetric(3)
     alpha = classify_cubing_structure(g).constructed_alpha
-    report = check_eltwoab(g, alpha)
+    report = check_property(g, alpha, "elementary_two_coset")
     assert report.instances > 0
     assert not report.failures
 
 
 def test_trace_avoidance_public_op():
     a5 = builders.alternating(5)
-    report = check_trace_avoidance(a5, identity_map(a5))
+    report = check_property(a5, identity_map(a5), "trace_avoidance")
     assert report.instances > 0
     assert not report.failures
 
@@ -235,14 +228,26 @@ def test_trace_avoidance_fast_path_matches_coset_trace():
 
 
 def test_trace_avoidance_public_op_is_the_scan():
-    for build in (lambda: builders.symmetric(4), lambda: builders.quaternion8()):
-        group = build()
-        for alpha in enumerate_automorphisms(group).members[:4]:
-            accs = {name: CheckReport(name) for name in CHECK_IDS}
-            _run_all_checks(GroupContext(group, "g"), alpha.images, accs)
-            report = check_trace_avoidance(group, alpha)
-            assert report.instances == accs["trace_avoidance"].instances > 0
-            assert report.failures == accs["trace_avoidance"].failures == []
+    """check_property is the scan on one pair: for every check id it
+    records the instances, failures and skipped count of _run_all_checks,
+    over every automorphism of the catalog groups of order <= 12."""
+    pairs = 0
+    totals = {check: [0, 0] for check in CHECK_IDS}  # instances, skipped
+    for name, group in built_in_catalog().groups(order_cap=12):
+        for alpha in enumerate_automorphisms(group).members:
+            accs = {check: CheckReport(check) for check in CHECK_IDS}
+            _run_all_checks(GroupContext(group, group.name or "group"), alpha.images, accs)
+            for check in CHECK_IDS:
+                report = check_property(group, alpha, check)
+                scan = accs[check]
+                assert ((report.instances, report.failures, report.skipped)
+                        == (scan.instances, scan.failures, scan.skipped)), (name, check)
+                totals[check][0] += report.instances
+                totals[check][1] += report.skipped
+            pairs += 1
+    assert pairs == 414
+    assert all(instances for instances, _ in totals.values()), totals
+    assert totals["coset_bound_half"][1] > 0
 
 
 def _unmemoized_trace_avoidance(ctx, img, members, mask, acc):
@@ -405,40 +410,62 @@ def test_coset_walk_equals_three_separate_walks():
     assert hypothesis_fails
 
 
-@pytest.mark.parametrize("check", [
-    check_quotient_inequality, check_centralizer_cube, check_abba, check_ap,
-    check_ap2, check_a2b, check_a3b, check_eltwoab, check_trace_avoidance,
-])
+# Each check id's case keeps the id it had when every check was a
+# function of its own, named as below.
+CASE_IDS = {
+    "quotient_ratio_monotone": "check_quotient_inequality",
+    "cube_centralizer": "check_centralizer_cube",
+    "elementary_two_coset": "check_eltwoab",
+    "pattern_abba": "check_abba",
+    "pattern_ap": "check_ap",
+    "pattern_ap2": "check_ap2",
+    "pattern_a2b": "check_a2b",
+    "pattern_a3b": "check_a3b",
+    "trace_avoidance": "check_trace_avoidance",
+    "coset_bound_half": "check_coset_bound",
+}
+
+
+@pytest.mark.parametrize("check", CHECK_IDS, ids=CASE_IDS.get)
 def test_public_checks_reject_non_automorphism(check):
     g = builders.symmetric(3)
     swap = GroupMap(g, g, (0, 2, 1, 3, 4, 5))
     with pytest.raises(NotAutomorphism):
-        check(g, swap)
+        check_property(g, swap, check)
 
 
-@pytest.mark.parametrize("check", [
-    check_quotient_inequality, check_centralizer_cube, check_abba, check_ap,
-    check_ap2, check_a2b, check_a3b, check_eltwoab, check_trace_avoidance,
-    check_coset_bound,
-])
+@pytest.mark.parametrize("check", CHECK_IDS, ids=CASE_IDS.get)
 def test_public_checks_reject_map_on_another_group(check):
     """The identity of Z2 is an automorphism, but not one of Z3."""
     with pytest.raises(NotAutomorphism, match="does not act on this group"):
-        check(builders.cyclic(3), identity_map(builders.cyclic(2)))
+        check_property(builders.cyclic(3), identity_map(builders.cyclic(2)), check)
+
+
+@pytest.mark.parametrize("check", ["pattern_abc", None, ["pattern_abba"]], ids=repr)
+def test_check_property_refuses_unknown_ids(check):
+    """Only an id of CHECK_IDS names a check; an unhashable one is
+    refused the same way, and the message lists the known ids."""
+    g = builders.symmetric(3)
+    with pytest.raises(UnsupportedParameter,
+                       match=f"^unknown check {re.escape(repr(check))}; known checks: "
+                             f"{', '.join(CHECK_IDS)}$"):
+        check_property(g, identity_map(g), check)
 
 
 def test_coset_bound_check():
     g = builders.symmetric(3)
     alpha = classify_cubing_structure(g).constructed_alpha
-    report = check_coset_bound(g, alpha)
+    report = check_property(g, alpha, "coset_bound_half")
     assert report.instances > 0
     assert not report.failures
 
 
 def test_coset_bound_requires_hypothesis():
+    """At cube ratio <= 1/2 the pair is recorded as skipped, as the scan
+    records it."""
     g = builders.alternating(4)
-    with pytest.raises(HypothesisNotMet):
-        check_coset_bound(g, identity_map(g))
+    report = check_property(g, identity_map(g), "coset_bound_half")
+    assert (report.instances, report.skipped, report.failures) == (0, 1, [])
 
 
 def test_type3_alpha_passes_all_checks():
