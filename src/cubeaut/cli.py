@@ -53,7 +53,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout; send the unwritten rest to devnull so
         # the flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0 if ok else 1
 

@@ -1,15 +1,19 @@
 """Finite groups as element-indexed Cayley tables.
 
 Elements are the integers 0..n-1 and the identity is always element 0.
-Tables are validated at construction by three checks: every row is a
-permutation of 0..n-1, element 0 is a two-sided identity, and Light's
-test over a generating set proves associativity exactly. Together
-these make the table a group (see ``_validate_table``).
+Tables are proven groups at construction (see ``_validate_table``): one
+pass over the whole table checks that it is square with int entries,
+row 0 and column 0 must be the identity, and one breadth-first walk
+from 0 checks Light's condition for every reached element against each
+generator it picks. The walk composes permutations only, so it also
+proves every row a permutation of 0..n-1 without a set of any row.
+Only a refused table is searched row by row for the witness it raises.
 
 A table entry must be a Python int: a bool, float or str is refused
-with a ``NotClosed`` witness, never converted. Table rows, permutation
-generators, semidirect-product actions and automorphism images all pass
-one test of "a permutation of 0..n-1", ``_is_permutation``.
+with a ``NotClosed`` witness, never converted. Generator rows of the
+walk, permutation generators, semidirect-product actions and
+automorphism images all pass one test of "a permutation of 0..n-1",
+``_is_permutation``.
 
 All structural queries are exact; nothing here is randomized or
 approximate. Series and normality tests work on generating sets, which
@@ -23,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -31,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     CapExceeded,
     FileFormatError,
+    GroupTableError,
     NoIdentity,
     NoInverse,
     NotAbelian,
@@ -563,24 +568,30 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     If the table is a group but its identity is some element e != 0,
     the labels 0 and e are swapped so the identity lands at index 0;
     the relabeling permutation (old index -> new index) is recorded on
-    the returned group.
+    the returned group. A refused table raises the witness of its rows
+    as given: a bad row or entry before a missing identity, and both
+    before a relabeled table's associativity witness.
     """
-    rows = _check_rows(table)  # before the relabeling indexes by entry value
+    rows = tuple(map(tuple, table))
     n = len(rows)
-    ident = _find_identity(rows)
-    if ident is None:
+    ident = _find_identity(rows) if set(map(len, rows)) == {n} else None
+    if ident == 0:
+        return FiniteGroup(rows, name=name)
+    if ident is None or not (_is_square_of_ints(rows) and min(map(min, rows)) >= 0
+                             and max(map(max, rows)) < n):
+        _check_rows(rows)
         raise NoIdentity("no two-sided identity element")
-    relabeling = None
-    if ident != 0:
-        sigma = list(range(n))
-        sigma[0], sigma[ident] = ident, 0
-        relabeled = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
-        rows = relabeled
-        relabeling = tuple(sigma)
-    return FiniteGroup(rows, name=name, relabeling=relabeling)
+    sigma = list(range(n))
+    sigma[0], sigma[ident] = ident, 0
+    relabeled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    try:
+        return FiniteGroup(relabeled, name=name, relabeling=tuple(sigma))
+    except GroupTableError:
+        _check_rows(rows)
+        raise
 
 
 def _is_permutation(values, n: int) -> bool:
@@ -588,6 +599,13 @@ def _is_permutation(values, n: int) -> bool:
     of type int (a bool, float or str is not an index)."""
     return (len(values) == n and set(map(type, values)) <= {int}
             and len(set(values)) == n and min(values) >= 0 and max(values) < n)
+
+
+def _is_square_of_ints(rows) -> bool:
+    """True iff ``rows`` is n >= 1 rows of length n whose entries are all
+    of type int, by two C-level passes over the whole table."""
+    n = len(rows)
+    return set(map(len, rows)) == {n} and set(map(type, chain.from_iterable(rows))) <= {int}
 
 
 def _find_identity(rows) -> Optional[int]:
@@ -621,20 +639,81 @@ def _check_rows(table) -> tuple:
 
 
 def _validate_table(table) -> tuple:
-    """Prove the table is a group: every row is a permutation of 0..n-1,
-    0 is a two-sided identity, and Light's test shows associativity.
+    """Prove the table is a group and return its rows as tuples.
 
-    Nothing more is needed. Row a contains 0, so a has a right inverse,
-    and a finite monoid in which every element has a right inverse is a
-    group. So the columns are permutations too and every inverse is
-    two-sided. Returns the rows as tuples.
+    The proof (``_walk_proves_group``) checks that the table is square
+    with int entries, that row 0 and column 0 are the identity, and
+    Light's condition (a*s)*c == a*(s*c) for every element a and every
+    s in a generating set, found by a breadth-first walk from 0. The
+    walk also proves every row a permutation of 0..n-1, so each element
+    has a right inverse, and a finite monoid in which every element has
+    a right inverse is a group: the columns are permutations too and
+    every inverse is two-sided.
+
+    A table the walk refuses goes through the per-row checks instead:
+    every row a permutation (``_check_rows``), 0 a two-sided identity,
+    and Light's test (``_light_associativity``). The first that fails
+    raises its witness, so a refused table raises the same exception
+    whichever proof saw it first. These checks also prove a group, and
+    they accept exactly the tables the walk accepts.
     """
-    rows = _check_rows(table)
+    rows = tuple(map(tuple, table))
+    if _walk_proves_group(rows):
+        return rows
+    rows = _check_rows(rows)
     ident = tuple(range(len(rows)))
     if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
         raise NoIdentity("element 0 is not a two-sided identity")
     _light_associativity(rows)
     return rows
+
+
+def _walk_proves_group(rows: tuple) -> bool:
+    """True iff the tuple rows are a group table with identity 0.
+
+    After the whole-table shape and type pass and the identity test, a
+    breadth-first walk starts from 0. When it stalls, the least element
+    not reached becomes the next generator s, and its row must be a
+    permutation. Each reached a is checked against every generator,
+    including those picked after a was reached: row a*s must equal row
+    s read through row a, i.e. (a*s)*c == a*(s*c) for every c, and a*s
+    is reached. So row a*s is row a composed with row s, and every
+    reached row is a permutation; each entry used as an index comes
+    from such a row, so no read is out of range. Once all n elements
+    are reached, Light's condition holds for every a and every
+    generator; the middle elements that satisfy it are closed under
+    products and contain the generators, so the table is associative.
+    In a group the generators are those ``_light_associativity`` picks:
+    each is the least element outside the span of the earlier ones.
+    """
+    n = len(rows)
+    ident = tuple(range(n))
+    if not (_is_square_of_ints(rows)
+            and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident):
+        return False
+    reached = bytearray(n)
+    reached[0] = 1
+    walk = [0]
+    gens: list = []  # (s, row s as a getter over a row), n >= 2 here
+    s = reached.find(0)
+    while s >= 0:
+        if not _is_permutation(rows[s], n):
+            return False
+        gens.append((s, itemgetter(*rows[s])))
+        # the elements reached before s against s alone, the rest
+        # against every generator
+        newest, earlier = gens[-1:], len(walk)
+        for i, a in enumerate(walk):  # walk grows during the loop
+            row_a = rows[a]
+            for g, through_g in (newest if i < earlier else gens):
+                c = row_a[g]
+                if rows[c] != through_g(row_a):
+                    return False
+                if not reached[c]:
+                    reached[c] = 1
+                    walk.append(c)
+        s = reached.find(0, s)
+    return True
 
 
 def _light_associativity(rows: tuple) -> None:
@@ -873,20 +952,26 @@ def load_group_json(data: dict) -> FiniteGroup:
     """
     if not isinstance(data, dict):
         raise FileFormatError("$", "expected a JSON object")
+    name = data.get("name")
+    if "name" in data and not isinstance(name, str):
+        raise FileFormatError("name", f"expected a string, not {name!r}")
     if "table" in data:
         table = data["table"]
         if not isinstance(table, list):
             raise FileFormatError("table", "expected a list of rows")
-        order = data.get("order", len(table))
-        if order != len(table):
-            raise FileFormatError("order", f"declared {order} but table has {len(table)} rows")
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != len(table):
-                raise FileFormatError(f"table[{i}]", "row length differs from table size")
-            for j, v in enumerate(row):
-                if type(v) is not int or not (0 <= v < len(table)):
-                    raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{len(table) - 1}")
-        return from_cayley_table(table, name=data.get("name"))
+        n = len(table)
+        order = data.get("order", n)
+        if type(order) is not int:
+            raise FileFormatError("order", f"expected an integer, not {order!r}")
+        if order != n:
+            raise FileFormatError("order", f"declared {order} but table has {n} rows")
+        if not set(map(type, table)) <= {list}:
+            _check_table_format(table)
+        try:
+            return from_cayley_table(table, name=name)
+        except GroupTableError:
+            _check_table_format(table)  # a malformed row or entry comes first
+            raise
     if "generators" in data:
         degree = data.get("degree")
         if type(degree) is not int or degree < 1:
@@ -897,8 +982,20 @@ def load_group_json(data: dict) -> FiniteGroup:
         for k, g in enumerate(gens):
             if not isinstance(g, list) or not _is_permutation(g, degree):
                 raise FileFormatError(f"generators[{k}]", f"not a permutation of 0..{degree - 1}")
-        return from_permutation_generators(gens, degree, cap=MAX_ORDER, name=data.get("name"))
+        return from_permutation_generators(gens, degree, cap=MAX_ORDER, name=name)
     raise FileFormatError("$", "object has neither 'table' nor 'generators'")
+
+
+def _check_table_format(table: list) -> None:
+    """Raise the FileFormatError of the first row, in order, that is not
+    a list of n entries or holds an entry that is not an int in 0..n-1."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n:
+            raise FileFormatError(f"table[{i}]", "row length differs from table size")
+        for j, v in enumerate(row):
+            if type(v) is not int or not (0 <= v < n):
+                raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{n - 1}")
 
 
 def read_json_file(path):

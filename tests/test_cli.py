@@ -88,6 +88,12 @@ def test_group_load_bad_table_reports_location(tmp_path, capsys):
     code, out, err = run(capsys, "group", "load", str(path))
     assert code == 2
     assert "table[1][1]" in err
+    for field, data in (("name", {"name": ["x"], "table": [[0]]}),
+                        ("order", {"order": 2.0, "table": [[0, 1], [1, 0]]})):
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "group", "load", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field}: expected")
 
 
 def test_unknown_group_name(capsys):
@@ -174,12 +180,12 @@ def test_sfs_modulus_limit_bounds_table_memory():
 
 def test_closed_stdout_ends_without_traceback():
     env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "cubeaut.cli", "sfs", "tau-range", "18", "40"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=env)
-    proc.stdout.close()  # before the report is written
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen([sys.executable, "-m", "cubeaut.cli", "sfs", "tau-range", "18", "40"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as proc:  # closes both pipes at exit
+        proc.stdout.close()  # before the report is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
 
 

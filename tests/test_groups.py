@@ -34,6 +34,10 @@ from cubeaut.errors import (
 )
 from cubeaut.groups import (
     FiniteGroup,
+    _check_rows,
+    _find_identity,
+    _light_associativity,
+    _validate_table,
     abelian_basis,
     from_cayley_table,
     from_permutation_generators,
@@ -304,6 +308,141 @@ def test_associativity_witness_equals_per_entry_reference():
         except GroupTableError:
             pass
     assert failed > 500
+
+
+def _per_row_validate(table) -> tuple:
+    """Reference validator without the breadth-first walk: every row a
+    permutation, then the identity, then Light's test."""
+    rows = _check_rows(table)
+    ident = tuple(range(len(rows)))
+    if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
+        raise NoIdentity("element 0 is not a two-sided identity")
+    _light_associativity(rows)
+    return rows
+
+
+def _per_row_from_cayley_table(table) -> tuple:
+    """Reference ``from_cayley_table``: the rows are checked before the
+    identity is found and moved to 0. Returns (rows, relabeling)."""
+    rows = _check_rows(table)
+    n = len(rows)
+    ident = _find_identity(rows)
+    if ident is None:
+        raise NoIdentity("no two-sided identity element")
+    if ident == 0:
+        return _per_row_validate(rows), None
+    sigma = list(range(n))
+    sigma[0], sigma[ident] = ident, 0
+    relabeled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    return _per_row_validate(relabeled), tuple(sigma)
+
+
+def _per_entry_load(table) -> tuple:
+    """Reference Cayley-form load: every row and entry checked in turn
+    for its ``FileFormatError``, then ``_per_row_from_cayley_table``."""
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != len(table):
+            raise FileFormatError(f"table[{i}]", "row length differs from table size")
+        for j, v in enumerate(row):
+            if type(v) is not int or not (0 <= v < len(table)):
+                raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{len(table) - 1}")
+    return _per_row_from_cayley_table(table)
+
+
+def _as_rows(group):
+    return group.table, group.relabeling
+
+
+# (validator, reference); each returns the rows, with the relabeling
+# for the loaders
+_VALIDATORS = {
+    "validate_table": (_validate_table, _per_row_validate),
+    "from_cayley_table": (lambda t: _as_rows(from_cayley_table(t)), _per_row_from_cayley_table),
+    "load_group_json": (lambda t: _as_rows(load_group_json({"table": t})), _per_entry_load),
+}
+
+
+def _outcome(validate, table):
+    """The validator's result, or the class and args of its refusal."""
+    try:
+        return validate([list(row) for row in table])
+    except Exception as exc:  # the class is part of the comparison
+        return type(exc), exc.args
+
+
+# The least non-associative loop: a Latin square with identity 0 in
+# which 1*1 = 0, impossible in a group of order 5.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _single_entry_mutations(rows) -> list:
+    """Every table that differs from ``rows`` in one entry, set to True,
+    2.0, "x", an out-of-range n or -1, or a copy of the next entry of
+    its row (a duplicate, so the row is no longer a permutation)."""
+    n = len(rows)
+    out = []
+    for i, j in product(range(n), repeat=2):
+        for bad in (True, 2.0, "x", n, -1, rows[i][(j + 1) % n]):
+            t = [list(r) for r in rows]
+            t[i][j] = bad
+            out.append(t)
+    return out
+
+
+def _equivalence_tables() -> list:
+    """The catalog tables of order <= 360, S4 and S4 with its identity
+    moved to 5 with every single-entry mutation of both, and LOOP5."""
+    from cubeaut.catalog import built_in_catalog
+
+    tables = [g.table for _, g in built_in_catalog().groups(order_cap=360)]
+    s4 = builders.symmetric(4).table
+    sigma = list(range(24))
+    sigma[0], sigma[5] = 5, 0
+    moved = [[0] * 24 for _ in range(24)]
+    for a, b in product(range(24), repeat=2):
+        moved[sigma[a]][sigma[b]] = sigma[s4[a][b]]
+    for rows in (s4, moved):
+        tables.append(rows)
+        tables.extend(_single_entry_mutations(rows))
+    tables.append(LOOP5)
+    return tables
+
+
+@pytest.mark.parametrize("kind", sorted(_VALIDATORS))
+def test_walk_validator_equals_per_row_reference(kind):
+    validate, reference = _VALIDATORS[kind]
+    refused = set()
+    for table in _equivalence_tables():
+        got, want = _outcome(validate, table), _outcome(reference, table)
+        assert got == want, table
+        if isinstance(want[0], type):
+            refused.add(want[0])
+    assert NotAssociative in refused and NoInverse in refused
+    assert (NotClosed in refused) != (kind == "load_group_json")
+
+
+def test_accepted_tables_skip_the_per_row_checks(monkeypatch):
+    from cubeaut import groups as groups_module
+    from cubeaut.catalog import built_in_catalog
+
+    tables = [g.table for _, g in built_in_catalog().groups(order_cap=360)]
+
+    def refuse(rows):
+        raise AssertionError("per-row check ran on a group table")
+
+    monkeypatch.setattr(groups_module, "_check_rows", refuse)
+    monkeypatch.setattr(groups_module, "_light_associativity", refuse)
+    for rows in tables:
+        assert FiniteGroup(rows).table == rows
+        assert from_cayley_table(rows).table == rows
+        assert load_group_json({"table": [list(r) for r in rows]}).table == rows
 
 
 def _pairwise_commuting_masks(group):
@@ -1070,6 +1209,29 @@ def test_file_errors_carry_locations():
     assert "degree" in str(info.value)
     with pytest.raises(FileFormatError):
         load_group_json({"widgets": 3})
+    # the first bad row or entry in reading order, whatever follows it
+    for location, table in {"table[1]": [[0, 1], [1]], "table[0]": [(0, 1), [1, 0]],
+                            "table[1][0]": [[0, 1], [1.0, 0]],
+                            "table[0][1]": [[0, 2], [1, 0, 0]]}.items():
+        with pytest.raises(FileFormatError) as info:
+            load_group_json({"table": table})
+        assert info.value.location == location
+
+
+@pytest.mark.parametrize("order", [2.0, True, "2", None], ids=repr)
+def test_non_integer_order_is_refused(order):
+    with pytest.raises(FileFormatError) as info:
+        load_group_json({"order": order, "table": [[0, 1], [1, 0]]})
+    assert info.value.location == "order"
+
+
+@pytest.mark.parametrize("name", [5, ["x"], None], ids=repr)
+@pytest.mark.parametrize("form", [{"table": [[0]]}, {"degree": 1, "generators": [[0]]}],
+                         ids=["table", "generators"])
+def test_non_string_name_is_refused(name, form):
+    with pytest.raises(FileFormatError) as info:
+        load_group_json({"name": name, **form})
+    assert info.value.location == "name"
 
 
 def test_malformed_json_reports_position(tmp_path):
