@@ -252,9 +252,6 @@ class AutomorphismGroup:
         keyed.sort()
         return tuple((rep, coset) for _, rep, coset in keyed)
 
-    def __iter__(self):
-        return iter(self.members)
-
     @cached_property
     def image_arrays(self) -> tuple:
         return tuple(m.images for m in self.members)

@@ -231,11 +231,11 @@ def _parse(name: str) -> Optional[tuple]:
     return None
 
 
-def build_named_group(name: str, catalog: Optional[Catalog] = None) -> FiniteGroup:
+def build_named_group(name: str) -> FiniteGroup:
     """The group a spelling names (a5, z12, c12, l2_7, pgl2(7), cyclic 12,
-    ...): a catalog entry through ``Catalog.build``, a family member
-    outside the shipped range through its builder."""
-    cat = catalog if catalog is not None else built_in_catalog()
+    ...): a shipped catalog entry through ``Catalog.build``, a family
+    member outside the shipped range through its builder."""
+    cat = built_in_catalog()
     parsed = _parse(name)
     if parsed is None:
         if name.strip() in cat:

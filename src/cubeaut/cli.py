@@ -4,8 +4,9 @@ Commands mirror the library: build and inspect groups, compute cubing
 ratios and classifications, solve the avoiding-set problem, and run the
 verification suites. Every command can emit JSON (machine readable,
 stable key order) and exits nonzero exactly when a suite reports a
-failure. Reports are deterministic for a fixed seed apart from the
-elapsed_ms fields.
+failure. ``main`` records ``--seed`` in every report, once, after the
+command returns; only ``verify properties`` draws from it. Reports are
+deterministic for a fixed seed apart from the elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         report, ok = args.handler(args)
+        report["seed"] = args.seed
         _emit(report, args)
         sys.stdout.flush()
     except CubeautError as exc:
@@ -225,7 +227,7 @@ def _load_map(group: FiniteGroup, path: str) -> GroupMap:
 
 def _cmd_group_build(args):
     group = build_named_group(" ".join([args.name, *map(str, args.params)]))
-    return {"suite": "group-info", **_group_summary(group), "seed": args.seed}, True
+    return {"suite": "group-info", **_group_summary(group)}, True
 
 
 def _cmd_group_load(args):
@@ -233,12 +235,12 @@ def _cmd_group_load(args):
     summary = _group_summary(group)
     if group.relabeling:
         summary["relabeling"] = list(group.relabeling)
-    return {"suite": "group-info", **summary, "seed": args.seed}, True
+    return {"suite": "group-info", **summary}, True
 
 
 def _cmd_group_info(args):
     group = _resolve_group(args.target)
-    return {"suite": "group-info", **_group_summary(group), "seed": args.seed}, True
+    return {"suite": "group-info", **_group_summary(group)}, True
 
 
 def _cmd_group_export(args):
@@ -248,7 +250,7 @@ def _cmd_group_export(args):
     except OSError as exc:
         raise FileFormatError(args.out, f"cannot write file: {exc}") from exc
     return {"suite": "group-export", "name": group.name, "order": group.order,
-            "out": args.out, "seed": args.seed}, True
+            "out": args.out}, True
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,6 @@ def _cmd_cube_ratio(args):
         "exponent": args.exponent,
         "size": len(report.members),
         "ratio": ratio_json(report.ratio),
-        "seed": args.seed,
     }
     return payload, True
 
@@ -298,7 +299,6 @@ def _cmd_cube_max(args):
             "aut_representatives": len(auts.representatives),
             "ratio_evaluations": sum(map(len, auts.twisted_classes)),
         },
-        "seed": args.seed,
     }, True
 
 
@@ -306,7 +306,7 @@ def _cmd_cube_classify(args):
     group = _resolve_group(args.target)
     verdict = classify_cubing_structure(group)
     payload = {"suite": "cube-classify", "group": group.name,
-               "order": group.order, **verdict.to_json(), "seed": args.seed}
+               "order": group.order, **verdict.to_json()}
     return payload, True
 
 
@@ -317,19 +317,19 @@ def _cmd_cube_classify(args):
 def _cmd_sfs_t(args):
     instance = SfsInstance(args.n, _parse_equations(args.equation))
     result = max_free_subset(instance, budget=args.budget, collect_sets=True)
-    return {"suite": "sfs-t", **result.to_json(), "seed": args.seed}, result.exact
+    return {"suite": "sfs-t", **result.to_json()}, result.exact
 
 
 def _cmd_sfs_range(args):
     bound = _parse_fraction(args.bound)
     report = verify_tau_bound(args.lo, args.hi, bound, budget=args.budget)
-    report = {"suite": "sfs-tau-range", **report, "seed": args.seed}
+    report = {"suite": "sfs-tau-range", **report}
     return report, report["all_pass"]
 
 
 def _cmd_sfs_table(args):
     report = reproduce_table(budget=args.budget)
-    return {"suite": "sfs-table", **report, "seed": args.seed}, report["pass"]
+    return {"suite": "sfs-table", **report}, report["pass"]
 
 
 def _cmd_sfs_extremal(args):
@@ -343,7 +343,6 @@ def _cmd_sfs_extremal(args):
         "canonical": [list(s) for s in enum.canonical],
         "exact": enum.exact,
         "nodes": enum.nodes,
-        "seed": args.seed,
     }
     return payload, enum.exact
 
@@ -362,28 +361,26 @@ def _cmd_verify_properties(args):
 
 def _cmd_verify_classification(args):
     report = verifier.verify_classification(
-        order_cap=args.order_cap, jobs=args.jobs, seed=args.seed,
-        cache_dir=args.cache_dir)
+        order_cap=args.order_cap, jobs=args.jobs, cache_dir=args.cache_dir)
     return report, report["pass"]
 
 
 def _cmd_verify_boundary(args):
     report = verifier.verify_solvability_boundary(
-        order_cap=args.order_cap, jobs=args.jobs, seed=args.seed,
-        cache_dir=args.cache_dir)
+        order_cap=args.order_cap, jobs=args.jobs, cache_dir=args.cache_dir)
     return report, report["pass"]
 
 
 def _cmd_verify_abelian_indices(args):
     qs = tuple(q for q in verifier.EXPECTED_ABELIAN_INDEX if q <= args.max_q)
     budget = verifier.ABELIAN_INDEX_BUDGET if args.budget is None else args.budget
-    report = verifier.verify_abelian_indices(qs=qs, budget=budget, seed=args.seed)
+    report = verifier.verify_abelian_indices(qs=qs, budget=budget)
     return report, report["pass"]
 
 
 def _cmd_search_pattern(args):
     report = verifier.power_pattern_search(
-        args.n, order_cap=args.order_cap, seed=args.seed, cache_dir=args.cache_dir)
+        args.n, order_cap=args.order_cap, cache_dir=args.cache_dir)
     return report, True  # a found counterexample is a result, not a failure
 
 

@@ -50,23 +50,11 @@ def ratio_json(r: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class CubeReport:
-    """The set of elements sent to their n-th power, with its exact ratio."""
+    """The elements g with alpha(g) = g^n, ascending, and their exact
+    share |T| / |G| of the group."""
 
-    group: FiniteGroup
-    automorphism: GroupMap
-    power: int
     members: tuple
     ratio: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "order": self.group.order,
-            "power": self.power,
-            "size": len(self.members),
-            "ratio": ratio_json(self.ratio),
-            "members": list(self.members),
-        }
 
 
 def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3) -> CubeReport:
@@ -78,7 +66,7 @@ def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3) -> CubeReport:
     targets = [group.pow(x, n) for x in group.elements()]
     img = alpha.images
     members = tuple(x for x in group.elements() if img[x] == targets[x])
-    return CubeReport(group, alpha, n, members, Fraction(len(members), group.order))
+    return CubeReport(members, Fraction(len(members), group.order))
 
 
 def max_cube_ratio(group: FiniteGroup, n: int = 3,

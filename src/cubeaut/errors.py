@@ -46,9 +46,9 @@ class NoInverse(GroupTableError):
 
 
 class NotLatin(GroupTableError):
-    def __init__(self, kind: str, index: int):
-        self.kind, self.index = kind, index
-        super().__init__(f"{kind} {index} is not a permutation of 0..n-1")
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"row {index} is not a permutation of 0..n-1")
 
 
 class UnsupportedParameter(CubeautError):

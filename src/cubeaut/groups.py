@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, product
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -47,7 +47,8 @@ from .errors import (
     UnsupportedParameter,
 )
 
-MAX_ORDER = 20000  # largest order a builder or a generator-form file may produce
+MAX_ORDER = 20000  # largest order a builder or a generator-form file may produce,
+                   # and largest permutation degree
 
 
 class FiniteGroup:
@@ -61,7 +62,6 @@ class FiniteGroup:
         self.table = _validate_table(table)
         self.order = len(self.table)
         self.name = name
-        self.identity = 0
         self.relabeling = relabeling
 
     # -- basic operations ---------------------------------------------------
@@ -104,9 +104,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -634,7 +631,7 @@ def _check_rows(table) -> tuple:
                 raise NotClosed(i, j, v)
         if 0 not in row:
             raise NoInverse(i)
-        raise NotLatin("row", i)
+        raise NotLatin(i)
     return rows
 
 
@@ -764,12 +761,12 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
     """Group generated by permutations of 0..degree-1, by BFS closure.
 
     Element order is the BFS discovery order with the identity first;
-    the product a*b is "apply a, then b". Raises CapExceeded once the
-    closure grows past ``cap``.
+    the product a*b is "apply a, then b". ``degree`` must be an int in
+    1..MAX_ORDER, checked before anything is allocated. Raises
+    CapExceeded once the closure grows past ``cap``.
     """
-    degree = int(degree)
-    if degree < 1:
-        raise UnsupportedParameter("degree must be positive")
+    if type(degree) is not int or not 1 <= degree <= MAX_ORDER:
+        raise UnsupportedParameter(f"degree must be an int in 1..{MAX_ORDER}, not {degree!r}")
     gens = []
     for k, g in enumerate(generators):
         perm = tuple(g)
@@ -782,12 +779,12 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
     origin = []  # per element after the identity, (b, i) with it = b*g_i
     for b, current in enumerate(elems):  # elems grows during the loop
         for i, g in enumerate(gens):
-            product = tuple(map(g.__getitem__, current))
-            if product not in index:
+            image = tuple(map(g.__getitem__, current))
+            if image not in index:
                 if len(elems) >= cap:
                     raise CapExceeded("permutation closure exceeded cap", len(elems))
-                index[product] = len(elems)
-                elems.append(product)
+                index[image] = len(elems)
+                elems.append(image)
                 origin.append((b, i))
     # row b*g is row b read through the left column of g, index(g*x) per
     # x, so rows come out whole and need no transpose. With one element
@@ -829,23 +826,12 @@ def abelian_basis(group: FiniteGroup) -> list:
 def element_vector_table(group: FiniteGroup, basis: Sequence[int]) -> dict:
     """Map each element to its exponent vector over ``basis``."""
     vectors = {0: tuple(0 for _ in basis)}
-    for coords in _mixed_radix([group.element_orders[b] for b in basis]):
+    for coords in product(*(range(group.element_orders[b]) for b in basis)):
         g = 0
         for b, e in zip(basis, coords):
             g = group.table[g][group.pow(b, e)]
-        vectors.setdefault(g, tuple(coords))
+        vectors.setdefault(g, coords)
     return vectors
-
-
-def _mixed_radix(limits):
-    total = math.prod(limits) if limits else 1
-    for k in range(total):
-        coords = []
-        rem = k
-        for lim in reversed(limits):
-            coords.append(rem % lim)
-            rem //= lim
-        yield tuple(reversed(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -948,22 +934,24 @@ def load_group_json(data: dict) -> FiniteGroup:
     """Build a group from either supported JSON shape.
 
     Cayley form: {"name":..., "order": n, "table": [[...], ...]}
-    Generator form: {"degree": d, "generators": [[...], ...]}
+    Generator form: {"degree": d, "generators": [[...], ...]}, d at
+    most MAX_ORDER. In both forms "name" is optional and a declared
+    "order" must be an int equal to the order the file gives.
     """
     if not isinstance(data, dict):
         raise FileFormatError("$", "expected a JSON object")
     name = data.get("name")
     if "name" in data and not isinstance(name, str):
         raise FileFormatError("name", f"expected a string, not {name!r}")
+    order = data.get("order")
+    if "order" in data and type(order) is not int:
+        raise FileFormatError("order", f"expected an integer, not {order!r}")
     if "table" in data:
         table = data["table"]
         if not isinstance(table, list):
             raise FileFormatError("table", "expected a list of rows")
         n = len(table)
-        order = data.get("order", n)
-        if type(order) is not int:
-            raise FileFormatError("order", f"expected an integer, not {order!r}")
-        if order != n:
+        if "order" in data and order != n:
             raise FileFormatError("order", f"declared {order} but table has {n} rows")
         if not set(map(type, table)) <= {list}:
             _check_table_format(table)
@@ -974,15 +962,19 @@ def load_group_json(data: dict) -> FiniteGroup:
             raise
     if "generators" in data:
         degree = data.get("degree")
-        if type(degree) is not int or degree < 1:
-            raise FileFormatError("degree", "expected a positive integer")
+        if type(degree) is not int or not 1 <= degree <= MAX_ORDER:
+            raise FileFormatError("degree", f"expected an integer in 1..{MAX_ORDER}")
         gens = data["generators"]
         if not isinstance(gens, list):
             raise FileFormatError("generators", "expected a list of permutations")
         for k, g in enumerate(gens):
             if not isinstance(g, list) or not _is_permutation(g, degree):
                 raise FileFormatError(f"generators[{k}]", f"not a permutation of 0..{degree - 1}")
-        return from_permutation_generators(gens, degree, cap=MAX_ORDER, name=name)
+        group = from_permutation_generators(gens, degree, cap=MAX_ORDER, name=name)
+        if "order" in data and order != group.order:
+            raise FileFormatError("order", f"declared {order} but the generators "
+                                           f"give {group.order} elements")
+        return group
     raise FileFormatError("$", "object has neither 'table' nor 'generators'")
 
 

@@ -394,10 +394,6 @@ def enumerate_extremal(instance: SfsInstance, size: int,
 # Derived quantities and the reference table
 
 
-def tau(n: int, budget: Optional[int] = None) -> Fraction:
-    return max_free_subset(SfsInstance(n), budget=budget).tau
-
-
 def verify_tau_bound(lo: int, hi: int, bound: Fraction,
                      budget: Optional[int] = None) -> dict:
     """Check tau_n < bound, exactly and with equality failing, for every n in [lo, hi]."""

@@ -16,7 +16,9 @@ Scans run exhaustively over all automorphisms of all catalog groups up
 to a small order cap, plus a seeded sample of larger instances; each
 pair builds only its own automorphism (``AutomorphismGroup.member_at``).
 The sample list is derived once from the seed, so reports are identical
-at any worker count.
+at any worker count. ``verify_properties`` is the only suite that draws
+from a seed and the only one whose report carries it; the CLI adds
+``--seed`` to every report itself.
 """
 
 from __future__ import annotations
@@ -591,7 +593,7 @@ def _classification_task(task: dict) -> dict:
 
 
 def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64,
-                     jobs: int = 1, cache_dir=None, seed: int = 0) -> dict:
+                          jobs: int = 1, cache_dir=None) -> dict:
     """On every catalog group up to the cap: a structural verdict exists
     iff the brute-force maximum ratio exceeds 1/2, and when it does the
     constructed automorphism attains the maximum."""
@@ -606,7 +608,6 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
     return {
         "suite": "classification-equivalence",
         "order_cap": order_cap,
-        "seed": seed,
         "groups": len(rows),
         "rows": rows,
         "mismatches": mismatches,
@@ -634,7 +635,7 @@ def _boundary_task(task: dict) -> dict:
 
 def verify_solvability_boundary(catalog: Optional[Catalog] = None,
                                 order_cap: int = 64, jobs: int = 1,
-                                cache_dir=None, seed: int = 0) -> dict:
+                                cache_dir=None) -> dict:
     """The named boundary groups max out at 4/15 (A5 exactly), and on
     the whole scanned catalog a ratio above 4/15 forces solvability."""
     started = time.monotonic()
@@ -667,7 +668,6 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
     return {
         "suite": "solvability-boundary",
         "order_cap": order_cap,
-        "seed": seed,
         "rows": rows,
         "failures": failures,
         "pass": not failures,
@@ -680,7 +680,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
 
 
 def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
-                           budget: int = ABELIAN_INDEX_BUDGET, seed: int = 0) -> dict:
+                           budget: int = ABELIAN_INDEX_BUDGET) -> dict:
     """Indices of maximum abelian subgroups in the small projective
     simple groups, against the expected column."""
     from .builders import psl2
@@ -712,7 +712,6 @@ def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
             failures.append(row)
     return {
         "suite": "max-abelian-indices",
-        "seed": seed,
         "rows": rows,
         "failures": failures,
         "pass": not failures,
@@ -750,8 +749,7 @@ def pattern_witness(group: FiniteGroup, members, mask, n: int) -> tuple:
     return witness, pairs
 
 
-def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
-                    order_cap: int = 24, cache_dir=None, seed: int = 0) -> dict:
+def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
     """Search all (G, alpha, a, b) in scope for a, b, ab, a^n b all in
     the cube set with [a, b] != 1.
 
@@ -760,11 +758,10 @@ def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
     is data, not a theorem.
     """
     started = time.monotonic()
-    cat = catalog if catalog is not None else built_in_catalog()
     counterexample = None
     pairs_scanned = 0
     groups_scanned = 0
-    for name, group in cat.groups(order_cap=order_cap):
+    for name, group in built_in_catalog().groups(order_cap=order_cap):
         groups_scanned += 1
         ctx = GroupContext(group, name)
         auts = automorphism_group(group, cache_dir)
@@ -786,7 +783,6 @@ def power_pattern_search(n: int, catalog: Optional[Catalog] = None,
         "suite": "power-pattern-search",
         "n": n,
         "order_cap": order_cap,
-        "seed": seed,
         "known_commuting_pattern": n in KNOWN_COMMUTING_EXPONENTS,
         "groups_scanned": groups_scanned,
         "pairs_scanned": pairs_scanned,

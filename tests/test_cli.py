@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import cubeaut
 from cubeaut import builders, sfs
-from cubeaut.cli import main
+from cubeaut.cli import _build_parser, main
 from cubeaut.groups import group_to_json
 
 
@@ -160,6 +161,18 @@ def test_product_above_order_limit(build):
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "above the limit 20000" in proc.stdout
+
+
+def test_group_load_refuses_degree_above_order_limit(tmp_path):
+    """A 40-byte generator file naming 10^8 points is refused before the
+    identity permutation is allocated, inside the child's 1 GiB."""
+    path = tmp_path / "wide.json"
+    path.write_text('{"degree": 100000000, "generators": []}')
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeaut.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "group", "load", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: degree: ") and "Traceback" not in proc.stderr
 
 
 def test_sfs_modulus_limit_bounds_table_memory():
@@ -461,6 +474,51 @@ def test_search_pattern(capsys, cache_dir):
     assert code == 0
     assert payload["counterexample"] is None
     assert payload["known_commuting_pattern"]
+
+
+# one cheap run of every subcommand; "{dir}" names a directory holding
+# d5.json, the file `group load` reads
+SEED_RUNS = (
+    ("group", "build", "z4"),
+    ("group", "info", "z4"),
+    ("group", "load", "{dir}/d5.json"),
+    ("group", "export", "z4", "{dir}/z4.json"),
+    ("cube", "ratio", "s3"),
+    ("cube", "max", "s3"),
+    ("cube", "classify", "s3"),
+    ("sfs", "t", "10"),
+    ("sfs", "tau-range", "18", "20"),
+    ("sfs", "table"),
+    ("sfs", "extremal", "16", "4"),
+    ("verify", "properties", "--order-cap", "4", "--samples", "1", "--sample-max", "30"),
+    ("verify", "classification", "--order-cap", "4"),
+    ("verify", "solvable-boundary", "--order-cap", "4"),
+    ("verify", "abelian-index", "--max-q", "5"),
+    ("search", "pattern", "5", "--order-cap", "8"),
+)
+
+
+def test_seed_runs_cover_every_subcommand():
+    def words(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    commands = {(top, sub) for top, parser in words(_build_parser()).items()
+                for sub in words(parser)}
+    assert commands == {run[:2] for run in SEED_RUNS}
+
+
+@pytest.mark.parametrize("command", SEED_RUNS, ids=[" ".join(c[:2]) for c in SEED_RUNS])
+def test_main_records_the_seed_once(capsys, cache_dir, tmp_path, command):
+    """Every report carries --seed, written by main alone: a handler's own
+    report has no seed, except verify properties, which draws from it."""
+    (tmp_path / "d5.json").write_text(json.dumps(group_to_json(builders.dihedral(5))))
+    argv = ["--seed", "7", "--cache-dir", str(cache_dir),
+            *(word.format(dir=tmp_path) for word in command)]
+    args = _build_parser().parse_args(argv)
+    report, _ = args.handler(args)
+    assert report.get("seed") == (7 if command[:2] == ("verify", "properties") else None)
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["seed"] == 7
 
 
 def test_jobs_do_not_change_reports(capsys, cache_dir):

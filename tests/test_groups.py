@@ -33,6 +33,7 @@ from cubeaut.errors import (
     UnsupportedParameter,
 )
 from cubeaut.groups import (
+    MAX_ORDER,
     FiniteGroup,
     _check_rows,
     _find_identity,
@@ -528,6 +529,15 @@ def test_closure_cap_enforced():
 def test_bad_generator_rejected():
     with pytest.raises(UnsupportedParameter):
         from_permutation_generators([[0, 0, 1]], 3, cap=10)
+
+
+# a degree is refused, not converted: int(3.7) would build a group on 3
+# points, and a degree above MAX_ORDER would allocate before any check
+@pytest.mark.parametrize("degree", [3.7, 3.0, True, "3", None, MAX_ORDER + 1], ids=repr)
+def test_non_int_or_oversized_degree_is_refused(degree):
+    with pytest.raises(UnsupportedParameter) as info:
+        from_permutation_generators([], degree, cap=10)
+    assert "degree" in str(info.value)
 
 
 def _reference_permutation_table(generators, degree):
@@ -1222,6 +1232,15 @@ def test_file_errors_carry_locations():
 def test_non_integer_order_is_refused(order):
     with pytest.raises(FileFormatError) as info:
         load_group_json({"order": order, "table": [[0, 1], [1, 0]]})
+    assert info.value.location == "order"
+
+
+@pytest.mark.parametrize("order", [99, 1, 3.0, True, "3", None], ids=repr)
+def test_generator_form_declared_order_must_match(order):
+    form = {"degree": 3, "generators": [[1, 2, 0]]}
+    assert load_group_json({**form, "order": 3}).order == 3
+    with pytest.raises(FileFormatError) as info:
+        load_group_json({**form, "order": order})
     assert info.value.location == "order"
 
 

@@ -22,7 +22,6 @@ from cubeaut.sfs import (
     is_avoiding,
     max_free_subset,
     reproduce_table,
-    tau,
     units,
     verify_tau_bound,
 )
@@ -106,9 +105,8 @@ def test_reference_table_reproduced():
 
 
 def test_tau_values():
-    assert tau(14) == Fraction(3, 14)
-    assert tau(5) == Fraction(2, 5)
-    assert tau(1) == 1
+    for n, expected in ((14, Fraction(3, 14)), (5, Fraction(2, 5)), (1, 1)):
+        assert max_free_subset(SfsInstance(n)).tau == expected
 
 
 def test_reported_sets_reverify():
