@@ -14,10 +14,12 @@ at the divisors d of n: it visits only sets whose least nonzero element
 is d and whose other elements w have gcd(w, n) >= d, the shape of the
 lexicographically least unit multiple of every avoiding set through 0
 (McKay's isomorph rejection, reduced to the root). Node counts count
-this restricted search. Extremal enumeration collects the canonical
-classes from it and reports the raw sets as their unit orbits. Every
-reported set is re-verified by the independent exhaustive checker,
-which shares none of the incremental machinery.
+this restricted search; a child that its own bound cuts is counted but
+not built, so a count means the same as when every child was visited.
+Extremal enumeration collects the canonical classes from it and
+reports the raw sets as their unit orbits. Every reported set is
+re-verified by the independent exhaustive checker, which shares none
+of the incremental machinery.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import InternalCheckFailed, UnsupportedParameter
@@ -56,8 +59,8 @@ WEIGHTED_AP = LinearEquation((1, 2, -3))        # a + 2b = 3c
 DEFAULT_EQUATIONS = (THREE_TERM_AP, WEIGHTED_AP)
 
 # Largest modulus an instance accepts. The conflict tables hold n^2 masks
-# of n bits: at n = 1024 building them peaks at 180 MB resident (Python
-# 3.11, x86-64); the masks grow as n^3, so n = 5000 would need about 17 GB.
+# of n bits: at n = 1024 building them takes 1.1 s and peaks at 180 MB
+# resident (Python 3.11, x86-64); they grow as n^3, so n = 5000 needs ~17 GB.
 MAX_MODULUS = 1024
 
 
@@ -173,10 +176,15 @@ def _conflict_tables(n: int, equations: Sequence[LinearEquation]) -> tuple:
         sol = _solution_masks(n, list(c) + [c[s1] + c[s2] for _, s1, s2 in slots])
         for v_slot, s1, s2 in slots:
             row_v = sol[c[v_slot] % n]
+            # pair[a][b] |= row_v[(-c1*a - c2*b) % n], a row at a time:
+            # row_v rotated left by -c1*a % n, read at -c2*b % n
             c1, c2 = c[s1], c[s2]
+            twice = row_v + row_v
+            stride = [-c2 * b % n for b in range(n)]
             for a in range(n):
-                base = -c1 * a
-                pair[a] = [m | row_v[(base - c2 * b) % n] for b, m in enumerate(pair[a])]
+                start = -c1 * a % n
+                window = twice[start:start + n]
+                pair[a] = list(map(or_, pair[a], map(window.__getitem__, stride)))
             # e in this slot, v in both others
             row_e = sol[(c1 + c2) % n]
             ce = c[v_slot]
@@ -216,7 +224,9 @@ def _slot_splits(n: int, equations: Sequence[LinearEquation]) -> list:
 class _Search:
     """Depth-first search over avoiding sets through 0, elements added in
     ascending order. Invariant: every w in a node's candidate mask lies
-    above the node's elements and keeps the set avoiding when added."""
+    above the node's elements and keeps the set avoiding when added.
+    ``nodes`` counts every child visited, including those counted in
+    bulk because their own bound would cut them as soon as built."""
 
     def __init__(self, instance: SfsInstance, budget: Optional[int],
                  target: Optional[int]):
@@ -249,33 +259,30 @@ class _Search:
         self.best, self.best_set = 1, (0,)
         if self.target == 1:
             self.collected.append((0,))
-        cand = 0
-        for v in range(1, n):
-            if is_avoiding((0, v), n, self.instance.equations):
-                cand |= 1 << v
+        cand = self._children_mask((), 0, (1 << n) - 2)
         self._greedy_seed(cand)
         roots = [d for d in range(1, n) if n % d == 0 and cand >> d & 1]
         for d in roots:
-            if not self.exact:
-                return
             coarse = 0
             for w in range(d + 1, n):
                 if math.gcd(w, n) >= d:
                     coarse |= 1 << w
-            self._branch((0,), d, cand & coarse)
+            if not self._branch((0,), d, cand & coarse):
+                self.exact = False
+                return
 
     def _greedy_seed(self, cand: int):
+        """Take the least candidate while one is left; the mask then
+        keeps only the candidates that still avoid with it."""
         if self.target is not None:
             return
-        current = [0]
-        mask = cand
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            if is_avoiding(current + [v], self.n, self.instance.equations):
-                current.append(v)
-            mask &= mask - 1
+        current = (0,)
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand = self._children_mask(current, v, cand & (cand - 1))
+            current += (v,)
         if len(current) > self.best:
-            self.best, self.best_set = len(current), tuple(current)
+            self.best, self.best_set = len(current), current
 
     def _children_mask(self, current: tuple, v: int, cand: int) -> int:
         """The w in cand that keep current + (v, w) avoiding. A new
@@ -304,34 +311,42 @@ class _Search:
                     removed |= row[(base - r) % n]
         return cand & ~removed
 
-    def _dfs(self, current: tuple, cand: int):
-        if self.target is None:
-            if len(current) + cand.bit_count() <= self.best:
-                return
-        else:
-            if len(current) + cand.bit_count() < self.target:
-                return
-        mask = cand
-        while mask:
-            if not self.exact:
-                return
-            low = mask & -mask
-            mask ^= low
-            self._branch(current, low.bit_length() - 1, cand & ~((low << 1) - 1))
+    def _branch(self, current: tuple, v: int, above: int) -> bool:
+        """Visit current + (v,); ``above`` holds the candidates above v.
+        Returns False once the node budget is spent.
 
-    def _branch(self, current: tuple, v: int, above: int):
-        """Visit current + (v,); ``above`` holds the candidates above v."""
+        The node is searched only while its size plus its candidates
+        can beat the best size (or reach the target, when collecting).
+        Once the candidates left cannot, every child left would be
+        counted and then cut by its own bound, as its candidates lie
+        among them: those children are counted in bulk, not built."""
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
-            self.exact = False
-            return
+            return False
         extended = current + (v,)
-        if self.target is None and len(extended) > self.best:
-            self.best, self.best_set = len(extended), extended
-        if self.target is not None and len(extended) == self.target:
+        size = len(extended)
+        if self.target is None:
+            if size > self.best:
+                self.best, self.best_set = size, extended
+        elif size == self.target:
             self.collected.append(extended)
-            return
-        self._dfs(extended, self._children_mask(current, v, above))
+            return True
+        remaining = self._children_mask(current, v, above)
+        if size + remaining.bit_count() < (self.target or self.best + 1):
+            return True
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            if not self._branch(extended, low.bit_length() - 1, remaining):
+                return False
+            left = remaining.bit_count()
+            if size + left < (self.target or self.best + 1):
+                self.nodes += left
+                if self.budget is not None and self.nodes > self.budget:
+                    self.nodes = self.budget + 1
+                    return False
+                return True
+        return True
 
 
 def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
@@ -400,25 +415,26 @@ def verify_tau_bound(lo: int, hi: int, bound: Fraction,
     if lo > hi:
         raise UnsupportedParameter(f"empty range: {lo} is above {hi}")
     instances = [SfsInstance(n) for n in range(lo, hi + 1)]  # refuse before searching
-    rows = []
-    all_pass = True
-    for instance in instances:
-        result = max_free_subset(instance, budget=budget)
-        ok = result.exact and result.tau < bound
-        all_pass = all_pass and ok
-        rows.append({
-            "n": instance.modulus,
-            "T": result.size,
-            "tau": {"num": result.tau.numerator, "den": result.tau.denominator},
-            "pass": ok,
-        })
+    results = [max_free_subset(instance, budget=budget) for instance in instances]
+    rows = [{
+        "n": result.instance.modulus,
+        "T": result.size,
+        "tau": {"num": result.tau.numerator, "den": result.tau.denominator},
+        "pass": result.exact and result.tau < bound,
+    } for result in results]
     return {
         "bound": {"num": bound.numerator, "den": bound.denominator},
         "lo": lo,
         "hi": hi,
         "rows": rows,
-        "all_pass": all_pass,
+        "all_pass": all(row["pass"] for row in rows),
+        "stats": _search_stats(results),
     }
+
+
+def _search_stats(results) -> dict:
+    """Nodes over every search, and whether every search was exact."""
+    return {"nodes": sum(r.nodes for r in results), "exact": all(r.exact for r in results)}
 
 
 # reference values for the two default equations
@@ -429,20 +445,14 @@ REFERENCE_TABLE = {
 
 def reproduce_table(budget: Optional[int] = None) -> dict:
     """Recompute every reference row and diff; empty diff means pass."""
-    rows = []
-    diffs = []
-    for n in sorted(REFERENCE_TABLE):
-        expected = REFERENCE_TABLE[n]
-        result = max_free_subset(SfsInstance(n), budget=budget)
-        match = result.exact and result.size == expected
-        row = {
-            "n": n,
-            "T": result.size,
-            "T_expected": expected,
-            "tau": {"num": result.tau.numerator, "den": result.tau.denominator},
-            "match": match,
-        }
-        rows.append(row)
-        if not match:
-            diffs.append(row)
-    return {"rows": rows, "diffs": diffs, "pass": not diffs}
+    results = {n: max_free_subset(SfsInstance(n), budget=budget) for n in sorted(REFERENCE_TABLE)}
+    rows = [{
+        "n": n,
+        "T": result.size,
+        "T_expected": REFERENCE_TABLE[n],
+        "tau": {"num": result.tau.numerator, "den": result.tau.denominator},
+        "match": result.exact and result.size == REFERENCE_TABLE[n],
+    } for n, result in results.items()]
+    diffs = [row for row in rows if not row["match"]]
+    return {"rows": rows, "diffs": diffs, "pass": not diffs,
+            "stats": _search_stats(results.values())}

@@ -539,6 +539,17 @@ def test_properties_stats_do_not_depend_on_jobs(capsys, cache_dir):
     assert set(stats[0]) == {"trace_solves"}
 
 
+@pytest.mark.parametrize("args, stats", [
+    (("sfs", "table"), {"nodes": 35, "exact": True}),
+    (("sfs", "tau-range", "18", "30"), {"nodes": 511, "exact": True}),
+    (("--budget", "50", "sfs", "tau-range", "18", "30"), {"nodes": 403, "exact": False}),
+])
+def test_sfs_stats_do_not_depend_on_jobs(capsys, args, stats):
+    """Nodes summed over the rows' searches; exact only if every row is."""
+    got = [run_json(capsys, "--jobs", jobs, *args)[1]["stats"] for jobs in ("1", "4")]
+    assert got == [stats, stats]
+
+
 def test_no_subcommand_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubeaut import sfs
 from cubeaut.errors import UnsupportedParameter
 from cubeaut.sfs import (
     _Search,
@@ -33,6 +35,9 @@ ORACLE_T = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 2, 10: 2,
 # same oracle restricted to the single equation a + b = 2c
 ORACLE_T_AP_ONLY = {2: 1, 3: 2, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4, 10: 4,
                     11: 4, 12: 4, 13: 4, 14: 4, 15: 4, 16: 4, 17: 5}
+
+
+FOUR_TERM = tuple(LinearEquation(c) for c in ((1, 1, -2), (1, 2, -3), (1, 1, 1, -3)))
 
 
 def oracle_t(n, equations=DEFAULT_EQUATIONS):
@@ -155,10 +160,21 @@ def test_pinned_t_61_to_72():
     assert {n: r.size for n, r in got.items()} == PINNED_T
 
 
+def test_search_work_is_pinned():
+    """Nodes of the benchmark's sfs-search instances and of the sfs
+    commands of criterion 9: a search change that alters the work shows
+    here."""
+    fast = [max_free_subset(SfsInstance(n)) for n in range(60, 73)]
+    fast += [max_free_subset(SfsInstance(n), collect_sets=True) for n in (40, 45)]
+    assert sum(r.nodes for r in fast) == 217_556
+    assert sum(enumerate_extremal(SfsInstance(n), 6).nodes for n in (40, 45)) == 1_779
+    assert sum(max_free_subset(SfsInstance(n, FOUR_TERM)).nodes for n in range(31, 35)) == 418
+    assert verify_tau_bound(18, 60, Fraction(4, 17))["stats"] == {"nodes": 48_052, "exact": True}
+    assert reproduce_table()["stats"] == {"nodes": 35, "exact": True}
+
+
 # ---------------------------------------------------------------------------
 # The search's incremental machinery against the plain definitions
-
-FOUR_TERM = tuple(LinearEquation(c) for c in ((1, 1, -2), (1, 2, -3), (1, 1, 1, -3)))
 
 
 def old_children_mask(current, v, cand, n, equations):
@@ -186,6 +202,125 @@ def test_generic_children_mask_equals_per_candidate_filter(n):
 
         search._children_mask = checked
         search.run_from_zero()
+
+
+class OldSearch(_Search):
+    """The search before bulk-counted cuts: root candidates and greedy
+    seed through is_avoiding, every child built and cut by its own
+    bound, the budget polled through ``exact``."""
+
+    avoids = staticmethod(is_avoiding)  # the sweep below swaps in a cached copy
+
+    def run_from_zero(self):
+        n = self.n
+        self.best, self.best_set = 1, (0,)
+        if self.target == 1:
+            self.collected.append((0,))
+        cand = 0
+        for v in range(1, n):
+            if self.avoids((0, v), n, self.instance.equations):
+                cand |= 1 << v
+        self._greedy_seed(cand)
+        roots = [d for d in range(1, n) if n % d == 0 and cand >> d & 1]
+        for d in roots:
+            if not self.exact:
+                return
+            coarse = 0
+            for w in range(d + 1, n):
+                if math.gcd(w, n) >= d:
+                    coarse |= 1 << w
+            self._branch((0,), d, cand & coarse)
+
+    def _greedy_seed(self, cand):
+        if self.target is not None:
+            return
+        current = [0]
+        mask = cand
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            if self.avoids((*current, v), self.n, self.instance.equations):
+                current.append(v)
+            mask &= mask - 1
+        if len(current) > self.best:
+            self.best, self.best_set = len(current), tuple(current)
+
+    def _dfs(self, current, cand):
+        if self.target is None:
+            if len(current) + cand.bit_count() <= self.best:
+                return
+        else:
+            if len(current) + cand.bit_count() < self.target:
+                return
+        mask = cand
+        while mask:
+            if not self.exact:
+                return
+            low = mask & -mask
+            mask ^= low
+            self._branch(current, low.bit_length() - 1, cand & ~((low << 1) - 1))
+
+    def _branch(self, current, v, above):
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            self.exact = False
+            return
+        extended = current + (v,)
+        if self.target is None and len(extended) > self.best:
+            self.best, self.best_set = len(extended), extended
+        if self.target is not None and len(extended) == self.target:
+            self.collected.append(extended)
+            return
+        self._dfs(extended, self._children_mask(current, v, above))
+
+
+def old_enumeration(search):
+    """enumerate_extremal's (raw, canonical, nodes, exact) from a run search."""
+    n = search.n
+    canonical = tuple(sorted({canonical_form(s, n) for s in search.collected}))
+    raw = tuple(sorted({tuple(sorted(u * a % n for a in c))
+                        for c in canonical for u in units(n)}))
+    return raw, canonical, search.nodes, search.exact
+
+
+# budgets 1, 2, 3, 5, ..., 233 run out inside bulk-counted cuts too
+FIBONACCI_BUDGETS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
+
+
+def run_search(search_class, instance, budget, target):
+    search = search_class(instance, budget, target)
+    search.run_from_zero()
+    return search
+
+
+@pytest.mark.parametrize("equations,top", [
+    (DEFAULT_EQUATIONS, 45), ((THREE_TERM_AP,), 45),
+    ((LinearEquation((1, 1, 1, -3)),), 45), (FOUR_TERM, 35)],
+    ids=["default", "ap", "four-term", "three-equations"])
+def test_search_equals_old_search(monkeypatch, equations, top):
+    """Same best set, collected sets (in order), nodes and exactness at
+    every size; the public results follow from these."""
+    # the sweep repeats every instance's tables and root checks
+    for name in ("_conflict_tables", "_slot_splits"):
+        monkeypatch.setattr(sfs, name, functools.cache(getattr(sfs, name)))
+    monkeypatch.setattr(OldSearch, "avoids", staticmethod(functools.cache(is_avoiding)))
+    for n in range(1, top + 1):
+        instance = SfsInstance(n, equations)
+        size = max_free_subset(instance).size
+        for budget in (None, *FIBONACCI_BUDGETS):
+            runs = {}
+            for target in (None, *range(1, size + 1)):
+                old, new = (run_search(cls, instance, budget, target)
+                            for cls in (OldSearch, _Search))
+                assert (new.best, new.best_set, new.collected, new.nodes, new.exact) == \
+                    (old.best, old.best_set, old.collected, old.nodes, old.exact), \
+                    (n, budget, target)
+                runs[target] = old
+            result = max_free_subset(instance, budget)
+            old = runs[None]
+            assert (result.size, result.nodes, result.exact) == (old.best, old.nodes, old.exact)
+            enum = enumerate_extremal(instance, size, budget)
+            assert (enum.raw, enum.canonical, enum.nodes, enum.exact) == \
+                old_enumeration(runs[size]), (n, budget)
 
 
 def old_solve_congruence(coeff, rhs, n):
@@ -263,10 +398,8 @@ def unrestricted_enumeration(instance, size):
     with every candidate, without the divisor restriction."""
     n = instance.modulus
     search = _Search(instance, None, size)
-    if size == 1:
-        search.collected.append((0,))
     cand = sum(1 << v for v in range(1, n) if is_avoiding((0, v), n, instance.equations))
-    search._dfs((0,), cand)
+    search._branch((), 0, cand)
     return tuple(sorted(search.collected))
 
 
