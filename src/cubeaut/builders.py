@@ -195,10 +195,6 @@ def _field_tables(q: int):
     k = 1
     while p ** k < q:
         k += 1
-    if k == 1:
-        add = [[(a + b) % p for b in range(q)] for a in range(q)]
-        mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        return add, mul
 
     def digits(x):
         out = []
@@ -213,7 +209,6 @@ def _field_tables(q: int):
             x = x * p + d
         return x
 
-    irred = _IRREDUCIBLE[q]
     add = [[undigits([(da + db) % p for da, db in zip(digits(a), digits(b))])
             for b in range(q)] for a in range(q)]
 
@@ -224,11 +219,13 @@ def _field_tables(q: int):
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce modulo the irreducible polynomial (monic of degree k)
+        # reduce modulo the irreducible polynomial (monic of degree k);
+        # a prime field (k = 1) has nothing to reduce
         for top in range(2 * k - 2, k - 1, -1):
             c = prod[top]
             if c:
                 prod[top] = 0
+                irred = _IRREDUCIBLE[q]
                 for j in range(k):
                     prod[top - k + j] = (prod[top - k + j] - c * irred[j]) % p
         return undigits(prod[:k])

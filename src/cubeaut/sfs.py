@@ -357,7 +357,9 @@ def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
     the set (any nonempty avoiding set shifts onto one through 0).
     With ``collect_sets`` the canonical extremal representatives are
     gathered by a second pass. If the node budget runs out the result
-    carries the best certified lower bound with exact=False.
+    carries the best certified lower bound with exact=False; a second
+    pass cut by the budget also makes it inexact. ``nodes`` counts the
+    first pass only.
     """
     search = _Search(instance, budget, None)
     search.run_from_zero()
@@ -366,10 +368,12 @@ def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
     if not is_avoiding(search.best_set, n, instance.equations):
         raise InternalCheckFailed("reported maximum set fails the independent re-check")
     sets: tuple = ()
-    if collect_sets and search.exact:
+    exact = search.exact
+    if collect_sets and exact:
         enum = enumerate_extremal(instance, size, budget=budget)
         sets = enum.canonical
-    return SfsResult(instance, size, Fraction(size, n), sets, search.exact, search.nodes)
+        exact = enum.exact
+    return SfsResult(instance, size, Fraction(size, n), sets, exact, search.nodes)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .automorphisms import GroupMap, _check_invariant, automorphism_group, check_automorphism
+from .automorphisms import (
+    GroupMap,
+    _check_invariant,
+    automorphism_group,
+    check_automorphism,
+    power_map,
+)
 from .catalog import Catalog, built_in_catalog
 from .cubing import (
     HALF,
@@ -375,17 +381,11 @@ def _check_coset_bound(ctx: GroupContext, img, members, mask, accs):
         if 2 * hit > h_size:
             _record(acc, ctx, img, "coset_bound_half",
                     {"subgroup": h_elems, "x": x, "intersection": hit})
-    seen = bytearray(n)
-    for g in range(n):
-        if seen[g]:
-            continue
-        coset = [t[u][g] for u in h_elems]
-        for y in coset:
-            seen[y] = 1
+    for rep, coset in zip(*group.right_cosets(Subgroup(group, tuple(h_elems)))):
         acc.instances += 1
         if not any((mask >> y) & 1 for y in coset):
             _record(acc, ctx, img, "coset_bound_half",
-                    {"subgroup": h_elems, "coset_rep": min(coset)})
+                    {"subgroup": h_elems, "coset_rep": rep})
 
 
 # Check id -> bulk checker. One _check_patterns call fills all five
@@ -726,12 +726,12 @@ def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
 KNOWN_COMMUTING_EXPONENTS = (-2, -1, 2, 3)
 
 
-def pattern_witness(group: FiniteGroup, members, mask, n: int) -> tuple:
+def pattern_witness(group: FiniteGroup, members, mask, power_n) -> tuple:
     """First (a, b) in the member set with ab and a^n b also members
-    yet [a, b] != 1, plus the count of pattern-complete pairs scanned."""
+    yet [a, b] != 1, plus the count of pattern-complete pairs scanned.
+    ``power_n`` holds the images of x -> x^n (``power_map(group, n).images``)."""
     t = group.table
     comm = group.commuting_masks
-    power_n = tuple(group.pow(a, n) for a in range(group.order))
     pairs = 0
     witness = None
     for a in members:
@@ -765,10 +765,11 @@ def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
         groups_scanned += 1
         ctx = GroupContext(group, name)
         auts = automorphism_group(group, cache_dir)
+        power_n = power_map(group, n).images
         for k in range(auts.order):
             img = auts.member_at(k).images
             members, mask = _cube_members(ctx, img)
-            witness, pairs = pattern_witness(group, members, mask, n)
+            witness, pairs = pattern_witness(group, members, mask, power_n)
             pairs_scanned += pairs
             if witness is not None and counterexample is None:
                 counterexample = {

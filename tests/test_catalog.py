@@ -5,6 +5,7 @@ import pytest
 
 from cubeaut import builders
 from cubeaut.catalog import (
+    _parse,
     build_named_group,
     built_in_catalog,
     heisenberg27,
@@ -55,6 +56,13 @@ def test_spelling_builds_the_named_group(spelling, builder):
     group, expected = build_named_group(spelling), builder()
     assert group.table == expected.table
     assert group.name == expected.name
+
+
+def test_every_catalog_name_parses_to_its_row():
+    """``build_named_group`` reaches every shipped entry through ``_parse``."""
+    for entry in built_in_catalog().entries:
+        row, params = _parse(entry.name)
+        assert row.name.format(*params) == entry.name
 
 
 def test_s7_goes_to_its_builder(monkeypatch):

@@ -351,6 +351,12 @@ def test_counts_below_one_are_refused(capsys, cache_dir, argv, message):
     assert err.startswith("error: ") and message in err and out == ""
 
 
+def test_sfs_t_budget_cutting_the_enumeration_exits_one(capsys):
+    code, payload, _ = run_json(capsys, "--budget", "504", "sfs", "t", "40")
+    assert code == 1
+    assert (payload["T"], payload["exact"]) == (6, False)
+
+
 def test_abelian_index_budget_is_passed_through(capsys):
     code, payload, _ = run_json(capsys, "--budget", "1", "verify", "abelian-index",
                                 "--max-q", "5")

@@ -1,19 +1,22 @@
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cubeaut import builders
+from cubeaut import builders, cubing
+from cubeaut import groups as groups_module
 from cubeaut.automorphisms import (
     enumerate_automorphisms,
     identity_map,
     power_map,
 )
-from cubeaut.catalog import frobenius20, heisenberg27, special_linear_2_3
+from cubeaut.catalog import built_in_catalog, frobenius20, heisenberg27, special_linear_2_3
 from cubeaut.cubing import (
     HALF,
     Kind,
     Type3Decomposition,
+    _index_two_subgroups,
     build_type_I,
     build_type_II,
     build_type_III,
@@ -33,6 +36,7 @@ from cubeaut.errors import (
     PreconditionViolated,
     XInK,
 )
+from cubeaut.groups import abelian_basis, element_vector_table
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,6 @@ def _brute_max_ratio(group, auts, n):
 
 
 def test_twisted_class_max_equals_brute_force():
-    from cubeaut.catalog import built_in_catalog
     catalog = built_in_catalog()
     groups = [g for _, g in catalog.groups(order_cap=64)]
     groups += [catalog.build(name) for name in ("A5", "S5", "L2(7)", "PGL2(7)", "A6")]
@@ -363,6 +366,62 @@ def test_classification_equivalence_on_slice():
         assert (verdict.kind != Kind.NONE) == (brute > HALF), g.name
         if verdict.kind != Kind.NONE:
             assert verdict.predicted_ratio == brute, g.name
+
+
+def old_index_two_subgroups(group):
+    """The index-2 subgroups as preimages of the hyperplanes of the
+    quotient G / (G' G^2): the reference for the read of
+    ``normal_subgroups``."""
+    squares = [group.table[g][g] for g in group.generating_set]
+    m_sub = group.subgroup_generated(list(group.derived_subgroup.generators) + squares)
+    if m_sub.order == group.order:
+        return []
+    egrp, proj = group.quotient(m_sub)
+    basis = abelian_basis(egrp)
+    vectors = element_vector_table(egrp, basis)
+    subs = []
+    for functional in product((0, 1), repeat=len(basis)):
+        if not any(functional):
+            continue
+        kernel = {c for c in egrp.elements()
+                  if sum(f * v for f, v in zip(functional, vectors[c])) % 2 == 0}
+        subs.append(group.subgroup(sorted(g for g in group.elements() if proj[g] in kernel)))
+    subs.sort(key=lambda s: s.elements)
+    return subs
+
+
+def test_index_two_subgroups_equal_quotient_route():
+    """Every distinct catalog group (orders up to 2184): the same index-2
+    subgroups, in the same order, as the quotient-table reference."""
+    found = 0
+    for name, group in built_in_catalog().groups():
+        got = [s.elements for s in _index_two_subgroups(group)]
+        assert got == [s.elements for s in old_index_two_subgroups(group)], name
+        found += len(got)
+    assert found > 0
+
+
+def test_index_two_subgroups_build_no_table(monkeypatch):
+    groups = [g for _, g in built_in_catalog().groups(order_cap=64) if not g.is_abelian]
+
+    def refuse(rows):
+        raise AssertionError(f"a table of order {len(rows)} was built")
+
+    monkeypatch.setattr(groups_module, "_validate_table", refuse)
+    for group in groups:
+        _index_two_subgroups(group)
+
+
+@pytest.mark.parametrize("error", [BadIndex, KNotAbelian, XInK])
+def test_type_ii_search_raises_non_sylow_refusals(monkeypatch, error):
+    """Only a Sylow refusal moves the search to the next K; any other
+    refusal of a K it chose is a bug and surfaces."""
+    def refuse(group, k_sub, x):
+        raise error("refused")
+
+    monkeypatch.setattr(cubing, "build_type_II", refuse)
+    with pytest.raises(error):
+        classify_cubing_structure(builders.symmetric(3))
 
 
 def test_verdict_json():

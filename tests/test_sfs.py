@@ -137,6 +137,17 @@ def test_budget_flagged():
     assert is_avoiding(range(0, 1), 60)
 
 
+@pytest.mark.parametrize("budget, exact", [(504, False), (679, False), (680, True)])
+def test_collect_sets_cut_by_budget_is_not_exact(budget, exact):
+    """For n = 40 the maximum search takes 504 nodes and the extremal
+    enumeration 680 (cut at 504 it has 27 of the 28 classes, cut at 679
+    all 28): a cut enumeration leaves the result inexact."""
+    result = max_free_subset(SfsInstance(40), budget=budget, collect_sets=True)
+    assert (result.size, result.nodes, result.exact) == (6, 504, exact)
+    if exact:
+        assert len(result.extremal_sets) == 28
+
+
 def test_even_modulus_halving_pairs():
     # (a, a, a + n/2) solves a + b = 2c whenever 2c = 2a, so no avoiding
     # set contains a pair {a, c} with 2c = 2a (mod n) and c != a

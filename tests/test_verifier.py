@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cubeaut.automorphisms import (
     enumerate_automorphisms,
     identity_map,
     induced_on_quotient,
+    power_map,
 )
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
@@ -104,6 +106,87 @@ def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
     assert below > 0
 
 
+def old_check_coset_bound(ctx, img, members, mask, accs):
+    """The coset-bound check with its own bytearray walk over the right
+    cosets Hg, representative min(Hg): the reference for the walk
+    through ``FiniteGroup.right_cosets``."""
+    acc = accs["coset_bound_half"]
+    group = ctx.group
+    n = group.order
+    if 2 * len(members) <= n or len(members) > 40:
+        acc.skipped += 1
+        return
+    h_set = verifier._max_subgroup_inside(group, members, mask)
+    h_elems = sorted(h_set)
+    t = group.table
+    for x in members:
+        if x in h_set:
+            continue
+        acc.instances += 1
+        hit = sum(1 for u in h_elems if (mask >> t[u][x]) & 1)
+        if 2 * hit > len(h_elems):
+            verifier._record(acc, ctx, img, "coset_bound_half",
+                             {"subgroup": h_elems, "x": x, "intersection": hit})
+    seen = bytearray(n)
+    for g in range(n):
+        if seen[g]:
+            continue
+        coset = [t[u][g] for u in h_elems]
+        for y in coset:
+            seen[y] = 1
+        acc.instances += 1
+        if not any((mask >> y) & 1 for y in coset):
+            verifier._record(acc, ctx, img, "coset_bound_half",
+                             {"subgroup": h_elems, "coset_rep": min(coset)})
+
+
+def coset_bound_runs(ctx, img, members):
+    """(instances, skipped, failures) of the new and the reference check."""
+    runs = []
+    for checker in (verifier._check_coset_bound, old_check_coset_bound):
+        acc = CheckReport("coset_bound_half")
+        checker(ctx, img, members, verifier._mask_of(members), {"coset_bound_half": acc})
+        runs.append((acc.instances, acc.skipped, acc.failures))
+    return runs
+
+
+def test_coset_bound_walk_equals_old_walk():
+    """Over the exhaustive pairs (catalog groups of order <= 24), the walk
+    through ``right_cosets`` does the reference's work and records the
+    same witnesses."""
+    pairs = skipped = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        for alpha in enumerate_automorphisms(group).members:
+            members, _ = _cube_members(ctx, alpha.images)
+            new, old = coset_bound_runs(ctx, alpha.images, members)
+            assert new == old, name
+            pairs += 1
+            skipped += new[1]
+    assert pairs == 1908
+    assert 0 < skipped < pairs
+
+
+def test_coset_bound_records_equal_old_on_synthetic_members(monkeypatch):
+    """Member sets drawn at random, so that whole cosets of H miss them:
+    with ``_record`` accepting every witness, the coset representatives
+    and the failure order equal the reference's."""
+    monkeypatch.setattr(verifier, "_record",
+                        lambda acc, ctx, img, check, witness: acc.failures.append(witness))
+    rng = random.Random(24)
+    coset_misses = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        n = group.order
+        for _ in range(6):
+            size = rng.randint(n // 2 + 1, n)
+            members = [0, *sorted(rng.sample(range(1, n), size - 1))]
+            new, old = coset_bound_runs(ctx, None, members)
+            assert new == old, (name, members)
+            coset_misses += sum("coset_rep" in w for w in new[2])
+    assert coset_misses > 0
+
+
 def test_single_normal_check_equals_quotient_table():
     """check_quotient_inequality on one N fails exactly when the cube
     ratio of G exceeds that of the induced map on the quotient table G/N,
@@ -178,7 +261,6 @@ def test_pattern_checks_pass_on_catalog_samples():
 
 def test_pattern_instances_counted_on_abelian():
     g = builders.cyclic(8)
-    from cubeaut.automorphisms import power_map
     report = check_property(g, power_map(g, 3), "pattern_abba")
     # the whole group is cubed, so every ordered pair is an instance
     assert report.instances == 64
@@ -751,14 +833,15 @@ def test_pattern_witness_detector():
     s3 = builders.symmetric(3)
     members = list(s3.elements())
     mask = (1 << 6) - 1
-    witness, pairs = pattern_witness(s3, members, mask, 0)
+    witness, pairs = pattern_witness(s3, members, mask, power_map(s3, 0).images)
     assert witness is not None
     a, b = witness
     assert s3.commutator(a, b) != 0
     assert pairs == 36
     # on a commuting member set, no witness
     z6 = builders.cyclic(6)
-    witness, pairs = pattern_witness(z6, list(range(6)), (1 << 6) - 1, 5)
+    witness, pairs = pattern_witness(z6, list(range(6)), (1 << 6) - 1,
+                                    power_map(z6, 5).images)
     assert witness is None
     assert pairs == 36
 
