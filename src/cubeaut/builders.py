@@ -209,6 +209,7 @@ def _field_tables(q: int):
             x = x * p + d
         return x
 
+    irred = _IRREDUCIBLE.get(q)  # None for a prime field, which never reduces
     add = [[undigits([(da + db) % p for da, db in zip(digits(a), digits(b))])
             for b in range(q)] for a in range(q)]
 
@@ -219,13 +220,11 @@ def _field_tables(q: int):
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce modulo the irreducible polynomial (monic of degree k);
-        # a prime field (k = 1) has nothing to reduce
+        # reduce modulo the irreducible polynomial (monic of degree k)
         for top in range(2 * k - 2, k - 1, -1):
             c = prod[top]
             if c:
                 prod[top] = 0
-                irred = _IRREDUCIBLE[q]
                 for j in range(k):
                     prod[top - k + j] = (prod[top - k + j] - c * irred[j]) % p
         return undigits(prod[:k])

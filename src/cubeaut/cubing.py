@@ -496,12 +496,9 @@ def _try_type_iii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
 
 def _try_type_ii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
     """Type II through the first abelian K from ``_index_two_subgroups``
-    that meets the Sylow conditions, with x the least element outside K.
-
-    K has index 2 and x lies outside it, so ``build_type_II`` can refuse
-    K only by ``SylowCondition``; any other refusal is a bug and is
-    raised. The reported K is re-validated as a subgroup of the table.
-    """
+    meeting the Sylow conditions, x the least element outside K. Only a
+    ``SylowCondition`` refusal moves on (any other is a bug and raised);
+    only the reported K, built unchecked, is re-validated as a subgroup."""
     for k_sub in _index_two_subgroups(group):
         if not k_sub.is_abelian:
             continue
@@ -517,12 +514,23 @@ def _try_type_ii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
 
 
 def _index_two_subgroups(group: FiniteGroup) -> list:
-    """All subgroups of index 2, ascending by elements.
-
-    Each contains G' (its quotient has order 2, so is abelian) and is
-    normal, so they are the normal subgroups of order |G|/2, read from
-    ``normal_subgroups``; a perfect group has none.
-    """
-    if group.derived_subgroup.order == group.order:
-        return []
-    return [s for s in group.normal_subgroups if 2 * s.order == group.order]
+    """All subgroups of index 2, ascending by elements: the kernels of
+    the nonzero functionals on the elementary abelian 2-group G / G'G^2,
+    with each element labelled by its coordinates there (2^r - 1 passes
+    over G for rank r; no quotient table is built)."""
+    t = group.table
+    # G'G^2: modulo G' the squares of the generators generate every square
+    m_sub = group.subgroup_generated(list(group.derived_subgroup.generators)
+                                     + [t[g][g] for g in group.generating_set])
+    # vec[y]: y's coordinates mod G'G^2 (-1 until reached); a generator g
+    # outside the span reached so far doubles it to span + span*g
+    vec = [0 if y in m_sub else -1 for y in group.elements()]
+    rank = 0
+    for g in group.generating_set:
+        if vec[g] < 0:
+            for y in [y for y in group.elements() if vec[y] >= 0]:
+                vec[t[y][g]] = vec[y] | 1 << rank
+            rank += 1
+    return sorted((Subgroup(group, tuple(y for y in group.elements()
+                                         if not (vec[y] & f).bit_count() & 1))
+                   for f in range(1, 1 << rank)), key=lambda s: s.elements)

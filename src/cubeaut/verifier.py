@@ -360,8 +360,7 @@ def _max_subgroup_inside(group: FiniteGroup, members, mask) -> frozenset:
 def _check_coset_bound(ctx: GroupContext, img, members, mask, accs):
     acc = accs["coset_bound_half"]
     group = ctx.group
-    n = group.order
-    if 2 * len(members) <= n:
+    if 2 * len(members) <= group.order:
         acc.skipped += 1
         return
     if len(members) > 40:

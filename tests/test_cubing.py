@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -370,8 +371,8 @@ def test_classification_equivalence_on_slice():
 
 def old_index_two_subgroups(group):
     """The index-2 subgroups as preimages of the hyperplanes of the
-    quotient G / (G' G^2): the reference for the read of
-    ``normal_subgroups``."""
+    quotient table G / (G' G^2): the reference for the coordinate
+    labelling of ``_index_two_subgroups``."""
     squares = [group.table[g][g] for g in group.generating_set]
     m_sub = group.subgroup_generated(list(group.derived_subgroup.generators) + squares)
     if m_sub.order == group.order:
@@ -410,6 +411,25 @@ def test_index_two_subgroups_build_no_table(monkeypatch):
     monkeypatch.setattr(groups_module, "_validate_table", refuse)
     for group in groups:
         _index_two_subgroups(group)
+
+
+def test_index_two_subgroups_of_a_large_elementary_2_part():
+    """S3 x Z2^7 (order 768) has G / G'G^2 = Z2^8, so 255 subgroups of
+    index 2, though its normal subgroups number in the hundreds of
+    thousands. Each is the kernel of a map onto Z2, checked on products
+    with the generators; the bound is far above the few tens of
+    milliseconds the labelling takes and far below a lattice walk."""
+    group = builders.symmetric(3)
+    for _ in range(7):
+        group = builders.direct_product(group, builders.cyclic(2))
+    start = time.perf_counter()
+    subs = _index_two_subgroups(group)
+    assert time.perf_counter() - start < 5.0
+    assert len({s.elements for s in subs}) == len(subs) == 255
+    for s in subs:
+        assert 2 * s.order == group.order
+        assert all((group.table[x][g] in s) == ((x in s) == (g in s))
+                   for x in group.elements() for g in group.generating_set)
 
 
 @pytest.mark.parametrize("error", [BadIndex, KNotAbelian, XInK])
