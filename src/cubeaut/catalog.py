@@ -233,14 +233,9 @@ def _parse(name: str) -> Optional[tuple]:
 
 def build_named_group(name: str) -> FiniteGroup:
     """The group a spelling names (a5, z12, c12, l2_7, pgl2(7), cyclic 12,
-    ...): a shipped catalog entry through ``Catalog.build``, a family
-    member outside the shipped range through its builder."""
+    ...), built by its row's builder, shipped in the catalog or not."""
     parsed = _parse(name)
     if parsed is None:
         raise UnsupportedParameter(f"unknown group name {name!r}")
     row, params = parsed
-    canonical = row.name.format(*params)
-    cat = built_in_catalog()
-    if canonical in cat:
-        return cat.build(canonical)
     return row.build(*params)

@@ -34,7 +34,7 @@ from .errors import (
     SylowCondition,
     XInK,
 )
-from .groups import FiniteGroup, Subgroup, abelian_basis, element_vector_table, prime_divisors
+from .groups import FiniteGroup, Subgroup, abelian_basis, element_vector_table
 
 HALF = Fraction(1, 2)
 SOLVABILITY_BOUND = Fraction(4, 15)
@@ -74,7 +74,8 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
     """Exact maximum of the cubing ratio over all of Aut(G).
 
     Returns (ratio, witness map); the witness is the lexicographically
-    least maximizing image array. Pass ``auts`` to reuse an enumeration.
+    least maximizing image array. Pass ``auts`` to reuse an enumeration
+    of this group's Aut(G); one of another group is refused.
 
     Power maps commute with automorphisms, so a and its conjugates
     phi a phi^-1 send the same number of elements to their n-th power.
@@ -84,6 +85,8 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
     """
     if auts is None:
         auts = enumerate_automorphisms(group)
+    elif auts.base is not group:
+        raise NotAutomorphism("automorphisms do not act on this group")
     table = group.table
     targets = [group.pow(x, n) for x in group.elements()]
     # t^-1 b(x) t = x^n iff b(x) = t x^n t^-1; one list per t evaluated
@@ -183,9 +186,10 @@ def build_type_I(group: FiniteGroup) -> GroupMap:
 def build_type_II(group: FiniteGroup, k_sub: Subgroup, x: int) -> tuple:
     """The index-2 construction k -> k^2 x^-1 k x, x -> x^3.
 
-    Preconditions: (G:K) = 2 with K abelian; the Sylow 3-subgroup S is
-    normal, sits inside K and meets the center trivially (all vacuous
-    when 3 does not divide |G|); x lies outside K.
+    Preconditions: (G:K) = 2 with K abelian; 3 does not divide |Z(G)|;
+    x lies outside K. K's 3-part is then a Sylow 3-subgroup S of G,
+    characteristic in the normal K, so S is normal and inside K, and
+    the middle condition says S meets the center trivially.
 
     Returns (automorphism, ratio) with ratio (n+1)/2n for
     n = (K : C_K(x)); the cube set is exactly Kx together with C_K(x).
@@ -196,13 +200,7 @@ def build_type_II(group: FiniteGroup, k_sub: Subgroup, x: int) -> tuple:
         raise BadIndex("K must have index 2")
     if not k_sub.is_abelian:
         raise KNotAbelian("K must be abelian")
-    sylow3 = group.sylow(3)
-    if not group.is_normal(sylow3):
-        raise SylowCondition("Sylow 3-subgroup is not normal")
-    if any(s not in k_sub for s in sylow3.elements):
-        raise SylowCondition("Sylow 3-subgroup is not inside K")
-    center = group.center
-    if any(s != 0 and s in center for s in sylow3.elements):
+    if group.center.order % 3 == 0:
         raise SylowCondition("Sylow 3-subgroup meets the center nontrivially")
     if x in k_sub:
         raise XInK(f"x = {x} lies in K")
@@ -297,7 +295,10 @@ def build_type_III(group: FiniteGroup, decomposition: Type3Decomposition) -> tup
 
 
 def find_type3_decomposition(group: FiniteGroup) -> tuple:
-    """Hunt for a type III pairing on a 2-group of class at most 2.
+    """Hunt for a type III pairing on a group of class at most 2 whose
+    central quotient is an elementary abelian 2-group. Such a group is
+    nilpotent with a central odd part (an odd-order g lies in <g^2>), so
+    its commutator form is that of its Sylow 2-subgroup.
 
     Returns (decomposition, reason): the decomposition is None when the
     group does not have one, with the reason naming the failing shape
@@ -306,9 +307,6 @@ def find_type3_decomposition(group: FiniteGroup) -> tuple:
     splitting the form into two planes hitting the two derived
     generators separately.
     """
-    order = group.order
-    if order & (order - 1):
-        return None, "not a 2-group"
     if group.is_abelian:
         return None, "abelian group has trivial derived subgroup"
     derived = group.derived_subgroup
@@ -437,12 +435,12 @@ class ClassificationVerdict:
 def classify_cubing_structure(group: FiniteGroup) -> ClassificationVerdict:
     """Structural test for a cubing ratio above one half.
 
-    Type I: abelian with order coprime to 3. Type III: nilpotent of
-    class 2, order coprime to 3, odd Sylows abelian, and the Sylow
-    2-subgroup splits as shape (i) or (ii). Type II: an abelian
-    subgroup of index 2 containing a normal Sylow 3-subgroup that
-    misses the center (vacuously so when 3 does not divide the order).
-    Groups that are simultaneously II and III report as III.
+    Type I: abelian with order coprime to 3. Type III: order coprime
+    to 3, G' and every square central (so G is nilpotent of class 2
+    with a central odd part), and G's own table splits as shape (i) or
+    (ii). Type II: an abelian subgroup K of index 2, and 3 does not
+    divide |Z(G)|; K then holds a normal Sylow 3-subgroup missing the
+    center. Groups that are simultaneously II and III report as III.
 
     Whenever the verdict is not None the matching constructor runs and
     its automorphism and exact predicted ratio are attached.
@@ -466,51 +464,40 @@ def classify_cubing_structure(group: FiniteGroup) -> ClassificationVerdict:
 
 
 def _try_type_iii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
-    if group.order % 3 == 0 or group.nilpotency_class != 2:
+    if group.order % 3 == 0:
         return None
-    for p in prime_divisors(group.order):
-        if p != 2 and not group.sylow(p).is_abelian:
-            return None
-    sylow2 = group.sylow(2)
-    s2grp, embed = sylow2.as_group()
-    decomposition, _ = find_type3_decomposition(s2grp)
+    decomposition, _ = find_type3_decomposition(group)
     if decomposition is None:
         return None
-    mapped = Type3Decomposition(
-        decomposition.shape,
-        tuple(embed[a] for a in decomposition.a_elements),
-        tuple(embed[x] for x in decomposition.x_elements),
-        tuple(embed[z] for z in decomposition.z_elements),
-    )
-    alpha, ratio = build_type_III(group, mapped)
-    kind = Kind.TYPE_III_I if mapped.shape == "i" else Kind.TYPE_III_II
+    alpha, ratio = build_type_III(group, decomposition)
+    kind = Kind.TYPE_III_I if decomposition.shape == "i" else Kind.TYPE_III_II
     witnesses = {
-        "a_elements": mapped.a_elements,
-        "x_elements": mapped.x_elements,
-        "z_elements": mapped.z_elements,
+        "a_elements": decomposition.a_elements,
+        "x_elements": decomposition.x_elements,
+        "z_elements": decomposition.z_elements,
         "center": group.center,
     }
     return ClassificationVerdict(kind, witnesses, alpha, ratio,
-                                 f"class 2 with shape ({mapped.shape}) Sylow 2-subgroup")
+                                 f"class 2 with shape ({decomposition.shape}) Sylow 2-subgroup")
 
 
 def _try_type_ii(group: FiniteGroup) -> Optional[ClassificationVerdict]:
-    """Type II through the first abelian K from ``_index_two_subgroups``
-    meeting the Sylow conditions, x the least element outside K. Only a
-    ``SylowCondition`` refusal moves on (any other is a bug and raised);
-    only the reported K, built unchecked, is re-validated as a subgroup."""
-    for k_sub in _index_two_subgroups(group):
-        if not k_sub.is_abelian:
-            continue
-        x = next(g for g in group.elements() if g not in k_sub)
-        try:
-            alpha, ratio = build_type_II(group, k_sub, x)
-        except SylowCondition:
-            continue
-        witnesses = {"K": group.subgroup(k_sub.elements), "S": group.sylow(3), "x": x}
-        return ClassificationVerdict(Kind.TYPE_II, witnesses, alpha, ratio,
-                                     "abelian subgroup of index 2 with the Sylow conditions")
-    return None
+    """Type II through the first abelian K from ``_index_two_subgroups``,
+    x the least element outside K. The Sylow condition, 3 not dividing
+    |Z(G)|, holds for every K or none, so no other K is tried: a
+    ``SylowCondition`` refusal gives None, any other is a bug and
+    raised. The reported K, built unchecked, is re-validated."""
+    k_sub = next((k for k in _index_two_subgroups(group) if k.is_abelian), None)
+    if k_sub is None:
+        return None
+    x = next(g for g in group.elements() if g not in k_sub)
+    try:
+        alpha, ratio = build_type_II(group, k_sub, x)
+    except SylowCondition:
+        return None
+    witnesses = {"K": group.subgroup(k_sub.elements), "S": group.sylow(3), "x": x}
+    return ClassificationVerdict(Kind.TYPE_II, witnesses, alpha, ratio,
+                                 "abelian subgroup of index 2 with the Sylow conditions")
 
 
 def _index_two_subgroups(group: FiniteGroup) -> list:

@@ -37,12 +37,16 @@ from .errors import InternalCheckFailed, UnsupportedParameter
 @dataclass(frozen=True)
 class LinearEquation:
     """Sum of coefficients times variables = 0 (mod n); the coefficient
-    sum must vanish so the equation is translation invariant."""
+    sum must vanish so the equation is translation invariant. A
+    coefficient that is not an int (a bool, float or str) is refused,
+    never converted."""
 
     coefficients: tuple
 
     def __init__(self, coefficients: Sequence[int]):
-        coeffs = tuple(int(c) for c in coefficients)
+        coeffs = tuple(coefficients)
+        if any(type(c) is not int for c in coeffs):
+            raise UnsupportedParameter(f"coefficients {coeffs} are not all integers")
         if len(coeffs) < 2:
             raise UnsupportedParameter("an equation needs at least two variables")
         if sum(coeffs) != 0:
@@ -70,6 +74,8 @@ class SfsInstance:
     equations: tuple = DEFAULT_EQUATIONS
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            raise UnsupportedParameter(f"modulus {self.modulus!r} is not an integer")
         if self.modulus < 1:
             raise UnsupportedParameter("modulus must be >= 1")
         if self.modulus > MAX_MODULUS:

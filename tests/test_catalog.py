@@ -5,6 +5,7 @@ import pytest
 
 from cubeaut import builders
 from cubeaut.catalog import (
+    Catalog,
     _parse,
     build_named_group,
     built_in_catalog,
@@ -63,6 +64,17 @@ def test_every_catalog_name_parses_to_its_row():
     for entry in built_in_catalog().entries:
         row, params = _parse(entry.name)
         assert row.name.format(*params) == entry.name
+
+
+def test_named_group_makes_no_catalog(monkeypatch):
+    """A spelling goes straight to its row's builder, shipped or not: no
+    Catalog of every entry is made per call."""
+    def refuse(self, entries=()):
+        raise AssertionError("a Catalog was made")
+
+    monkeypatch.setattr(Catalog, "__init__", refuse)
+    for spelling, builder in SPELLINGS:
+        assert build_named_group(spelling).table == builder().table, spelling
 
 
 def test_s7_goes_to_its_builder(monkeypatch):

@@ -15,6 +15,7 @@ from cubeaut.automorphisms import (
 from cubeaut.catalog import built_in_catalog, frobenius20, heisenberg27, special_linear_2_3
 from cubeaut.cubing import (
     HALF,
+    ClassificationVerdict,
     Kind,
     Type3Decomposition,
     _index_two_subgroups,
@@ -37,7 +38,7 @@ from cubeaut.errors import (
     PreconditionViolated,
     XInK,
 )
-from cubeaut.groups import abelian_basis, element_vector_table
+from cubeaut.groups import abelian_basis, element_vector_table, prime_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,15 @@ def test_cube_set_rejects_map_on_another_group():
         cube_set(z3, foreign)
     with pytest.raises(NotAutomorphism):
         coset_trace(z3, foreign, z3.subgroup([0]), 0)
+
+
+def test_max_ratio_rejects_another_groups_automorphisms():
+    """Aut(Q8) handed in for Z8 (same order) is refused: its members are
+    not automorphisms of Z8, whose true maximum is 1."""
+    z8 = builders.cyclic(8)
+    with pytest.raises(NotAutomorphism):
+        max_cube_ratio(z8, auts=enumerate_automorphisms(builders.quaternion8()))
+    assert max_cube_ratio(z8, auts=enumerate_automorphisms(z8))[0] == 1
 
 
 def test_generic_power_cube_set():
@@ -321,6 +331,18 @@ def test_find_decomposition_rejects_class_three():
     assert dec is None
 
 
+def test_find_decomposition_on_g_with_a_central_odd_part():
+    """Z5 x D4 is split on its own table (shape (i), ratio 3/4); a class-2
+    group whose squares are not central, Heisenberg 27, is refused."""
+    g = builders.direct_product(builders.cyclic(5), builders.dihedral(4))
+    dec, reason = find_type3_decomposition(g)
+    assert dec is not None and dec.shape == "i", reason
+    alpha, ratio = build_type_III(g, dec)
+    assert ratio == Fraction(3, 4) == cube_set(g, alpha).ratio
+    dec, reason = find_type3_decomposition(heisenberg27())
+    assert dec is None and reason == "central quotient is not elementary abelian"
+
+
 def test_type_iii_validates_order():
     with pytest.raises(OrderDivisibleBy3):
         build_type_III(builders.direct_product(builders.cyclic(3), builders.quaternion8()),
@@ -367,6 +389,117 @@ def test_classification_equivalence_on_slice():
         assert (verdict.kind != Kind.NONE) == (brute > HALF), g.name
         if verdict.kind != Kind.NONE:
             assert verdict.predicted_ratio == brute, g.name
+
+
+def _product(*factors):
+    group = factors[0]
+    for factor in factors[1:]:
+        group = builders.direct_product(group, factor)
+    return group
+
+
+# Products whose odd part is central, not central, or meets the center in
+# a 3-element, next to the catalog's own products.
+PRODUCTS = [
+    lambda: _product(builders.dihedral(4), builders.cyclic(5)),
+    lambda: _product(builders.quaternion8(), builders.cyclic(7)),
+    lambda: _product(builders.cyclic(5), builders.type3_group_ii()),
+    lambda: _product(builders.type3_group_ii(), builders.cyclic(5)),
+    lambda: _product(builders.type3_group_i(2), builders.cyclic(7)),
+    lambda: _product(builders.dihedral(4), builders.cyclic(3)),
+    lambda: _product(builders.symmetric(3), *[builders.cyclic(2)] * 3),
+    lambda: _product(builders.dihedral(5), builders.cyclic(5)),
+    lambda: _product(builders.dihedral(4), builders.dihedral(5)),
+    lambda: _product(builders.quaternion8(), builders.cyclic(5), builders.cyclic(5)),
+    lambda: _product(builders.dihedral(7), builders.cyclic(3)),
+    lambda: _product(builders.cyclic(9), builders.symmetric(3)),
+]
+
+
+def _classification_groups():
+    yield from built_in_catalog().groups()
+    for build in PRODUCTS:
+        group = build()
+        yield group.name, group
+
+
+def old_sylow_block(group, k_sub):
+    """The Sylow checks ``build_type_II`` made before they were read off
+    |Z(G)|: the Sylow 3-subgroup is normal, inside K and meets the
+    center trivially."""
+    sylow3 = group.sylow(3)
+    return (group.is_normal(sylow3) and all(s in k_sub for s in sylow3.elements)
+            and not any(s != 0 and s in group.center for s in sylow3.elements))
+
+
+def old_classify(group):
+    """The classifier as it was before Type III ran on G's own table:
+    class 2 with abelian odd Sylows, the Sylow 2-subgroup split on its
+    own table and mapped back; Type II tried on every abelian K under
+    the full Sylow block."""
+    if group.is_abelian:
+        return classify_cubing_structure(group)
+    if group.order % 3 and group.nilpotency_class == 2 and all(
+            group.sylow(p).is_abelian for p in prime_divisors(group.order) if p != 2):
+        s2grp, embed = group.sylow(2).as_group()
+        dec, _ = find_type3_decomposition(s2grp)
+        if dec is not None:
+            mapped = Type3Decomposition(dec.shape, *(
+                tuple(embed[e] for e in part)
+                for part in (dec.a_elements, dec.x_elements, dec.z_elements)))
+            alpha, ratio = build_type_III(group, mapped)
+            kind = Kind.TYPE_III_I if mapped.shape == "i" else Kind.TYPE_III_II
+            witnesses = {"a_elements": mapped.a_elements, "x_elements": mapped.x_elements,
+                         "z_elements": mapped.z_elements, "center": group.center}
+            return ClassificationVerdict(
+                kind, witnesses, alpha, ratio,
+                f"class 2 with shape ({mapped.shape}) Sylow 2-subgroup")
+    for k_sub in _index_two_subgroups(group):
+        if k_sub.is_abelian and old_sylow_block(group, k_sub):
+            x = next(g for g in group.elements() if g not in k_sub)
+            alpha, ratio = build_type_II(group, k_sub, x)
+            return ClassificationVerdict(
+                Kind.TYPE_II, {"K": k_sub, "S": group.sylow(3), "x": x}, alpha, ratio,
+                "abelian subgroup of index 2 with the Sylow conditions")
+    return ClassificationVerdict(Kind.NONE, {}, None, None, "no structure matched")
+
+
+def test_classification_equals_sylow_route():
+    """Every distinct catalog group and the products above: the same
+    verdict, witnesses and constructed map as the Sylow route."""
+    for name, group in _classification_groups():
+        got, want = classify_cubing_structure(group), old_classify(group)
+        assert got.to_json() == want.to_json(), name
+        assert (got.constructed_alpha is None) == (want.constructed_alpha is None), name
+        if got.constructed_alpha is not None:
+            assert got.constructed_alpha.images == want.constructed_alpha.images, name
+
+
+def test_sylow_block_passes_exactly_when_3_misses_the_center():
+    """For an abelian K of index 2, K's 3-part is a normal Sylow
+    3-subgroup inside K: of the three Sylow checks only the center one
+    can fail, and it fails exactly when 3 divides |Z(G)|."""
+    seen = set()
+    for name, group in _classification_groups():
+        for k_sub in _index_two_subgroups(group):
+            if k_sub.is_abelian:
+                passes = old_sylow_block(group, k_sub)
+                assert passes == (group.center.order % 3 != 0), name
+                seen.add(passes)
+    assert seen == {False, True}
+
+
+def test_classification_builds_no_table(monkeypatch):
+    """Type III runs on G's own table: no Sylow 2-subgroup table, and
+    no other table, is built for any catalog group of order <= 64."""
+    groups = [g for _, g in built_in_catalog().groups(order_cap=64)]
+
+    def refuse(rows):
+        raise AssertionError(f"a table of order {len(rows)} was built")
+
+    monkeypatch.setattr(groups_module, "_validate_table", refuse)
+    for group in groups:
+        classify_cubing_structure(group)
 
 
 def old_index_two_subgroups(group):

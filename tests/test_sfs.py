@@ -65,6 +65,20 @@ def test_equation_requires_zero_sum():
     assert LinearEquation((1, 1, -2)).coefficients == (1, 1, -2)
 
 
+@pytest.mark.parametrize("coefficients", [(1.9, True, -2), (1, 1, -2.0), ("1", 1, -2),
+                                          (True, 1, -2)])
+def test_equation_refuses_non_int_coefficients(coefficients):
+    """A bool, float or str coefficient is refused, never read through int()."""
+    with pytest.raises(UnsupportedParameter, match="not all integers"):
+        LinearEquation(coefficients)
+
+
+@pytest.mark.parametrize("modulus", [10.5, 12.0, "12", True])
+def test_instance_refuses_non_int_modulus(modulus):
+    with pytest.raises(UnsupportedParameter, match="not an integer"):
+        SfsInstance(modulus)
+
+
 def test_default_equations():
     assert THREE_TERM_AP.coefficients == (1, 1, -2)
     assert WEIGHTED_AP.coefficients == (1, 2, -3)

@@ -38,6 +38,27 @@ def test_no_bare_asserts(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every name a module imports at module level is read somewhere in
+    it: an import left behind by deleted code fails here. __init__.py,
+    whose imports are the package's exports, is checked by
+    test_package_exports_match_imports instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0]: node.lineno
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name: node.lineno for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
 def test_package_exports_match_imports():
     """cubeaut.__all__ lists each public name the package's __init__
     binds, once, and nothing else: a deleted function cannot stay
