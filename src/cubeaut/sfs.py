@@ -16,20 +16,21 @@ lexicographically least unit multiple of every avoiding set through 0
 (McKay's isomorph rejection, reduced to the root). Node counts count
 this restricted search; a child that its own bound cuts is counted but
 not built, so a count means the same as when every child was visited.
-Extremal enumeration collects the canonical classes from it and
-reports the raw sets as their unit orbits. Every reported set is
-re-verified by the independent exhaustive checker, which shares none
-of the incremental machinery.
+Extremal enumeration collects the canonical classes from it; the raw
+sets, their unit orbits, are built on first read. The independent
+exhaustive checker, which shares none of the incremental machinery,
+re-verifies each class when enumerated and each raw set when built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from operator import or_
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckFailed, UnsupportedParameter
 
@@ -39,11 +40,13 @@ class LinearEquation:
     """Sum of coefficients times variables = 0 (mod n); the coefficient
     sum must vanish so the equation is translation invariant. A
     coefficient that is not an int (a bool, float or str) is refused,
-    never converted."""
+    never converted, and so is an argument that is not iterable."""
 
     coefficients: tuple
 
     def __init__(self, coefficients: Sequence[int]):
+        if not isinstance(coefficients, Iterable):
+            raise UnsupportedParameter(f"coefficients {coefficients!r} are not iterable")
         coeffs = tuple(coefficients)
         if any(type(c) is not int for c in coeffs):
             raise UnsupportedParameter(f"coefficients {coeffs} are not all integers")
@@ -62,9 +65,10 @@ THREE_TERM_AP = LinearEquation((1, 1, -2))      # a + b = 2c
 WEIGHTED_AP = LinearEquation((1, 2, -3))        # a + 2b = 3c
 DEFAULT_EQUATIONS = (THREE_TERM_AP, WEIGHTED_AP)
 
-# Largest modulus an instance accepts. The conflict tables hold n^2 masks
-# of n bits: at n = 1024 building them takes 1.1 s and peaks at 180 MB
-# resident (Python 3.11, x86-64); they grow as n^3, so n = 5000 needs ~17 GB.
+# Largest modulus an instance accepts. The conflict tables hold n^2 / 2
+# masks of n bits: at n = 1024 building them takes 0.3 s and peaks at
+# 118 MB resident (Python 3.11, x86-64); they grow as n^3, so n = 5000
+# needs ~11 GB.
 MAX_MODULUS = 1024
 
 
@@ -81,8 +85,12 @@ class SfsInstance:
         if self.modulus > MAX_MODULUS:
             raise UnsupportedParameter(
                 f"modulus {self.modulus} is above the limit {MAX_MODULUS}")
-        if not self.equations:
-            raise UnsupportedParameter("need at least one equation")
+        equations = self.equations
+        if not (isinstance(equations, Sequence) and equations
+                and all(isinstance(eq, LinearEquation) for eq in equations)):
+            raise UnsupportedParameter(
+                f"equations {equations!r} are not a nonempty sequence of LinearEquation")
+        object.__setattr__(self, "equations", tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,12 @@ def find_nontrivial_solution(subset: Sequence[int], n: int,
         by_residue.setdefault(last * x % n, []).append(x)
     weighted = [(penult * y, y) for y in elems]
     for prefix in product(elems, repeat=len(head)):
-        partial = sum(c * v for c, v in zip(head, prefix))
+        partial = sum(map(mul, head, prefix))
+        # a hit is all-equal iff x = y = lone; None: any x, -1: no x
+        lone = (prefix[0] if prefix[1:] == prefix[:-1] else -1) if prefix else None
         for cy, y in weighted:
             for x in by_residue.get(-(partial + cy) % n, ()):
-                if x != y or any(v != x for v in prefix):
+                if x != y or lone not in (None, x):
                     return prefix + (y, x)
     return None
 
@@ -143,14 +153,12 @@ def units(n: int) -> list:
 def canonical_form(subset: Sequence[int], n: int) -> tuple:
     """Lexicographically least sorted tuple among the unit multiples
     u*A mod n. Translations are not quotiented out (0 is distinguished)."""
-    if n == 1:
-        return tuple(sorted(set(subset)))
-    best = None
-    for u in units(n):
-        image = tuple(sorted((u * a) % n for a in set(subset)))
-        if best is None or image < best:
-            best = image
-    return best
+    return min(_unit_orbit(set(subset), n))
+
+
+def _unit_orbit(subset, n: int) -> set:
+    """The sorted tuples u*A mod n over the units u."""
+    return {tuple(sorted(u * a % n for a in subset)) for u in units(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +181,34 @@ def _solution_masks(n: int, coefficients) -> dict:
 def _conflict_tables(n: int, equations: Sequence[LinearEquation]) -> tuple:
     """For 3-variable equations. pair[a][b]: mask of v completing a
     violation with a and b each used once; double[e]: mask of v used
-    twice against e used once."""
-    pair = [[0] * n for _ in range(n)]
-    double = [0] * n
+    twice against e used once. The coefficients sum to 0, so a solution
+    translated by t solves too: row 0 is solved, and pair[a][b] is
+    pair[0][b - a], double[e] double[0], rotated up by a (by e)."""
+    full = (1 << n) - 1
+    row, double = [0] * n, 0  # pair[0] before the symmetric merge, double[0]
     slots = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     for eq in equations:
         c = eq.coefficients
         sol = _solution_masks(n, list(c) + [c[s1] + c[s2] for _, s1, s2 in slots])
         for v_slot, s1, s2 in slots:
-            row_v = sol[c[v_slot] % n]
-            # pair[a][b] |= row_v[(-c1*a - c2*b) % n], a row at a time:
-            # row_v rotated left by -c1*a % n, read at -c2*b % n
-            c1, c2 = c[s1], c[s2]
-            twice = row_v + row_v
-            stride = [-c2 * b % n for b in range(n)]
-            for a in range(n):
-                start = -c1 * a % n
-                window = twice[start:start + n]
-                pair[a] = list(map(or_, pair[a], map(window.__getitem__, stride)))
-            # e in this slot, v in both others
-            row_e = sol[(c1 + c2) % n]
-            ce = c[v_slot]
-            double = [m | row_e[-ce * e % n] for e, m in enumerate(double)]
+            row_v = sol[c[v_slot] % n]  # a = 0 in slot s1, b in slot s2
+            row = [m | row_v[-c[s2] * b % n] for b, m in enumerate(row)]
+            double |= sol[(c[s1] + c[s2]) % n][0]  # e = 0 here, v in both others
     # v = a = b (or v = e) is the trivial all-equal assignment
+    row[0] &= ~1
+    double &= ~1
+    # m rotated up by t is (m | m << n) >> (n - t) & full
+    wrapped = [m | m << n for m in row]
+    # a and b may land in either non-v slot: pair[0][d] |= pair[d][0],
+    # which is pair[0][-d] rotated up by d
+    row = [m | wrapped[-d % n] >> (n - d) & full for d, m in enumerate(row)]
+    wrapped = [m | m << n for m in row]
+    pair = []  # pair[b][a] is the same int object as pair[a][b]
     for a in range(n):
-        pair[a][a] &= ~(1 << a)
-        double[a] &= ~(1 << a)
-    # a and b may land in either non-v slot
-    for a in range(n):
-        for b in range(a + 1, n):
-            merged = pair[a][b] | pair[b][a]
-            pair[a][b] = pair[b][a] = merged
-    return pair, double
+        pair.append([pair[b][a] for b in range(a)] +
+                    [w >> (n - a) & full for w in wrapped[:n - a]])
+    double |= double << n
+    return pair, [double >> (n - e) & full for e in range(n)]
 
 
 def _slot_splits(n: int, equations: Sequence[LinearEquation]) -> list:
@@ -386,33 +390,48 @@ def max_free_subset(instance: SfsInstance, budget: Optional[int] = None,
 class SfsEnumeration:
     instance: SfsInstance
     size: int
-    raw: tuple        # all avoiding sets of the target size containing 0
     canonical: tuple  # lex-least representatives under unit multiplication
     exact: bool
     nodes: int
 
+    @cached_property
+    def raw(self) -> tuple:
+        """The unit orbits of the classes, re-checked when first built."""
+        n = self.instance.modulus
+        return _rechecked({s for c in self.canonical for s in _unit_orbit(c, n)}, self.instance)
+
+
+def _rechecked(sets, instance: SfsInstance) -> tuple:
+    """The sets, sorted, once ``is_avoiding`` has passed each."""
+    if not all(is_avoiding(s, instance.modulus, instance.equations) for s in sets):
+        raise InternalCheckFailed("enumerated set fails the independent re-check")
+    return tuple(sorted(sets))
+
 
 def enumerate_extremal(instance: SfsInstance, size: int,
                        budget: Optional[int] = None) -> SfsEnumeration:
-    """All avoiding subsets of the target size containing 0, raw and
-    reduced to canonical form under multiplication by units.
+    """All avoiding subsets of the target size containing 0, reduced to
+    canonical form under multiplication by units; ``raw`` lists them.
 
     The search visits only sets whose least nonzero element d divides n
     and whose other elements w have gcd(w, n) >= d; the canonical form
-    of every avoiding set has that shape. The raw sets are the unit
-    orbits of the canonical classes (A = u^-1 * canonical(A)), and each
-    is re-checked by ``is_avoiding``."""
+    of every avoiding set has that shape. A class is the least member of
+    the unit orbit of the first set collected in it; sets in an orbit
+    already built are skipped. Each class is re-checked."""
     if size < 1:
         raise UnsupportedParameter("target size must be >= 1")
     search = _Search(instance, budget, size)
     search.run_from_zero()
     n = instance.modulus
-    canonical = tuple(sorted({canonical_form(s, n) for s in search.collected}))
-    raw = tuple(sorted({tuple(sorted(u * a % n for a in c))
-                        for c in canonical for u in units(n)}))
-    if not all(is_avoiding(s, n, instance.equations) for s in raw):
-        raise InternalCheckFailed("enumerated set fails the independent re-check")
-    return SfsEnumeration(instance, size, raw, canonical, search.exact, search.nodes)
+    seen: set = set()
+    canonical = []
+    for s in search.collected:
+        if s not in seen:
+            orbit = _unit_orbit(s, n)
+            seen |= orbit
+            canonical.append(min(orbit))
+    return SfsEnumeration(instance, size, _rechecked(canonical, instance),
+                          search.exact, search.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeaut import sfs
-from cubeaut.errors import UnsupportedParameter
+from cubeaut.errors import InternalCheckFailed, UnsupportedParameter
 from cubeaut.sfs import (
     _Search,
     _conflict_tables,
@@ -71,6 +71,28 @@ def test_equation_refuses_non_int_coefficients(coefficients):
     """A bool, float or str coefficient is refused, never read through int()."""
     with pytest.raises(UnsupportedParameter, match="not all integers"):
         LinearEquation(coefficients)
+
+
+def test_equation_refuses_non_iterable():
+    with pytest.raises(UnsupportedParameter, match="not iterable"):
+        LinearEquation(5)
+
+
+def test_instance_refuses_equations_that_are_not_linear_equations():
+    with pytest.raises(UnsupportedParameter, match="not a nonempty sequence"):
+        max_free_subset(SfsInstance(12, ((1, 1, -2),)))
+
+
+@pytest.mark.parametrize("equations", [(), THREE_TERM_AP, "1,1,-2"])
+def test_instance_refuses_empty_or_bare_equations(equations):
+    with pytest.raises(UnsupportedParameter, match="not a nonempty sequence"):
+        SfsInstance(12, equations)
+
+
+def test_instance_stores_equations_as_a_tuple():
+    instance = SfsInstance(12, [THREE_TERM_AP])
+    assert instance.equations == (THREE_TERM_AP,)
+    assert hash(instance) == hash(SfsInstance(12, (THREE_TERM_AP,)))
 
 
 @pytest.mark.parametrize("modulus", [10.5, 12.0, "12", True])
@@ -471,6 +493,43 @@ def test_enumeration_complete_against_product_scan():
         if is_avoiding((0,) + rest, 16))
     enum = enumerate_extremal(SfsInstance(16), 4)
     assert list(enum.raw) == expected
+
+
+def refusing(refused):
+    """is_avoiding, except that it refuses the one set ``refused``."""
+    return lambda subset, n, equations=DEFAULT_EQUATIONS: \
+        tuple(subset) != refused and is_avoiding(subset, n, equations)
+
+
+def test_enumeration_rechecks_each_class(monkeypatch):
+    classes = enumerate_extremal(SfsInstance(45), 6).canonical
+    monkeypatch.setattr(sfs, "is_avoiding", refusing(classes[-1]))
+    with pytest.raises(InternalCheckFailed):
+        enumerate_extremal(SfsInstance(45), 6)
+
+
+def test_raw_sets_are_rechecked_when_built(monkeypatch):
+    enum = enumerate_extremal(SfsInstance(45), 6)
+    outside = next(s for s in enumerate_extremal(SfsInstance(45), 6).raw
+                   if s not in enum.canonical)
+    monkeypatch.setattr(sfs, "is_avoiding", refusing(outside))
+    with pytest.raises(InternalCheckFailed):
+        enum.raw
+
+
+def test_collecting_sets_rechecks_the_classes_alone(monkeypatch):
+    """The maximum set and each of the 69 classes once: no raw set is built."""
+    calls = []
+
+    def counted(subset, n, equations=DEFAULT_EQUATIONS):
+        calls.append(tuple(subset))
+        return is_avoiding(subset, n, equations)
+
+    monkeypatch.setattr(sfs, "is_avoiding", counted)
+    result = max_free_subset(SfsInstance(45), collect_sets=True)
+    assert len(result.extremal_sets) == 69
+    assert len(calls) == 1 + 69
+    assert calls[1:] == list(result.extremal_sets)
 
 
 def test_canonical_form():
