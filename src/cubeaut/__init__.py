@@ -4,7 +4,6 @@ solution-free subsets of cyclic groups."""
 from .groups import (
     FiniteGroup,
     Subgroup,
-    abelian_basis,
     from_cayley_table,
     from_permutation_generators,
     group_to_json,
@@ -34,8 +33,6 @@ from .automorphisms import (
     induced_on_quotient,
     inner_automorphism,
     invert,
-    is_automorphism,
-    is_homomorphism,
     is_n_abelian,
     power_map,
     restrict,
@@ -79,7 +76,7 @@ from .verifier import (
 )
 
 __all__ = [
-    "FiniteGroup", "Subgroup", "abelian_basis", "from_cayley_table",
+    "FiniteGroup", "Subgroup", "from_cayley_table",
     "from_permutation_generators", "group_to_json", "load_group_file",
     "max_abelian_subgroup_order",
     "alternating", "cyclic", "dihedral", "direct_product", "pgl2", "psl2",
@@ -87,8 +84,7 @@ __all__ = [
     "type3_group_ii",
     "AutomorphismGroup", "GroupMap", "automorphism_group", "compose",
     "enumerate_automorphisms", "identity_map", "induced_on_quotient",
-    "inner_automorphism", "invert", "is_automorphism", "is_homomorphism",
-    "is_n_abelian", "power_map", "restrict",
+    "inner_automorphism", "invert", "is_n_abelian", "power_map", "restrict",
     "ClassificationVerdict", "CosetTrace", "CubeReport", "Kind",
     "Type3Decomposition", "build_type_I", "build_type_II", "build_type_III",
     "classify_cubing_structure", "coset_trace", "cube_set",

@@ -99,15 +99,6 @@ class GroupMap:
         return _is_permutation(self.images, self.target.order)
 
 
-def is_homomorphism(m: GroupMap) -> bool:
-    return m.homomorphism_witness() is None
-
-
-def is_automorphism(m: GroupMap) -> bool:
-    return (m.source is m.target and m.is_bijective
-            and m.homomorphism_witness() is None)
-
-
 def identity_map(group: FiniteGroup) -> GroupMap:
     return GroupMap(group, group, tuple(range(group.order)))
 
@@ -119,7 +110,7 @@ def power_map(group: FiniteGroup, n: int) -> GroupMap:
 
 def is_n_abelian(group: FiniteGroup, n: int) -> bool:
     """True iff x -> x^n is an endomorphism."""
-    return is_homomorphism(power_map(group, n))
+    return power_map(group, n).homomorphism_witness() is None
 
 
 def inner_automorphism(group: FiniteGroup, g: int) -> GroupMap:

@@ -34,7 +34,7 @@ from .errors import (
     SylowCondition,
     XInK,
 )
-from .groups import FiniteGroup, Subgroup, abelian_basis, element_vector_table
+from .groups import FiniteGroup, Subgroup
 
 HALF = Fraction(1, 2)
 SOLVABILITY_BOUND = Fraction(4, 15)
@@ -115,11 +115,9 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
 
 @dataclass(frozen=True)
 class CosetTrace:
-    """Image of Hx intersected with the cube set inside H / C_H(x).
-
-    For a cyclic quotient the trace is a tuple of residues modulo
-    ``quotient_order``; otherwise a tuple of exponent vectors over
-    ``basis_orders``.
+    """Image of Hx intersected with the cube set inside the cyclic
+    quotient H / C_H(x): the residues modulo ``quotient_order`` that
+    the hit cosets take as powers of the quotient's least generator.
     """
 
     subgroup: Subgroup
@@ -127,15 +125,14 @@ class CosetTrace:
     quotient_order: int
     centralizer_order: int
     trace: tuple
-    basis_orders: tuple
-    cyclic: bool
 
 
 def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int) -> CosetTrace:
-    """The trace of the coset Hx in the abelian quotient H / C_H(x).
+    """The trace of the coset Hx in the cyclic quotient H / C_H(x).
 
-    Preconditions (each checked): H a subgroup of ``group``, H abelian,
-    H inside the cube set, x an element in the cube set.
+    Preconditions (each checked): alpha an automorphism of ``group``, H
+    a subgroup of ``group``, H abelian, H inside the cube set, x an
+    element in the cube set, and H / C_H(x) cyclic.
     """
     sub._check_parent(group)
     group._check_element(x)
@@ -158,14 +155,12 @@ def coset_trace(group: FiniteGroup, alpha: GroupMap, sub: Subgroup, x: int) -> C
     raw = sum(1 for h in sub.elements if group.table[h][x] in inside)
     if raw != len(hits) * len(cent):
         raise InternalCheckFailed("trace is not a union of centralizer cosets")
-    basis = abelian_basis(qgrp)
-    orders = tuple(qgrp.element_orders[b] for b in basis)
-    vectors = element_vector_table(qgrp, basis)
-    if len(basis) <= 1:
-        residues = tuple(sorted(vectors[c][0] if basis else 0 for c in hits))
-        return CosetTrace(sub, x, qgrp.order, len(cent), residues, orders, True)
-    encoded = tuple(sorted(vectors[c] for c in hits))
-    return CosetTrace(sub, x, qgrp.order, len(cent), encoded, orders, False)
+    m = qgrp.order
+    gen = next((c for c in qgrp.elements() if qgrp.element_orders[c] == m), None)
+    if gen is None:
+        raise PreconditionViolated("H / C_H(x) is not cyclic")
+    exponent = {qgrp.pow(gen, e): e for e in range(m)}
+    return CosetTrace(sub, x, m, len(cent), tuple(sorted(exponent[c] for c in hits)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, product
+from itertools import chain, compress
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -38,7 +38,6 @@ from .errors import (
     GroupTableError,
     NoIdentity,
     NoInverse,
-    NotAbelian,
     NotAssociative,
     NotASubgroup,
     NotClosed,
@@ -795,43 +794,6 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
     for b, i in origin:
         rows.append(lefts[i](rows[b]))
     return FiniteGroup(rows, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Abelian structure
-
-
-def abelian_basis(group: FiniteGroup) -> list:
-    """Independent generators b_1..b_k with G = <b_1> x ... x <b_k>.
-
-    Greedy: repeatedly take a maximal-order element of the remaining
-    quotient and lift it to an element of equal order (one exists
-    because the span so far is a direct summand).
-    """
-    if not group.is_abelian:
-        raise NotAbelian("abelian_basis needs an abelian group")
-    basis = []
-    while True:
-        span = group.subgroup_generated(basis)
-        if span.order == group.order:
-            return basis
-        qgrp, proj = group.quotient(span)
-        best = max(qgrp.elements(), key=lambda c: (qgrp.element_order(c), -c))
-        target = qgrp.element_order(best)
-        lift = next(g for g in group.elements()
-                    if proj[g] == best and group.element_orders[g] == target)
-        basis.append(lift)
-
-
-def element_vector_table(group: FiniteGroup, basis: Sequence[int]) -> dict:
-    """Map each element to its exponent vector over ``basis``."""
-    vectors = {0: tuple(0 for _ in basis)}
-    for coords in product(*(range(group.element_orders[b]) for b in basis)):
-        g = 0
-        for b, e in zip(basis, coords):
-            g = group.table[g][group.pow(b, e)]
-        vectors.setdefault(g, coords)
-    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each check asserts a commutation or counting statement over every pair
 or coset meeting its hypothesis and accumulates into a ``CheckReport``.
 A failing instance enters a report only through ``_record``, which
-re-validates it from the raw multiplication table first; a
+re-validates it without the scan's tables first (``revalidate``); a
 non-revalidating failure aborts the run as an internal bug. One walk
 fills all five pattern reports, and one walk over the pairs (H, x),
 H a cyclic subgroup inside the cube set and x in it, fills the three
@@ -37,6 +37,7 @@ from .automorphisms import (
     _check_invariant,
     automorphism_group,
     check_automorphism,
+    induced_on_quotient,
     power_map,
 )
 from .catalog import Catalog, built_in_catalog
@@ -44,6 +45,7 @@ from .cubing import (
     HALF,
     SOLVABILITY_BOUND,
     classify_cubing_structure,
+    cube_set,
     max_cube_ratio,
     ratio_json,
     Kind,
@@ -137,11 +139,17 @@ def _cube_members(ctx: GroupContext, img) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Raw revalidation (independent of every fast path above)
+# Revalidation (independent of every fast path above)
 
 
 def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
-    """Recompute a reported counterexample from the raw table."""
+    """Recompute a reported counterexample without the scan's tables.
+
+    The pattern, centralizer, coset and trace branches re-derive it from
+    the raw table and take any image array. The quotient branch compares
+    ``cube_set`` on G with ``cube_set`` on the map that
+    ``induced_on_quotient`` induces on G/N, so there ``img`` must be an
+    automorphism of ``group``."""
     t = group.table
 
     def in_cube(x):
@@ -184,15 +192,9 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
         sub = group.subgroup(n_elems)
         if {img[x] for x in n_elems} != set(n_elems):
             return False
-        qgrp, proj = group.quotient(sub)
-        reps = [None] * qgrp.order
-        for g in range(group.order):
-            if reps[proj[g]] is None:
-                reps[proj[g]] = g
-        t_count = sum(1 for x in range(group.order) if in_cube(x))
-        tq = sum(1 for c in range(qgrp.order)
-                 if proj[img[reps[c]]] == qgrp.pow(c, 3))
-        return t_count * qgrp.order > tq * group.order
+        alpha = GroupMap(group, group, tuple(img))
+        induced = induced_on_quotient(alpha, sub)
+        return cube_set(group, alpha).ratio > cube_set(induced.source, induced).ratio
     if check == "trace_avoidance":
         # H must be <h> listed as h^0, h^1, ..., and the trace is re-derived
         h_elems, x, modulus = witness["subgroup"], witness["x"], witness["modulus"]

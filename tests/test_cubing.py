@@ -38,7 +38,7 @@ from cubeaut.errors import (
     PreconditionViolated,
     XInK,
 )
-from cubeaut.groups import abelian_basis, element_vector_table, prime_divisors
+from cubeaut.groups import prime_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,6 @@ def test_trace_contains_zero_and_coset_sizes():
     other = next(x for x in members if x not in set(h.elements) and x != 0)
     trace = coset_trace(a5, alpha, h, other)
     assert 0 in trace.trace
-    assert trace.cyclic
     raw = sum(1 for u in h.elements if a5.table[u][other] in set(members))
     assert raw == len(trace.trace) * trace.centralizer_order
 
@@ -194,6 +193,17 @@ def test_trace_precondition_errors():
     # the 3-cycles are not in T for the identity map
     with pytest.raises(PreconditionViolated):
         coset_trace(s3, alpha, rotations, 0)
+
+
+def test_trace_refuses_a_non_cyclic_quotient():
+    """H = {0, 2, 17, 23} in S4 is a Klein four-group and x = 16 an
+    involution, all inside the identity map's cube set; x commutes with
+    no non-identity element of H, so H / C_H(x) = H is not cyclic."""
+    s4 = builders.symmetric(4)
+    h = s4.subgroup((0, 2, 17, 23))
+    assert not any(s4.table[u][16] == s4.table[16][u] for u in h.elements[1:])
+    with pytest.raises(PreconditionViolated, match="not cyclic"):
+        coset_trace(s4, identity_map(s4), h, 16)
 
 
 def test_trace_on_s3_type_ii():
@@ -502,6 +512,34 @@ def test_classification_builds_no_table(monkeypatch):
         classify_cubing_structure(group)
 
 
+def old_abelian_basis(group):
+    """Independent generators b_1..b_k with G = <b_1> x ... x <b_k>:
+    repeatedly a maximal-order element of the remaining quotient, lifted
+    to an element of equal order."""
+    basis = []
+    while True:
+        span = group.subgroup_generated(basis)
+        if span.order == group.order:
+            return basis
+        qgrp, proj = group.quotient(span)
+        best = max(qgrp.elements(), key=lambda c: (qgrp.element_order(c), -c))
+        target = qgrp.element_order(best)
+        lift = next(g for g in group.elements()
+                    if proj[g] == best and group.element_orders[g] == target)
+        basis.append(lift)
+
+
+def old_element_vector_table(group, basis):
+    """Each element's exponent vector over ``basis``."""
+    vectors = {0: tuple(0 for _ in basis)}
+    for coords in product(*(range(group.element_orders[b]) for b in basis)):
+        g = 0
+        for b, e in zip(basis, coords):
+            g = group.table[g][group.pow(b, e)]
+        vectors.setdefault(g, coords)
+    return vectors
+
+
 def old_index_two_subgroups(group):
     """The index-2 subgroups as preimages of the hyperplanes of the
     quotient table G / (G' G^2): the reference for the coordinate
@@ -511,8 +549,8 @@ def old_index_two_subgroups(group):
     if m_sub.order == group.order:
         return []
     egrp, proj = group.quotient(m_sub)
-    basis = abelian_basis(egrp)
-    vectors = element_vector_table(egrp, basis)
+    basis = old_abelian_basis(egrp)
+    vectors = old_element_vector_table(egrp, basis)
     subs = []
     for functional in product((0, 1), repeat=len(basis)):
         if not any(functional):

@@ -39,7 +39,6 @@ from cubeaut.groups import (
     _find_identity,
     _light_associativity,
     _validate_table,
-    abelian_basis,
     from_cayley_table,
     from_permutation_generators,
     group_to_json,
@@ -1082,21 +1081,6 @@ def test_class_with_conjugators_matches_elementwise_classes():
     from cubeaut.catalog import built_in_catalog
     for name, group in built_in_catalog().groups(order_cap=120):
         assert group.conjugacy_classes == _elementwise_classes(group), name
-
-
-def test_abelian_basis_reconstructs_group():
-    for build in (lambda: builders.cyclic(12),
-                  lambda: builders.direct_product(builders.cyclic(2), builders.cyclic(4)),
-                  lambda: builders.direct_product(
-                      builders.direct_product(builders.cyclic(2), builders.cyclic(2)),
-                      builders.cyclic(9))):
-        group = build()
-        basis = abelian_basis(group)
-        total = 1
-        for b in basis:
-            total *= group.element_orders[b]
-        assert total == group.order
-        assert len(group.closure(basis)) == group.order
 
 
 # ---------------------------------------------------------------------------

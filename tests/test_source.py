@@ -73,6 +73,42 @@ def test_package_exports_match_imports():
                                     f"exported, not bound: {sorted(set(exported) - bound)}")
 
 
+# Exports that no module of src/cubeaut/ calls, each with the README
+# phrase naming the capability that keeps it public.
+EXPORTS_WITHOUT_A_CALLER = {
+    "compose": "Inner, induced, restricted, composed and inverted maps",
+    "invert": "Inner, induced, restricted, composed and inverted maps",
+    "inner_automorphism": "Inner, induced, restricted, composed and inverted maps",
+    "restrict": "Inner, induced, restricted, composed and inverted maps",
+    "is_n_abelian": "power maps and n-abelian tests",
+    "coset_trace": "cyclic coset traces in H/C_H(x)",
+    "canonical_form": "canonical representatives under unit multiplication",
+    "check_property": "`check_property(group, alpha, check)`",
+    "check_quotient_inequality": "`check_quotient_inequality(group, alpha, normal)`",
+}
+
+
+def test_every_export_has_a_caller():
+    """Each name in cubeaut.__all__ is read, bare or as an attribute, by
+    a module of src/cubeaut/ other than __init__.py, or it is a key of
+    EXPORTS_WITHOUT_A_CALLER whose README phrase is still in README.md.
+    So an export whose last caller goes must go too or be given its
+    capability, and an entry whose name gains a caller must be dropped."""
+    read = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                read |= {getattr(node, "id", None), getattr(node, "attr", None)}
+    uncalled = set(cubeaut.__all__) - read
+    listed = set(EXPORTS_WITHOUT_A_CALLER)
+    assert uncalled <= listed, f"exports nothing calls, not listed: {sorted(uncalled - listed)}"
+    assert listed <= uncalled, f"listed, but called or not exported: {sorted(listed - uncalled)}"
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    missing = sorted(name for name, phrase in EXPORTS_WITHOUT_A_CALLER.items()
+                     if phrase not in readme)
+    assert not missing, f"README.md no longer names the capability of {missing}"
+
+
 def test_stdlib_only():
     """pyproject.toml declares no dependencies, so every import in the
     package is relative or from the standard library."""
@@ -142,7 +178,7 @@ def test_no_process_wide_caches():
 
 def test_failures_recorded_only_through_record():
     """In verifier.py a failure enters a report only through _record,
-    which re-validates it from the raw table first: no other code calls
+    which re-validates it first: no other code calls
     ``<expr>.failures.append``."""
     tree = ast.parse((ROOT / "src" / "cubeaut" / "verifier.py").read_text(encoding="utf-8"))
 

@@ -17,6 +17,7 @@ from cubeaut.automorphisms import (
 from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
 from cubeaut.errors import (
+    InternalCheckFailed,
     NotAutomorphism,
     NotInvariant,
     NotNormal,
@@ -209,6 +210,35 @@ def test_single_normal_check_equals_quotient_table():
     assert checked > 1908  # more than one N per exhaustive pair
 
 
+def test_quotient_revalidation_refuses_every_normal_subgroup():
+    """The lemma holds, so revalidate accepts no (alpha, N) as a
+    quotient counterexample: every alpha and every normal N, invariant
+    or not, of the catalog groups of order <= 24. N = 1 gives G/N = G
+    with an equal ratio, so a non-strict comparison would fail here."""
+    triples = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        normals = [list(sub.elements) for sub in group.normal_subgroups]
+        for alpha in enumerate_automorphisms(group).members:
+            for normal in normals:
+                assert not revalidate(group, alpha.images, "quotient_ratio_monotone",
+                                      {"normal": normal}), (name, alpha.images, normal)
+                triples += 1
+    assert triples == 17057
+
+
+def test_record_raises_on_a_quotient_witness_that_does_not_revalidate():
+    """A false quotient failure (S3's Type II alpha and N = A3, where
+    G/N has ratio 1) aborts the scan instead of entering the report."""
+    g = builders.symmetric(3)
+    alpha = classify_cubing_structure(g).constructed_alpha
+    acc = CheckReport("quotient_ratio_monotone")
+    witness = {"normal": list(g.derived_subgroup.elements), "quotient_cube_count": 2}
+    with pytest.raises(InternalCheckFailed, match="non-revalidating"):
+        verifier._record(acc, GroupContext(g, "S3"), alpha.images,
+                         "quotient_ratio_monotone", witness)
+    assert acc.failures == []
+
+
 @pytest.mark.parametrize("fault", ["not normal", "not invariant", "not automorphism"])
 @pytest.mark.parametrize("build", [lambda: builders.symmetric(3),
                                    lambda: builders.symmetric(4)], ids=["S3", "S4"])
@@ -283,30 +313,29 @@ def test_trace_avoidance_public_op():
 
 
 def test_trace_avoidance_fast_path_matches_coset_trace():
-    """The scan's cyclic-residue path must agree with coset_trace."""
-    for build in (lambda: builders.symmetric(4), lambda: builders.dihedral(6),
-                  lambda: builders.quaternion8()):
-        group = build()
-        for alpha in enumerate_automorphisms(group).members[:6]:
-            report = cube_set(group, alpha)
-            inside = set(report.members)
-            mask = 0
-            for x in inside:
-                mask |= 1 << x
-            ctx = GroupContext(group, group.name or "g")
+    """The scan's cyclic-residue path agrees with coset_trace on every
+    automorphism of every catalog group of order <= 24: the same
+    modulus, centralizer order and residues for every (H, x)."""
+    pairs = traces = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        for alpha in enumerate_automorphisms(group).members:
+            members, mask = _cube_members(ctx, alpha.images)
             for sub_mask, powers in ctx.cyclic_subgroups:
                 if sub_mask & ~mask:
                     continue
                 sub = group.subgroup(sorted(powers))
-                size = len(powers)
-                for x in report.members:
+                for x in members:
                     cent = (sub_mask & group.commuting_masks[x]).bit_count()
-                    m = size // cent
+                    m = len(powers) // cent
                     residues = sorted({k % m for k, h in enumerate(powers)
-                                       if group.table[h][x] in inside})
+                                       if (mask >> group.table[h][x]) & 1})
                     trace = coset_trace(group, alpha, sub, x)
-                    assert trace.quotient_order == m
-                    assert list(trace.trace) == residues
+                    assert (trace.quotient_order, trace.centralizer_order,
+                            list(trace.trace)) == (m, cent, residues), (name, powers, x)
+                    traces += 1
+            pairs += 1
+    assert (pairs, traces) == (1908, 18921)
 
 
 def test_trace_avoidance_public_op_is_the_scan():
