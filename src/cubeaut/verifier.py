@@ -4,8 +4,12 @@ Each check asserts a commutation or counting statement over every pair
 or coset meeting its hypothesis and accumulates into a ``CheckReport``.
 A failing instance enters a report only through ``_record``, which
 re-validates it without the scan's tables first (``revalidate``); a
-non-revalidating failure aborts the run as an internal bug. One walk
-fills all five pattern reports, and one walk over the pairs (H, x),
+non-revalidating failure aborts the run as an internal bug. The
+commutation patterns are one table, ``PATTERNS`` (pattern id -> the
+exponent n of the fourth element a^n b; None for ba). One walk,
+``pattern_walk``, fills all five pattern reports, and
+``power_pattern_search`` runs it for any other exponent and re-checks
+its counterexample on the raw table. One walk over the pairs (H, x),
 H a cyclic subgroup inside the cube set and x in it, fills the three
 coset reports. ``check_property(group, alpha, check)`` runs the
 checker of one check id on a single pair and returns that id's report;
@@ -52,6 +56,7 @@ from .cubing import (
 )
 from .errors import (
     InternalCheckFailed,
+    NotASubgroup,
     NotAutomorphism,
     NotNormal,
     UnsupportedParameter,
@@ -59,7 +64,13 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, _mask_of, max_abelian_subgroup_order
 from .sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
-PATTERN_IDS = ("pattern_abba", "pattern_ap", "pattern_ap2", "pattern_a2b", "pattern_a3b")
+# Theorem 1's commutation patterns: if a, b, ab and the fourth element lie
+# in the cube set, then [a, b] = 1. Pattern id -> exponent n of the fourth
+# element a^n b; None means the fourth element is ba.
+PATTERNS = {"pattern_abba": None, "pattern_ap": -1, "pattern_ap2": -2,
+            "pattern_a2b": 2, "pattern_a3b": 3}
+PATTERN_IDS = tuple(PATTERNS)
+KNOWN_COMMUTING_EXPONENTS = tuple(sorted(n for n in PATTERNS.values() if n is not None))
 CHECK_IDS = (
     "quotient_ratio_monotone",
     "cube_centralizer",
@@ -71,6 +82,7 @@ CHECK_IDS = (
 
 EXPECTED_ABELIAN_INDEX = {5: 12, 7: 24, 9: 40, 8: 56, 11: 60, 13: 84}
 ABELIAN_INDEX_BUDGET = 2_000_000  # search nodes per group in verify_abelian_indices
+# A5 first: it attains 4/15 exactly; the others must not exceed it
 BOUNDARY_GROUPS = ("A5", "S5", "L2(7)", "PGL2(7)", "A6")
 
 
@@ -107,9 +119,8 @@ class GroupContext:
         self.group = group
         self.name = name
         n = group.order
-        self.pow3 = tuple(group.pow(x, 3) for x in range(n))
-        self.squares = tuple(group.table[x][x] for x in range(n))
-        self.inverses = tuple(group.inv(x) for x in range(n))
+        # exponent -> the images of x -> x^n; the cube table is powers[3]
+        self.powers = {e: power_map(group, e).images for e in KNOWN_COMMUTING_EXPONENTS}
         self.comm = group.commuting_masks
         # distinct cyclic subgroups, each as (mask, power list h^0..h^(s-1))
         cyclic = {}
@@ -133,8 +144,9 @@ class GroupContext:
                      for sub in group.normal_subgroups)
 
 
-def _cube_members(ctx: GroupContext, img) -> tuple:
-    members = [x for x in range(ctx.group.order) if img[x] == ctx.pow3[x]]
+def _cube_members(img, cubes) -> tuple:
+    """The cube set of ``img`` as a list and a mask; ``cubes`` maps x to x^3."""
+    members = [x for x, cube in enumerate(cubes) if img[x] == cube]
     return members, _mask_of(members)
 
 
@@ -149,23 +161,15 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
     the raw table and take any image array. The quotient branch compares
     ``cube_set`` on G with ``cube_set`` on the map that
     ``induced_on_quotient`` induces on G/N, so there ``img`` must be an
-    automorphism of ``group``."""
+    automorphism of ``group``; a witness N that is not an invariant
+    normal subgroup is refused."""
     t = group.table
 
     def in_cube(x):
         return img[x] == group.pow(x, 3)
 
-    if check.startswith("pattern_"):
-        a, b = witness["a"], witness["b"]
-        pattern = {
-            "pattern_abba": t[b][a],
-            "pattern_ap": t[group.inv(a)][b],
-            "pattern_ap2": t[group.inv(t[a][a])][b],
-            "pattern_a2b": t[t[a][a]][b],
-            "pattern_a3b": t[group.pow(a, 3)][b],
-        }[check]
-        required = [a, b, t[a][b], pattern]
-        return all(in_cube(x) for x in required) and group.commutator(a, b) != 0
+    if check in PATTERNS:
+        return _breaks_pattern(group, img, witness["a"], witness["b"], PATTERNS[check])
     if check == "cube_centralizer":
         if "x" in witness and "index" not in witness:
             x = witness["x"]
@@ -189,8 +193,11 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
         return (t[h][x] in {g for g in range(group.order) if in_cube(g)}) != commutes
     if check == "quotient_ratio_monotone":
         n_elems = witness["normal"]
-        sub = group.subgroup(n_elems)
-        if {img[x] for x in n_elems} != set(n_elems):
+        try:
+            sub = group.subgroup(n_elems)
+        except NotASubgroup:
+            return False
+        if not group.is_normal(sub) or {img[x] for x in n_elems} != set(n_elems):
             return False
         alpha = GroupMap(group, group, tuple(img))
         induced = induced_on_quotient(alpha, sub)
@@ -223,6 +230,15 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
     raise ValueError(f"unknown check id {check!r}")
 
 
+def _breaks_pattern(group: FiniteGroup, img, a: int, b: int, n) -> bool:
+    """From the raw table: a, b, ab and a^n b (ba for ``n`` None) are
+    all cubed by ``img``, yet [a, b] != 1."""
+    t = group.table
+    fourth = t[b][a] if n is None else t[group.pow(a, n)][b]
+    return (all(img[x] == group.pow(x, 3) for x in (a, b, t[a][b], fourth))
+            and group.commutator(a, b) != 0)
+
+
 def _record(acc: CheckReport, ctx: GroupContext, img, check: str, witness: dict):
     """The one way a failure enters a report: after it re-validates."""
     if not revalidate(ctx.group, img, check, witness):
@@ -235,39 +251,47 @@ def _record(acc: CheckReport, ctx: GroupContext, img, check: str, witness: dict)
 # The per-(group, automorphism) checks
 
 
-def _check_patterns(ctx: GroupContext, img, members, mask, accs):
-    t = ctx.group.table
-    comm = ctx.comm
-    inv = ctx.inverses
-    squares = ctx.squares
-    pow3 = ctx.pow3
+def pattern_walk(group: FiniteGroup, members, mask, tables) -> tuple:
+    """One walk over the pairs (a, b) of the member set with ab also a
+    member, for several patterns at once. ``tables`` holds, per pattern,
+    the images of x -> x^n (``power_map(group, n).images``) when its
+    fourth element is a^n b, or None when it is ba. Returns, per pattern,
+    the count of pairs whose fourth element is a member too and the list
+    of the non-commuting ones among them, in walk order."""
+    t = group.table
+    comm = group.commuting_masks
+    counts = [0] * len(tables)
+    found = [[] for _ in tables]
     for a in members:
         row = t[a]
-        row_ba_col = a
-        inv_a = inv[a]
-        sq_a = squares[a]
-        cu_a = pow3[a]
         comm_a = comm[a]
+        rows = [None if p is None else t[p[a]] for p in tables]
         for b in members:
-            ab = row[b]
-            if not (mask >> ab) & 1:
+            if not (mask >> row[b]) & 1:
                 continue
             commutes = (comm_a >> b) & 1
-            fourth = (t[b][row_ba_col], t[inv_a][b], t[inv[sq_a]][b],
-                      t[sq_a][b], t[cu_a][b])
-            for name, d in zip(PATTERN_IDS, fourth):
-                if (mask >> d) & 1:
-                    acc = accs[name]
-                    acc.instances += 1
+            for i, fourth in enumerate(rows):
+                if (mask >> (t[b][a] if fourth is None else fourth[b])) & 1:
+                    counts[i] += 1
                     if not commutes:
-                        _record(acc, ctx, img, name, {"a": a, "b": b})
+                        found[i].append((a, b))
+    return counts, found
+
+
+def _check_patterns(ctx: GroupContext, img, members, mask, accs):
+    tables = [None if n is None else ctx.powers[n] for n in PATTERNS.values()]
+    for name, count, pairs in zip(PATTERN_IDS, *pattern_walk(ctx.group, members, mask, tables)):
+        acc = accs[name]
+        acc.instances += count
+        for a, b in pairs:
+            _record(acc, ctx, img, name, {"a": a, "b": b})
 
 
 def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
     acc = accs["quotient_ratio_monotone"]
     t = ctx.group.table
-    inv = ctx.inverses
-    pow3 = ctx.pow3
+    inv = ctx.powers[-1]
+    pow3 = ctx.powers[3]
     n = ctx.group.order
     t_count = len(members)
     for elem_set, reps in ctx.normal_cosets:
@@ -290,8 +314,8 @@ def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
     trace_acc = accs["trace_avoidance"]
     t = ctx.group.table
     comm = ctx.comm
-    pow3 = ctx.pow3
-    squares = ctx.squares
+    pow3 = ctx.powers[3]
+    squares = ctx.powers[2]
     for x in members:
         cube_acc.instances += 1
         if comm[x] != comm[pow3[x]]:
@@ -401,7 +425,7 @@ _CHECKERS = {
 
 
 def _run_all_checks(ctx: GroupContext, img, accs: dict):
-    members, mask = _cube_members(ctx, img)
+    members, mask = _cube_members(img, ctx.powers[3])
     for checker in dict.fromkeys(_CHECKERS.values()):
         checker(ctx, img, members, mask, accs)
 
@@ -417,7 +441,7 @@ def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
         raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
     reports = {name: CheckReport(name) for name in CHECK_IDS}
-    members, mask = _cube_members(ctx, alpha.images)
+    members, mask = _cube_members(alpha.images, ctx.powers[3])
     _CHECKERS[check](ctx, alpha.images, members, mask, reports)
     report = reports[check]
     report.scope = scope
@@ -650,22 +674,17 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
     tasks = [_task(cat, name, cache_dir) for name in names]
     rows = _parallel(tasks, _boundary_task, jobs)
     by_name = {r["group"]: r for r in rows}
-    failures = []
-    a5 = Fraction(by_name["A5"]["max_ratio"]["num"], by_name["A5"]["max_ratio"]["den"])
-    if a5 != SOLVABILITY_BOUND:
-        failures.append({"group": "A5", "reason": "maximum ratio is not exactly 4/15",
-                         "max_ratio": by_name["A5"]["max_ratio"]})
-    for name in ("S5", "L2(7)", "PGL2(7)", "A6"):
-        r = Fraction(by_name[name]["max_ratio"]["num"], by_name[name]["max_ratio"]["den"])
-        if r > SOLVABILITY_BOUND:
-            failures.append({"group": name, "reason": "maximum ratio exceeds 4/15",
-                             "max_ratio": by_name[name]["max_ratio"]})
-    for row in rows:
-        r = Fraction(row["max_ratio"]["num"], row["max_ratio"]["den"])
-        if r > SOLVABILITY_BOUND and not row["solvable"]:
-            failures.append({"group": row["group"],
-                             "reason": "ratio above 4/15 on an insolvable group",
-                             "max_ratio": row["max_ratio"]})
+    ratio = {r["group"]: Fraction(r["max_ratio"]["num"], r["max_ratio"]["den"]) for r in rows}
+    extremal, *others = BOUNDARY_GROUPS
+    flagged = []
+    if ratio[extremal] != SOLVABILITY_BOUND:
+        flagged.append((extremal, "maximum ratio is not exactly 4/15"))
+    flagged += [(name, "maximum ratio exceeds 4/15")
+                for name in others if ratio[name] > SOLVABILITY_BOUND]
+    flagged += [(r["group"], "ratio above 4/15 on an insolvable group")
+                for r in rows if ratio[r["group"]] > SOLVABILITY_BOUND and not r["solvable"]]
+    failures = [{"group": name, "reason": reason, "max_ratio": by_name[name]["max_ratio"]}
+                for name, reason in flagged]
     return {
         "suite": "solvability-boundary",
         "order_cap": order_cap,
@@ -724,39 +743,13 @@ def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
 # Commutation-pattern search for other exponents
 
 
-KNOWN_COMMUTING_EXPONENTS = (-2, -1, 2, 3)
-
-
-def pattern_witness(group: FiniteGroup, members, mask, power_n) -> tuple:
-    """First (a, b) in the member set with ab and a^n b also members
-    yet [a, b] != 1, plus the count of pattern-complete pairs scanned.
-    ``power_n`` holds the images of x -> x^n (``power_map(group, n).images``)."""
-    t = group.table
-    comm = group.commuting_masks
-    pairs = 0
-    witness = None
-    for a in members:
-        an = power_n[a]
-        row = t[a]
-        comm_a = comm[a]
-        for b in members:
-            if not (mask >> row[b]) & 1:
-                continue
-            if not (mask >> t[an][b]) & 1:
-                continue
-            pairs += 1
-            if witness is None and not (comm_a >> b) & 1:
-                witness = (a, b)
-    return witness, pairs
-
-
 def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
     """Search all (G, alpha, a, b) in scope for a, b, ab, a^n b all in
     the cube set with [a, b] != 1.
 
-    Returns the first witness in deterministic order, or a coverage
-    record. This is an experiment: absence of a witness at this scope
-    is data, not a theorem.
+    Returns the first witness in deterministic order, re-checked on the
+    raw table, or a coverage record. This is an experiment: absence of a
+    witness at this scope is data, not a theorem.
     """
     started = time.monotonic()
     counterexample = None
@@ -764,19 +757,21 @@ def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
     groups_scanned = 0
     for name, group in built_in_catalog().groups(order_cap=order_cap):
         groups_scanned += 1
-        ctx = GroupContext(group, name)
         auts = automorphism_group(group, cache_dir)
+        cubes = power_map(group, 3).images
         power_n = power_map(group, n).images
         for k in range(auts.order):
             img = auts.member_at(k).images
-            members, mask = _cube_members(ctx, img)
-            witness, pairs = pattern_witness(group, members, mask, power_n)
+            members, mask = _cube_members(img, cubes)
+            (pairs,), (found,) = pattern_walk(group, members, mask, (power_n,))
             pairs_scanned += pairs
-            if witness is not None and counterexample is None:
-                counterexample = {
-                    "group": name, "alpha": list(img),
-                    "a": witness[0], "b": witness[1], "n": n,
-                }
+            if found and counterexample is None:
+                a, b = found[0]
+                if not _breaks_pattern(group, img, a, b, n):
+                    raise InternalCheckFailed(
+                        f"non-revalidating counterexample for n = {n} on {name}: "
+                        f"a = {a}, b = {b}")
+                counterexample = {"group": name, "alpha": list(img), "a": a, "b": b, "n": n}
         if counterexample:
             break
     if not groups_scanned:

@@ -504,6 +504,36 @@ SEED_RUNS = (
 )
 
 
+# (command, one line its text form must print); "{dir}" is a writable directory
+TEXT_HEADLINES = (
+    (("cube", "ratio", "s3"), "S3: |T| = 4 of 6, ratio = 2/3 (alpha = identity, exponent 3)"),
+    (("cube", "max", "s3"), "S3: max ratio 2/3 over 6 automorphisms"),
+    (("cube", "classify", "s3"),
+     "S3: TypeII (abelian subgroup of index 2 with the Sylow conditions)"),
+    (("sfs", "t", "10"), "T(10) = 2  tau = 1/5  exact = True"),
+    (("sfs", "tau-range", "18", "20"), "bound 4/17: all pass"),
+    (("verify", "properties", "--order-cap", "4", "--samples", "1", "--sample-max", "30"),
+     "exhaustive pairs 12, sampled pairs 1 (seed 0)"),
+    (("verify", "classification", "--order-cap", "4"), "5 groups up to order 4: zero mismatches"),
+    (("verify", "solvable-boundary", "--order-cap", "4"),
+     "  A5        max ratio 4/15     solvable False"),
+    (("verify", "abelian-index", "--max-q", "5"),
+     "q =  5  order    60  max abelian   5  index  12 (expected 12)  ok"),
+    (("search", "pattern", "2", "--order-cap", "8"),
+     "no counterexample: n = 2, 1795 pattern pairs over 17 groups (order cap 8)"),
+    (("group", "export", "z4", "{dir}/z4.json"), "wrote Z4 (order 4) to {dir}/z4.json"),
+)
+
+
+@pytest.mark.parametrize("command, headline", TEXT_HEADLINES,
+                         ids=[" ".join(c[:2]) for c, _ in TEXT_HEADLINES])
+def test_text_form_prints_its_headline(capsys, cache_dir, tmp_path, command, headline):
+    code, out, err = run(capsys, "--format", "text", "--cache-dir", str(cache_dir),
+                         *(word.format(dir=tmp_path) for word in command))
+    assert code == 0 and err == ""
+    assert headline.format(dir=tmp_path) in out.splitlines()
+
+
 def test_seed_runs_cover_every_subcommand():
     def words(parser):
         return next(a.choices for a in parser._actions

@@ -646,6 +646,55 @@ def test_relabeling_invariance():
         assert classify_cubing_structure(relabeled).kind == classify_cubing_structure(g).kind
 
 
+def test_symplectic_split_projects_on_relabeled_t3i2():
+    """T3i(2) as built never needs the projection step of
+    ``_split_symplectic`` (a basis vector moved into the orthogonal
+    complement of a hyperbolic plane). Copies relabeled by seeded
+    permutations fixing 0 do: over seeds 0..11 both projections run, and
+    every copy still classifies as shape (i) with constructed ratio 5/8."""
+    import inspect
+    import random
+    import sys
+    from cubeaut.groups import from_cayley_table
+
+    lines = inspect.getsource(cubing._split_symplectic).splitlines()
+    first = cubing._split_symplectic.__code__.co_firstlineno
+    projections = {first + i for i, line in enumerate(lines) if "w = group.table[w]" in line}
+    assert len(projections) == 2
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not cubing._split_symplectic.__code__:
+            return None
+
+        def lines_of(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return lines_of
+        return lines_of
+
+    g = builders.type3_group_i(2)
+    n = g.order
+    for seed in range(12):
+        rng = random.Random(seed)
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[sigma[a]][sigma[b]] = sigma[g.table[a][b]]
+        relabeled = from_cayley_table(table)
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            verdict = classify_cubing_structure(relabeled)
+        finally:
+            sys.settrace(previous)
+        assert verdict.kind == Kind.TYPE_III_I, seed
+        assert verdict.predicted_ratio == Fraction(5, 8), seed
+        assert cube_set(relabeled, verdict.constructed_alpha).ratio == Fraction(5, 8), seed
+    assert projections <= ran
+
+
 def test_quotient_ratio_inequality_instances():
     # the cube ratio of the group never beats an invariant factor group
     from cubeaut.automorphisms import induced_on_quotient

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,11 +25,13 @@ from cubeaut.errors import (
     UnsupportedParameter,
 )
 from cubeaut.verifier import (
+    BOUNDARY_GROUPS,
     CHECK_IDS,
     PATTERN_IDS,
     GroupContext,
     check_property,
     check_quotient_inequality,
+    pattern_walk,
     power_pattern_search,
     revalidate,
     verify_properties,
@@ -159,7 +162,7 @@ def test_coset_bound_walk_equals_old_walk():
     for name, group in built_in_catalog().groups(order_cap=24):
         ctx = GroupContext(group, name)
         for alpha in enumerate_automorphisms(group).members:
-            members, _ = _cube_members(ctx, alpha.images)
+            members, _ = _cube_members(alpha.images, ctx.powers[3])
             new, old = coset_bound_runs(ctx, alpha.images, members)
             assert new == old, name
             pairs += 1
@@ -239,6 +242,21 @@ def test_record_raises_on_a_quotient_witness_that_does_not_revalidate():
     assert acc.failures == []
 
 
+@pytest.mark.parametrize("normal", [[0, 2], [0, 1]], ids=["not normal", "not a subgroup"])
+def test_quotient_revalidation_refuses_a_witness_that_is_no_normal_subgroup(normal):
+    """In S3, {0, 2} is a subgroup of order 2 that is not normal, and
+    {0, 1} (1 has order 3) is no subgroup: the re-check returns False,
+    so ``_record`` names the witness as non-revalidating."""
+    g = builders.symmetric(3)
+    img = identity_map(g).images
+    assert not revalidate(g, img, "quotient_ratio_monotone", {"normal": normal})
+    acc = CheckReport("quotient_ratio_monotone")
+    with pytest.raises(InternalCheckFailed, match="non-revalidating"):
+        verifier._record(acc, GroupContext(g, "S3"), img, "quotient_ratio_monotone",
+                         {"normal": normal, "quotient_cube_count": 0})
+    assert acc.failures == []
+
+
 @pytest.mark.parametrize("fault", ["not normal", "not invariant", "not automorphism"])
 @pytest.mark.parametrize("build", [lambda: builders.symmetric(3),
                                    lambda: builders.symmetric(4)], ids=["S3", "S4"])
@@ -289,6 +307,94 @@ def test_pattern_checks_pass_on_catalog_samples():
             assert not report.failures
 
 
+def old_check_patterns(ctx, img, members, mask, accs):
+    """The former pattern loop, with the five fourth elements written
+    out by hand: the reference for ``pattern_walk`` over ``PATTERNS``."""
+    group = ctx.group
+    t = group.table
+    for a in members:
+        inv_a, sq_a, cu_a = group.inv(a), t[a][a], group.pow(a, 3)
+        for b in members:
+            if not (mask >> t[a][b]) & 1:
+                continue
+            commutes = group.commutator(a, b) == 0
+            fourth = (t[b][a], t[inv_a][b], t[group.inv(sq_a)][b], t[sq_a][b], t[cu_a][b])
+            for name, d in zip(PATTERN_IDS, fourth):
+                if (mask >> d) & 1:
+                    accs[name].instances += 1
+                    if not commutes:
+                        verifier._record(accs[name], ctx, img, name, {"a": a, "b": b})
+
+
+def old_pattern_witness(group, members, mask, power_n):
+    """The former search walk: the first non-commuting (a, b) with ab
+    and a^n b members, and the count of such pairs, commuting or not."""
+    t = group.table
+    pairs, witness = 0, None
+    for a in members:
+        for b in members:
+            if (mask >> t[a][b]) & 1 and (mask >> t[power_n[a]][b]) & 1:
+                pairs += 1
+                if witness is None and group.commutator(a, b) != 0:
+                    witness = (a, b)
+    return witness, pairs
+
+
+def walks_equal_old_loops(ctx, img, members, mask, powers):
+    """Asserts that the scan's walk over ``PATTERNS`` records what the old
+    loop recorded, and that the walk with one table x -> x^n finds the
+    old search's first witness and count for each table of ``powers``.
+    Returns the scan's five pattern reports."""
+    new = {check: CheckReport(check) for check in PATTERN_IDS}
+    old = {check: CheckReport(check) for check in PATTERN_IDS}
+    verifier._check_patterns(ctx, img, members, mask, new)
+    old_check_patterns(ctx, img, members, mask, old)
+    for check in PATTERN_IDS:
+        assert ((new[check].instances, new[check].failures)
+                == (old[check].instances, old[check].failures)), (ctx.name, check)
+    for n, power_n in powers.items():
+        (pairs,), (found,) = pattern_walk(ctx.group, members, mask, (power_n,))
+        assert ((found[0] if found else None), pairs) \
+            == old_pattern_witness(ctx.group, members, mask, power_n), (ctx.name, n)
+    return new
+
+
+def test_pattern_walk_equals_old_loops_on_synthetic_members(monkeypatch):
+    """Member sets drawn at random, so that ab, ba and the a^n b differ
+    in membership for non-commuting pairs: with ``_record`` accepting
+    every witness, the walks equal the old loops for n = -4..8, and on
+    some draws the five patterns list different pairs."""
+    monkeypatch.setattr(verifier, "_record",
+                        lambda acc, ctx, img, check, witness: acc.failures.append(witness))
+    rng = random.Random(28)
+    split = 0  # draws on which the patterns list different pairs
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        powers = {n: power_map(group, n).images for n in range(-4, 9)}
+        for _ in range(4):
+            members = sorted(rng.sample(range(group.order), rng.randint(1, group.order)))
+            new = walks_equal_old_loops(ctx, None, members, verifier._mask_of(members), powers)
+            split += len({tuple(map(str, new[c].failures)) for c in PATTERN_IDS}) > 1
+    assert split > 0
+
+
+def test_pattern_walk_equals_old_loops():
+    """Over every member of the catalog groups of order <= 24, plus
+    x -> x^3 on S3, S4 and A4 (not automorphisms, under which every
+    element is cubed and the patterns fail): the walks equal the old
+    loops for n = -4..8."""
+    failures = 0
+    for name, group, arrays in _catalog_maps_and_cubing(
+            builders.symmetric(3), builders.symmetric(4), builders.alternating(4)):
+        ctx = GroupContext(group, name)
+        powers = {n: power_map(group, n).images for n in range(-4, 9)}
+        for img in arrays:
+            members, mask = _cube_members(img, ctx.powers[3])
+            new = walks_equal_old_loops(ctx, img, members, mask, powers)
+            failures += sum(len(report.failures) for report in new.values())
+    assert failures > 0
+
+
 def test_pattern_instances_counted_on_abelian():
     g = builders.cyclic(8)
     report = check_property(g, power_map(g, 3), "pattern_abba")
@@ -320,7 +426,7 @@ def test_trace_avoidance_fast_path_matches_coset_trace():
     for name, group in built_in_catalog().groups(order_cap=24):
         ctx = GroupContext(group, name)
         for alpha in enumerate_automorphisms(group).members:
-            members, mask = _cube_members(ctx, alpha.images)
+            members, mask = _cube_members(alpha.images, ctx.powers[3])
             for sub_mask, powers in ctx.cyclic_subgroups:
                 if sub_mask & ~mask:
                     continue
@@ -416,7 +522,7 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
         memo = {name: CheckReport(name) for name in COSET_CHECKS}
         plain = CheckReport("trace_avoidance")
         for img in arrays:
-            members, mask = _cube_members(ctx, img)
+            members, mask = _cube_members(img, ctx.powers[3])
             _check_cyclic_cosets(ctx, img, members, mask, memo)
             _unmemoized_trace_avoidance(ctx, img, members, mask, plain)
         assert memo["trace_avoidance"].instances == plain.instances, name
@@ -431,7 +537,7 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
 def _separate_cube_centralizer(ctx, img, members, mask, accs):
     acc = accs["cube_centralizer"]
     comm = ctx.comm
-    pow3 = ctx.pow3
+    pow3 = ctx.powers[3]
     for x in members:
         acc.instances += 1
         if comm[x] != comm[pow3[x]]:
@@ -452,7 +558,7 @@ def _separate_elementary_two_coset(ctx, img, members, mask, accs):
     acc = accs["elementary_two_coset"]
     t = ctx.group.table
     comm = ctx.comm
-    squares = ctx.squares
+    squares = ctx.powers[2]
     for sub_mask, powers in ctx.cyclic_subgroups:
         if sub_mask & ~mask:
             continue
@@ -504,7 +610,7 @@ def test_coset_walk_equals_three_separate_walks():
         merged = {check: CheckReport(check) for check in COSET_CHECKS}
         separate = {check: CheckReport(check) for check in COSET_CHECKS}
         for img in arrays:
-            members, mask = _cube_members(ctx, img)
+            members, mask = _cube_members(img, ctx.powers[3])
             _check_cyclic_cosets(ctx, img, members, mask, merged)
             for walk in (_separate_cube_centralizer, _separate_elementary_two_coset,
                          _separate_trace_avoidance):
@@ -514,9 +620,10 @@ def test_coset_walk_equals_three_separate_walks():
             assert merged[check].failures == separate[check].failures, (name, check)
         assert list(ctx.trace_solutions.items()) == list(ref_ctx.trace_solutions.items()), name
         if name == "S4 cubing map":  # every element is cubed: all pairs are walked
+            squares = ctx.powers[2]
             hypothesis_fails = sum(
                 1 for sub_mask, powers in ctx.cyclic_subgroups for x in members
-                if any(not (sub_mask & ctx.comm[ctx.squares[x]]) >> ctx.squares[u] & 1
+                if any(not (sub_mask & ctx.comm[squares[x]]) >> squares[u] & 1
                        for u in powers))
     assert hypothesis_fails
 
@@ -632,6 +739,68 @@ def test_trace_revalidation():
     for wrong in ({"trace": [0, 1]}, {"modulus": 1, "trace": [0]},
                   {"subgroup": [h, 0, g.mul(h, h)]}, {"subgroup": [0, h]}):
         assert not revalidate(g, img, "trace_avoidance", {**witness, **wrong}), wrong
+
+
+def test_coset_bound_revalidation_refuses_scan_pairs():
+    """Every "x" and "coset_rep" witness the coset-bound scan could build
+    on the pairs with cube ratio above 1/2 (catalog groups of order <= 24,
+    cube set of at most 40 elements) is refused: the bound holds there."""
+    witnesses = 0
+    for name, group in built_in_catalog().groups(order_cap=24):
+        ctx = GroupContext(group, name)
+        for alpha in enumerate_automorphisms(group).members:
+            img = alpha.images
+            members, mask = _cube_members(img, ctx.powers[3])
+            if 2 * len(members) <= group.order or len(members) > 40:
+                continue
+            h_elems = sorted(verifier._max_subgroup_inside(group, members, mask))
+            reps = group.right_cosets(group.subgroup(h_elems))[0]
+            cases = [{"x": x} for x in members if x not in h_elems]
+            cases += [{"coset_rep": rep} for rep in reps]
+            for case in cases:
+                assert not revalidate(group, img, "coset_bound_half",
+                                      {"subgroup": h_elems, **case}), (name, img, case)
+            witnesses += len(cases)
+    assert witnesses == 342
+
+
+def test_coset_bound_revalidation_accepts_a_broken_bound():
+    """Synthetic maps of S3, neither an automorphism. Under x -> x^3 every
+    element is cubed, so A3 and a transposition x give |A3 x ∩ T| = 3 >
+    3/2. A map that cubes A3 only and sends each transposition to 0 leaves
+    the coset of a transposition outside T. Misstated witnesses fail."""
+    g = builders.symmetric(3)
+    a3 = list(g.derived_subgroup.elements)
+    x = next(y for y in g.elements() if g.element_order(y) == 2)
+    cubing_map = tuple(g.pow(y, 3) for y in g.elements())
+    a3_only = tuple(g.pow(y, 3) if y in a3 else 0 for y in g.elements())
+    assert revalidate(g, cubing_map, "coset_bound_half", {"subgroup": a3, "x": x})
+    assert revalidate(g, a3_only, "coset_bound_half", {"subgroup": a3, "coset_rep": x})
+    for img, witness in ((cubing_map, {"subgroup": a3, "coset_rep": x}),
+                         (a3_only, {"subgroup": a3, "x": x}),
+                         (cubing_map, {"subgroup": a3, "x": a3[1]}),
+                         (a3_only, {"subgroup": [0, x], "coset_rep": a3[1]})):
+        assert not revalidate(g, img, "coset_bound_half", witness), witness
+
+
+# One malformed witness per check id, on S3 and its identity map: each
+# has the keys of its id's witnesses but states no counterexample. An id
+# without an entry here fails the test below.
+MALFORMED_WITNESSES = {
+    "quotient_ratio_monotone": {"normal": [0, 1], "quotient_cube_count": 0},
+    "cube_centralizer": {"subgroup": [0], "x": 0, "index": 3},
+    "elementary_two_coset": {"subgroup": [0], "x": 0, "h": 0},
+    **{check: {"a": 0, "b": 2} for check in PATTERN_IDS},
+    "trace_avoidance": {"subgroup": [0], "x": 0, "modulus": 3, "trace": [0, 1, 2],
+                        "equation": 0},
+    "coset_bound_half": {"subgroup": [0, 2], "x": 2, "intersection": 2},
+}
+
+
+@pytest.mark.parametrize("check", CHECK_IDS, ids=CASE_IDS.get)
+def test_every_check_id_has_a_revalidation_rule(check):
+    g = builders.symmetric(3)
+    assert revalidate(g, identity_map(g).images, check, MALFORMED_WITNESSES[check]) is False
 
 
 def test_unsolvable_trace_does_not_revalidate():
@@ -817,6 +986,33 @@ def test_catalog_entry_lookup():
         cat.entry("Q16")
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ({"A5": Fraction(1, 5)}, [("A5", "maximum ratio is not exactly 4/15")]),
+    *(({name: Fraction(1, 2)}, [(name, "maximum ratio exceeds 4/15"),
+                                (name, "ratio above 4/15 on an insolvable group")])
+      for name in BOUNDARY_GROUPS[1:]),
+    ({"A5": Fraction(1, 3), "Z4": Fraction(1, 1)},
+     [("A5", "maximum ratio is not exactly 4/15"),
+      ("A5", "ratio above 4/15 on an insolvable group")]),
+], ids=["A5 below", *(f"{name} above" for name in BOUNDARY_GROUPS[1:]), "A5 above"])
+def test_verify_boundary_reports_each_failure(monkeypatch, cache_dir, overrides, expected):
+    """With max_cube_ratio patched for the named groups, each failure
+    reason fires, once per group it concerns; a solvable group above
+    4/15 (Z4 at 1) is no failure."""
+    real = verifier.max_cube_ratio
+
+    def patched(group, auts):
+        if group.name in overrides:
+            return overrides[group.name], None
+        return real(group, auts=auts)
+
+    monkeypatch.setattr(verifier, "max_cube_ratio", patched)
+    report = verify_solvability_boundary(order_cap=4, cache_dir=cache_dir)
+    assert not report["pass"]
+    assert [(f["group"], f["reason"]) for f in report["failures"]] == expected
+    assert {r["group"] for r in report["rows"]} >= set(BOUNDARY_GROUPS)
+
+
 def test_verify_boundary_names_missing_groups(cache_dir):
     tiny = Catalog([CatalogEntry("Z2", 2, lambda: builders.cyclic(2))])
     with pytest.raises(UnsupportedParameter) as info:
@@ -856,23 +1052,44 @@ def test_power_pattern_experimental_exponent(cache_dir):
 
 
 def test_pattern_witness_detector():
-    from cubeaut.verifier import pattern_witness
-    # synthetic member set: the whole of S3 (as if every element were
-    # cubed); then a = b = any non-commuting pair with ab present is a hit
+    """The pattern walk with the one table of search pattern. On the
+    synthetic member set all of S3 (as if every element were cubed) and
+    n = 0, all 36 pairs are pattern-complete and the non-commuting ones
+    are listed; on all of Z6, nothing is."""
     s3 = builders.symmetric(3)
-    members = list(s3.elements())
-    mask = (1 << 6) - 1
-    witness, pairs = pattern_witness(s3, members, mask, power_map(s3, 0).images)
-    assert witness is not None
-    a, b = witness
-    assert s3.commutator(a, b) != 0
+    (pairs,), (found,) = pattern_walk(s3, list(s3.elements()), (1 << 6) - 1,
+                                      (power_map(s3, 0).images,))
     assert pairs == 36
-    # on a commuting member set, no witness
+    assert found == [(a, b) for a in s3.elements() for b in s3.elements()
+                     if s3.commutator(a, b) != 0]
     z6 = builders.cyclic(6)
-    witness, pairs = pattern_witness(z6, list(range(6)), (1 << 6) - 1,
-                                    power_map(z6, 5).images)
-    assert witness is None
-    assert pairs == 36
+    (pairs,), (found,) = pattern_walk(z6, list(range(6)), (1 << 6) - 1,
+                                      (power_map(z6, 5).images,))
+    assert (pairs, found) == (36, [])
+
+
+def test_power_pattern_counterexample_is_rechecked(monkeypatch):
+    """A catalog of S3 alone whose one map is x -> x^3 (not an
+    automorphism): every element is cubed, so the first non-commuting
+    pair is a counterexample for any n, and the raw re-check accepts it.
+    A walk that lists a commuting pair instead ends the search in
+    InternalCheckFailed."""
+    s3 = builders.symmetric(3)
+    cubing_map = tuple(s3.pow(x, 3) for x in s3.elements())
+    monkeypatch.setattr(verifier, "built_in_catalog",
+                        lambda: Catalog([CatalogEntry("S3", 6, lambda: s3)]))
+    fake = SimpleNamespace(order=1, member_at=lambda k: GroupMap(s3, s3, cubing_map))
+    monkeypatch.setattr(verifier, "automorphism_group", lambda group, cache_dir: fake)
+    report = power_pattern_search(5, order_cap=6)
+    first = next((a, b) for a in s3.elements() for b in s3.elements()
+                 if s3.commutator(a, b) != 0)
+    assert report["counterexample"] == {"group": "S3", "alpha": list(cubing_map),
+                                        "a": first[0], "b": first[1], "n": 5}
+    assert report["pairs_scanned"] == 36
+    monkeypatch.setattr(verifier, "pattern_walk",
+                        lambda group, members, mask, tables: ([1], [[(0, 2)]]))
+    with pytest.raises(InternalCheckFailed, match="non-revalidating counterexample for n = 5"):
+        power_pattern_search(5, order_cap=6)
 
 
 def test_power_pattern_scope_is_data(cache_dir):
