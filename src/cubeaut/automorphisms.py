@@ -17,11 +17,14 @@ representative b per coset, the lexicographically least image tuple;
 of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
 ranked by their images of 1..L, L the largest generator, and built by
 table lookup only when a caller asks: ``AutomorphismGroup.member_at(k)``
-builds only the k-th, and ``members`` is ``member_at`` over every rank.
+builds only the k-th, ``members`` is ``member_at`` over every rank, and
+``images_at`` builds several with one conjugation array per t.
 An inner automorphism composed with a verified automorphism is one, so
 no member is re-checked. The
 Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
-{b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``).
+{b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``),
+and their orbits under conjugation by the representatives are the
+Aut(G)-conjugacy classes (``AutomorphismGroup.conjugacy_classes``).
 
 ``automorphism_group`` enumerates unless its caller names a cache
 directory; only then does it hash the table and read or write a file.
@@ -104,8 +107,20 @@ def identity_map(group: FiniteGroup) -> GroupMap:
 
 
 def power_map(group: FiniteGroup, n: int) -> GroupMap:
-    """The map x -> x^n (negative n goes through the inverse)."""
-    return GroupMap(group, group, tuple(group.pow(x, n) for x in group.elements()))
+    """The map x -> x^n (negative n goes through the inverse): the
+    square-and-multiply of ``FiniteGroup.pow``, one pass over the whole
+    element array per bit of |n|."""
+    t = group.table
+    base = list(map(group.inv, group.elements())) if n < 0 else list(group.elements())
+    result = [0] * group.order
+    k = abs(n)
+    while k:
+        if k & 1:
+            result = [t[r][b] for r, b in zip(result, base)]
+        k >>= 1
+        if k:
+            base = [t[b][b] for b in base]
+    return GroupMap(group, group, tuple(result))
 
 
 def is_n_abelian(group: FiniteGroup, n: int) -> bool:
@@ -225,6 +240,21 @@ class AutomorphismGroup:
         rep, coset = self._ranks[k]
         return GroupMap(self.base, self.base, self.member_images(rep, coset))
 
+    def images_at(self, ranks) -> list:
+        """``member_at(k).images`` for each k of ``ranks``, in that order,
+        built t-major: one conjugation array per transversal element that
+        the ranks reach, not one per member."""
+        by_coset: dict = {}
+        for i, k in enumerate(ranks):
+            rep, coset = self._ranks[k]
+            by_coset.setdefault(coset, []).append((i, rep))
+        images = [None] * len(ranks)
+        for coset, wanted in by_coset.items():
+            lookup = _conjugation(self.base, self.transversal[coset]).__getitem__
+            for i, rep in wanted:
+                images[i] = tuple(map(lookup, self.representatives[rep]))
+        return images
+
     @cached_property
     def _ranks(self) -> tuple:
         """(rep, coset) of every member, in the order of ``members``.
@@ -279,6 +309,58 @@ class AutomorphismGroup:
                 classes.append(tuple(cls))
             result.append(tuple(classes))
         return tuple(result)
+
+    @cached_property
+    def conjugacy_classes(self) -> tuple:
+        """The Aut(G)-conjugacy classes, each a tuple of member ranks in
+        ascending order; the classes come in order of their least rank.
+
+        Inn(G) is normal in Aut(G), so conjugating by an automorphism
+        permutes the twisted classes, and an Aut(G)-class is an orbit of
+        twisted classes. The conjugators are representatives whose cosets
+        generate Aut(G)/Inn(G): one joins only when its coset is not yet
+        reached by those before it. A member is looked up by its images
+        of the generating set, which determine it."""
+        gens, reps = self.generating_set, self.representatives
+        conj = [_conjugation(self.base, t) for t in self.transversal]
+        member_of = {tuple(conj[coset][reps[rep][g]] for g in gens): (rep, coset)
+                     for rep, coset in self._ranks}
+        reached, movers = {member_of[gens][0]}, []
+        for rep, images in enumerate(reps):
+            if rep in reached:
+                continue
+            movers.append((images, invert(GroupMap(self.base, self.base, images)).images))
+            queue = list(reached)
+            for r in queue:
+                for m, _ in movers:
+                    d = member_of[tuple(m[reps[r][g]] for g in gens)][0]
+                    if d not in reached:
+                        reached.add(d)
+                        queue.append(d)
+        # twisted class id per member, and the cosets of each class
+        twisted = [(rep, cls) for rep, classes in enumerate(self.twisted_classes)
+                   for cls in classes]
+        class_of = {(rep, coset): i for i, (rep, cls) in enumerate(twisted) for coset in cls}
+        rank_of = {member: k for k, member in enumerate(self._ranks)}
+        seen = bytearray(len(twisted))
+        result = []
+        for start in range(len(twisted)):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            orbit = [start]
+            for i in orbit:
+                rep, cls = twisted[i]
+                alpha = [conj[cls[0]][y] for y in reps[rep]]
+                for m, m_inv in movers:
+                    # m alpha m^-1 on the generators
+                    j = class_of[member_of[tuple(m[alpha[m_inv[g]]] for g in gens)]]
+                    if not seen[j]:
+                        seen[j] = 1
+                        orbit.append(j)
+            result.append(tuple(sorted(rank_of[twisted[i][0], coset]
+                                       for i in orbit for coset in twisted[i][1])))
+        return tuple(sorted(result))
 
 
 def check_automorphism(m: GroupMap) -> None:

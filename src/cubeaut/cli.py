@@ -22,7 +22,13 @@ from pathlib import Path
 
 from .automorphisms import GroupMap, _indices, automorphism_group, identity_map, power_map
 from .catalog import build_named_group
-from .cubing import classify_cubing_structure, cube_set, max_cube_ratio, ratio_json
+from .cubing import (
+    classify_cubing_structure,
+    cube_set,
+    max_cube_ratio,
+    max_ratio_stats,
+    ratio_json,
+)
 from .errors import CubeautError, FileFormatError
 from .groups import FiniteGroup, group_to_json, load_group_file, prime_divisors, read_json_file
 from .sfs import (
@@ -295,10 +301,7 @@ def _cmd_cube_max(args):
         "aut_order": auts.order,
         "max_ratio": ratio_json(ratio),
         "witness": list(witness.images),
-        "stats": {
-            "aut_representatives": len(auts.representatives),
-            "ratio_evaluations": sum(map(len, auts.twisted_classes)),
-        },
+        "stats": max_ratio_stats(auts),
     }, True
 
 

@@ -109,6 +109,13 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
     return Fraction(best_count, group.order), GroupMap(group, group, witness)
 
 
+def max_ratio_stats(auts: AutomorphismGroup) -> dict:
+    """The work counters of ``max_cube_ratio`` over ``auts``: the coset
+    representatives, and the twisted classes, one evaluation each."""
+    return {"aut_representatives": len(auts.representatives),
+            "ratio_evaluations": sum(map(len, auts.twisted_classes))}
+
+
 # ---------------------------------------------------------------------------
 # Coset traces
 

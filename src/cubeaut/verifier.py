@@ -17,10 +17,14 @@ checker of one check id on a single pair and returns that id's report;
 subgroup.
 
 Scans run exhaustively over all automorphisms of all catalog groups up
-to a small order cap, plus a seeded sample of larger instances; each
-pair builds only its own automorphism (``AutomorphismGroup.member_at``).
-The sample list is derived once from the seed, so reports are identical
-at any worker count. ``verify_properties`` is the only suite that draws
+to a small order cap, plus a seeded sample of larger instances. Every
+count a check makes is constant on an Aut(G)-conjugacy class, so a scan
+checks one member per class (``AutomorphismGroup.conjugacy_classes``),
+or per distinct draw, and weights its counts; a failure sends the group
+back to a walk over every member, so failure lists are per member. A
+task builds its members t-major (``AutomorphismGroup.images_at``). The
+sample list is derived once from the seed, so reports are identical at
+any worker count. ``verify_properties`` is the only suite that draws
 from a seed and the only one whose report carries it; the CLI adds
 ``--seed`` to every report itself.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +56,7 @@ from .cubing import (
     classify_cubing_structure,
     cube_set,
     max_cube_ratio,
+    max_ratio_stats,
     ratio_json,
     Kind,
 )
@@ -162,7 +168,8 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
     ``cube_set`` on G with ``cube_set`` on the map that
     ``induced_on_quotient`` induces on G/N, so there ``img`` must be an
     automorphism of ``group``; a witness N that is not an invariant
-    normal subgroup is refused."""
+    normal subgroup is refused. The coset-bound branch refuses an H that
+    is not a largest subgroup inside the cube set."""
     t = group.table
 
     def in_cube(x):
@@ -218,8 +225,14 @@ def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
             residues, modulus, DEFAULT_EQUATIONS[witness["equation"]]) is not None
     if check == "coset_bound_half":
         h_elems = witness["subgroup"]
-        cube = {g for g in range(group.order) if in_cube(g)}
-        if not set(h_elems) <= cube:
+        members = [g for g in range(group.order) if in_cube(g)]
+        cube = set(members)
+        try:
+            h_order = group.subgroup(h_elems).order
+        except NotASubgroup:
+            return False
+        if (h_order != len(h_elems) or not cube.issuperset(h_elems)
+                or h_order != len(_max_subgroup_inside(group, members, _mask_of(members)))):
             return False
         if "x" in witness:
             x = witness["x"]
@@ -487,22 +500,50 @@ def _task(cat: Catalog, name: str, cache_dir, **extra) -> dict:
 
 
 def _property_task(task: dict) -> dict:
-    """Every check over the task's automorphisms, one built at a time:
-    all ranks of an exhaustive task, the drawn ranks of a sampled one."""
+    """Every check over the task's automorphisms.
+
+    The counts of every check are constant on an Aut(G)-conjugacy class:
+    beta maps the instances of (G, alpha) one to one onto those of
+    (G, beta alpha beta^-1). So an exhaustive task checks the least
+    member of each class and weights its counts by the class size, and a
+    sampled task checks each distinct drawn rank once and weights it by
+    its draws. If any of these checks records a failure, the task walks
+    every rank in order instead, so the failure lists are the per-member
+    ones."""
     group = task["group"]
     ctx = GroupContext(group, task["name"])
     auts = automorphism_group(group, task["cache_dir"])
-    reports = {name: CheckReport(name) for name in CHECK_IDS}
     if task["kind"] == "exhaustive":
         ranks = range(auts.order)
+        classes = auts.conjugacy_classes
+        if sum(map(len, classes)) != auts.order:
+            raise InternalCheckFailed(
+                f"the Aut(G)-classes of {task['name']} do not partition Aut(G)")
+        weights = {cls[0]: len(cls) for cls in classes}
     else:
         ranks = [draw % auts.order for draw in task["draws"]]
-    for k in ranks:
-        _run_all_checks(ctx, auts.member_at(k).images, reports)
+        weights = Counter(ranks)
+    reports = {name: CheckReport(name) for name in CHECK_IDS}
+    failures = rechecked_traces = 0
+    for images, weight in zip(auts.images_at(list(weights)), weights.values()):
+        part = {name: CheckReport(name) for name in CHECK_IDS}
+        _run_all_checks(ctx, images, part)
+        for name, report in part.items():
+            reports[name].instances += weight * report.instances
+            reports[name].skipped += weight * report.skipped
+            failures += len(report.failures)
+        rechecked_traces += len(part["trace_avoidance"].failures)
+    checked = len(weights)
+    if failures:
+        reports = {name: CheckReport(name) for name in CHECK_IDS}
+        for images in auts.images_at(ranks):
+            _run_all_checks(ctx, images, reports)
+        checked += len(ranks)
     return {
         "pairs": len(ranks),
+        "checked_pairs": checked,
         # one per distinct trace and equation, one per failure's re-check
-        "trace_solves": (len(ctx.trace_solutions) * len(DEFAULT_EQUATIONS)
+        "trace_solves": (len(ctx.trace_solutions) * len(DEFAULT_EQUATIONS) + rechecked_traces
                          + len(reports["trace_avoidance"].failures)),
         "checks": reports,
     }
@@ -527,12 +568,15 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
     Exhaustive: all automorphisms of all catalog groups of order at
     most ``exhaustive_cap``. Sampled: ``sample_count`` draws of
     (group, automorphism) with group order in [sample_min, sample_max].
-    Each pair builds only its own automorphism (``member_at``).
+    Every pair is counted, but the checks run on one member per
+    Aut(G)-conjugacy class of an exhaustive group and once per distinct
+    draw, weighted by the class size or the number of draws; a group
+    whose checks find a failure is walked member by member instead.
 
-    The ``stats`` block holds one work counter, ``trace_solves``: the
-    calls of the equation solver (each group solves a distinct trace
-    once per equation; a recorded failure is solved once more, when it
-    is re-checked).
+    The ``stats`` block holds two work counters. ``checked_pairs``: the
+    pairs whose checks ran. ``trace_solves``: the calls of the equation
+    solver (each group solves a distinct trace once per equation; a
+    recorded failure is solved once more, when it is re-checked).
     """
     started = time.monotonic()
     if sample_count < 0:
@@ -579,7 +623,8 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
             report.failures.extend(part.failures)
             report.skipped += part.skipped
         reports.append(report)
-    stats = {"trace_solves": sum(r["trace_solves"] for r in results)}
+    stats = {"trace_solves": sum(r["trace_solves"] for r in results),
+             "checked_pairs": sum(r["checked_pairs"] for r in results)}
     elapsed = int((time.monotonic() - started) * 1000)
     for report in reports:
         report.elapsed_ms = elapsed
@@ -614,21 +659,28 @@ def _classification_task(task: dict) -> dict:
     }
     if verdict.predicted_ratio is not None:
         row["predicted_ratio"] = ratio_json(verdict.predicted_ratio)
-    return row
+    return {"row": row, "stats": max_ratio_stats(auts)}
+
+
+def _rows_and_stats(results: list) -> tuple:
+    """The rows of the task results, and their stats summed key by key."""
+    stats = {key: sum(r["stats"][key] for r in results) for key in results[0]["stats"]}
+    return [r["row"] for r in results], stats
 
 
 def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64,
                           jobs: int = 1, cache_dir=None) -> dict:
     """On every catalog group up to the cap: a structural verdict exists
     iff the brute-force maximum ratio exceeds 1/2, and when it does the
-    constructed automorphism attains the maximum."""
+    constructed automorphism attains the maximum. The ``stats`` block is
+    ``max_ratio_stats`` summed over the rows."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
     names = cat.names(order_cap=order_cap)
     if not names:
         raise UnsupportedParameter(f"no catalog group has order at most {order_cap}")
     tasks = [_task(cat, name, cache_dir) for name in names]
-    rows = _parallel(tasks, _classification_task, jobs)
+    rows, stats = _rows_and_stats(_parallel(tasks, _classification_task, jobs))
     mismatches = [r for r in rows if not (r["equivalent"] and r["attains_max"])]
     return {
         "suite": "classification-equivalence",
@@ -637,6 +689,7 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
         "rows": rows,
         "mismatches": mismatches,
         "pass": not mismatches,
+        "stats": stats,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
 
@@ -649,20 +702,22 @@ def _boundary_task(task: dict) -> dict:
     group = task["group"]
     auts = automorphism_group(group, task["cache_dir"])
     ratio, _ = max_cube_ratio(group, auts=auts)
-    return {
+    row = {
         "group": task["name"],
         "order": group.order,
         "max_ratio": ratio_json(ratio),
         "solvable": group.is_solvable,
         "aut_order": auts.order,
     }
+    return {"row": row, "stats": max_ratio_stats(auts)}
 
 
 def verify_solvability_boundary(catalog: Optional[Catalog] = None,
                                 order_cap: int = 64, jobs: int = 1,
                                 cache_dir=None) -> dict:
     """The named boundary groups max out at 4/15 (A5 exactly), and on
-    the whole scanned catalog a ratio above 4/15 forces solvability."""
+    the whole scanned catalog a ratio above 4/15 forces solvability. The
+    ``stats`` block is ``max_ratio_stats`` summed over the rows."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
     missing = [name for name in BOUNDARY_GROUPS if name not in cat]
@@ -672,7 +727,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
     names = list(cat.names(order_cap=order_cap))
     names += [name for name in BOUNDARY_GROUPS if name not in names]
     tasks = [_task(cat, name, cache_dir) for name in names]
-    rows = _parallel(tasks, _boundary_task, jobs)
+    rows, stats = _rows_and_stats(_parallel(tasks, _boundary_task, jobs))
     by_name = {r["group"]: r for r in rows}
     ratio = {r["group"]: Fraction(r["max_ratio"]["num"], r["max_ratio"]["den"]) for r in rows}
     extremal, *others = BOUNDARY_GROUPS
@@ -691,6 +746,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
         "rows": rows,
         "failures": failures,
         "pass": not failures,
+        "stats": stats,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
 

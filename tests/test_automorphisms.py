@@ -725,6 +725,56 @@ def test_twisted_classes_are_inner_conjugacy_classes(build):
     assert classes == orbits
 
 
+def _catalog_auts(order_cap: int):
+    from cubeaut.catalog import built_in_catalog
+    return [(name, enumerate_automorphisms(group))
+            for name, group in built_in_catalog().groups(order_cap=order_cap)]
+
+
+def test_conjugacy_classes_partition_aut():
+    """On every catalog group of order <= 24 the classes partition the
+    ranks, each class ascending and the classes in order of their least
+    rank. 1,908 members fall into 441 classes."""
+    count = 0
+    for name, auts in _catalog_auts(24):
+        classes = auts.conjugacy_classes
+        assert sorted(k for cls in classes for k in cls) == list(range(auts.order)), name
+        assert all(list(cls) == sorted(cls) for cls in classes), name
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), name
+        count += len(classes)
+    assert count == 441
+
+
+def test_conjugacy_classes_are_aut_orbits():
+    """Reference, on every catalog group of order <= 12: the orbit of each
+    member under conjugation by every member, beta alpha beta^-1."""
+    for name, auts in _catalog_auts(12):
+        arrays = [m.images for m in auts.members]
+        rank_of = {images: k for k, images in enumerate(arrays)}
+        inverses = [invert(m).images for m in auts.members]
+        orbits = {frozenset(rank_of[tuple(beta[alpha[beta_inv[x]]] for x in range(len(alpha)))]
+                            for beta, beta_inv in zip(arrays, inverses))
+                  for alpha in arrays}
+        assert set(map(frozenset, auts.conjugacy_classes)) == orbits, name
+
+
+def test_images_at_equals_member_at():
+    """Any ranks, repeated and out of order, on groups whose transversal
+    of Z(G) is larger than 1 and on the trivial group."""
+    for g in (builders.symmetric(4), builders.alternating(5), builders.cyclic(1),
+              heisenberg27()):
+        auts = enumerate_automorphisms(g)
+        ranks = [auts.order - 1, 0, auts.order // 2, 0, *range(0, auts.order, 7)]
+        assert auts.images_at(ranks) == [auts.member_at(k).images for k in ranks]
+
+
+def test_power_map_equals_pow():
+    from cubeaut.catalog import built_in_catalog
+    for name, g in built_in_catalog().groups(order_cap=64):
+        for n in range(-4, 9):
+            assert power_map(g, n).images == tuple(g.pow(x, n) for x in g.elements()), (name, n)
+
+
 def test_order_and_max_ratio_build_no_member(tmp_path):
     from cubeaut.cubing import max_cube_ratio
     g = builders.type3_group_ii()

@@ -569,10 +569,25 @@ def test_jobs_do_not_change_reports(capsys, cache_dir):
 def test_properties_stats_do_not_depend_on_jobs(capsys, cache_dir):
     args = ["--cache-dir", str(cache_dir), "--seed", "3", "verify", "properties",
             "--order-cap", "10", "--samples", "12", "--sample-max", "48"]
-    stats = [run_json(capsys, "--jobs", jobs, *args)[1]["stats"] for jobs in ("1", "4")]
+    payloads = [run_json(capsys, "--jobs", jobs, *args)[1] for jobs in ("1", "4")]
+    stats = [p["stats"] for p in payloads]
     assert stats[0] == stats[1]
     assert stats[0]["trace_solves"] > 0
-    assert set(stats[0]) == {"trace_solves"}
+    scope = payloads[0]["scope"]
+    assert 0 < stats[0]["checked_pairs"] < scope["exhaustive_pairs"] + scope["sampled_pairs"]
+    assert set(stats[0]) == {"trace_solves", "checked_pairs"}
+
+
+@pytest.mark.parametrize("args", [("classification", "--order-cap", "12"),
+                                  ("solvable-boundary", "--order-cap", "8")])
+def test_aut_stats_do_not_depend_on_jobs(capsys, cache_dir, args):
+    """The blocks sum ``cube max``'s counters over the rows."""
+    argv = ["--cache-dir", str(cache_dir), "verify", *args]
+    got = [run_json(capsys, "--jobs", jobs, *argv)[1] for jobs in ("1", "4")]
+    assert got[0]["stats"] == got[1]["stats"]
+    per_row = [run_json(capsys, "--cache-dir", str(cache_dir), "cube", "max",
+                        row["group"])[1]["stats"] for row in got[0]["rows"]]
+    assert got[0]["stats"] == {key: sum(s[key] for s in per_row) for key in per_row[0]}
 
 
 @pytest.mark.parametrize("args, stats", [

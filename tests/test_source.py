@@ -77,7 +77,6 @@ def test_package_exports_match_imports():
 # phrase naming the capability that keeps it public.
 EXPORTS_WITHOUT_A_CALLER = {
     "compose": "Inner, induced, restricted, composed and inverted maps",
-    "invert": "Inner, induced, restricted, composed and inverted maps",
     "inner_automorphism": "Inner, induced, restricted, composed and inverted maps",
     "restrict": "Inner, induced, restricted, composed and inverted maps",
     "is_n_abelian": "power maps and n-abelian tests",

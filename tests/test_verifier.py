@@ -765,22 +765,47 @@ def test_coset_bound_revalidation_refuses_scan_pairs():
 
 
 def test_coset_bound_revalidation_accepts_a_broken_bound():
-    """Synthetic maps of S3, neither an automorphism. Under x -> x^3 every
-    element is cubed, so A3 and a transposition x give |A3 x ∩ T| = 3 >
-    3/2. A map that cubes A3 only and sends each transposition to 0 leaves
-    the coset of a transposition outside T. Misstated witnesses fail."""
+    """Synthetic maps of S3, none an automorphism. A map that cubes A3 and
+    two transpositions x, y and sends the third to 0 has T = A3 ∪ {x, y},
+    whose largest subgroup is A3, and |A3 x ∩ T| = 2 > 3/2. A map that
+    cubes A3 only and sends each transposition to 0 leaves the coset of a
+    transposition outside T. Misstated witnesses fail, and so does an H
+    that is no largest subgroup inside T: under x -> x^3 every element is
+    cubed, so T = S3 and A3 is not the largest."""
     g = builders.symmetric(3)
     a3 = list(g.derived_subgroup.elements)
-    x = next(y for y in g.elements() if g.element_order(y) == 2)
-    cubing_map = tuple(g.pow(y, 3) for y in g.elements())
-    a3_only = tuple(g.pow(y, 3) if y in a3 else 0 for y in g.elements())
-    assert revalidate(g, cubing_map, "coset_bound_half", {"subgroup": a3, "x": x})
+    x, y, _ = [u for u in g.elements() if g.element_order(u) == 2]
+    cubing_map = tuple(g.pow(u, 3) for u in g.elements())
+    a3_only = tuple(g.pow(u, 3) if u in a3 else 0 for u in g.elements())
+    two_of_three = tuple(g.pow(u, 3) if u in a3 or u in (x, y) else 0 for u in g.elements())
+    assert revalidate(g, two_of_three, "coset_bound_half", {"subgroup": a3, "x": x})
     assert revalidate(g, a3_only, "coset_bound_half", {"subgroup": a3, "coset_rep": x})
-    for img, witness in ((cubing_map, {"subgroup": a3, "coset_rep": x}),
+    for img, witness in ((two_of_three, {"subgroup": a3, "coset_rep": x}),
                          (a3_only, {"subgroup": a3, "x": x}),
-                         (cubing_map, {"subgroup": a3, "x": a3[1]}),
-                         (a3_only, {"subgroup": [0, x], "coset_rep": a3[1]})):
+                         (two_of_three, {"subgroup": a3, "x": a3[1]}),
+                         (a3_only, {"subgroup": [0, x], "coset_rep": a3[1]}),
+                         (cubing_map, {"subgroup": a3, "x": x}),
+                         (two_of_three, {"subgroup": [0, x], "x": y}),
+                         (two_of_three, {"subgroup": [0, x, y], "x": a3[1]})):
         assert not revalidate(g, img, "coset_bound_half", witness), witness
+
+
+@pytest.mark.parametrize("witness", [{"subgroup": [0, 2], "x": 1},
+                                     {"subgroup": [0, 1], "x": 2}],
+                         ids=["not largest", "not a subgroup"])
+def test_coset_bound_revalidation_refuses_a_witness_that_is_no_largest_subgroup(witness):
+    """Under x -> x^3 on Z4 every element is cubed, so T = Z4. {0, 2} is
+    a subgroup inside T but not the largest, and {0, 1} is no subgroup;
+    each would break the bound at its x. The re-check returns False, so
+    ``_record`` names the witness as non-revalidating."""
+    g = builders.cyclic(4)
+    img = power_map(g, 3).images
+    assert revalidate(g, img, "coset_bound_half", witness) is False
+    acc = CheckReport("coset_bound_half")
+    with pytest.raises(InternalCheckFailed, match="non-revalidating"):
+        verifier._record(acc, GroupContext(g, "Z4"), img, "coset_bound_half",
+                         {**witness, "intersection": 2})
+    assert acc.failures == []
 
 
 # One malformed witness per check id, on S3 and its identity map: each
@@ -864,9 +889,10 @@ def test_verify_properties_jobs_match(cache_dir):
 
 
 def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
-    """A sampled-only scan draws each automorphism through member_at and
-    reports what indexing the sorted members reports. Here ``members`` is
-    expanded coset by coset and sorted, without member_at's ranks."""
+    """A sampled-only scan builds each drawn automorphism through
+    ``images_at`` and reports what indexing the sorted members reports.
+    Here ``members`` is expanded coset by coset and sorted, without the
+    ranks of ``images_at``."""
     kwargs = dict(exhaustive_cap=0, sample_count=30, sample_min=16,
                   sample_max=64, seed=9, cache_dir=cache_dir)
 
@@ -877,7 +903,8 @@ def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
         return tuple(GroupMap(self.base, self.base, images) for images in arrays)
 
     monkeypatch.setattr(AutomorphismGroup, "members", property(sorted_members))
-    monkeypatch.setattr(AutomorphismGroup, "member_at", lambda self, k: self.members[k])
+    monkeypatch.setattr(AutomorphismGroup, "images_at",
+                        lambda self, ranks: [self.members[k].images for k in ranks])
     expected = verify_properties(**kwargs)
     monkeypatch.undo()
 
@@ -891,6 +918,130 @@ def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
     assert report["stats"]["trace_solves"] == expected["stats"]["trace_solves"]
     assert [{**c, "elapsed_ms": 0} for c in report["checks"]] \
         == [{**c, "elapsed_ms": 0} for c in expected["checks"]]
+
+
+# Check id -> why its counts are constant on an Aut(G)-conjugacy class:
+# beta in Aut(G) maps the instances of (G, alpha) one to one onto those of
+# (G, beta alpha beta^-1). The scan weights one member per class by the
+# class size, so an id missing here fails the test below.
+CLASS_INVARIANT = {
+    "quotient_ratio_monotone": "N -> beta(N) on the alpha-invariant normal subgroups",
+    "cube_centralizer": "x -> beta(x) and <h> -> <beta(h)> inside the cube set",
+    "elementary_two_coset": "(<h>, x, u) -> (<beta(h)>, beta(x), beta(u))",
+    **dict.fromkeys(PATTERN_IDS, "(a, b) -> (beta(a), beta(b))"),
+    "trace_avoidance": "(<h>, x) -> (<beta(h)>, beta(x)), one instance per equation",
+    "coset_bound_half": "T -> beta(T): the same size and largest subgroup order",
+}
+
+
+def _member_walk(ctx: GroupContext, arrays) -> list:
+    """Per image array, each check id's (instances, skipped) on it alone."""
+    counts = []
+    for images in arrays:
+        reports = {check: CheckReport(check) for check in CHECK_IDS}
+        _run_all_checks(ctx, images, reports)
+        counts.append({c: (r.instances, r.skipped) for c, r in reports.items()})
+    return counts
+
+
+@pytest.fixture(scope="module")
+def class_walks():
+    """Per catalog group of order <= 24: its Aut(G), the per-member counts
+    (members built by ``member_at``) and the exhaustive task's result."""
+    rows = []
+    for name, group in built_in_catalog().groups(order_cap=24):
+        auts = enumerate_automorphisms(group)
+        counts = _member_walk(GroupContext(group, name),
+                              [auts.member_at(k).images for k in range(auts.order)])
+        task = verifier._property_task(
+            {"name": name, "group": group, "cache_dir": None, "kind": "exhaustive"})
+        rows.append((name, auts, counts, task))
+    return rows
+
+
+@pytest.mark.parametrize("check", CHECK_IDS, ids=CASE_IDS.get)
+def test_class_weighted_counts_equal_member_counts(check, class_walks):
+    """Each member's counts are its class's, and the exhaustive task's
+    report is the sum over all members."""
+    assert check in CLASS_INVARIANT
+    for name, auts, counts, task in class_walks:
+        for cls in auts.conjugacy_classes:
+            assert len({counts[k][check] for k in cls}) == 1, (name, cls)
+        report = task["checks"][check]
+        total = tuple(map(sum, zip(*(c[check] for c in counts))))
+        assert (report.instances, report.skipped) == total, name
+        assert report.failures == []
+        assert task["pairs"] == auts.order
+        assert task["checked_pairs"] == len(auts.conjugacy_classes)
+
+
+def test_class_invariant_table_names_every_check():
+    assert set(CLASS_INVARIANT) == set(CHECK_IDS)
+
+
+def test_sampled_task_weights_repeated_draws():
+    """Repeated draws are checked once and counted once per draw: the
+    report equals the walk over every draw."""
+    group = builders.symmetric(4)
+    auts = enumerate_automorphisms(group)
+    draws = [5, 5 + auts.order, 3, 5, 17, 3]
+    task = verifier._property_task({"name": "S4", "group": group, "cache_dir": None,
+                                    "kind": "sampled", "draws": draws})
+    counts = _member_walk(GroupContext(group, "S4"),
+                          [auts.member_at(d % auts.order).images for d in draws])
+    assert (task["pairs"], task["checked_pairs"]) == (6, 3)
+    for check in CHECK_IDS:
+        report = task["checks"][check]
+        assert (report.instances, report.skipped) \
+            == tuple(map(sum, zip(*(c[check] for c in counts)))), check
+
+
+def test_a_failure_sends_the_group_back_to_the_member_walk(monkeypatch):
+    """A patched check that fails on one member, the least of a class of
+    three in Aut(S3), gives the failure list of a walk over every member:
+    that one failure, and the counts of that walk."""
+    group = builders.symmetric(3)
+    auts = enumerate_automorphisms(group)
+    cls = next(c for c in auts.conjugacy_classes if len(c) == 3)
+    failing = auts.member_at(cls[0]).images
+    checker = verifier._CHECKERS["coset_bound_half"]
+
+    def patched(ctx, img, members, mask, accs):
+        checker(ctx, img, members, mask, accs)
+        if img == failing:
+            verifier._record(accs["coset_bound_half"], ctx, img, "coset_bound_half",
+                             {"subgroup": [0], "x": 0})
+
+    monkeypatch.setitem(verifier._CHECKERS, "coset_bound_half", patched)
+    monkeypatch.setattr(verifier, "revalidate", lambda *args: True)
+    task = verifier._property_task(
+        {"name": "S3", "group": group, "cache_dir": None, "kind": "exhaustive"})
+    reference = {check: CheckReport(check) for check in CHECK_IDS}
+    ctx = GroupContext(group, "S3")
+    for k in range(auts.order):
+        _run_all_checks(ctx, auts.member_at(k).images, reference)
+    assert task["checks"]["coset_bound_half"].failures == [
+        {"group": "S3", "alpha": list(failing), "subgroup": [0], "x": 0}]
+    assert {c: (r.instances, r.skipped, r.failures) for c, r in task["checks"].items()} \
+        == {c: (r.instances, r.skipped, r.failures) for c, r in reference.items()}
+    assert task["checked_pairs"] == len(auts.conjugacy_classes) + auts.order
+
+
+def test_class_sizes_must_sum_to_the_aut_order(monkeypatch):
+    group = builders.symmetric(3)
+    monkeypatch.setattr(AutomorphismGroup, "conjugacy_classes", property(lambda self: ((0,),)))
+    with pytest.raises(InternalCheckFailed, match="partition"):
+        verifier._property_task(
+            {"name": "S3", "group": group, "cache_dir": None, "kind": "exhaustive"})
+
+
+def test_checked_pairs_pinned(cache_dir):
+    """At seed 101 the 1,908 exhaustive pairs fall into 441 classes, and
+    the 500 draws hit 462 distinct ranks."""
+    report = verify_properties(seed=101, cache_dir=cache_dir)
+    assert (report["scope"]["exhaustive_pairs"], report["scope"]["sampled_pairs"]) == (1908, 500)
+    assert report["stats"]["checked_pairs"] == 441 + 462
+    assert report["pass"]
 
 
 def test_verify_classification_small(cache_dir):
