@@ -14,17 +14,17 @@ the same coset, so level i tries only the least element of each orbit
 under conjugation by C_G(h1, ..., h(i-1)). The search finds exactly one
 representative b per coset, the lexicographically least image tuple;
 |Aut(G)| is their number times [G : Z(G)], and the members of the coset
-of b are x -> t^-1 b(x) t for t over a transversal of Z(G). They are
-ranked by their images of 1..L, L the largest generator, and built by
-table lookup only when a caller asks: ``AutomorphismGroup.member_at(k)``
-builds only the k-th, ``members`` is ``member_at`` over every rank, and
-``images_at`` builds several with one conjugation array per t.
-An inner automorphism composed with a verified automorphism is one, so
-no member is re-checked. The
-Inn(G)-conjugacy classes inside the coset of b are the b-twisted classes
-{b(s)^-1 t s} of the conjugator t (``AutomorphismGroup.twisted_classes``),
-and their orbits under conjugation by the representatives are the
-Aut(G)-conjugacy classes (``AutomorphismGroup.conjugacy_classes``).
+of b are x -> t^-1 b(x) t for t over a transversal T of Z(G). Member k
+is the one of b = representatives[k // |T|] and t = T[k % |T|], built
+by table lookup only when a caller asks: ``AutomorphismGroup.images_at``
+builds the members of any indices with one conjugation array per t, and
+``members`` is ``images_at`` over every index. An inner automorphism
+composed with a verified automorphism is one, so no member is
+re-checked. The Inn(G)-conjugacy classes inside the coset of b are the
+b-twisted classes {b(s)^-1 t s} of the conjugator t
+(``AutomorphismGroup.twisted_classes``), and their orbits under
+conjugation by the representatives are the Aut(G)-conjugacy classes of
+member indices (``AutomorphismGroup.conjugacy_classes``).
 
 ``automorphism_group`` enumerates unless its caller names a cache
 directory; only then does it hash the table and read or write a file.
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import NotAutomorphism, NotInvariant
-from .groups import FiniteGroup, Subgroup, _is_permutation
+from .groups import FiniteGroup, Subgroup, _are_indices, _is_permutation
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class GroupMap:
         a float or a negative index is refused. Only a failing array is
         searched for its witness."""
         img, order = self.images, self.target.order
-        if set(map(type, img)) <= {int} and min(img) >= 0 and max(img) < order:
+        if _are_indices(img, order):
             return
         x = next(x for x, y in enumerate(img) if type(y) is not int or not 0 <= y < order)
         raise NotAutomorphism(f"image of {x} is {img[x]!r}, not an element of the target")
@@ -194,9 +194,10 @@ class AutomorphismGroup:
 
     ``representatives`` holds the image arrays of the representatives b.
     The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
-    transversal of Z(G), so ``order`` needs no member. ``member_at(k)``
-    builds the k-th member in canonical (image-array) order alone;
-    ``members`` is ``member_at`` over every rank, built on first use.
+    transversal T of Z(G), so ``order`` needs no member. Member k is
+    ``member_images(k // |T|, k % |T|)``: ``images_at`` builds the
+    members of any indices, and ``members`` is every member in index
+    order, built on first use.
     """
 
     base: FiniteGroup
@@ -228,54 +229,26 @@ class AutomorphismGroup:
 
     @cached_property
     def members(self) -> tuple:
-        """Every automorphism, sorted by image array: ``member_at`` over
-        every rank. Distinct representatives lie in distinct cosets and
-        distinct t in distinct cosets of Z(G), so the members are
-        distinct."""
-        return tuple(map(self.member_at, range(self.order)))
+        """Every automorphism, in index order. Distinct representatives
+        lie in distinct cosets and distinct t in distinct cosets of Z(G),
+        so the members are distinct."""
+        return tuple(GroupMap(self.base, self.base, images)
+                     for images in self.images_at(range(self.order)))
 
-    def member_at(self, k: int) -> GroupMap:
-        """``members[k]``, built alone: the other members are ranked but
-        not built."""
-        rep, coset = self._ranks[k]
-        return GroupMap(self.base, self.base, self.member_images(rep, coset))
-
-    def images_at(self, ranks) -> list:
-        """``member_at(k).images`` for each k of ``ranks``, in that order,
-        built t-major: one conjugation array per transversal element that
-        the ranks reach, not one per member."""
-        by_coset: dict = {}
-        for i, k in enumerate(ranks):
-            rep, coset = self._ranks[k]
+    def images_at(self, indices) -> list:
+        """The image array of member k for each k of ``indices``, in that
+        order, built t-major: one conjugation array per transversal
+        element that the indices reach, not one per member."""
+        size, by_coset = len(self.transversal), {}
+        for i, k in enumerate(indices):
+            rep, coset = divmod(k, size)
             by_coset.setdefault(coset, []).append((i, rep))
-        images = [None] * len(ranks)
+        images = [None] * len(indices)
         for coset, wanted in by_coset.items():
             lookup = _conjugation(self.base, self.transversal[coset]).__getitem__
             for i, rep in wanted:
                 images[i] = tuple(map(lookup, self.representatives[rep]))
         return images
-
-    @cached_property
-    def _ranks(self) -> tuple:
-        """(rep, coset) of every member, in the order of ``members``.
-
-        {1..L}, L the largest generator, holds a generating set, so two
-        members that agree on 1..L are equal and the image prefixes over
-        1..L sort the members as their whole image arrays do. The loop
-        runs t-major, so one conjugation array is alive at a time."""
-        last = max(self.generating_set, default=0)
-        heads = [images[1:last + 1] for images in self.representatives]
-        keyed = []
-        for coset, t in enumerate(self.transversal):
-            lookup = _conjugation(self.base, t).__getitem__
-            keyed.extend((tuple(map(lookup, head)), rep, coset)
-                         for rep, head in enumerate(heads))
-        keyed.sort()
-        return tuple((rep, coset) for _, rep, coset in keyed)
-
-    @cached_property
-    def image_arrays(self) -> tuple:
-        return tuple(m.images for m in self.members)
 
     @cached_property
     def twisted_classes(self) -> tuple:
@@ -312,8 +285,8 @@ class AutomorphismGroup:
 
     @cached_property
     def conjugacy_classes(self) -> tuple:
-        """The Aut(G)-conjugacy classes, each a tuple of member ranks in
-        ascending order; the classes come in order of their least rank.
+        """The Aut(G)-conjugacy classes, each a tuple of member indices in
+        ascending order; the classes come in order of their least index.
 
         Inn(G) is normal in Aut(G), so conjugating by an automorphism
         permutes the twisted classes, and an Aut(G)-class is an orbit of
@@ -321,10 +294,10 @@ class AutomorphismGroup:
         generate Aut(G)/Inn(G): one joins only when its coset is not yet
         reached by those before it. A member is looked up by its images
         of the generating set, which determine it."""
-        gens, reps = self.generating_set, self.representatives
+        gens, reps, size = self.generating_set, self.representatives, len(self.transversal)
         conj = [_conjugation(self.base, t) for t in self.transversal]
-        member_of = {tuple(conj[coset][reps[rep][g]] for g in gens): (rep, coset)
-                     for rep, coset in self._ranks}
+        member_of = {tuple(c[images[g]] for g in gens): (rep, coset)
+                     for rep, images in enumerate(reps) for coset, c in enumerate(conj)}
         reached, movers = {member_of[gens][0]}, []
         for rep, images in enumerate(reps):
             if rep in reached:
@@ -341,7 +314,6 @@ class AutomorphismGroup:
         twisted = [(rep, cls) for rep, classes in enumerate(self.twisted_classes)
                    for cls in classes]
         class_of = {(rep, coset): i for i, (rep, cls) in enumerate(twisted) for coset in cls}
-        rank_of = {member: k for k, member in enumerate(self._ranks)}
         seen = bytearray(len(twisted))
         result = []
         for start in range(len(twisted)):
@@ -358,7 +330,7 @@ class AutomorphismGroup:
                     if not seen[j]:
                         seen[j] = 1
                         orbit.append(j)
-            result.append(tuple(sorted(rank_of[twisted[i][0], coset]
+            result.append(tuple(sorted(twisted[i][0] * size + coset
                                        for i in orbit for coset in twisted[i][1])))
         return tuple(sorted(result))
 
@@ -567,7 +539,7 @@ def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
 
 def _indices(values, n: int) -> bool:
     """True iff ``values`` is a list of element indices (bools excluded)."""
-    return isinstance(values, list) and all(type(v) is int and 0 <= v < n for v in values)
+    return isinstance(values, list) and _are_indices(values, n)
 
 
 def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:

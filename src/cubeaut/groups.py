@@ -13,7 +13,8 @@ A table entry must be a Python int: a bool, float or str is refused
 with a ``NotClosed`` witness, never converted. Generator rows of the
 walk, permutation generators, semidirect-product actions and
 automorphism images all pass one test of "a permutation of 0..n-1",
-``_is_permutation``.
+``_is_permutation``, and every test of "element indices" is one,
+``_are_indices``.
 
 All structural queries are exact; nothing here is randomized or
 approximate. Series and normality tests work on generating sets, which
@@ -175,8 +176,7 @@ class FiniteGroup:
     def _check_elements(self, values: list) -> None:
         """``_check_element`` on every value, by one C-level test of the
         list; only a failing list is searched for its first witness."""
-        if values and not (set(map(type, values)) <= {int}
-                           and min(values) >= 0 and max(values) < self.order):
+        if not _are_indices(values, self.order):
             for x in values:
                 self._check_element(x)
 
@@ -590,11 +590,18 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
         raise
 
 
+def _are_indices(values, n: int) -> bool:
+    """True iff every value is an int in 0..n-1 (a bool, float or str is
+    not an index), by one C-level test of the whole sequence; an empty
+    one passes."""
+    return not values or (set(map(type, values)) <= {int}
+                          and min(values) >= 0 and max(values) < n)
+
+
 def _is_permutation(values, n: int) -> bool:
     """True iff ``values`` holds each of 0..n-1 exactly once, every entry
-    of type int (a bool, float or str is not an index)."""
-    return (len(values) == n and set(map(type, values)) <= {int}
-            and len(set(values)) == n and min(values) >= 0 and max(values) < n)
+    of type int."""
+    return len(values) == n and _are_indices(values, n) and len(set(values)) == n
 
 
 def _is_square_of_ints(rows) -> bool:

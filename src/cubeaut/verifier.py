@@ -499,30 +499,35 @@ def _task(cat: Catalog, name: str, cache_dir, **extra) -> dict:
     return {"name": name, "group": cat.build(name), "cache_dir": cache_dir, **extra}
 
 
+def _class_weights(auts, name: str) -> dict:
+    """The least index of each Aut(G)-conjugacy class -> the class size.
+    Every count a check or a pattern walk makes is constant on a class:
+    beta maps the instances of (G, alpha) one to one onto those of
+    (G, beta alpha beta^-1)."""
+    classes = auts.conjugacy_classes
+    if sum(map(len, classes)) != auts.order:
+        raise InternalCheckFailed(f"the Aut(G)-classes of {name} do not partition Aut(G)")
+    return {cls[0]: len(cls) for cls in classes}
+
+
 def _property_task(task: dict) -> dict:
     """Every check over the task's automorphisms.
 
-    The counts of every check are constant on an Aut(G)-conjugacy class:
-    beta maps the instances of (G, alpha) one to one onto those of
-    (G, beta alpha beta^-1). So an exhaustive task checks the least
-    member of each class and weights its counts by the class size, and a
-    sampled task checks each distinct drawn rank once and weights it by
-    its draws. If any of these checks records a failure, the task walks
-    every rank in order instead, so the failure lists are the per-member
-    ones."""
+    An exhaustive task checks the least member of each Aut(G)-conjugacy
+    class and weights its counts by the class size (``_class_weights``),
+    and a sampled task checks each distinct drawn index once and weights
+    it by its draws. If any of these checks records a failure, the task
+    walks every index in order instead, so the failure lists are the
+    per-member ones."""
     group = task["group"]
     ctx = GroupContext(group, task["name"])
     auts = automorphism_group(group, task["cache_dir"])
     if task["kind"] == "exhaustive":
-        ranks = range(auts.order)
-        classes = auts.conjugacy_classes
-        if sum(map(len, classes)) != auts.order:
-            raise InternalCheckFailed(
-                f"the Aut(G)-classes of {task['name']} do not partition Aut(G)")
-        weights = {cls[0]: len(cls) for cls in classes}
+        indices = range(auts.order)
+        weights = _class_weights(auts, task["name"])
     else:
-        ranks = [draw % auts.order for draw in task["draws"]]
-        weights = Counter(ranks)
+        indices = [draw % auts.order for draw in task["draws"]]
+        weights = Counter(indices)
     reports = {name: CheckReport(name) for name in CHECK_IDS}
     failures = rechecked_traces = 0
     for images, weight in zip(auts.images_at(list(weights)), weights.values()):
@@ -536,11 +541,11 @@ def _property_task(task: dict) -> dict:
     checked = len(weights)
     if failures:
         reports = {name: CheckReport(name) for name in CHECK_IDS}
-        for images in auts.images_at(ranks):
+        for images in auts.images_at(indices):
             _run_all_checks(ctx, images, reports)
-        checked += len(ranks)
+        checked += len(indices)
     return {
-        "pairs": len(ranks),
+        "pairs": len(indices),
         "checked_pairs": checked,
         # one per distinct trace and equation, one per failure's re-check
         "trace_solves": (len(ctx.trace_solutions) * len(DEFAULT_EQUATIONS) + rechecked_traces
@@ -791,6 +796,8 @@ def verify_abelian_indices(qs=tuple(EXPECTED_ABELIAN_INDEX),
         "rows": rows,
         "failures": failures,
         "pass": not failures,
+        "stats": {"nodes": sum(row["nodes"] for row in rows),
+                  "exact": all(row["exact"] for row in rows)},
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
 
@@ -803,24 +810,28 @@ def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
     """Search all (G, alpha, a, b) in scope for a, b, ab, a^n b all in
     the cube set with [a, b] != 1.
 
-    Returns the first witness in deterministic order, re-checked on the
-    raw table, or a coverage record. This is an experiment: absence of a
-    witness at this scope is data, not a theorem.
+    The walk runs on the least member of each Aut(G)-conjugacy class and
+    weights ``pairs_scanned`` by the class size; ``stats.checked_pairs``
+    counts the walks. Returns the first witness in index order, re-checked
+    on the raw table, or a coverage record: a failing member's class
+    fails as a whole, so the least member of the first failing class is
+    the first failing member. This is an experiment: absence of a witness
+    at this scope is data, not a theorem.
     """
     started = time.monotonic()
     counterexample = None
-    pairs_scanned = 0
-    groups_scanned = 0
+    pairs_scanned = groups_scanned = checked_pairs = 0
     for name, group in built_in_catalog().groups(order_cap=order_cap):
         groups_scanned += 1
         auts = automorphism_group(group, cache_dir)
         cubes = power_map(group, 3).images
         power_n = power_map(group, n).images
-        for k in range(auts.order):
-            img = auts.member_at(k).images
+        weights = _class_weights(auts, name)
+        checked_pairs += len(weights)
+        for img, weight in zip(auts.images_at(list(weights)), weights.values()):
             members, mask = _cube_members(img, cubes)
             (pairs,), (found,) = pattern_walk(group, members, mask, (power_n,))
-            pairs_scanned += pairs
+            pairs_scanned += weight * pairs
             if found and counterexample is None:
                 a, b = found[0]
                 if not _breaks_pattern(group, img, a, b, n):
@@ -840,5 +851,6 @@ def power_pattern_search(n: int, order_cap: int = 24, cache_dir=None) -> dict:
         "groups_scanned": groups_scanned,
         "pairs_scanned": pairs_scanned,
         "counterexample": counterexample,
+        "stats": {"checked_pairs": checked_pairs},
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }

@@ -28,6 +28,11 @@ def phi(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def _arrays(auts) -> tuple:
+    """Every member's image array, in index order."""
+    return tuple(auts.images_at(range(auts.order)))
+
+
 # ---------------------------------------------------------------------------
 # Map basics
 
@@ -243,7 +248,7 @@ def test_enumeration_equals_full_backtrack():
     for name, group in _equality_groups():
         arrays, nodes = _full_backtrack(group)
         result = enumerate_automorphisms(group)
-        assert result.image_arrays == arrays, name
+        assert tuple(sorted(_arrays(result))) == arrays, name
         # one leaf per coset of Inn(G) instead of one per member, on a
         # subtree of the reference's
         assert len(result.representatives) * (group.order // group.center.order) \
@@ -283,7 +288,7 @@ def test_aut_is_a_group():
                   lambda: builders.quaternion8()):
         g = build()
         auts = enumerate_automorphisms(g)
-        arrays = set(auts.image_arrays)
+        arrays = set(_arrays(auts))
         assert tuple(range(g.order)) in arrays
         for m1 in auts.members:
             assert invert(m1).images in arrays
@@ -295,29 +300,27 @@ def test_inner_automorphisms_inside_aut():
     for build in (lambda: builders.symmetric(4), lambda: builders.dihedral(5)):
         g = build()
         auts = enumerate_automorphisms(g)
-        arrays = set(auts.image_arrays)
+        arrays = set(_arrays(auts))
         inner = {inner_automorphism(g, x).images for x in g.elements()}
         assert inner <= arrays
         assert len(inner) == g.order // g.center.order
         assert auts.order % len(inner) == 0
 
 
-def _sorted_member_arrays(auts) -> list:
-    """Every member x -> t^-1 b(x) t as a full image array, sorted: the
-    order ``members`` had before members were placed by rank."""
+def _index_order_arrays(auts) -> list:
+    """Every member x -> t^-1 b(x) t as a full image array, expanded
+    coset by coset: b = representatives[k // |T|] and t = T[k % |T|] for
+    member k, T the transversal of Z(G)."""
     group = auts.base
-    arrays = []
-    for t in auts.transversal:
-        conj = [group.conjugate(x, t) for x in group.elements()]
-        arrays.extend(tuple(conj[y] for y in images) for images in auts.representatives)
-    return sorted(arrays)
+    conj = [[group.conjugate(x, t) for x in group.elements()] for t in auts.transversal]
+    return [tuple(c[y] for y in images) for images in auts.representatives for c in conj]
 
 
-def test_member_at_equals_members():
-    """member_at(k) and members[k] are the k-th of the fully sorted image
-    arrays, for every k, and member_at builds no other member: on every
-    catalog group of order <= 64 (Z1 among them) and A5, L2(7), A6, L2(9),
-    where [G : Z(G)] > 1 makes the ranks interleave cosets."""
+def test_index_is_representative_and_transversal_element():
+    """images_at([k])[0] is member_images(k // |T|, k % |T|) for every k,
+    images_at builds no other member, and sorted, the members are the
+    fully sorted image arrays: on every catalog group of order <= 64
+    (Z1 among them) and A5, L2(7), A6, L2(9), where [G : Z(G)] > 1."""
     from cubeaut.catalog import built_in_catalog
     catalog = built_in_catalog()
     groups = [*catalog.groups(order_cap=64),
@@ -325,10 +328,12 @@ def test_member_at_equals_members():
     assert "Z1" in dict(groups)
     for name, group in groups:
         auts = enumerate_automorphisms(group)
-        expected = _sorted_member_arrays(auts)
-        drawn = [auts.member_at(k).images for k in range(auts.order)]
+        size = len(auts.transversal)
+        for k in range(auts.order):
+            assert auts.images_at([k])[0] == auts.member_images(k // size, k % size), (name, k)
         assert "members" not in vars(auts), name
-        assert drawn == expected, name
+        expected = _index_order_arrays(auts)
+        assert sorted(auts.images_at(range(auts.order))) == sorted(expected), name
         assert [m.images for m in auts.members] == expected, name
 
 
@@ -352,7 +357,7 @@ def test_s3_all_automorphisms_inner():
     g = builders.symmetric(3)
     auts = enumerate_automorphisms(g)
     inner = {inner_automorphism(g, x).images for x in g.elements()}
-    assert set(auts.image_arrays) == inner
+    assert set(_arrays(auts)) == inner
 
 
 @pytest.mark.parametrize("build", [
@@ -378,15 +383,15 @@ def test_enumeration_complete_against_all_bijections(build):
         if all(img[t[a][b]] == t[img[a]][img[b]]
                for a in range(n) for b in range(n)):
             expected.add(img)
-    assert set(enumerate_automorphisms(g).image_arrays) == expected
+    assert set(_arrays(enumerate_automorphisms(g))) == expected
 
 
 def test_enumeration_deterministic_order():
     g = builders.dihedral(4)
-    first = enumerate_automorphisms(g).image_arrays
-    second = enumerate_automorphisms(g).image_arrays
-    assert first == second
-    assert list(first) == sorted(first)
+    first = enumerate_automorphisms(g)
+    second = enumerate_automorphisms(g)
+    assert _arrays(first) == _arrays(second)
+    assert list(_arrays(first)) == _index_order_arrays(first)
 
 
 def test_check_automorphism_rejects_non_homomorphism():
@@ -505,7 +510,7 @@ def test_cache_roundtrip(tmp_path):
     g = builders.dihedral(5)
     first = automorphism_group(g, cache_dir=tmp_path)
     cached = automorphism_group(g, cache_dir=tmp_path)
-    assert first.image_arrays == cached.image_arrays
+    assert _arrays(first) == _arrays(cached)
     files = list(tmp_path.glob("aut-*.json"))
     assert len(files) == 1
     assert files[0].name == f"aut-{g.table_hash}.json"
@@ -566,7 +571,7 @@ def test_cache_load_equals_enumeration_on_catalog(tmp_path):
         loaded = automorphism_group(group, cache_dir=tmp_path)
         assert loaded.nodes == 0, name  # served from the cache
         assert loaded.representatives == enumerated.representatives, name
-        assert loaded.image_arrays == enumerated.image_arrays, name
+        assert _arrays(loaded) == _arrays(enumerated), name
         assert loaded.generating_set == enumerated.generating_set, name
 
 
@@ -580,7 +585,7 @@ def _assert_reenumerated(tmp_path, group, path, full, payload):
     path.write_text(json.dumps(payload))
     result = automorphism_group(group, cache_dir=tmp_path)
     assert result.nodes > 0  # the file was rejected and Aut(G) enumerated again
-    assert result.image_arrays == full.image_arrays
+    assert _arrays(result) == _arrays(full)
     assert automorphism_group(group, cache_dir=tmp_path).nodes == 0  # overwritten
 
 
@@ -656,7 +661,7 @@ def test_cache_rejects_non_utf8_file(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     result = automorphism_group(g, cache_dir=tmp_path)
     assert result.nodes > 0
-    assert result.image_arrays == full.image_arrays
+    assert _arrays(result) == _arrays(full)
 
 
 def test_cache_rejects_full_array_format(tmp_path):
@@ -733,8 +738,8 @@ def _catalog_auts(order_cap: int):
 
 def test_conjugacy_classes_partition_aut():
     """On every catalog group of order <= 24 the classes partition the
-    ranks, each class ascending and the classes in order of their least
-    rank. 1,908 members fall into 441 classes."""
+    member indices, each class ascending and the classes in order of
+    their least index. 1,908 members fall into 441 classes."""
     count = 0
     for name, auts in _catalog_auts(24):
         classes = auts.conjugacy_classes
@@ -749,23 +754,24 @@ def test_conjugacy_classes_are_aut_orbits():
     """Reference, on every catalog group of order <= 12: the orbit of each
     member under conjugation by every member, beta alpha beta^-1."""
     for name, auts in _catalog_auts(12):
-        arrays = [m.images for m in auts.members]
-        rank_of = {images: k for k, images in enumerate(arrays)}
-        inverses = [invert(m).images for m in auts.members]
-        orbits = {frozenset(rank_of[tuple(beta[alpha[beta_inv[x]]] for x in range(len(alpha)))]
+        arrays = _index_order_arrays(auts)
+        index_of = {images: k for k, images in enumerate(arrays)}
+        inverses = [invert(GroupMap(auts.base, auts.base, images)).images for images in arrays]
+        orbits = {frozenset(index_of[tuple(beta[alpha[beta_inv[x]]] for x in range(len(alpha)))]
                             for beta, beta_inv in zip(arrays, inverses))
                   for alpha in arrays}
         assert set(map(frozenset, auts.conjugacy_classes)) == orbits, name
 
 
-def test_images_at_equals_member_at():
-    """Any ranks, repeated and out of order, on groups whose transversal
-    of Z(G) is larger than 1 and on the trivial group."""
+def test_images_at_takes_any_indices():
+    """Any indices, repeated and out of order, on groups whose
+    transversal of Z(G) is larger than 1 and on the trivial group."""
     for g in (builders.symmetric(4), builders.alternating(5), builders.cyclic(1),
               heisenberg27()):
         auts = enumerate_automorphisms(g)
-        ranks = [auts.order - 1, 0, auts.order // 2, 0, *range(0, auts.order, 7)]
-        assert auts.images_at(ranks) == [auts.member_at(k).images for k in ranks]
+        indices = [auts.order - 1, 0, auts.order // 2, 0, *range(0, auts.order, 7)]
+        expected = _index_order_arrays(auts)
+        assert auts.images_at(indices) == [expected[k] for k in indices]
 
 
 def test_power_map_equals_pow():

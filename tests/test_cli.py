@@ -601,6 +601,21 @@ def test_sfs_stats_do_not_depend_on_jobs(capsys, args, stats):
     assert got == [stats, stats]
 
 
+@pytest.mark.parametrize("budget, stats", [
+    ((), {"nodes": 310, "exact": True}),
+    (("--budget", "100"), {"nodes": 160, "exact": False}),
+])
+def test_abelian_index_stats_sum_the_rows(capsys, budget, stats):
+    """As in ``sfs tau-range``: nodes summed over the rows, exact only if
+    every row is, at any --jobs."""
+    got = [run_json(capsys, "--jobs", jobs, *budget, "verify", "abelian-index",
+                    "--max-q", "7")[1] for jobs in ("1", "4")]
+    rows = got[0]["rows"]
+    assert got[0]["stats"] == got[1]["stats"] == stats
+    assert stats == {"nodes": sum(row["nodes"] for row in rows),
+                     "exact": all(row["exact"] for row in rows)}
+
+
 def test_no_subcommand_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2

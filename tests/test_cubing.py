@@ -138,10 +138,10 @@ def _brute_max_ratio(group, auts, n):
     is the least maximizing image array."""
     targets = [group.pow(x, n) for x in group.elements()]
     best_count, best = -1, None
-    for member in auts.members:
-        count = sum(1 for x in group.elements() if member.images[x] == targets[x])
+    for images in sorted(m.images for m in auts.members):
+        count = sum(1 for x in group.elements() if images[x] == targets[x])
         if count > best_count:
-            best_count, best = count, member.images
+            best_count, best = count, images
     return Fraction(best_count, group.order), best
 
 

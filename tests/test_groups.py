@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cubeaut import builders
 from cubeaut.automorphisms import (
     GroupMap,
+    _indices,
     check_automorphism,
     identity_map,
     induced_on_quotient,
@@ -37,6 +38,7 @@ from cubeaut.groups import (
     FiniteGroup,
     _check_rows,
     _find_identity,
+    _is_permutation,
     _light_associativity,
     _validate_table,
     from_cayley_table,
@@ -1051,6 +1053,26 @@ def test_foreign_subgroup_is_refused(call, host):
 def test_centralizer_refuses_non_indices(bad):
     with pytest.raises(NotASubgroup, match=f"^{re.escape(repr(bad))} is not an element"):
         builders.cyclic(4).centralizer(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "1", -1, 4, []], ids=repr)
+def test_element_index_callers_refuse_non_indices(bad):
+    """One test of "element indices in 0..n-1", groups._are_indices,
+    serves four callers, and each keeps its own refusal: the image check
+    of a GroupMap and FiniteGroup._check_elements name the first bad
+    value, automorphisms._indices and groups._is_permutation answer
+    False. A bool, a float, a str, a negative index, n itself and a list
+    are each refused; the arrays without them pass."""
+    z4 = builders.cyclic(4)
+    assert GroupMap(z4, z4, (0, 1, 2, 3)).homomorphism_witness() is None
+    with pytest.raises(NotAutomorphism,
+                       match=f"^image of 2 is {re.escape(repr(bad))}, not an element of the target$"):
+        GroupMap(z4, z4, (0, 1, bad, 3)).homomorphism_witness()
+    assert z4.subgroup([0, 2]).order == 2
+    with pytest.raises(NotASubgroup, match=f"^{re.escape(repr(bad))} is not an element index"):
+        z4.subgroup([0, 2, bad, 5.5])
+    assert _indices([0, 3, 1], 4) and not _indices([0, bad, 1], 4)
+    assert _is_permutation([0, 1, 2, 3], 4) and not _is_permutation([0, 1, bad, 3], 4)
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])

@@ -13,6 +13,7 @@ import pytest
 
 import cubeaut
 from cubeaut import automorphisms, cli, cubing, groups, verifier
+from cubeaut.automorphisms import AutomorphismGroup
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
 
@@ -106,6 +107,25 @@ def test_every_export_has_a_caller():
     missing = sorted(name for name, phrase in EXPORTS_WITHOUT_A_CALLER.items()
                      if phrase not in readme)
     assert not missing, f"README.md no longer names the capability of {missing}"
+
+
+def test_aut_group_accessors_have_a_reader():
+    """Each public method or property of AutomorphismGroup is read as an
+    attribute by a module of src/cubeaut/, or README.md names it in code
+    (`members`, `AutomorphismGroup.members`, `images_at(indices)`). So an
+    accessor that only tests read, a second way to build members beside
+    images_at for one, cannot grow back unnoticed."""
+    public = sorted(name for name, value in vars(AutomorphismGroup).items()
+                    if not name.startswith("_") and isinstance(
+                        value, (types.FunctionType, property, functools.cached_property)))
+    read = {node.attr for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if isinstance(node, ast.Attribute)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = [name for name in public
+              if name not in read and not re.search(rf"`[\w.]*\b{name}\b", readme)]
+    assert "images_at" in public and "members" in public
+    assert not unread, f"AutomorphismGroup members no module reads or README names: {unread}"
 
 
 def test_stdlib_only():

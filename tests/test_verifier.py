@@ -890,21 +890,19 @@ def test_verify_properties_jobs_match(cache_dir):
 
 def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
     """A sampled-only scan builds each drawn automorphism through
-    ``images_at`` and reports what indexing the sorted members reports.
-    Here ``members`` is expanded coset by coset and sorted, without the
-    ranks of ``images_at``."""
+    ``images_at`` and reports what indexing the members reports. Here
+    ``members`` is expanded by ``member_images`` in index order (member
+    k is (representative k // |T|, transversal element k % |T|)),
+    without ``images_at``."""
     kwargs = dict(exhaustive_cap=0, sample_count=30, sample_min=16,
                   sample_max=64, seed=9, cache_dir=cache_dir)
 
-    def sorted_members(self):
-        arrays = sorted(self.member_images(rep, coset)
-                        for rep in range(len(self.representatives))
-                        for coset in range(len(self.transversal)))
-        return tuple(GroupMap(self.base, self.base, images) for images in arrays)
+    def index_order_members(self):
+        return tuple(GroupMap(self.base, self.base, _member(self, k)) for k in range(self.order))
 
-    monkeypatch.setattr(AutomorphismGroup, "members", property(sorted_members))
+    monkeypatch.setattr(AutomorphismGroup, "members", property(index_order_members))
     monkeypatch.setattr(AutomorphismGroup, "images_at",
-                        lambda self, ranks: [self.members[k].images for k in ranks])
+                        lambda self, indices: [self.members[k].images for k in indices])
     expected = verify_properties(**kwargs)
     monkeypatch.undo()
 
@@ -934,6 +932,12 @@ CLASS_INVARIANT = {
 }
 
 
+def _member(auts, k: int) -> tuple:
+    """The image array of member k: representative k // |T| conjugated
+    by transversal element k % |T|."""
+    return auts.member_images(*divmod(k, len(auts.transversal)))
+
+
 def _member_walk(ctx: GroupContext, arrays) -> list:
     """Per image array, each check id's (instances, skipped) on it alone."""
     counts = []
@@ -947,12 +951,12 @@ def _member_walk(ctx: GroupContext, arrays) -> list:
 @pytest.fixture(scope="module")
 def class_walks():
     """Per catalog group of order <= 24: its Aut(G), the per-member counts
-    (members built by ``member_at``) and the exhaustive task's result."""
+    (members built by ``member_images``) and the exhaustive task's result."""
     rows = []
     for name, group in built_in_catalog().groups(order_cap=24):
         auts = enumerate_automorphisms(group)
         counts = _member_walk(GroupContext(group, name),
-                              [auts.member_at(k).images for k in range(auts.order)])
+                              [_member(auts, k) for k in range(auts.order)])
         task = verifier._property_task(
             {"name": name, "group": group, "cache_dir": None, "kind": "exhaustive"})
         rows.append((name, auts, counts, task))
@@ -988,7 +992,7 @@ def test_sampled_task_weights_repeated_draws():
     task = verifier._property_task({"name": "S4", "group": group, "cache_dir": None,
                                     "kind": "sampled", "draws": draws})
     counts = _member_walk(GroupContext(group, "S4"),
-                          [auts.member_at(d % auts.order).images for d in draws])
+                          [_member(auts, d % auts.order) for d in draws])
     assert (task["pairs"], task["checked_pairs"]) == (6, 3)
     for check in CHECK_IDS:
         report = task["checks"][check]
@@ -1003,7 +1007,7 @@ def test_a_failure_sends_the_group_back_to_the_member_walk(monkeypatch):
     group = builders.symmetric(3)
     auts = enumerate_automorphisms(group)
     cls = next(c for c in auts.conjugacy_classes if len(c) == 3)
-    failing = auts.member_at(cls[0]).images
+    failing = _member(auts, cls[0])
     checker = verifier._CHECKERS["coset_bound_half"]
 
     def patched(ctx, img, members, mask, accs):
@@ -1019,7 +1023,7 @@ def test_a_failure_sends_the_group_back_to_the_member_walk(monkeypatch):
     reference = {check: CheckReport(check) for check in CHECK_IDS}
     ctx = GroupContext(group, "S3")
     for k in range(auts.order):
-        _run_all_checks(ctx, auts.member_at(k).images, reference)
+        _run_all_checks(ctx, _member(auts, k), reference)
     assert task["checks"]["coset_bound_half"].failures == [
         {"group": "S3", "alpha": list(failing), "subgroup": [0], "x": 0}]
     assert {c: (r.instances, r.skipped, r.failures) for c, r in task["checks"].items()} \
@@ -1035,12 +1039,28 @@ def test_class_sizes_must_sum_to_the_aut_order(monkeypatch):
             {"name": "S3", "group": group, "cache_dir": None, "kind": "exhaustive"})
 
 
+# Per check id, (instances, skipped) at seed 101: the 500 draws name the
+# members of their indices, so a change to the numbering of Aut(G)
+# changes these on purpose.
+SEED_101_COUNTS = {
+    "quotient_ratio_monotone": (12308, 0),
+    "cube_centralizer": (35482, 0),
+    "elementary_two_coset": (83754, 0),
+    **dict.fromkeys(PATTERN_IDS, (41498, 0)),
+    "trace_avoidance": (56512, 0),
+    "coset_bound_half": (370, 2322),
+}
+
+
 def test_checked_pairs_pinned(cache_dir):
     """At seed 101 the 1,908 exhaustive pairs fall into 441 classes, and
-    the 500 draws hit 462 distinct ranks."""
+    the 500 draws hit 462 distinct indices. The sampled counters are
+    pinned: ``trace_solves`` and each check's counts."""
     report = verify_properties(seed=101, cache_dir=cache_dir)
     assert (report["scope"]["exhaustive_pairs"], report["scope"]["sampled_pairs"]) == (1908, 500)
-    assert report["stats"]["checked_pairs"] == 441 + 462
+    assert report["stats"] == {"checked_pairs": 441 + 462, "trace_solves": 416}
+    assert {c["check"]: (c["instances"], c["skipped"]) for c in report["checks"]} \
+        == SEED_101_COUNTS
     assert report["pass"]
 
 
@@ -1229,7 +1249,8 @@ def test_power_pattern_counterexample_is_rechecked(monkeypatch):
     cubing_map = tuple(s3.pow(x, 3) for x in s3.elements())
     monkeypatch.setattr(verifier, "built_in_catalog",
                         lambda: Catalog([CatalogEntry("S3", 6, lambda: s3)]))
-    fake = SimpleNamespace(order=1, member_at=lambda k: GroupMap(s3, s3, cubing_map))
+    fake = SimpleNamespace(order=1, conjugacy_classes=((0,),),
+                           images_at=lambda indices: [cubing_map for _ in indices])
     monkeypatch.setattr(verifier, "automorphism_group", lambda group, cache_dir: fake)
     report = power_pattern_search(5, order_cap=6)
     first = next((a, b) for a in s3.elements() for b in s3.elements()
@@ -1241,6 +1262,61 @@ def test_power_pattern_counterexample_is_rechecked(monkeypatch):
                         lambda group, members, mask, tables: ([1], [[(0, 2)]]))
     with pytest.raises(InternalCheckFailed, match="non-revalidating counterexample for n = 5"):
         power_pattern_search(5, order_cap=6)
+
+
+PATTERN_EXPONENTS = range(-3, 7)
+
+
+@pytest.fixture(scope="module")
+def member_pattern_walks():
+    """Reference for search pattern at order cap 16: every member of every
+    catalog group in index order, each pair (a, b) of its cube set tried
+    on the raw table. Per exponent n: (groups, pairs, first witness),
+    stopping after the group of the first witness."""
+    per_group = []  # per group, per n: [pairs, first witness]
+    for name, group in built_in_catalog().groups(order_cap=16):
+        t = group.table
+        auts = enumerate_automorphisms(group)
+        cubes = [group.pow(x, 3) for x in group.elements()]
+        found = {n: [0, None] for n in PATTERN_EXPONENTS}
+        for k in range(auts.order):
+            img = _member(auts, k)
+            cubed = [x for x in group.elements() if img[x] == cubes[x]]
+            for a, b in ((a, b) for a in cubed for b in cubed
+                         if img[t[a][b]] == cubes[t[a][b]]):
+                for n, entry in found.items():
+                    fourth = t[group.pow(a, n)][b]
+                    if img[fourth] == cubes[fourth]:
+                        entry[0] += 1
+                        if entry[1] is None and group.commutator(a, b) != 0:
+                            entry[1] = {"group": name, "alpha": list(img), "a": a, "b": b, "n": n}
+        per_group.append(found)
+    results = {}
+    for n in PATTERN_EXPONENTS:
+        groups = pairs = 0
+        witness = None
+        for found in per_group:
+            groups += 1
+            pairs += found[n][0]
+            witness = found[n][1]
+            if witness:
+                break
+        results[n] = (groups, pairs, witness)
+    return results
+
+
+@pytest.mark.parametrize("n", PATTERN_EXPONENTS)
+def test_power_pattern_class_walk_equals_member_walk(n, member_pattern_walks, cache_dir):
+    """The walk over one member per Aut(G)-class, weighted by the class
+    size, reports what the walk over every member reports, and
+    ``stats.checked_pairs`` counts the classes it walked."""
+    report = power_pattern_search(n, order_cap=16, cache_dir=cache_dir)
+    groups, pairs, counterexample = member_pattern_walks[n]
+    assert (report["groups_scanned"], report["pairs_scanned"], report["counterexample"]) \
+        == (groups, pairs, counterexample)
+    assert report["stats"] == {"checked_pairs": sum(
+        len(enumerate_automorphisms(group).conjugacy_classes)
+        for _, group in list(built_in_catalog().groups(order_cap=16))[:groups])}
 
 
 def test_power_pattern_scope_is_data(cache_dir):
