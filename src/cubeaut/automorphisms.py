@@ -195,9 +195,10 @@ class AutomorphismGroup:
     ``representatives`` holds the image arrays of the representatives b.
     The coset of b is x -> t^-1 b(x) t for t over ``transversal``, a
     transversal T of Z(G), so ``order`` needs no member. Member k is
-    ``member_images(k // |T|, k % |T|)``: ``images_at`` builds the
-    members of any indices, and ``members`` is every member in index
-    order, built on first use.
+    x -> t^-1 b(x) t for b = ``representatives[k // |T|]`` and
+    t = ``transversal[k % |T|]``: ``images_at`` builds the members of
+    any indices, and ``members`` is every member in index order, built
+    on first use.
     """
 
     base: FiniteGroup
@@ -216,16 +217,6 @@ class AutomorphismGroup:
     @property
     def order(self) -> int:
         return len(self.representatives) * len(self.transversal)
-
-    def member_images(self, rep: int, coset: int) -> tuple:
-        """The image array of x -> t^-1 b(x) t, for b the ``rep``-th
-        representative and t the ``coset``-th transversal element. The
-        transversal starts with the identity, so coset 0 is b's own
-        tuple."""
-        if coset == 0:
-            return self.representatives[rep]
-        return tuple(map(_conjugation(self.base, self.transversal[coset]).__getitem__,
-                         self.representatives[rep]))
 
     @cached_property
     def members(self) -> tuple:

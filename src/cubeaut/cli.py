@@ -20,13 +20,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .automorphisms import GroupMap, _indices, automorphism_group, identity_map, power_map
+from .automorphisms import GroupMap, _indices, identity_map, power_map
 from .catalog import build_named_group
 from .cubing import (
     classify_cubing_structure,
     cube_set,
-    max_cube_ratio,
-    max_ratio_stats,
     ratio_json,
 )
 from .errors import CubeautError, FileFormatError
@@ -291,18 +289,9 @@ def _cmd_cube_ratio(args):
 
 def _cmd_cube_max(args):
     group = _resolve_group(args.target)
-    auts = automorphism_group(group, args.cache_dir)
-    ratio, witness = max_cube_ratio(group, n=args.exponent, auts=auts)
-    return {
-        "suite": "cube-max",
-        "group": group.name,
-        "order": group.order,
-        "exponent": args.exponent,
-        "aut_order": auts.order,
-        "max_ratio": ratio_json(ratio),
-        "witness": list(witness.images),
-        "stats": max_ratio_stats(auts),
-    }, True
+    row, _, witness, stats = verifier.ratio_row(group, group.name, args.cache_dir, args.exponent)
+    return {"suite": "cube-max", **row, "exponent": args.exponent,
+            "witness": list(witness.images), "stats": stats}, True
 
 
 def _cmd_cube_classify(args):
@@ -513,13 +502,16 @@ def _to_text(report: dict, args) -> str:
                 lines.append(f"  {row['group']:9s} max ratio "
                              f"{_fmt_ratio(row['max_ratio']):8s} "
                              f"solvable {row['solvable']}")
+        for failure in report["failures"]:
+            lines.append(f"  FAIL {failure['group']}: {failure['reason']} "
+                         f"(max ratio {_fmt_ratio(failure['max_ratio'])})")
         lines.append("boundary verified" if report["pass"] else "BOUNDARY FAILURES")
     elif suite == "max-abelian-indices":
         for row in report["rows"]:
+            ok = row["exact"] and row["index"] == row["expected_index"]
             lines.append(f"q = {row['q']:2d}  order {row['order']:5d}  "
                          f"max abelian {row['max_abelian']:3d}  index {row['index']:3d} "
-                         f"(expected {row['expected_index']})  "
-                         f"{'ok' if row['index'] == row['expected_index'] else 'FAIL'}")
+                         f"(expected {row['expected_index']})  {'ok' if ok else 'FAIL'}")
         lines.append("indices match" if report["pass"] else "MISMATCH")
     elif suite == "power-pattern-search":
         if report["counterexample"]:

@@ -105,15 +105,9 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
                 best_count, best = count, []
             if count == best_count:
                 best.append((rep, cls))
-    witness = min(auts.member_images(rep, c) for rep, cls in best for c in cls)
+    size = len(auts.transversal)
+    witness = min(auts.images_at([rep * size + c for rep, cls in best for c in cls]))
     return Fraction(best_count, group.order), GroupMap(group, group, witness)
-
-
-def max_ratio_stats(auts: AutomorphismGroup) -> dict:
-    """The work counters of ``max_cube_ratio`` over ``auts``: the coset
-    representatives, and the twisted classes, one evaluation each."""
-    return {"aut_representatives": len(auts.representatives),
-            "ratio_evaluations": sum(map(len, auts.twisted_classes))}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ or per distinct draw, and weights its counts; a failure sends the group
 back to a walk over every member, so failure lists are per member. A
 task builds its members t-major (``AutomorphismGroup.images_at``). The
 sample list is derived once from the seed, so reports are identical at
-any worker count. ``verify_properties`` is the only suite that draws
+any worker count. ``ratio_row`` is a group's one maximum-ratio row:
+``cube max`` and the classification and solvability-boundary suites
+report it. ``verify_properties`` is the only suite that draws
 from a seed and the only one whose report carries it; the CLI adds
 ``--seed`` to every report itself.
 """
@@ -37,7 +39,6 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -56,7 +57,6 @@ from .cubing import (
     classify_cubing_structure,
     cube_set,
     max_cube_ratio,
-    max_ratio_stats,
     ratio_json,
     Kind,
 )
@@ -645,47 +645,62 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
 
 
 # ---------------------------------------------------------------------------
+# Maximum-ratio rows
+
+
+def ratio_row(group: FiniteGroup, name: str, cache_dir=None, n: int = 3) -> tuple:
+    """The largest share of G that an automorphism sends to n-th powers,
+    as (row, ratio, witness, stats): the row that ``cube max`` and both
+    theorem suites report (name, order, ``max_ratio``, ``aut_order``),
+    and the counts of coset representatives and of twisted classes, one
+    ratio evaluation each."""
+    auts = automorphism_group(group, cache_dir)
+    ratio, witness = max_cube_ratio(group, n=n, auts=auts)
+    row = {"group": name, "order": group.order, "max_ratio": ratio_json(ratio),
+           "aut_order": auts.order}
+    stats = {"aut_representatives": len(auts.representatives),
+             "ratio_evaluations": sum(map(len, auts.twisted_classes))}
+    return row, ratio, witness, stats
+
+
+def _ratio_rows(cat: Catalog, names: list, worker, jobs: int, cache_dir) -> tuple:
+    """``worker`` on one task per name, on at most ``jobs`` processes:
+    the rows and exact ratios it returns, in name order, and the
+    ``ratio_row`` stats summed key by key."""
+    results = _parallel([_task(cat, name, cache_dir) for name in names], worker, jobs)
+    rows, ratios, stats = zip(*results)
+    return list(rows), ratios, {key: sum(s[key] for s in stats) for key in stats[0]}
+
+
+# ---------------------------------------------------------------------------
 # Classification equivalence
 
 
-def _classification_task(task: dict) -> dict:
+def _classification_task(task: dict) -> tuple:
     group = task["group"]
     verdict = classify_cubing_structure(group)
-    auts = automorphism_group(group, task["cache_dir"])
-    ratio, witness = max_cube_ratio(group, auts=auts)
-    row = {
-        "group": task["name"],
-        "order": group.order,
-        "verdict": verdict.kind.value,
-        "max_ratio": ratio_json(ratio),
-        "aut_order": auts.order,
-        "equivalent": (verdict.kind != Kind.NONE) == (ratio > HALF),
-        "attains_max": verdict.kind == Kind.NONE or verdict.predicted_ratio == ratio,
-    }
+    row, ratio, _, stats = ratio_row(group, task["name"], task["cache_dir"])
+    row["verdict"] = verdict.kind.value
+    row["equivalent"] = (verdict.kind != Kind.NONE) == (ratio > HALF)
+    row["attains_max"] = verdict.kind == Kind.NONE or verdict.predicted_ratio == ratio
     if verdict.predicted_ratio is not None:
         row["predicted_ratio"] = ratio_json(verdict.predicted_ratio)
-    return {"row": row, "stats": max_ratio_stats(auts)}
-
-
-def _rows_and_stats(results: list) -> tuple:
-    """The rows of the task results, and their stats summed key by key."""
-    stats = {key: sum(r["stats"][key] for r in results) for key in results[0]["stats"]}
-    return [r["row"] for r in results], stats
+    return row, ratio, stats
 
 
 def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64,
                           jobs: int = 1, cache_dir=None) -> dict:
     """On every catalog group up to the cap: a structural verdict exists
     iff the brute-force maximum ratio exceeds 1/2, and when it does the
-    constructed automorphism attains the maximum. The ``stats`` block is
-    ``max_ratio_stats`` summed over the rows."""
+    constructed automorphism attains the maximum. Each row is the group's
+    ``ratio_row`` with the verdict, and the ``stats`` block sums the
+    rows' stats."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
     names = cat.names(order_cap=order_cap)
     if not names:
         raise UnsupportedParameter(f"no catalog group has order at most {order_cap}")
-    tasks = [_task(cat, name, cache_dir) for name in names]
-    rows, stats = _rows_and_stats(_parallel(tasks, _classification_task, jobs))
+    rows, _, stats = _ratio_rows(cat, names, _classification_task, jobs, cache_dir)
     mismatches = [r for r in rows if not (r["equivalent"] and r["attains_max"])]
     return {
         "suite": "classification-equivalence",
@@ -703,26 +718,19 @@ def verify_classification(catalog: Optional[Catalog] = None, order_cap: int = 64
 # Solvability boundary
 
 
-def _boundary_task(task: dict) -> dict:
-    group = task["group"]
-    auts = automorphism_group(group, task["cache_dir"])
-    ratio, _ = max_cube_ratio(group, auts=auts)
-    row = {
-        "group": task["name"],
-        "order": group.order,
-        "max_ratio": ratio_json(ratio),
-        "solvable": group.is_solvable,
-        "aut_order": auts.order,
-    }
-    return {"row": row, "stats": max_ratio_stats(auts)}
+def _boundary_task(task: dict) -> tuple:
+    row, ratio, _, stats = ratio_row(task["group"], task["name"], task["cache_dir"])
+    row["solvable"] = task["group"].is_solvable
+    return row, ratio, stats
 
 
 def verify_solvability_boundary(catalog: Optional[Catalog] = None,
                                 order_cap: int = 64, jobs: int = 1,
                                 cache_dir=None) -> dict:
     """The named boundary groups max out at 4/15 (A5 exactly), and on
-    the whole scanned catalog a ratio above 4/15 forces solvability. The
-    ``stats`` block is ``max_ratio_stats`` summed over the rows."""
+    the whole scanned catalog a ratio above 4/15 forces solvability. Each
+    row is the group's ``ratio_row`` with ``solvable``, and the ``stats``
+    block sums the rows' stats."""
     started = time.monotonic()
     cat = catalog if catalog is not None else built_in_catalog()
     missing = [name for name in BOUNDARY_GROUPS if name not in cat]
@@ -731,10 +739,8 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
             f"catalog lacks the boundary groups {', '.join(missing)}")
     names = list(cat.names(order_cap=order_cap))
     names += [name for name in BOUNDARY_GROUPS if name not in names]
-    tasks = [_task(cat, name, cache_dir) for name in names]
-    rows, stats = _rows_and_stats(_parallel(tasks, _boundary_task, jobs))
-    by_name = {r["group"]: r for r in rows}
-    ratio = {r["group"]: Fraction(r["max_ratio"]["num"], r["max_ratio"]["den"]) for r in rows}
+    rows, ratios, stats = _ratio_rows(cat, names, _boundary_task, jobs, cache_dir)
+    ratio = dict(zip(names, ratios))
     extremal, *others = BOUNDARY_GROUPS
     flagged = []
     if ratio[extremal] != SOLVABILITY_BOUND:
@@ -743,7 +749,7 @@ def verify_solvability_boundary(catalog: Optional[Catalog] = None,
                 for name in others if ratio[name] > SOLVABILITY_BOUND]
     flagged += [(r["group"], "ratio above 4/15 on an insolvable group")
                 for r in rows if ratio[r["group"]] > SOLVABILITY_BOUND and not r["solvable"]]
-    failures = [{"group": name, "reason": reason, "max_ratio": by_name[name]["max_ratio"]}
+    failures = [{"group": name, "reason": reason, "max_ratio": ratio_json(ratio[name])}
                 for name, reason in flagged]
     return {
         "suite": "solvability-boundary",

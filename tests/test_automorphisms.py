@@ -316,8 +316,17 @@ def _index_order_arrays(auts) -> list:
     return [tuple(c[y] for y in images) for images in auts.representatives for c in conj]
 
 
+def _member(auts, k: int) -> tuple:
+    """The image array of member k, built by hand: each image of
+    representative k // |T| conjugated by transversal element k % |T|."""
+    rep, coset = divmod(k, len(auts.transversal))
+    t = auts.transversal[coset]
+    return tuple(auts.base.conjugate(y, t) for y in auts.representatives[rep])
+
+
 def test_index_is_representative_and_transversal_element():
-    """images_at([k])[0] is member_images(k // |T|, k % |T|) for every k,
+    """images_at([k])[0] is representative k // |T| conjugated by
+    transversal element k % |T| for every k,
     images_at builds no other member, and sorted, the members are the
     fully sorted image arrays: on every catalog group of order <= 64
     (Z1 among them) and A5, L2(7), A6, L2(9), where [G : Z(G)] > 1."""
@@ -328,9 +337,8 @@ def test_index_is_representative_and_transversal_element():
     assert "Z1" in dict(groups)
     for name, group in groups:
         auts = enumerate_automorphisms(group)
-        size = len(auts.transversal)
         for k in range(auts.order):
-            assert auts.images_at([k])[0] == auts.member_images(k // size, k % size), (name, k)
+            assert auts.images_at([k])[0] == _member(auts, k), (name, k)
         assert "members" not in vars(auts), name
         expected = _index_order_arrays(auts)
         assert sorted(auts.images_at(range(auts.order))) == sorted(expected), name
@@ -725,7 +733,8 @@ def test_twisted_classes_are_inner_conjugacy_classes(build):
             orbit.add(tuple(g.conjugate(m.images[g.conjugate(x, s_inv)], s)
                             for x in g.elements()))
         orbits.add(frozenset(orbit))
-    classes = {frozenset(auts.member_images(rep, c) for c in cls)
+    size = len(auts.transversal)
+    classes = {frozenset(_member(auts, rep * size + c) for c in cls)
                for rep, per_rep in enumerate(auts.twisted_classes) for cls in per_rep}
     assert classes == orbits
 

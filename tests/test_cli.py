@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cubeaut
-from cubeaut import builders, sfs
+from cubeaut import builders, sfs, verifier
 from cubeaut.cli import _build_parser, main
 from cubeaut.groups import group_to_json
 
@@ -435,6 +436,44 @@ def test_verify_abelian_indices(capsys):
     assert [r["index"] for r in payload["rows"]] == [12, 24]
 
 
+def test_abelian_index_text_fails_an_inexact_row(capsys):
+    """At budget 50 neither search finishes: both rows are inexact, so
+    the report lists them under failures and the text marks each FAIL."""
+    code, payload, _ = run_json(capsys, "--budget", "50", "verify", "abelian-index",
+                                "--max-q", "7")
+    assert code == 1 and payload["failures"] == payload["rows"]
+    assert not any(row["exact"] for row in payload["rows"])
+    code, out, _ = run(capsys, "--budget", "50", "verify", "abelian-index", "--max-q", "7")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line.split()[-1] for line in lines] == ["FAIL", "FAIL", "MISMATCH"]
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({"A5": Fraction(1, 3), "Z4": Fraction(1, 1)},
+     ["  FAIL A5: maximum ratio is not exactly 4/15 (max ratio 1/3)",
+      "  FAIL A5: ratio above 4/15 on an insolvable group (max ratio 1/3)"]),
+    ({"PGL2(7)": Fraction(1, 2)},
+     ["  FAIL PGL2(7): maximum ratio exceeds 4/15 (max ratio 1/2)",
+      "  FAIL PGL2(7): ratio above 4/15 on an insolvable group (max ratio 1/2)"]),
+], ids=["A5 above", "PGL2(7) above"])
+def test_boundary_text_names_each_failure(monkeypatch, capsys, cache_dir, overrides, expected):
+    """With max_cube_ratio patched for the named groups, the text prints
+    one line per failure, with its reason and ratio, before the verdict."""
+    real = verifier.max_cube_ratio
+
+    def patched(group, n, auts):
+        if group.name in overrides:
+            return overrides[group.name], None
+        return real(group, n=n, auts=auts)
+
+    monkeypatch.setattr(verifier, "max_cube_ratio", patched)
+    code, out, _ = run(capsys, "--cache-dir", str(cache_dir), "verify", "solvable-boundary",
+                       "--order-cap", "4")
+    assert code == 1
+    assert out.splitlines()[-len(expected) - 1:] == [*expected, "BOUNDARY FAILURES"]
+
+
 def test_verify_classification_small(capsys, cache_dir):
     code, payload, _ = run_json(capsys, "--cache-dir", str(cache_dir),
                                 "verify", "classification", "--order-cap", "12")
@@ -581,13 +620,19 @@ def test_properties_stats_do_not_depend_on_jobs(capsys, cache_dir):
 @pytest.mark.parametrize("args", [("classification", "--order-cap", "12"),
                                   ("solvable-boundary", "--order-cap", "8")])
 def test_aut_stats_do_not_depend_on_jobs(capsys, cache_dir, args):
-    """The blocks sum ``cube max``'s counters over the rows."""
+    """The blocks sum ``cube max``'s counters over the rows, and each
+    row's group, order, max_ratio and aut_order are ``cube max``'s."""
     argv = ["--cache-dir", str(cache_dir), "verify", *args]
     got = [run_json(capsys, "--jobs", jobs, *argv)[1] for jobs in ("1", "4")]
     assert got[0]["stats"] == got[1]["stats"]
-    per_row = [run_json(capsys, "--cache-dir", str(cache_dir), "cube", "max",
-                        row["group"])[1]["stats"] for row in got[0]["rows"]]
+    maxes = [run_json(capsys, "--cache-dir", str(cache_dir), "cube", "max",
+                      row["group"])[1] for row in got[0]["rows"]]
+    per_row = [m["stats"] for m in maxes]
     assert got[0]["stats"] == {key: sum(s[key] for s in per_row) for key in per_row[0]}
+    keys = ("group", "order", "max_ratio", "aut_order")
+    for payload in got:
+        assert [{k: r[k] for k in keys} for r in payload["rows"]] \
+            == [{k: m[k] for k in keys} for m in maxes]
 
 
 @pytest.mark.parametrize("args, stats", [

@@ -214,6 +214,26 @@ def test_failures_recorded_only_through_record():
     assert not outside, f"failures appended outside _record at lines {outside}"
 
 
+def test_max_ratio_computed_only_by_ratio_row():
+    """In cli.py and verifier.py only ``verifier.ratio_row`` calls
+    max_cube_ratio: ``cube max`` and both theorem suites report its row,
+    so a second copy of the row, or a route to the maximum added beside
+    it, cannot grow back unnoticed."""
+    def calls(node):
+        return {(path.name, n.lineno) for n in ast.walk(node)
+                if isinstance(n, ast.Call) and "max_cube_ratio" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))}
+
+    found, inside = set(), set()
+    for path in (ROOT / "src" / "cubeaut" / "cli.py", ROOT / "src" / "cubeaut" / "verifier.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= calls(tree)
+        inside = inside.union(*(calls(node) for node in ast.walk(tree)
+                                if isinstance(node, ast.FunctionDef) and node.name == "ratio_row"))
+    assert len(inside) == 1, f"ratio_row calls max_cube_ratio at {sorted(inside)}"
+    assert found == inside, f"max_cube_ratio called outside ratio_row at {sorted(found - inside)}"
+
+
 def test_package_reads_no_environment():
     """What the package does depends on its arguments only: no
     os.environ or os.getenv (a cache directory, for one, is named by

@@ -891,8 +891,8 @@ def test_verify_properties_jobs_match(cache_dir):
 def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
     """A sampled-only scan builds each drawn automorphism through
     ``images_at`` and reports what indexing the members reports. Here
-    ``members`` is expanded by ``member_images`` in index order (member
-    k is (representative k // |T|, transversal element k % |T|)),
+    ``members`` is built by hand in index order (member k is
+    representative k // |T| conjugated by transversal element k % |T|),
     without ``images_at``."""
     kwargs = dict(exhaustive_cap=0, sample_count=30, sample_min=16,
                   sample_max=64, seed=9, cache_dir=cache_dir)
@@ -933,9 +933,11 @@ CLASS_INVARIANT = {
 
 
 def _member(auts, k: int) -> tuple:
-    """The image array of member k: representative k // |T| conjugated
-    by transversal element k % |T|."""
-    return auts.member_images(*divmod(k, len(auts.transversal)))
+    """The image array of member k, built by hand: each image of
+    representative k // |T| conjugated by transversal element k % |T|."""
+    rep, coset = divmod(k, len(auts.transversal))
+    t = auts.transversal[coset]
+    return tuple(auts.base.conjugate(y, t) for y in auts.representatives[rep])
 
 
 def _member_walk(ctx: GroupContext, arrays) -> list:
@@ -951,7 +953,7 @@ def _member_walk(ctx: GroupContext, arrays) -> list:
 @pytest.fixture(scope="module")
 def class_walks():
     """Per catalog group of order <= 24: its Aut(G), the per-member counts
-    (members built by ``member_images``) and the exhaustive task's result."""
+    (members built by ``_member``) and the exhaustive task's result."""
     rows = []
     for name, group in built_in_catalog().groups(order_cap=24):
         auts = enumerate_automorphisms(group)
@@ -1172,10 +1174,10 @@ def test_verify_boundary_reports_each_failure(monkeypatch, cache_dir, overrides,
     4/15 (Z4 at 1) is no failure."""
     real = verifier.max_cube_ratio
 
-    def patched(group, auts):
+    def patched(group, n, auts):
         if group.name in overrides:
             return overrides[group.name], None
-        return real(group, auts=auts)
+        return real(group, n=n, auts=auts)
 
     monkeypatch.setattr(verifier, "max_cube_ratio", patched)
     report = verify_solvability_boundary(order_cap=4, cache_dir=cache_dir)
