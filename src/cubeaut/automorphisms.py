@@ -29,8 +29,11 @@ member indices (``AutomorphismGroup.conjugacy_classes``).
 ``automorphism_group`` enumerates unless its caller names a cache
 directory; only then does it hash the table and read or write a file.
 The file stores the generator images of the representatives only. A
-load proves each one through the same closure and checks that it is
-canonical, without expanding any coset.
+load proves them all at once, column by column: one breadth-first walk
+over the generators carries the images of each element under every
+stored map, and checks the law, that every element is reached and that
+the kernels are trivial. It then checks canonicity once per shared
+prefix of image tuples. No coset is expanded.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import getitem
 from pathlib import Path
 from typing import Optional
 
@@ -485,20 +490,10 @@ def enumerate_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     return AutomorphismGroup(group, tuple(found), tuple(gens), nodes)
 
 
-def _is_canonical(group: FiniteGroup, cent, images) -> bool:
-    """True iff each image is the least of its orbit under conjugation
-    by the elements of ``cent`` commuting with the images before it."""
-    for h in images:
-        if min(_conjugates(group, cent, h)) < h:
-            return False
-        cent = _centralizing(group, cent, h)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Disk cache, only in a directory the caller names (advisory: the
-# representatives are stored as generator images; a load proves each
-# through _close and checks that it is canonical)
+# representatives are stored as generator images; a load proves them in
+# one column pass and checks canonicity once per shared prefix)
 
 
 def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
@@ -507,15 +502,19 @@ def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
     Without a directory this is ``enumerate_automorphisms(group)``: no
     table hash is computed and no file is touched. With one, the file
     ``aut-<table_hash>.json`` holds the generator images of the coset
-    representatives under the key ``representatives``. Each is rebuilt
-    by the closure the enumerator uses, which proves it an automorphism,
-    and must be canonical: its images orbit-least level by level, as the
-    enumerator finds them. A file is rejected when a representative
+    representatives under the key ``representatives``. All of them are
+    rebuilt in one pass, column by column (``_prove_stored``): the law on
+    every pair (a, g) with g a generator, every element reached and a
+    trivial kernel prove each an automorphism, as the enumerator's
+    closure would. Each must be canonical: its images orbit-least level
+    by level, as the enumerator finds them, checked once per shared
+    prefix (``_all_canonical``). A file is rejected when a representative
     repeats, when #representatives * [G : Z(G)] differs from its
-    ``aut_order``, or when it lacks the key (a file of an earlier
-    layout). Nothing is expanded. Completeness rests on the table-hash
-    key. Any file that fails to load is re-enumerated and overwritten,
-    so a stale or corrupt cache can only cost time, not correctness.
+    ``aut_order`` or that is not an int, or when it lacks the key (a
+    file of an earlier layout). Nothing is expanded. Completeness rests
+    on the table-hash key. Any file that fails to load is re-enumerated
+    and overwritten, so a stale or corrupt cache can only cost time, not
+    correctness.
     """
     if cache_dir is None:
         return enumerate_automorphisms(group)
@@ -544,22 +543,72 @@ def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     gens, stored = data.get("generators"), data.get("representatives")
     if not _indices(gens, n) or not isinstance(stored, list) or not stored:
         return None
-    found = []
-    for images in stored:
-        if not _indices(images, n) or len(images) != len(gens):
-            return None
-        img = _close(group.table, list(zip(gens, images)), n, True)
-        if img is None:
-            return None
-        found.append(tuple(img))
-    if len(set(found)) != len(found):
-        return None  # a repeated representative
+    if (set(map(type, stored)) != {list} or set(map(len, stored)) != {len(gens)}
+            or not _are_indices(list(chain.from_iterable(stored)), n)):
+        return None  # not every representative is a list of k element indices
+    found = _prove_stored(group.table, gens, stored, n)
+    if found is None or len(set(found)) != len(found):
+        return None  # not all automorphisms, or a repeated representative
     result = AutomorphismGroup(group, tuple(found), tuple(gens), 0)
-    if data.get("aut_order") != result.order:
+    aut_order = data.get("aut_order")
+    if type(aut_order) is not int or aut_order != result.order:
         return None
-    if not all(_is_canonical(group, result.transversal, images) for images in stored):
+    if not _all_canonical(group, result.transversal, stored):
         return None
     return result
+
+
+def _prove_stored(table, gens, stored, n: int) -> Optional[list]:
+    """The image arrays of the maps sending ``gens`` to each stored
+    tuple, or None unless every one is an automorphism.
+
+    One breadth-first walk from the identity over ``gens`` serves every
+    map: each reached a keeps its column, the images of a under all the
+    maps, and column a*g is column a times the column of images of g.
+    When a*g was reached before, the two columns must agree, which is
+    the law on (a, g) for every map at once. Every element must be
+    reached, so ``gens`` generate G, and no column but the identity's
+    may hold 0. A map that fixes 0 and respects products with a
+    generating set is an endomorphism, and with a trivial kernel it is
+    bijective: exactly what ``_close`` proves of each map alone.
+    """
+    gen_cols = list(zip(*stored))
+    cols = [None] * n
+    cols[0] = [0] * len(stored)
+    queue = [0]
+    for a in queue:
+        row, rows = table[a], list(map(table.__getitem__, cols[a]))
+        for g, gen_col in zip(gens, gen_cols):
+            c, col = row[g], list(map(getitem, rows, gen_col))
+            if cols[c] is None:
+                if 0 in col:
+                    return None  # a non-identity element in some kernel
+                cols[c] = col
+                queue.append(c)
+            elif cols[c] != col:
+                return None
+    if len(queue) < n:
+        return None
+    return list(zip(*cols))
+
+
+def _all_canonical(group: FiniteGroup, transversal, stored) -> bool:
+    """True iff each image of every stored tuple is the least of its
+    orbit under conjugation by the elements of ``transversal`` that
+    commute with the images before it, as the enumerator finds them.
+    Each prefix is checked once: its centralizer is kept for every
+    tuple that extends it."""
+    cents = {(): list(transversal)}
+    for images in stored:
+        prefix = ()
+        for h in images:
+            cent = cents[prefix]
+            prefix += (h,)
+            if prefix not in cents:
+                if min(_conjugates(group, cent, h)) < h:
+                    return False
+                cents[prefix] = _centralizing(group, cent, h)
+    return True
 
 
 def _store_cache(path: Path, group: FiniteGroup, result: AutomorphismGroup) -> None:

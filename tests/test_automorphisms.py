@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,14 @@ from cubeaut.automorphisms import (
     power_map,
     restrict,
 )
-from cubeaut.automorphisms import _close, _fingerprints
+from cubeaut.automorphisms import (
+    _all_canonical,
+    _centralizing,
+    _close,
+    _conjugates,
+    _fingerprints,
+    _prove_stored,
+)
 from cubeaut.catalog import heisenberg27
 from cubeaut.errors import NotAutomorphism, NotInvariant
 
@@ -573,8 +581,9 @@ def test_cache_stores_generator_images(tmp_path):
 
 
 def test_cache_load_equals_enumeration_on_catalog(tmp_path):
+    # order 360 covers every group a warm cache serves to the CLI's scans
     from cubeaut.catalog import built_in_catalog
-    for name, group in built_in_catalog().groups(order_cap=64):
+    for name, group in built_in_catalog().groups(order_cap=360):
         enumerated = automorphism_group(group, cache_dir=tmp_path)
         loaded = automorphism_group(group, cache_dir=tmp_path)
         assert loaded.nodes == 0, name  # served from the cache
@@ -652,12 +661,15 @@ def test_cache_rejects_non_canonical_representative(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("generator", "1"), ("generator", True), ("generator", 10), ("generator", -1),
     ("image", 1.0), ("image", True), ("image", 10), ("image", -1),
+    ("representative", "01"), ("representative", 1),
 ])
 def test_cache_rejects_bad_entries(tmp_path, field, value):
     g = builders.dihedral(5)
     full, path, payload = _cached_payload(tmp_path, g)
     if field == "generator":
         payload["generators"][0] = value
+    elif field == "representative":  # a string of length k, or no list at all
+        payload["representatives"][1] = value
     else:
         payload["representatives"][1][0] = value
     _assert_reenumerated(tmp_path, g, path, full, payload)
@@ -710,6 +722,125 @@ def test_cache_rejects_wrong_aut_order(tmp_path):
     full, path, payload = _cached_payload(tmp_path, g)
     payload["aut_order"] = full.order - 1
     _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: builders.alternating(5), 120.0),
+    (lambda: builders.cyclic(2), True),  # |Aut(Z2)| = 1
+])
+def test_cache_rejects_non_int_aut_order(tmp_path, build, value):
+    # equal to |Aut(G)| as a number, but not an int
+    g = build()
+    full, path, payload = _cached_payload(tmp_path, g)
+    assert payload["aut_order"] == value
+    payload["aut_order"] = value
+    _assert_reenumerated(tmp_path, g, path, full, payload)
+
+
+def test_cache_rejects_non_injective_endomorphism(tmp_path):
+    # S4's sign map onto <(01)> and the trivial map respect every product,
+    # so only the kernel test refuses them
+    g = builders.symmetric(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    gens = payload["generators"]
+    a4 = set(g.derived_subgroup.elements)
+    swap = next(x for x in g.elements() if x not in a4 and g.element_orders[x] == 2)
+    sign = tuple(0 if x in a4 else swap for x in g.elements())
+    for endo in (GroupMap(g, g, sign), GroupMap(g, g, (0,) * g.order)):
+        assert endo.homomorphism_witness() is None and not endo.is_bijective
+        images = [endo(x) for x in gens]
+        assert _close(g.table, list(zip(gens, images)), g.order, True) is None
+        assert _prove_stored(g.table, gens, [images], g.order) is None
+        bad = dict(payload, representatives=payload["representatives"][:-1] + [images])
+        _assert_reenumerated(tmp_path, g, path, full, bad)
+
+
+def _close_each(table, gens, stored, n):
+    """The loader's former proof: one complete closure per stored tuple."""
+    arrays = [_close(table, list(zip(gens, images)), n, True) for images in stored]
+    return None if None in arrays else [tuple(img) for img in arrays]
+
+
+def test_batched_proof_equals_closure_per_representative():
+    """On every catalog group of order <= 64, the stored tuples, seeded
+    single-image corruptions of them, a repeated generator with an equal
+    and with a conflicting image, and the power maps x -> x^e (endomorphisms
+    of an abelian group, not injective for some e): a set is proven iff
+    every tuple closes, with the same image arrays."""
+    from cubeaut.catalog import built_in_catalog
+    rng = random.Random(20261020)
+    outcomes = set()
+    for name, g in built_in_catalog().groups(order_cap=64):
+        auts = enumerate_automorphisms(g)
+        gens = list(auts.generating_set)
+        stored = [[b[x] for x in gens] for b in auts.representatives]
+        cases = [(gens, stored)]
+        if gens:
+            for _ in range(4):
+                bad = [list(images) for images in stored]
+                bad[rng.randrange(len(bad))][rng.randrange(len(gens))] = rng.randrange(g.order)
+                cases.append((gens, bad))
+            repeated = [images + images[:1] for images in stored]
+            cases.append((gens + gens[:1], repeated))
+            conflict = [list(images) for images in repeated]
+            k = rng.randrange(len(conflict))
+            conflict[k][-1] = next(y for y in g.elements() if y != conflict[k][0])
+            cases.append((gens + gens[:1], conflict))
+            for e in (0, 2, 3):
+                cases.append((gens, [[g.pow(x, e) for x in gens]]))
+        for case_gens, case_stored in cases:
+            expected = _close_each(g.table, case_gens, case_stored, g.order)
+            assert _prove_stored(g.table, case_gens, case_stored, g.order) == expected, name
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def _is_canonical(group, cent, images):
+    """The loader's former per-tuple rule: each image is the least of its
+    orbit under conjugation by the elements of ``cent`` commuting with
+    the images before it."""
+    for h in images:
+        if min(_conjugates(group, cent, h)) < h:
+            return False
+        cent = _centralizing(group, cent, h)
+    return True
+
+
+def test_prefix_shared_canonicity_equals_per_tuple_rule():
+    """On every catalog group of order <= 64: the stored tuples, the
+    stored set with its first or its last tuple replaced by a conjugate
+    t^-1 b t that changes it, and, for every tuple b, the set of b
+    followed by such a conjugate. There t fixes as long a prefix of b as
+    any conjugator that changes b, so the conjugate's walk reuses the
+    longest prefix that b has proven before its first image out of orbit
+    order."""
+    from cubeaut.catalog import built_in_catalog
+
+    def agree(group, transversal, tuples):
+        shared = _all_canonical(group, transversal, tuples)
+        assert shared == all(_is_canonical(group, transversal, t) for t in tuples)
+        return shared
+
+    shared_first = 0
+    for name, g in built_in_catalog().groups(order_cap=64):
+        auts = enumerate_automorphisms(g)
+        gens, transversal = auts.generating_set, auts.transversal
+        stored = [[b[x] for x in gens] for b in auts.representatives]
+        assert agree(g, transversal, stored), name
+        if len(transversal) == 1:
+            continue  # an abelian group: every coset of Inn(G) has one member
+        conjugates = []
+        for b in stored:
+            moved = [[g.conjugate(x, t) for x in b] for t in transversal]
+            moved = [c for c in moved if c != b]
+            conj = max(moved, key=lambda c: next(i for i, (x, y) in enumerate(zip(b, c))
+                                                 if x != y))
+            conjugates.append(conj)
+            assert not agree(g, transversal, [b, conj]), name
+            shared_first += conj[0] == b[0]
+        assert not agree(g, transversal, [conjugates[0]] + stored[1:]), name
+        assert not agree(g, transversal, stored[:-1] + [conjugates[-1]]), name
+    assert shared_first > 0
 
 
 @pytest.mark.parametrize("build", [

@@ -234,6 +234,34 @@ def test_max_ratio_computed_only_by_ratio_row():
     assert found == inside, f"max_cube_ratio called outside ratio_row at {sorted(found - inside)}"
 
 
+def test_closure_only_in_the_enumerator():
+    """In src/cubeaut/ only ``enumerate_automorphisms`` calls _close, and
+    ``_load_cache`` never calls ``enumerate_automorphisms``. A cache load
+    proves all its representatives in one batched pass, so a
+    per-representative closure cannot grow back in the loader, and a
+    load that enumerates would be counted as a hit by
+    perfbench/tracing.py, which takes an ``automorphism_group`` span with
+    no ``enumerate_automorphisms`` child for one."""
+    def calls(node, name):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and name in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))}
+
+    found, inside, loader = set(), set(), None
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {(path.name, line) for line in calls(tree, "_close")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "enumerate_automorphisms":
+                inside |= {(path.name, line) for line in calls(node, "_close")}
+            elif isinstance(node, ast.FunctionDef) and node.name == "_load_cache":
+                loader = node
+    assert inside, "enumerate_automorphisms no longer calls _close"
+    assert found == inside, f"_close called outside enumerate_automorphisms at {sorted(found - inside)}"
+    assert loader is not None, "_load_cache is gone"
+    assert not calls(loader, "enumerate_automorphisms"), "_load_cache enumerates"
+
+
 def test_package_reads_no_environment():
     """What the package does depends on its arguments only: no
     os.environ or os.getenv (a cache directory, for one, is named by
