@@ -512,9 +512,10 @@ def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
     repeats, when #representatives * [G : Z(G)] differs from its
     ``aut_order`` or that is not an int, or when it lacks the key (a
     file of an earlier layout). Nothing is expanded. Completeness rests
-    on the table-hash key. Any file that fails to load is re-enumerated
-    and overwritten, so a stale or corrupt cache can only cost time, not
-    correctness.
+    on the key ``table_hash``, a digest of the columns of the generating
+    set, which decide the table. Any file that fails to load, even one
+    nested too deeply to parse, is re-enumerated and overwritten, so a
+    stale or corrupt cache can only cost time, not correctness.
     """
     if cache_dir is None:
         return enumerate_automorphisms(group)
@@ -535,7 +536,7 @@ def _indices(values, n: int) -> bool:
 def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8, not JSON, too deep
         return None
     if not isinstance(data, dict) or data.get("table_hash") != group.table_hash:
         return None

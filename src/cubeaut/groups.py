@@ -152,18 +152,16 @@ class FiniteGroup:
 
     @cached_property
     def table_hash(self) -> str:
-        """Canonical hash of the row-major table, used as a cache key: the
-        sha256 of its compact JSON text, [[0,1,...],[1,...],...]. The text
-        is fed to the hash one row at a time, so no copy of it is held."""
-        labels = list(map(str, range(self.order)))
-        digest = hashlib.sha256(b"[[")
-        separator = b""
-        for row in self.table:
-            digest.update(separator)
-            digest.update(",".join(map(labels.__getitem__, row)).encode())
-            separator = b"],["
-        digest.update(b"]]")
-        return digest.hexdigest()
+        """Content key of the table, used as the Aut(G) cache key: the hex
+        sha256 of the compact JSON text of [n, S, [column of s for s in S]],
+        S = ``generating_set`` and the column of s the products x*s for
+        x = 0..n-1. Those columns decide the table: breadth-first from 0
+        they reach each y along a word s1...sk, and by associativity
+        x*y = (...(x*s1)*...)*sk."""
+        gens = self.generating_set
+        columns = [list(map(itemgetter(s), self.table)) for s in gens]
+        text = json.dumps([self.order, gens, columns], separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     # -- subgroups ----------------------------------------------------------
 
@@ -912,6 +910,11 @@ def load_group_json(data: dict) -> FiniteGroup:
     name = data.get("name")
     if "name" in data and not isinstance(name, str):
         raise FileFormatError("name", f"expected a string, not {name!r}")
+    if isinstance(name, str):
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can carry
+            raise FileFormatError("name", f"{name!r} does not encode as UTF-8") from exc
     order = data.get("order")
     if "order" in data and type(order) is not int:
         raise FileFormatError("order", f"expected an integer, not {order!r}")
@@ -969,6 +972,8 @@ def read_json_file(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError as exc:
+        raise FileFormatError(str(path), "JSON nested too deeply") from exc
 
 
 def load_group_file(path) -> FiniteGroup:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -682,6 +683,34 @@ def test_cache_rejects_non_utf8_file(tmp_path):
     result = automorphism_group(g, cache_dir=tmp_path)
     assert result.nodes > 0
     assert _arrays(result) == _arrays(full)
+
+
+def test_cache_rejects_too_deeply_nested_file(tmp_path):
+    # valid JSON that the parser cannot descend into is a failed load
+    g = builders.alternating(4)
+    full, path, payload = _cached_payload(tmp_path, g)
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    result = automorphism_group(g, cache_dir=tmp_path)
+    assert result.nodes > 0
+    assert result.representatives == enumerate_automorphisms(g).representatives
+    assert json.loads(path.read_text()) == payload  # rewritten
+    assert automorphism_group(g, cache_dir=tmp_path).nodes == 0
+
+
+def test_cache_ignores_file_under_the_row_major_key(tmp_path):
+    # the key was once the sha256 of the table's row-major JSON text; a
+    # file under that name is never read, and the new key gets its own
+    g = builders.dihedral(5)
+    full, path, payload = _cached_payload(tmp_path, g)
+    rows = json.dumps([list(r) for r in g.table], separators=(",", ":"))
+    old = tmp_path / f"aut-{hashlib.sha256(rows.encode()).hexdigest()}.json"
+    assert old != path
+    path.rename(old)
+    result = automorphism_group(g, cache_dir=tmp_path)
+    assert result.nodes > 0  # enumerated, not read from the old name
+    assert _arrays(result) == _arrays(full)
+    assert json.loads(path.read_text()) == payload
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
 
 
 def test_cache_rejects_full_array_format(tmp_path):

@@ -98,6 +98,32 @@ def test_group_load_bad_table_reports_location(tmp_path, capsys):
         assert err.startswith(f"error: {field}: expected")
 
 
+def test_group_name_must_encode_as_utf8(tmp_path, capsys):
+    # a lone surrogate is valid JSON but cannot be printed as UTF-8
+    path = tmp_path / "g.json"
+    path.write_text('{"table": [[0]], "name": "x\\ud800"}')
+    for command in ("load", "info"):
+        code, out, err = run(capsys, "group", command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: name: ") and "UTF-8" in err
+
+
+_NESTED = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("group", "load"), _NESTED),
+    (("group", "info"), '{"table": ' + _NESTED + "}"),
+    (("cube", "ratio", "z5", "--aut-file"), _NESTED),
+], ids=["group-load", "group-info", "aut-file"])
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_unknown_group_name(capsys):
     code, out, err = run(capsys, "group", "info", "nosuchgroup")
     assert code == 2

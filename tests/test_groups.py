@@ -475,17 +475,50 @@ def test_commuting_masks_equal_pairwise_reference():
         assert group.commuting_masks == _pairwise_commuting_masks(group), name
 
 
-def test_table_hash_is_sha256_of_compact_json():
+def test_table_hash_is_sha256_of_generator_columns():
     for name, group in _reference_groups():
-        payload = json.dumps([list(r) for r in group.table], separators=(",", ":"))
+        gens = list(group.generating_set)
+        columns = [[row[s] for row in group.table] for s in gens]
+        payload = json.dumps([group.order, gens, columns], separators=(",", ":"))
         assert group.table_hash == hashlib.sha256(payload.encode()).hexdigest(), name
     # cache files are keyed by these digests; a change here orphans them
+    assert (builders.cyclic(1).table_hash
+            == "b0dbe7c922cc6b1c0fcbf4dcc21775b8ccbed8c73707aa15bf5682325e014b14")
+    assert (builders.cyclic(2).table_hash
+            == "4cd5e4f28b9f860c310cf49e1f8d7b7f6f014c70b837b8f3014489257f8bf469")
     assert (FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).table_hash
-            == "9ae3a8423176ba4b10daebe31239c0dfe362500241361d9bf376ac01a4cb73fc")
+            == "cd2555fed55ad7a62db9a0bd8708b8e47460d262196d5e01550fb9e6742aea77")
     assert (builders.alternating(5).table_hash
-            == "f506fa6ca4e2eed818b269d874239c6162fde8f822979851c7e6f55c78eca87b")
-    assert builders.cyclic(2).table_hash == hashlib.sha256(b"[[0,1],[1,0]]").hexdigest()
-    assert builders.cyclic(1).table_hash == hashlib.sha256(b"[[0]]").hexdigest()
+            == "80f04c88833eb5087695386b62a12c22bd4d04570c2b1a77fb8d96bf8a3b2fb6")
+
+
+def test_table_hash_tells_tables_apart():
+    from cubeaut.catalog import built_in_catalog
+
+    keys = {name: group.table_hash for name, group in built_in_catalog().groups()}
+    assert len(keys) == 149
+    assert len(set(keys.values())) == len(keys)
+    # a second build of each group gives the same key
+    for name, group in built_in_catalog().groups(order_cap=120):
+        assert group.table_hash == keys[name], name
+    # a relabelled table has another key unless it is the same table
+    rng = random.Random(20260808)
+    for group in (builders.symmetric(3), builders.quaternion8(), builders.dihedral(4),
+                  builders.alternating(5)):
+        n, distinct = group.order, 0
+        for _ in range(20):
+            sigma = [0] + rng.sample(range(1, n), n - 1)
+            table = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    table[sigma[a]][sigma[b]] = sigma[group.table[a][b]]
+            other = FiniteGroup(table)
+            if other.table == group.table:
+                assert other.table_hash == group.table_hash
+            else:
+                assert other.table_hash != group.table_hash
+                distinct += 1
+        assert distinct > 0
 
 
 def test_table_hash_holds_no_copy_of_the_table_text():
