@@ -20,11 +20,12 @@ by table lookup only when a caller asks: ``AutomorphismGroup.images_at``
 builds the members of any indices with one conjugation array per t, and
 ``members`` is ``images_at`` over every index. An inner automorphism
 composed with a verified automorphism is one, so no member is
-re-checked. The Inn(G)-conjugacy classes inside the coset of b are the
-b-twisted classes {b(s)^-1 t s} of the conjugator t
-(``AutomorphismGroup.twisted_classes``), and their orbits under
-conjugation by the representatives are the Aut(G)-conjugacy classes of
-member indices (``AutomorphismGroup.conjugacy_classes``).
+re-checked. Both class structures are tuples of member indices: the
+Inn(G)-conjugacy classes, the b-twisted classes {b(s)^-1 t s} of the
+conjugator t, in one flat tuple (``AutomorphismGroup.twisted_classes``),
+and their orbits under conjugation by the representatives, the
+Aut(G)-conjugacy classes (``AutomorphismGroup.conjugacy_classes``),
+which key each member by one table lookup t^-1 b(g) t per generator g.
 
 ``automorphism_group`` enumerates unless its caller names a cache
 directory; only then does it hash the table and read or write a file.
@@ -248,22 +249,22 @@ class AutomorphismGroup:
 
     @cached_property
     def twisted_classes(self) -> tuple:
-        """Per representative b, the Inn(G)-conjugacy classes of its coset.
+        """The Inn(G)-conjugacy classes of Aut(G), each a tuple of member
+        indices with its least index first; the classes come in order of
+        that index.
 
         Conjugating x -> t^-1 b(x) t by the inner automorphism of s gives
-        the member of t' = b(s)^-1 t s, so a class is a b-twisted class
-        {b(s)^-1 t s}. Each is a tuple of transversal indices, found
-        breadth-first over the generators s; the classes of b come in
-        ascending order of their first index."""
+        the member of t' = b(s)^-1 t s, so the class of a member of b is
+        a b-twisted class {b(s)^-1 t s}, found breadth-first over the
+        generators s."""
         table, inv = self.base.table, self.base.inv
         coset_of = self._cosets[1]
-        transversal = self.transversal
+        transversal, size = self.transversal, len(self.transversal)
         result = []
-        for images in self.representatives:
+        for rep, images in enumerate(self.representatives):
             moves = [(table[inv(images[s])], s) for s in self.generating_set]
-            seen = bytearray(len(transversal))
-            classes = []
-            for start in range(len(transversal)):
+            seen = bytearray(size)
+            for start in range(size):
                 if seen[start]:
                     continue
                 seen[start] = 1
@@ -275,8 +276,7 @@ class AutomorphismGroup:
                         if not seen[d]:
                             seen[d] = 1
                             cls.append(d)
-                classes.append(tuple(cls))
-            result.append(tuple(classes))
+                result.append(tuple(rep * size + c for c in cls))
         return tuple(result)
 
     @cached_property
@@ -289,12 +289,13 @@ class AutomorphismGroup:
         twisted classes. The conjugators are representatives whose cosets
         generate Aut(G)/Inn(G): one joins only when its coset is not yet
         reached by those before it. A member is looked up by its images
-        of the generating set, which determine it."""
+        of the generating set, which determine it: one table lookup
+        t^-1 b(g) t per generator g."""
+        table, inv = self.base.table, self.base.inv
         gens, reps, size = self.generating_set, self.representatives, len(self.transversal)
-        conj = [_conjugation(self.base, t) for t in self.transversal]
-        member_of = {tuple(c[images[g]] for g in gens): (rep, coset)
-                     for rep, images in enumerate(reps) for coset, c in enumerate(conj)}
-        reached, movers = {member_of[gens][0]}, []
+        member_of = {tuple(table[table[inv(t)][images[g]]][t] for g in gens): rep * size + coset
+                     for rep, images in enumerate(reps) for coset, t in enumerate(self.transversal)}
+        reached, movers = {member_of[gens] // size}, []
         for rep, images in enumerate(reps):
             if rep in reached:
                 continue
@@ -302,14 +303,13 @@ class AutomorphismGroup:
             queue = list(reached)
             for r in queue:
                 for m, _ in movers:
-                    d = member_of[tuple(m[reps[r][g]] for g in gens)][0]
+                    d = member_of[tuple(m[reps[r][g]] for g in gens)] // size
                     if d not in reached:
                         reached.add(d)
                         queue.append(d)
-        # twisted class id per member, and the cosets of each class
-        twisted = [(rep, cls) for rep, classes in enumerate(self.twisted_classes)
-                   for cls in classes]
-        class_of = {(rep, coset): i for i, (rep, cls) in enumerate(twisted) for coset in cls}
+        twisted = self.twisted_classes
+        class_of = {k: i for i, cls in enumerate(twisted) for k in cls}
+        alphas = self.images_at([cls[0] for cls in twisted])
         seen = bytearray(len(twisted))
         result = []
         for start in range(len(twisted)):
@@ -318,16 +318,14 @@ class AutomorphismGroup:
             seen[start] = 1
             orbit = [start]
             for i in orbit:
-                rep, cls = twisted[i]
-                alpha = [conj[cls[0]][y] for y in reps[rep]]
+                alpha = alphas[i]
                 for m, m_inv in movers:
                     # m alpha m^-1 on the generators
                     j = class_of[member_of[tuple(m[alpha[m_inv[g]]] for g in gens)]]
                     if not seen[j]:
                         seen[j] = 1
                         orbit.append(j)
-            result.append(tuple(sorted(twisted[i][0] * size + coset
-                                       for i in orbit for coset in twisted[i][1])))
+            result.append(tuple(sorted(k for i in orbit for k in twisted[i])))
         return tuple(sorted(result))
 
 
@@ -348,9 +346,9 @@ def _fingerprints(group: FiniteGroup) -> tuple:
     cent = [group.commuting_masks[x].bit_count() for x in range(n)]
     sqrt_count = [0] * n
     cbrt_count = [0] * n
-    for y in range(n):
+    for y, cube in enumerate(power_map(group, 3).images):
         sqrt_count[group.table[y][y]] += 1
-        cbrt_count[group.pow(y, 3)] += 1
+        cbrt_count[cube] += 1
     return tuple((orders[x], cent[x], sqrt_count[x], cbrt_count[x]) for x in range(n))
 
 

@@ -28,7 +28,14 @@ from .cubing import (
     ratio_json,
 )
 from .errors import CubeautError, FileFormatError
-from .groups import FiniteGroup, group_to_json, load_group_file, prime_divisors, read_json_file
+from .groups import (
+    MAX_ABELIAN_BUDGET,
+    FiniteGroup,
+    group_to_json,
+    load_group_file,
+    prime_divisors,
+    read_json_file,
+)
 from .sfs import (
     DEFAULT_EQUATIONS,
     LinearEquation,
@@ -365,7 +372,7 @@ def _cmd_verify_boundary(args):
 
 def _cmd_verify_abelian_indices(args):
     qs = tuple(q for q in verifier.EXPECTED_ABELIAN_INDEX if q <= args.max_q)
-    budget = verifier.ABELIAN_INDEX_BUDGET if args.budget is None else args.budget
+    budget = MAX_ABELIAN_BUDGET if args.budget is None else args.budget
     report = verifier.verify_abelian_indices(qs=qs, budget=budget)
     return report, report["pass"]
 

@@ -63,7 +63,7 @@ def cube_set(group: FiniteGroup, alpha: GroupMap, n: int = 3) -> CubeReport:
     if alpha.source is not group:
         raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
-    targets = [group.pow(x, n) for x in group.elements()]
+    targets = power_map(group, n).images
     img = alpha.images
     members = tuple(x for x in group.elements() if img[x] == targets[x])
     return CubeReport(members, Fraction(len(members), group.order))
@@ -87,26 +87,24 @@ def max_cube_ratio(group: FiniteGroup, n: int = 3,
         auts = enumerate_automorphisms(group)
     elif auts.base is not group:
         raise NotAutomorphism("automorphisms do not act on this group")
-    table = group.table
-    targets = [group.pow(x, n) for x in group.elements()]
+    table, size = group.table, len(auts.transversal)
+    targets = power_map(group, n).images
     # t^-1 b(x) t = x^n iff b(x) = t x^n t^-1; one list per t evaluated
     moved = {}
     best_count = -1
-    best = []  # (representative, class) pairs attaining best_count
-    for rep, classes in enumerate(auts.twisted_classes):
-        images = auts.representatives[rep]
-        for cls in classes:
-            if cls[0] not in moved:
-                t = auts.transversal[cls[0]]
-                row, t_inv = table[t], group.inv(t)
-                moved[cls[0]] = [table[row[y]][t_inv] for y in targets]
-            count = sum(map(eq, images, moved[cls[0]]))
-            if count > best_count:
-                best_count, best = count, []
-            if count == best_count:
-                best.append((rep, cls))
-    size = len(auts.transversal)
-    witness = min(auts.images_at([rep * size + c for rep, cls in best for c in cls]))
+    best = []  # classes attaining best_count
+    for cls in auts.twisted_classes:
+        rep, coset = divmod(cls[0], size)
+        if coset not in moved:
+            t = auts.transversal[coset]
+            row, t_inv = table[t], group.inv(t)
+            moved[coset] = [table[row[y]][t_inv] for y in targets]
+        count = sum(map(eq, auts.representatives[rep], moved[coset]))
+        if count > best_count:
+            best_count, best = count, []
+        if count == best_count:
+            best.append(cls)
+    witness = min(auts.images_at([k for cls in best for k in cls]))
     return Fraction(best_count, group.order), GroupMap(group, group, witness)
 
 
@@ -309,7 +307,7 @@ def find_type3_decomposition(group: FiniteGroup) -> tuple:
     center = group.center
     if any(d not in center for d in derived.elements):
         return None, "class exceeds 2"
-    if any(group.pow(g, 2) not in center for g in group.elements()):
+    if any(square not in center for square in power_map(group, 2).images):
         return None, "central quotient is not elementary abelian"
     if derived.order == 2:
         return _split_symplectic(group, derived, center)

@@ -6,6 +6,20 @@ so failures point at concrete table entries rather than just a message.
 
 from __future__ import annotations
 
+import reprlib
+
+# The one repr an error message gives a value from its caller: at most 5
+# items per list (3 per dict), 24 characters per scalar and two levels of
+# nesting, so a line names a bad value in under 1,000 characters whatever
+# its size, and a value within those limits prints as repr prints it.
+_BOUNDED = reprlib.Repr()
+_BOUNDED.maxlevel = 2
+_BOUNDED.maxtuple = _BOUNDED.maxlist = _BOUNDED.maxarray = 5
+_BOUNDED.maxset = _BOUNDED.maxfrozenset = _BOUNDED.maxdeque = 5
+_BOUNDED.maxdict = 3
+_BOUNDED.maxstring = _BOUNDED.maxlong = _BOUNDED.maxother = 24
+bounded_repr = _BOUNDED.repr
+
 
 class CubeautError(Exception):
     """Base class for all package errors."""
@@ -26,7 +40,8 @@ class GroupTableError(CubeautError):
 class NotClosed(GroupTableError):
     def __init__(self, row: int, col: int, value):
         self.row, self.col, self.value = row, col, value
-        super().__init__(f"table entry at ({row}, {col}) is {value!r}, not an index in range")
+        super().__init__(f"table entry at ({row}, {col}) is {bounded_repr(value)}, "
+                         "not an index in range")
 
 
 class NoIdentity(GroupTableError):

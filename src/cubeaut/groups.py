@@ -45,10 +45,12 @@ from .errors import (
     NotLatin,
     NotNormal,
     UnsupportedParameter,
+    bounded_repr,
 )
 
 MAX_ORDER = 20000  # largest order a builder or a generator-form file may produce,
                    # and largest permutation degree
+MAX_ABELIAN_BUDGET = 2_000_000  # search nodes per group in max_abelian_subgroup_order
 
 
 class FiniteGroup:
@@ -813,7 +815,8 @@ class MaxAbelianResult:
     nodes: int
 
 
-def max_abelian_subgroup_order(group: FiniteGroup, budget: int = 2_000_000) -> MaxAbelianResult:
+def max_abelian_subgroup_order(group: FiniteGroup,
+                               budget: int = MAX_ABELIAN_BUDGET) -> MaxAbelianResult:
     """Exact maximum order of an abelian subgroup.
 
     Branch and bound over commuting generator chains: candidates are
@@ -909,15 +912,15 @@ def load_group_json(data: dict) -> FiniteGroup:
         raise FileFormatError("$", "expected a JSON object")
     name = data.get("name")
     if "name" in data and not isinstance(name, str):
-        raise FileFormatError("name", f"expected a string, not {name!r}")
+        raise FileFormatError("name", f"expected a string, not {bounded_repr(name)}")
     if isinstance(name, str):
         try:
             name.encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can carry
-            raise FileFormatError("name", f"{name!r} does not encode as UTF-8") from exc
+            raise FileFormatError("name", f"{bounded_repr(name)} does not encode as UTF-8") from exc
     order = data.get("order")
     if "order" in data and type(order) is not int:
-        raise FileFormatError("order", f"expected an integer, not {order!r}")
+        raise FileFormatError("order", f"expected an integer, not {bounded_repr(order)}")
     if "table" in data:
         table = data["table"]
         if not isinstance(table, list):
@@ -959,7 +962,8 @@ def _check_table_format(table: list) -> None:
             raise FileFormatError(f"table[{i}]", "row length differs from table size")
         for j, v in enumerate(row):
             if type(v) is not int or not (0 <= v < n):
-                raise FileFormatError(f"table[{i}][{j}]", f"entry {v!r} not an index in 0..{n - 1}")
+                raise FileFormatError(f"table[{i}][{j}]",
+                                      f"entry {bounded_repr(v)} not an index in 0..{n - 1}")
 
 
 def read_json_file(path):

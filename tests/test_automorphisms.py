@@ -893,9 +893,7 @@ def test_twisted_classes_are_inner_conjugacy_classes(build):
             orbit.add(tuple(g.conjugate(m.images[g.conjugate(x, s_inv)], s)
                             for x in g.elements()))
         orbits.add(frozenset(orbit))
-    size = len(auts.transversal)
-    classes = {frozenset(_member(auts, rep * size + c) for c in cls)
-               for rep, per_rep in enumerate(auts.twisted_classes) for cls in per_rep}
+    classes = {frozenset(_member(auts, k) for k in cls) for cls in auts.twisted_classes}
     assert classes == orbits
 
 
@@ -930,6 +928,72 @@ def test_conjugacy_classes_are_aut_orbits():
                             for beta, beta_inv in zip(arrays, inverses))
                   for alpha in arrays}
         assert set(map(frozenset, auts.conjugacy_classes)) == orbits, name
+
+
+def _per_transversal_classes(auts) -> tuple:
+    """The Aut(G)-conjugacy classes by the older route: one conjugation
+    array per element of the transversal of Z(G), members keyed as
+    (representative, coset) pairs and the twisted classes nested per
+    representative."""
+    g, gens, reps = auts.base, auts.generating_set, auts.representatives
+    table, transversal = g.table, auts.transversal
+    size, coset_of = len(transversal), auts._cosets[1]
+    conj = [[table[c][t] for c in table[g.inv(t)]] for t in transversal]
+    member_of = {tuple(c[images[x]] for x in gens): (rep, coset)
+                 for rep, images in enumerate(reps) for coset, c in enumerate(conj)}
+    twisted = []
+    for rep, images in enumerate(reps):
+        moves = [(table[g.inv(images[s])], s) for s in gens]
+        seen = bytearray(size)
+        for start in range(size):
+            if not seen[start]:
+                seen[start] = 1
+                cls = [start]
+                for c in cls:
+                    for row, s in moves:
+                        d = coset_of[table[row[transversal[c]]][s]]
+                        if not seen[d]:
+                            seen[d] = 1
+                            cls.append(d)
+                twisted.append((rep, cls))
+    reached, movers = {member_of[gens][0]}, []
+    for rep, images in enumerate(reps):
+        if rep not in reached:
+            movers.append((images, invert(GroupMap(g, g, images)).images))
+            queue = list(reached)
+            for r in queue:
+                for m, _ in movers:
+                    d = member_of[tuple(m[reps[r][x]] for x in gens)][0]
+                    if d not in reached:
+                        reached.add(d)
+                        queue.append(d)
+    class_of = {(rep, coset): i for i, (rep, cls) in enumerate(twisted) for coset in cls}
+    seen = bytearray(len(twisted))
+    result = []
+    for start in range(len(twisted)):
+        if not seen[start]:
+            seen[start] = 1
+            orbit = [start]
+            for i in orbit:
+                rep, cls = twisted[i]
+                alpha = [conj[cls[0]][y] for y in reps[rep]]
+                for m, m_inv in movers:
+                    j = class_of[member_of[tuple(m[alpha[m_inv[x]]] for x in gens)]]
+                    if not seen[j]:
+                        seen[j] = 1
+                        orbit.append(j)
+            result.append(tuple(sorted(twisted[i][0] * size + c
+                                       for i in orbit for c in twisted[i][1])))
+    return tuple(sorted(result))
+
+
+def test_conjugacy_classes_equal_the_per_transversal_route():
+    """On every catalog group of order <= 1092 the classes equal those of
+    the older route, which built one conjugation array per transversal
+    element. L2(13), with a transversal of 1,092 elements, is the largest
+    such group with more than one representative."""
+    for name, auts in _catalog_auts(1092):
+        assert auts.conjugacy_classes == _per_transversal_classes(auts), name
 
 
 def test_images_at_takes_any_indices():

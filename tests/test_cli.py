@@ -98,6 +98,22 @@ def test_group_load_bad_table_reports_location(tmp_path, capsys):
         assert err.startswith(f"error: {field}: expected")
 
 
+@pytest.mark.parametrize("location, data", [
+    ("name", {"name": list(range(200_000)), "table": [[0]]}),
+    ("order", {"order": list(range(100_000)), "table": [[0]]}),
+    ("table[1][1]", {"table": [[0, 1], [1, list(range(100_000))]]}),
+], ids=["name", "order", "table-entry"])
+def test_error_line_echoes_a_bounded_value(tmp_path, capsys, location, data):
+    """A huge bad value is cut, not echoed whole: stderr stays under 1 kB
+    and still names the location."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "group", "load", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {location}: ")
+    assert len(err.encode("utf-8")) < 1024
+
+
 def test_group_name_must_encode_as_utf8(tmp_path, capsys):
     # a lone surrogate is valid JSON but cannot be printed as UTF-8
     path = tmp_path / "g.json"

@@ -88,6 +88,16 @@ def test_boolean_entries_rejected():
     assert "table[0][0]" in str(info.value)
 
 
+def test_not_closed_message_is_bounded():
+    """A huge bad entry is named by a cut repr; the witness keeps it whole."""
+    bad = list(range(100_000))
+    with pytest.raises(NotClosed) as info:
+        FiniteGroup([[0, 1], [1, bad]])
+    assert info.value.value is bad
+    assert str(info.value).startswith("table entry at (1, 1) is [0, 1, 2, 3, 4, ...]")
+    assert len(str(info.value)) < 1000
+
+
 # Each bad value stands where Z2's tables and maps hold a 1; int() would
 # read 1.7, "1" and True as 1, and 5 is out of range.
 @pytest.mark.parametrize("bad", [1.7, "1", True, 5], ids=repr)

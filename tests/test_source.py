@@ -262,6 +262,35 @@ def test_closure_only_in_the_enumerator():
     assert not calls(loader, "enumerate_automorphisms"), "_load_cache enumerates"
 
 
+def test_conjugation_arrays_only_where_members_are_built():
+    """In src/cubeaut/ only ``AutomorphismGroup.images_at`` and
+    ``inner_automorphism`` call _conjugation, the n-entry array of
+    x -> t^-1 x t. The class structures key a member by the k lookups
+    t^-1 b(g) t and take each class's map from ``images_at``, so an
+    array per transversal element cannot grow back in them unnoticed."""
+    def calls(node):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and "_conjugation" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))}
+
+    found, inside = set(), {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {(path.name, line) for line in calls(tree)}
+        owners = [(None, node) for node in tree.body]
+        owners += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body]
+        for owner, node in owners:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name if owner is None else f"{owner}.{node.name}"
+                if name in ("AutomorphismGroup.images_at", "inner_automorphism"):
+                    inside[name] = {(path.name, line) for line in calls(node)}
+    assert all(inside.get(name) for name in ("AutomorphismGroup.images_at",
+                                             "inner_automorphism")), inside
+    allowed = set().union(*inside.values())
+    assert found == allowed, f"_conjugation called at {sorted(found - allowed)}"
+
+
 def test_package_reads_no_environment():
     """What the package does depends on its arguments only: no
     os.environ or os.getenv (a cache directory, for one, is named by

@@ -867,6 +867,25 @@ def test_verify_properties_small_scope(cache_dir):
         assert check["seed"] == 11
 
 
+def test_verify_properties_whole_catalog_counts():
+    """Every check over every member of all 149 catalog groups (41,744
+    pairs, one checked per Aut(G)-conjugacy class), pinned count by count,
+    so a change to any check on any catalog group shows."""
+    report = verify_properties(exhaustive_cap=2184, sample_count=0)
+    assert report["pass"]
+    assert report["scope"]["exhaustive_groups"] == 149
+    assert report["scope"]["exhaustive_pairs"] == 41744
+    assert report["stats"] == {"checked_pairs": 2631, "trace_solves": 574}
+    counts = {c["check"]: (c["instances"], c["skipped"]) for c in report["checks"]}
+    patterns = {check: (1267229, 0) for check in PATTERN_IDS}
+    assert counts == {"quotient_ratio_monotone": (294819, 0),
+                      "cube_centralizer": (1352771, 0),
+                      "elementary_two_coset": (3101752, 0),
+                      **patterns,
+                      "trace_avoidance": (2351072, 0),
+                      "coset_bound_half": (2368, 41368)}
+
+
 def test_verify_properties_deterministic(cache_dir):
     a = verify_properties(exhaustive_cap=8, sample_count=10, sample_min=9,
                       sample_max=32, seed=3, cache_dir=cache_dir)
