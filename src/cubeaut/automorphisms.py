@@ -214,7 +214,9 @@ class AutomorphismGroup:
 
     @cached_property
     def _cosets(self) -> tuple:
-        return _center_cosets(self.base, self.generating_set)
+        """(transversal, coset_of) for Z(G), from its element tuple: a
+        cached ``center`` Subgroup would tie a cycle to the group."""
+        return self.base._coset_map(self.base._center_elements)
 
     @property
     def transversal(self) -> tuple:
@@ -352,23 +354,6 @@ def _fingerprints(group: FiniteGroup) -> tuple:
     return tuple((orders[x], cent[x], sqrt_count[x], cbrt_count[x]) for x in range(n))
 
 
-def _center_cosets(group: FiniteGroup, gens) -> tuple:
-    """(transversal, coset_of) for the center Z(G), the elements that
-    commute with every member of the generating set ``gens``: the least
-    element of each coset Zt in ascending order, and per element the
-    index of its coset."""
-    table = group.table
-    center = [z for z in group.elements() if all(table[z][g] == table[g][z] for g in gens)]
-    coset_of = [-1] * group.order
-    transversal = []
-    for t in group.elements():
-        if coset_of[t] < 0:
-            for z in center:
-                coset_of[table[z][t]] = len(transversal)
-            transversal.append(t)
-    return tuple(transversal), tuple(coset_of)
-
-
 def _conjugation(group: FiniteGroup, t: int) -> list:
     """The array of x -> t^-1 x t."""
     table = group.table
@@ -451,7 +436,7 @@ def enumerate_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     ranked = sorted(range(len(gens)), key=lambda i: (len(candidates[i]), i))
     gens = [gens[i] for i in ranked]
     candidates = [candidates[i] for i in ranked]
-    transversal, _ = _center_cosets(group, gens)
+    transversal, _ = group._coset_map(group._center_elements)
 
     found = []
     nodes = 0
@@ -485,6 +470,7 @@ def enumerate_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
             assigned.pop()
 
     backtrack(0, list(transversal))
+    del backtrack  # the closure refers to itself; free it, and the group, now
     return AutomorphismGroup(group, tuple(found), tuple(gens), nodes)
 
 

@@ -17,8 +17,9 @@ automorphism images all pass one test of "a permutation of 0..n-1",
 ``_are_indices``.
 
 All structural queries are exact; nothing here is randomized or
-approximate. Series and normality tests work on generating sets, which
-decide the same questions as the element-wise definitions.
+approximate. Series, normality, the centre and commutativity work on
+generating sets, which decide the same questions as the element-wise
+definitions.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+        """Whether Z(G) is G, tested on ``generating_set``."""
+        return len(self._center_elements) == self.order
 
     @cached_property
     def exponent(self) -> int:
@@ -226,11 +226,20 @@ class FiniteGroup:
         return seen
 
     @cached_property
+    def _center_elements(self) -> tuple:
+        """Z(G) ascending, as a plain tuple: the elements that commute
+        with every member of ``generating_set``, so with every word."""
+        t = self.table
+        members = self.elements()
+        for g in self.generating_set:
+            row = t[g]
+            members = [z for z in members if t[z][g] == row[z]]
+        return tuple(members)
+
+    @cached_property
     def center(self) -> "Subgroup":
-        n = self.order
-        full = (1 << n) - 1
-        members = [a for a in range(n) if self.commuting_masks[a] == full]
-        return Subgroup(self, tuple(members))
+        """Z(G), the Subgroup of ``_center_elements``."""
+        return Subgroup(self, self._center_elements)
 
     def centralizer(self, target: "int | Subgroup") -> "Subgroup":
         """Centralizer of an element or of a Subgroup."""
@@ -257,17 +266,25 @@ class FiniteGroup:
         """Partition into right cosets H*g; identity coset first, then by
         ascending least element. Returns (representatives, cosets)."""
         sub._check_parent(self)
-        seen = [False] * self.order
-        reps, cosets = [], []
+        reps, coset_of = self._coset_map(sub.elements)
+        cosets: list = [[] for _ in reps]
+        for x, c in enumerate(coset_of):
+            cosets[c].append(x)
+        return reps, tuple(map(tuple, cosets))
+
+    def _coset_map(self, elements) -> tuple:
+        """(representatives, coset_of) of the right cosets H*g of H, the
+        subgroup of ``elements``: the least element of each coset, in
+        ``right_cosets`` order, and per element the index of its coset."""
+        table = self.table
+        coset_of = [-1] * self.order
+        reps: list = []
         for g in self.elements():
-            if seen[g]:
-                continue
-            coset = sorted(self.table[h][g] for h in sub.elements)
-            for x in coset:
-                seen[x] = True
-            reps.append(coset[0])
-            cosets.append(tuple(coset))
-        return tuple(reps), tuple(cosets)
+            if coset_of[g] < 0:
+                for h in elements:
+                    coset_of[table[h][g]] = len(reps)
+                reps.append(g)
+        return tuple(reps), tuple(coset_of)
 
     @cached_property
     def derived_subgroup(self) -> "Subgroup":
@@ -353,15 +370,11 @@ class FiniteGroup:
         normal._check_parent(self)
         if not self.is_normal(normal):
             raise NotNormal(f"subgroup of order {normal.order} is not normal")
-        reps, cosets = self.right_cosets(normal)
-        proj = [0] * self.order
-        for idx, coset in enumerate(cosets):
-            for x in coset:
-                proj[x] = idx
+        reps, proj = self._coset_map(normal.elements)
         m = len(reps)
         table = [[proj[self.table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
         label = f"{self.name or 'G'}/N{normal.order}"
-        return FiniteGroup(table, name=label), tuple(proj)
+        return FiniteGroup(table, name=label), proj
 
     def is_normal(self, sub: "Subgroup") -> bool:
         """H^g is inside H for g in ``generating_set``, tested on the
@@ -573,9 +586,8 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     ident = _find_identity(rows) if set(map(len, rows)) == {n} else None
     if ident == 0:
         return FiniteGroup(rows, name=name)
-    if ident is None or not (_is_square_of_ints(rows) and min(map(min, rows)) >= 0
-                             and max(map(max, rows)) < n):
-        _check_rows(rows)
+    _check_rows(rows)
+    if ident is None:
         raise NoIdentity("no two-sided identity element")
     sigma = list(range(n))
     sigma[0], sigma[ident] = ident, 0
@@ -583,11 +595,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     for a in range(n):
         for b in range(n):
             relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
-    try:
-        return FiniteGroup(relabeled, name=name, relabeling=tuple(sigma))
-    except GroupTableError:
-        _check_rows(rows)
-        raise
+    return FiniteGroup(relabeled, name=name, relabeling=tuple(sigma))
 
 
 def _are_indices(values, n: int) -> bool:
@@ -836,10 +844,7 @@ def max_abelian_subgroup_order(group: FiniteGroup,
 
     center = group.center
     center_mask = _mask_of(center.elements)
-    compat0 = -1
-    for z in center.elements:
-        compat0 &= comm[z]
-    compat0 &= ~center_mask & ((1 << n) - 1)
+    compat0 = ~center_mask & ((1 << n) - 1)  # a central element commutes with all
 
     best_size = center.order
     best_set = center.elements

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from cubeaut.automorphisms import (
 )
 from cubeaut.catalog import heisenberg27
 from cubeaut.errors import NotAutomorphism, NotInvariant
+from cubeaut.verifier import ratio_row
 
 
 def phi(n):
@@ -994,6 +997,78 @@ def test_conjugacy_classes_equal_the_per_transversal_route():
     such group with more than one representative."""
     for name, auts in _catalog_auts(1092):
         assert auts.conjugacy_classes == _per_transversal_classes(auts), name
+
+
+def _center_cosets(group, gens) -> tuple:
+    """Reference (transversal, coset_of) for Z(G), as the enumerator once
+    built them itself: the centre is the elements commuting with every
+    member of ``gens``, the transversal the least element of each coset
+    Zt in ascending order."""
+    table = group.table
+    center = [z for z in group.elements() if all(table[z][g] == table[g][z] for g in gens)]
+    coset_of = [-1] * group.order
+    transversal = []
+    for t in group.elements():
+        if coset_of[t] < 0:
+            for z in center:
+                coset_of[table[z][t]] = len(transversal)
+            transversal.append(t)
+    return tuple(transversal), tuple(coset_of)
+
+
+def test_center_and_transversal_equal_the_reference_rules():
+    """On every catalog group: Z(G) is the elements whose row equals
+    their column, G is abelian iff its table equals its transpose, and
+    the Z(G) transversal and coset map, read from ``FiniteGroup``, equal
+    the reference on the enumerator's ranked generators, so the member
+    numbering is unchanged."""
+    for name, auts in _catalog_auts(None):
+        group = auts.base
+        columns = list(zip(*group.table))
+        assert group.center.elements == tuple(
+            z for z, row in enumerate(group.table) if row == columns[z]), name
+        assert group.is_abelian == (columns == list(group.table)), name
+        assert (auts.transversal, auts._cosets[1]) == \
+            _center_cosets(group, auts.generating_set), name
+
+
+_FRESH = {"A5": lambda: builders.alternating(5), "A6": lambda: builders.alternating(6),
+          "Z12": lambda: builders.cyclic(12)}
+
+
+def _freed_after(build, run) -> bool:
+    """Whether a fresh group from ``build`` is freed by reference counting
+    alone, with the cyclic collector off, once ``run(group)`` has returned
+    and the last reference to the group is dropped."""
+    gc.disable()
+    try:
+        group = build()
+        ref = weakref.ref(group)
+        run(group)
+        del group
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+def test_enumeration_keeps_no_group_alive():
+    """The backtracking search refers to itself; the enumerator breaks
+    that cycle before it returns, so the group does not outlive its last
+    reference."""
+    for name, build in _FRESH.items():
+        def run(group):
+            enumerate_automorphisms(group).twisted_classes
+            ratio_row(group, name)
+        assert _freed_after(build, run), name
+
+
+def test_cached_load_keeps_no_group_alive(tmp_path):
+    """A warm-cache ratio row caches no ``Subgroup`` of the group on it:
+    a Subgroup holds its parent, so the group would wait for the cyclic
+    collector."""
+    for name, build in _FRESH.items():
+        automorphism_group(build(), tmp_path)
+        assert _freed_after(build, lambda group: ratio_row(group, name, tmp_path)), name
 
 
 def test_images_at_takes_any_indices():

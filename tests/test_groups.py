@@ -485,6 +485,20 @@ def test_commuting_masks_equal_pairwise_reference():
         assert group.commuting_masks == _pairwise_commuting_masks(group), name
 
 
+def test_center_and_is_abelian_equal_the_all_pairs_definition():
+    """On the reference groups: Z(G) is the elements whose row equals
+    their column, and G is abelian iff its table equals its transpose.
+    Both queries test the generating set only, so neither builds the
+    commuting masks. (``test_automorphisms.py`` checks the same on the
+    whole catalog, beside the Z(G) transversal.)"""
+    for name, group in _reference_groups():
+        columns = list(zip(*group.table))
+        assert group.center.elements == tuple(
+            z for z, row in enumerate(group.table) if row == columns[z]), name
+        assert group.is_abelian == (columns == list(group.table)), name
+        assert "commuting_masks" not in vars(group), name
+
+
 def test_table_hash_is_sha256_of_generator_columns():
     for name, group in _reference_groups():
         gens = list(group.generating_set)
