@@ -1,8 +1,11 @@
 """Constructors for the standard groups the library works with.
 
-Everything returns a fully validated FiniteGroup with identity 0.
-The projective groups are built from the natural action on the
-projective line over GF(q), via permutation closure.
+Everything returns a FiniteGroup with identity 0, built from the rows
+of a generating set by ``groups._from_generator_rows``, whose one walk
+composes the whole table and proves it a group: a builder hands over k
+rows of |G| entries, not |G|^2. The projective groups are built from
+the natural action on the projective line over GF(q), via permutation
+closure.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .errors import UnsupportedParameter
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
+    _from_generator_rows,
     _is_permutation,
     from_permutation_generators,
     prime_divisors,
@@ -47,14 +51,15 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedParameter("cyclic order must be positive")
     _check_order(n)
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=f"Z{n}")
+    rows = {1: tuple(range(1, n)) + (0,)} if n > 1 else {}
+    return _from_generator_rows(n, rows, name=f"Z{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon), n >= 3.
 
-    Element e*n + i encodes r^i s^e with s r s = r^-1.
+    Element e*n + i encodes r^i s^e with s r s = r^-1; r = 1 and s = n
+    generate.
     """
     if n < 3:
         raise UnsupportedParameter("dihedral parameter must be >= 3")
@@ -68,14 +73,14 @@ def dihedral(n: int) -> FiniteGroup:
             return ((i + j) % n) + n * f
         return ((i - j) % n) + n * ((e + f) % 2)
 
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return FiniteGroup(table, name=f"D{n}")
+    rows = {g: tuple([mul(g, y) for y in range(order)]) for g in (1, n)}
+    return _from_generator_rows(order, rows, name=f"D{n}")
 
 
 def quaternion8() -> FiniteGroup:
     """Quaternion group of order 8: <x,y | x^4 = 1, y^2 = x^2, y^-1xy = x^-1>.
 
-    Element b*4 + a encodes x^a y^b.
+    Element b*4 + a encodes x^a y^b; x = 1 and y = 4 generate.
     """
 
     def mul(u, v):
@@ -87,8 +92,8 @@ def quaternion8() -> FiniteGroup:
             return ((a - c) % 4) + 4
         return (a - c + 2) % 4
 
-    table = [[mul(u, v) for v in range(8)] for u in range(8)]
-    return FiniteGroup(table, name="Q8")
+    rows = {g: tuple([mul(g, v) for v in range(8)]) for g in (1, 4)}
+    return _from_generator_rows(8, rows, name="Q8")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -159,22 +164,14 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
         for g in h.generating_set:
             if maps[h.table[k1][g]] != tuple(map(m1.__getitem__, maps[g])):
                 raise UnsupportedParameter("action is not a homomorphism into Aut(N)")
+    # generated by N's generators (n1, 1), with (n1, 1)(n2, h2) = (n1 n2, h2),
+    # and H's (1, h1), with (1, h1)(n2, h2) = (action[h1](n2), h1 h2)
     hn = h.order
-    order = n.order * hn
-    table = [[0] * order for _ in range(order)]
-    for n1 in range(n.order):
-        for h1 in range(hn):
-            row = table[n1 * hn + h1]
-            act = maps[h1]
-            nrow = n.table[n1]
-            hrow = h.table[h1]
-            for n2 in range(n.order):
-                base = nrow[act[n2]] * hn
-                off = n2 * hn
-                for h2 in range(hn):
-                    row[off + h2] = base + hrow[h2]
-    name = f"{n.name or 'N'}:{h.name or 'H'}"
-    return FiniteGroup(table, name=name)
+    rows = {n1 * hn: tuple([x * hn + h2 for x in n.table[n1] for h2 in range(hn)])
+            for n1 in n.generating_set}
+    rows.update((h1, tuple([x * hn + y for x in maps[h1] for y in h.table[h1]]))
+                for h1 in h.generating_set)
+    return _from_generator_rows(n.order * hn, rows, name=f"{n.name or 'N'}:{h.name or 'H'}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +319,9 @@ def type3_group_i(k: int) -> FiniteGroup:
         zinc = (w1 & v2).bit_count() & 1
         return ((v1 ^ v2) << (k + 1)) | ((w1 ^ w2) << 1) | (z1 ^ z2 ^ zinc)
 
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return FiniteGroup(table, name=f"T3i({k})")
+    # the unit vectors of v and w generate; z is their commutator
+    rows = {1 << j: tuple([mul(1 << j, y) for y in range(order)]) for j in range(1, 2 * k + 1)}
+    return _from_generator_rows(order, rows, name=f"T3i({k})")
 
 
 def type3_group_ii() -> FiniteGroup:
@@ -342,5 +340,6 @@ def type3_group_ii() -> FiniteGroup:
         v2, w2, z2 = y >> 4, (y >> 2) & 3, y & 3
         return ((v1 ^ v2) << 4) | ((w1 ^ w2) << 2) | (z1 ^ z2 ^ (w1 & v2))
 
-    table = [[mul(x, y) for y in range(64)] for x in range(64)]
-    return FiniteGroup(table, name="T3ii")
+    # the unit vectors of v and w generate; each z_i is a commutator
+    rows = {g: tuple([mul(g, y) for y in range(64)]) for g in (4, 8, 16, 32)}
+    return _from_generator_rows(64, rows, name="T3ii")

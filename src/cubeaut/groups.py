@@ -1,13 +1,18 @@
 """Finite groups as element-indexed Cayley tables.
 
 Elements are the integers 0..n-1 and the identity is always element 0.
-Tables are proven groups at construction (see ``_validate_table``): one
-pass over the whole table checks that it is square with int entries,
-row 0 and column 0 must be the identity, and one breadth-first walk
-from 0 checks Light's condition for every reached element against each
-generator it picks. The walk composes permutations only, so it also
-proves every row a permutation of 0..n-1 without a set of any row.
-Only a refused table is searched row by row for the witness it raises.
+Every table is proven a group by one breadth-first walk from 0,
+``_light_walk``, which checks Light's condition for every reached
+element against each generator and composes permutations only, so it
+also proves every row a permutation of 0..n-1 without a set of any row.
+A table given whole (``FiniteGroup(table)``, ``from_cayley_table``, a
+file, a quotient or a subgroup) is proven at construction (see
+``_validate_table``): one pass over the whole table checks that it is
+square with int entries and that row 0 and column 0 are the identity,
+then the walk runs on it, and only a refused table is searched row by
+row for the witness it raises. The builders and the permutation closure
+hand over the rows of a generating set only, and the same walk composes
+the other rows from them as it proves them (``_from_generator_rows``).
 
 A table entry must be a Python int: a bool, float or str is refused
 with a ``NotClosed`` witness, never converted. Generator rows of the
@@ -43,6 +48,7 @@ from .errors import (
     NotAssociative,
     NotASubgroup,
     NotClosed,
+    NotGenerated,
     NotLatin,
     NotNormal,
     UnsupportedParameter,
@@ -636,17 +642,23 @@ def _check_rows(table) -> tuple:
     if n == 0:
         raise NoIdentity("empty table")
     for i, row in enumerate(rows):
-        if _is_permutation(row, n):
-            continue
-        if len(row) != n:
-            raise NotClosed(i, len(row), None)
-        for j, v in enumerate(row):
-            if type(v) is not int or not (0 <= v < n):
-                raise NotClosed(i, j, v)
-        if 0 not in row:
-            raise NoInverse(i)
-        raise NotLatin(i)
+        if not _is_permutation(row, n):
+            raise _row_witness(i, row, n)
     return rows
+
+
+def _row_witness(i: int, row, n: int) -> GroupTableError:
+    """The error of row i, which is not a permutation of 0..n-1: its
+    length, else its first entry that is not an int in 0..n-1, else a
+    missing 0 (no inverse), else a repeated entry."""
+    if len(row) != n:
+        return NotClosed(i, len(row), None)
+    for j, v in enumerate(row):
+        if type(v) is not int or not (0 <= v < n):
+            return NotClosed(i, j, v)
+    if 0 not in row:
+        return NoInverse(i)
+    return NotLatin(i)
 
 
 def _validate_table(table) -> tuple:
@@ -655,11 +667,11 @@ def _validate_table(table) -> tuple:
     The proof (``_walk_proves_group``) checks that the table is square
     with int entries, that row 0 and column 0 are the identity, and
     Light's condition (a*s)*c == a*(s*c) for every element a and every
-    s in a generating set, found by a breadth-first walk from 0. The
-    walk also proves every row a permutation of 0..n-1, so each element
-    has a right inverse, and a finite monoid in which every element has
-    a right inverse is a group: the columns are permutations too and
-    every inverse is two-sided.
+    s in a generating set, found by the breadth-first walk from 0
+    (``_light_walk``). The walk also proves every row a permutation of
+    0..n-1, so each element has a right inverse, and a finite monoid in
+    which every element has a right inverse is a group: the columns are
+    permutations too and every inverse is two-sided.
 
     A table the walk refuses goes through the per-row checks instead:
     every row a permutation (``_check_rows``), 0 a two-sided identity,
@@ -682,35 +694,64 @@ def _validate_table(table) -> tuple:
 def _walk_proves_group(rows: tuple) -> bool:
     """True iff the tuple rows are a group table with identity 0.
 
-    After the whole-table shape and type pass and the identity test, a
-    breadth-first walk starts from 0. When it stalls, the least element
-    not reached becomes the next generator s, and its row must be a
-    permutation. Each reached a is checked against every generator,
-    including those picked after a was reached: row a*s must equal row
-    s read through row a, i.e. (a*s)*c == a*(s*c) for every c, and a*s
-    is reached. So row a*s is row a composed with row s, and every
-    reached row is a permutation; each entry used as an index comes
-    from such a row, so no read is out of range. Once all n elements
-    are reached, Light's condition holds for every a and every
-    generator; the middle elements that satisfy it are closed under
-    products and contain the generators, so the table is associative.
-    In a group the generators are those ``_light_associativity`` picks:
-    each is the least element outside the span of the earlier ones.
+    After the whole-table shape and type pass and the identity test,
+    ``_light_walk`` runs with the least element not yet reached as the
+    next generator each time it stalls. In a group these are the
+    generators ``_light_associativity`` picks: each is the least
+    element outside the span of the earlier ones.
     """
     n = len(rows)
     ident = tuple(range(n))
     if not (_is_square_of_ints(rows)
             and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident):
         return False
+
+    def least_unreached(reached):
+        s = reached.find(0)
+        return None if s < 0 else (s, rows[s])
+
+    return _light_walk(rows, least_unreached) is None
+
+
+def _light_walk(rows, next_generator) -> Optional[tuple]:
+    """The one proof of a group table, breadth-first from 0.
+
+    ``rows[0]`` is the identity. Each time the walk stalls,
+    ``next_generator(reached)`` gives the next generator s with its row,
+    or None to end; the row must be a permutation of 0..n-1 with s in
+    column 0. Each reached a is checked against every generator g,
+    including those given after a was reached: if row a*g is None it is
+    stored as row g read through row a, else it must equal that, i.e.
+    (a*g)*c == a*(g*c) for every c, and a*g is reached. So row a*g is
+    row a composed with row g: every reached row is a permutation with
+    its own index in column 0, and every entry comes from
+    ``range(n)`` or a checked generator row, so no read is out of range.
+    Once all n elements are reached, 0 is a two-sided identity and
+    Light's condition holds for every a and every generator; the middle
+    elements that satisfy it are closed under products and contain the
+    generators, so the table is associative, and a finite monoid whose
+    rows are permutations is a group. A generator given after that is
+    checked on the pair (0, s) alone: its row must be row s, and then
+    the law holds for it by associativity.
+
+    Returns None when all n elements were reached and every check held,
+    else the first failure: ("row", s), ("law", a, g) for row a*g, or
+    ("reach", x) for the least element x not reached.
+    """
+    n = len(rows)
     reached = bytearray(n)
     reached[0] = 1
     walk = [0]
-    gens: list = []  # (s, row s as a getter over a row), n >= 2 here
-    s = reached.find(0)
-    while s >= 0:
-        if not _is_permutation(rows[s], n):
-            return False
-        gens.append((s, itemgetter(*rows[s])))
+    gens: list = []  # (g, row g as a getter over a row)
+    while (picked := next_generator(reached)) is not None:
+        s, row_s = picked
+        if not (_is_permutation(row_s, n) and row_s[0] == s):
+            return ("row", s)
+        if len(walk) == n:  # the rows walked are a group, so (0, s) is the one pair left
+            if rows[s] != tuple(row_s):
+                return ("law", 0, s)
+            continue
+        gens.append((s, itemgetter(*row_s)))  # n >= 2 here
         # the elements reached before s against s alone, the rest
         # against every generator
         newest, earlier = gens[-1:], len(walk)
@@ -718,13 +759,51 @@ def _walk_proves_group(rows: tuple) -> bool:
             row_a = rows[a]
             for g, through_g in (newest if i < earlier else gens):
                 c = row_a[g]
-                if rows[c] != through_g(row_a):
-                    return False
+                if rows[c] is None:
+                    rows[c] = through_g(row_a)
+                elif rows[c] != through_g(row_a):
+                    return ("law", a, g)
                 if not reached[c]:
                     reached[c] = 1
                     walk.append(c)
-        s = reached.find(0, s)
-    return True
+    x = reached.find(0)
+    return None if x < 0 else ("reach", x)
+
+
+def _from_generator_rows(order: int, generator_rows: dict,
+                         name: Optional[str] = None) -> FiniteGroup:
+    """The group of ``order`` elements generated by the rows of
+    ``generator_rows`` (element -> its row, the products g*x for x =
+    0..order-1), with identity 0.
+
+    ``_light_walk`` builds the table and proves it in one pass, so the
+    group skips ``FiniteGroup.__init__`` and its whole-table proof. A
+    refusal raises the witness of the first failure: the row's own
+    (``_row_witness``), NoIdentity for a row without g in column 0,
+    NotAssociative (a, g, c) with the least c for a broken law, and
+    NotGenerated for an element the rows do not reach.
+    """
+    rows = [tuple(range(order))] + [None] * (order - 1)
+    pending = iter(generator_rows.items())
+    failure = _light_walk(rows, lambda reached: next(pending, None))
+    if failure is None:
+        group = FiniteGroup.__new__(FiniteGroup)
+        group.table, group.order, group.name, group.relabeling = tuple(rows), order, name, None
+        return group
+    kind, *at = failure
+    if kind == "reach":
+        raise NotGenerated(at[0])
+    if kind == "law":
+        a, g = at
+        row_a, row_g = rows[a], generator_rows[g]
+        row_ag = rows[row_a[g]]
+        raise NotAssociative(a, g, next(c for c in range(order)
+                                        if row_ag[c] != row_a[row_g[c]]))
+    g, = at
+    row = generator_rows[g]
+    if not _is_permutation(row, order):
+        raise _row_witness(g, row, order)
+    raise NoIdentity(f"the row given for {bounded_repr(g)} has {row[0]} in column 0")
 
 
 def _light_associativity(rows: tuple) -> None:
@@ -790,25 +869,21 @@ def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    origin = []  # per element after the identity, (b, i) with it = b*g_i
-    for b, current in enumerate(elems):  # elems grows during the loop
-        for i, g in enumerate(gens):
+    for current in elems:  # elems grows during the loop
+        for g in gens:
             image = tuple(map(g.__getitem__, current))
             if image not in index:
                 if len(elems) >= cap:
                     raise CapExceeded("permutation closure exceeded cap", len(elems))
                 index[image] = len(elems)
                 elems.append(image)
-                origin.append((b, i))
-    # row b*g is row b read through the left column of g, index(g*x) per
-    # x, so rows come out whole and need no transpose. With one element
-    # ``origin`` is empty: no getter of a single index (which would
-    # return a bare entry) is called.
-    lefts = [itemgetter(*[index[tuple(map(x.__getitem__, g))] for x in elems]) for g in gens]
-    rows = [tuple(range(len(elems)))]
-    for b, i in origin:
-        rows.append(lefts[i](rows[b]))
-    return FiniteGroup(rows, name=name)
+    # the row of g is its left column, index(g*x) per x; the closure is
+    # freed before the walk builds the table from these rows
+    generator_rows = {index[g]: tuple([index[tuple(map(x.__getitem__, g))] for x in elems])
+                      for g in gens}
+    order = len(elems)
+    del elems, index
+    return _from_generator_rows(order, generator_rows, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from cubeaut.errors import (
     NotAssociative,
     NotAutomorphism,
     NotClosed,
+    NotGenerated,
+    NotLatin,
     NotNormal,
     UnsupportedParameter,
 )
@@ -643,6 +645,169 @@ def test_permutation_closure_equals_reference(build, monkeypatch):
     group = build()
     (generators, degree), = calls
     assert group.table == _reference_permutation_table(generators, degree)
+
+
+# ---------------------------------------------------------------------------
+# Tables built from generator rows
+
+
+def _old_from_permutation_generators(generators, degree, cap, name=None):
+    """The closure as it was before generator rows: every element after
+    the identity is b*g for its ``origin`` (b, g), its row is composed
+    whole as row b read through the left column of g, and the finished
+    table goes through ``FiniteGroup.__init__``."""
+    gens = [tuple(g) for g in generators]
+    ident = tuple(range(degree))
+    elems, index, origin = [ident], {ident: 0}, []
+    for b, current in enumerate(elems):
+        for i, g in enumerate(gens):
+            image = tuple(map(g.__getitem__, current))
+            if image not in index:
+                if len(elems) >= cap:
+                    raise CapExceeded("permutation closure exceeded cap", len(elems))
+                index[image] = len(elems)
+                elems.append(image)
+                origin.append((b, i))
+    lefts = [itemgetter(*[index[tuple(map(x.__getitem__, g))] for x in elems]) for g in gens]
+    rows = [tuple(range(len(elems)))]
+    for b, i in origin:
+        rows.append(lefts[i](rows[b]))
+    return FiniteGroup(rows, name=name)
+
+
+def _full_table(order, mul, name):
+    return FiniteGroup([[mul(x, y) for y in range(order)] for x in range(order)], name=name)
+
+
+def _old_dihedral(n):
+    def mul(x, y):
+        i, e = x % n, x // n
+        j, f = y % n, y // n
+        if e == 0:
+            return ((i + j) % n) + n * f
+        return ((i - j) % n) + n * ((e + f) % 2)
+    return _full_table(2 * n, mul, f"D{n}")
+
+
+def _old_quaternion8():
+    def mul(u, v):
+        a, b = u % 4, u // 4
+        c, d = v % 4, v // 4
+        if b == 0:
+            return ((a + c) % 4) + 4 * d
+        if d == 0:
+            return ((a - c) % 4) + 4
+        return (a - c + 2) % 4
+    return _full_table(8, mul, "Q8")
+
+
+def _old_semidirect_product(n, h, action):
+    """The n^2 table loop alone: the action checks run before it and are
+    not what these tables compare."""
+    hn = h.order
+    def mul(x, y):
+        (n1, h1), (n2, h2) = divmod(x, hn), divmod(y, hn)
+        return n.table[n1][action[h1][n2]] * hn + h.table[h1][h2]
+    return _full_table(n.order * hn, mul, f"{n.name or 'N'}:{h.name or 'H'}")
+
+
+def _old_type3_group_i(k):
+    def mul(x, y):
+        v1, w1, z1 = x >> (k + 1), (x >> 1) & ((1 << k) - 1), x & 1
+        v2, w2, z2 = y >> (k + 1), (y >> 1) & ((1 << k) - 1), y & 1
+        zinc = (w1 & v2).bit_count() & 1
+        return ((v1 ^ v2) << (k + 1)) | ((w1 ^ w2) << 1) | (z1 ^ z2 ^ zinc)
+    return _full_table(1 << (2 * k + 1), mul, f"T3i({k})")
+
+
+def _old_type3_group_ii():
+    def mul(x, y):
+        v1, w1, z1 = x >> 4, (x >> 2) & 3, x & 3
+        v2, w2, z2 = y >> 4, (y >> 2) & 3, y & 3
+        return ((v1 ^ v2) << 4) | ((w1 ^ w2) << 2) | (z1 ^ z2 ^ (w1 & v2))
+    return _full_table(64, mul, "T3ii")
+
+
+OLD_BUILDERS = {
+    "cyclic": lambda n: _full_table(n, lambda a, b: (a + b) % n, f"Z{n}"),
+    "dihedral": _old_dihedral,
+    "quaternion8": _old_quaternion8,
+    "semidirect_product": _old_semidirect_product,
+    "type3_group_i": _old_type3_group_i,
+    "type3_group_ii": _old_type3_group_ii,
+    "from_permutation_generators": _old_from_permutation_generators,
+}
+
+
+def test_generator_rows_give_the_full_table_builders_tables(tmp_path, monkeypatch):
+    """Every builder hands over generator rows only, and the walk
+    composes the rest: the same table, name and table_hash as the full
+    n^2 builders and the whole-row closure give, on all 149 catalog
+    groups (S6, L2(11), L2(13) and PGL2(13) among them) and on a
+    generator-form file (S6 from a transposition and a 5-cycle)."""
+    from cubeaut import groups as groups_module
+    from cubeaut.catalog import built_in_catalog
+
+    path = tmp_path / "s6gen.json"
+    path.write_text(json.dumps({"degree": 6, "generators": [[1, 0, 2, 3, 4, 5],
+                                                            [0, 2, 3, 4, 5, 1]]}))
+
+    def build_all():
+        built = list(built_in_catalog().groups()) + [("file", load_group_file(path))]
+        return [(name, g.name, g.table, g.table_hash) for name, g in built]
+
+    new = build_all()
+    for attr, old in OLD_BUILDERS.items():
+        monkeypatch.setattr(builders, attr, old)
+    monkeypatch.setattr(groups_module, "from_permutation_generators",
+                        _old_from_permutation_generators)
+    old = build_all()
+    names = [entry[0] for entry in new]
+    assert len(names) == 150 and {"S6", "L2(11)", "L2(13)", "PGL2(13)"} <= set(names)
+    assert [entry[0] for entry in old] == names
+    for got, want in zip(new, old):
+        assert got == want, got[0]
+
+
+def test_trivial_group_from_generator_rows():
+    """With one element no row is composed: no rows, the row (0,) of
+    element 0, and a closure of identity generators all give Z1."""
+    from cubeaut.groups import _from_generator_rows
+
+    for group in (_from_generator_rows(1, {}), _from_generator_rows(1, {0: (0,)}),
+                  from_permutation_generators([[0, 1, 2]], 3, cap=10)):
+        assert group.table == ((0,),) and group.order == 1 and group.relabeling is None
+
+
+@pytest.mark.parametrize("order, rows, error, witness", [
+    (3, {1: (1, 1, 0)}, NotLatin, lambda e: e.index == 1),
+    (3, {1: (1, 2)}, NotClosed, lambda e: (e.row, e.col, e.value) == (1, 2, None)),
+    (3, {1: (1, 2, 3)}, NotClosed, lambda e: (e.row, e.col, e.value) == (1, 2, 3)),
+    (3, {1: (1, 2, 1.0)}, NotClosed, lambda e: (e.row, e.col, e.value) == (1, 2, 1.0)),
+    (3, {1: (1, True, 0)}, NotClosed, lambda e: (e.row, e.col, e.value) == (1, 1, True)),
+    (3, {1: (2, 0, 1)}, NoIdentity, lambda e: "column 0" in str(e)),
+    (4, {1: (1, 0, 3, 2)}, NotGenerated, lambda e: e.element == 2),
+    # 1 generates Z3, whose row of 2 is (2, 0, 1), not the (2, 1, 0) given
+    (3, {1: (1, 2, 0), 2: (2, 1, 0)}, NotAssociative, lambda e: e.witness == (0, 2, 1)),
+    # 1*2 = 2, but (1*2)*2 = 0 and 1*(2*2) = 1
+    (4, {1: (1, 0, 2, 3), 2: (2, 3, 0, 1)}, NotAssociative, lambda e: e.witness == (1, 2, 2)),
+    (3, {0: (0, 2, 1)}, NotAssociative, lambda e: e.witness == (0, 0, 1)),
+], ids=["repeat", "short", "range", "float", "bool", "column-0", "reach", "law-after",
+        "law-during", "row-0"])
+def test_build_walk_refusals(order, rows, error, witness, monkeypatch, capsys):
+    """Each refusal of the build walk is a GroupTableError with its
+    witness, so a builder that handed over such rows ends the CLI in
+    ``error:`` with exit 2."""
+    from cubeaut import cli
+    from cubeaut.groups import _from_generator_rows
+
+    with pytest.raises(error) as info:
+        _from_generator_rows(order, rows)
+    assert isinstance(info.value, GroupTableError) and witness(info.value)
+    monkeypatch.setattr(builders, "cyclic", lambda n: _from_generator_rows(order, rows))
+    assert cli.main(["group", "info", "z3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {info.value}\n" and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

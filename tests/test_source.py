@@ -291,6 +291,56 @@ def test_conjugation_arrays_only_where_members_are_built():
     assert found == allowed, f"_conjugation called at {sorted(found - allowed)}"
 
 
+def test_init_skipped_only_by_the_build_walk():
+    """In src/cubeaut/ only ``groups._from_generator_rows`` makes a
+    FiniteGroup without ``FiniteGroup.__init__`` (by ``__new__``): its
+    walk builds the table as it proves it. So every table given whole, a
+    file's, a caller's, a quotient's or a subgroup's, still goes through
+    ``_validate_table``."""
+    def news(node):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "__new__"}
+
+    found, inside = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {(path.name, line) for line in news(tree)}
+        inside = inside.union(*({(path.name, line) for line in news(node)}
+                                for node in ast.walk(tree)
+                                if isinstance(node, ast.FunctionDef)
+                                and node.name == "_from_generator_rows"))
+    assert inside, "_from_generator_rows no longer makes its group by __new__"
+    assert found == inside, f"FiniteGroup.__new__ outside the build walk at {sorted(found - inside)}"
+
+
+def test_builders_run_no_whole_table_proof(monkeypatch):
+    """Building the six groups-cold groups (A6, S6, L2(11), L2(13),
+    T3i(2), T3ii) runs neither ``_validate_table`` nor the whole-table
+    type pass ``_is_square_of_ints``, while a table given whole, to
+    FiniteGroup, from_cayley_table, a quotient or a subgroup, runs both
+    once."""
+    from cubeaut import catalog
+
+    calls = {"_validate_table": 0, "_is_square_of_ints": 0}
+    for attr in calls:
+        original = getattr(groups, attr)
+
+        def counting(*args, attr=attr, original=original):
+            calls[attr] += 1
+            return original(*args)
+        monkeypatch.setattr(groups, attr, counting)
+    built = [catalog.build_named_group(name)
+             for name in ("A6", "S6", "L2(11)", "L2(13)", "T3i(2)", "T3ii")]
+    assert [g.order for g in built] == [360, 720, 660, 1092, 32, 64]
+    assert calls == {"_validate_table": 0, "_is_square_of_ints": 0}
+    t3i = built[4]
+    whole = [lambda: FiniteGroup(t3i.table), lambda: groups.from_cayley_table(t3i.table),
+             lambda: t3i.quotient(t3i.center), lambda: t3i.center.as_group()]
+    for k, make in enumerate(whole, start=1):
+        make()
+        assert calls == {"_validate_table": k, "_is_square_of_ints": k}
+
+
 def test_package_reads_no_environment():
     """What the package does depends on its arguments only: no
     os.environ or os.getenv (a cache directory, for one, is named by
