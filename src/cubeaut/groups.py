@@ -902,13 +902,25 @@ def max_abelian_subgroup_order(group: FiniteGroup,
                                budget: int = MAX_ABELIAN_BUDGET) -> MaxAbelianResult:
     """Exact maximum order of an abelian subgroup.
 
-    Branch and bound over commuting generator chains: candidates are
-    added in a fixed priority order (descending centralizer size), the
-    running subgroup is closed under generation, and a branch is cut
-    when |current| + |still-commuting outsiders| cannot beat the best.
-    Every maximal abelian subgroup contains the center, so the search
-    starts there. If the node budget runs out the best value found so
-    far is returned with ``exact=False``.
+    Branch and bound over commuting generator chains. Every maximal
+    abelian subgroup contains the center, and every abelian subgroup
+    larger than the center is conjugate to one that holds the least
+    element r of some non-central class. So the root branches once per
+    non-central class, on r, with the classes in priority order
+    (descending centralizer size), and the subtree of r drops every
+    element of an earlier class from its candidates: a subgroup meeting
+    an earlier class was already covered, up to conjugacy, in that
+    class's subtree. Inside a subtree, candidates are added in that
+    priority order, each later than the last one added, and a branch is
+    cut when |current| + |still-commuting outsiders| cannot beat the
+    best.
+
+    A candidate x commutes with the abelian subgroup H it joins, so
+    <H, x> is the union of the cosets x^i H up to the first power of x
+    inside H, each read off the row of x^i; only the cyclic seed calls
+    ``closure``. Every node, roots included, counts against ``budget``;
+    if it runs out the best value found so far is returned with
+    ``exact=False``.
     """
     n = group.order
     comm = group.commuting_masks
@@ -917,48 +929,75 @@ def max_abelian_subgroup_order(group: FiniteGroup,
     for pos, x in enumerate(priority):
         position[x] = pos
 
-    center = group.center
-    center_mask = _mask_of(center.elements)
-    compat0 = ~center_mask & ((1 << n) - 1)  # a central element commutes with all
-
-    best_size = center.order
-    best_set = center.elements
+    center = group._center_elements
+    center_mask = _mask_of(center)
+    best_size, best_set = len(center), center
     x0 = max(group.elements(), key=lambda x: (group.element_orders[x], -x))
     cyc = group.subgroup_generated([x0])
     if cyc.order > best_size:
         best_size, best_set = cyc.order, cyc.elements
 
+    # a move is (x, the candidates that commute with x, the child's last
+    # priority position); a root's subtree may add any later candidate
+    roots = []
+    earlier = center_mask
+    for cls in sorted((c for c in group.conjugacy_classes if len(c) > 1),
+                      key=lambda c: position[c[0]]):
+        roots.append((cls[0], comm[cls[0]] & ~earlier, -1))
+        earlier |= _mask_of(cls)
+
     nodes = 0
     exact = True
-    stack = [(center.elements, center_mask, compat0, -1)]
+    stack = [(center, center_mask, n, roots)]  # bound n: |Z| + non-central
     while stack:
-        elems, mask, compat, last_pos = stack.pop()
-        if len(elems) + compat.bit_count() <= best_size:
+        elems, mask, bound, moves = stack.pop()
+        if bound <= best_size:
             continue
         children = []
-        cand = compat
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length() - 1
-            if position[x] <= last_pos:
-                continue
+        for x, compat, last_pos in moves:
             nodes += 1
             if nodes > budget:
                 exact = False
                 stack.clear()
                 children = []
                 break
-            closed = group.closure(list(elems) + [x])
-            new_mask = _mask_of(closed)
-            new_elems = tuple(sorted(closed))
+            new_elems, new_mask = _join_cyclic(group.table, elems, mask, x)
             if len(new_elems) > best_size:
-                best_size = len(new_elems)
-                best_set = new_elems
-            new_compat = compat & comm[x] & ~new_mask
-            children.append((new_elems, new_mask, new_compat, position[x]))
+                best_size, best_set = len(new_elems), tuple(sorted(new_elems))
+            compat &= ~new_mask
+            children.append((new_elems, new_mask, len(new_elems) + compat.bit_count(),
+                             _chain_moves(compat, last_pos, comm, position)))
         stack.extend(reversed(children))
     return MaxAbelianResult(best_size, Subgroup(group, best_set), exact, nodes)
+
+
+def _chain_moves(compat: int, last_pos: int, comm: tuple, position: list):
+    """The moves of a chain node: each candidate x in ``compat`` whose
+    priority position is past ``last_pos``, in ascending element order."""
+    cand = compat
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        if position[x] > last_pos:
+            yield x, compat & comm[x], position[x]
+
+
+def _join_cyclic(table, elems: Sequence[int], mask: int, x: int) -> tuple:
+    """(elements, mask) of <H, x> for an abelian H, given by its elements
+    and mask, and an x outside H that commutes with it: the cosets
+    x^i H, each the row of x^i read at H's elements, up to the first
+    power x^i inside H."""
+    grown = list(elems)
+    new_mask = mask
+    power = x
+    while not mask >> power & 1:
+        row = table[power]
+        for y in map(row.__getitem__, elems):
+            grown.append(y)
+            new_mask |= 1 << y
+        power = row[x]
+    return grown, new_mask
 
 
 def _mask_of(elems) -> int:

@@ -479,13 +479,13 @@ def test_verify_abelian_indices(capsys):
 
 
 def test_abelian_index_text_fails_an_inexact_row(capsys):
-    """At budget 50 neither search finishes: both rows are inexact, so
+    """At budget 3 neither search finishes: both rows are inexact, so
     the report lists them under failures and the text marks each FAIL."""
-    code, payload, _ = run_json(capsys, "--budget", "50", "verify", "abelian-index",
+    code, payload, _ = run_json(capsys, "--budget", "3", "verify", "abelian-index",
                                 "--max-q", "7")
     assert code == 1 and payload["failures"] == payload["rows"]
     assert not any(row["exact"] for row in payload["rows"])
-    code, out, _ = run(capsys, "--budget", "50", "verify", "abelian-index", "--max-q", "7")
+    code, out, _ = run(capsys, "--budget", "3", "verify", "abelian-index", "--max-q", "7")
     lines = out.splitlines()
     assert code == 1
     assert [line.split()[-1] for line in lines] == ["FAIL", "FAIL", "MISMATCH"]
@@ -689,8 +689,8 @@ def test_sfs_stats_do_not_depend_on_jobs(capsys, args, stats):
 
 
 @pytest.mark.parametrize("budget, stats", [
-    ((), {"nodes": 310, "exact": True}),
-    (("--budget", "100"), {"nodes": 160, "exact": False}),
+    ((), {"nodes": 15, "exact": True}),
+    (("--budget", "5"), {"nodes": 10, "exact": False}),
 ])
 def test_abelian_index_stats_sum_the_rows(capsys, budget, stats):
     """As in ``sfs tau-range``: nodes summed over the rows, exact only if

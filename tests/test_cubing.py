@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from cubeaut import builders, cubing
-from cubeaut import groups as groups_module
 from cubeaut.automorphisms import (
     enumerate_automorphisms,
     identity_map,
@@ -499,17 +498,14 @@ def test_sylow_block_passes_exactly_when_3_misses_the_center():
     assert seen == {False, True}
 
 
-def test_classification_builds_no_table(monkeypatch):
+def test_classification_builds_no_table(tables_built):
     """Type III runs on G's own table: no Sylow 2-subgroup table, and
     no other table, is built for any catalog group of order <= 64."""
     groups = [g for _, g in built_in_catalog().groups(order_cap=64)]
-
-    def refuse(rows):
-        raise AssertionError(f"a table of order {len(rows)} was built")
-
-    monkeypatch.setattr(groups_module, "_validate_table", refuse)
+    tables_built.clear()
     for group in groups:
         classify_cubing_structure(group)
+    assert tables_built == []
 
 
 def old_abelian_basis(group):
@@ -573,15 +569,12 @@ def test_index_two_subgroups_equal_quotient_route():
     assert found > 0
 
 
-def test_index_two_subgroups_build_no_table(monkeypatch):
+def test_index_two_subgroups_build_no_table(tables_built):
     groups = [g for _, g in built_in_catalog().groups(order_cap=64) if not g.is_abelian]
-
-    def refuse(rows):
-        raise AssertionError(f"a table of order {len(rows)} was built")
-
-    monkeypatch.setattr(groups_module, "_validate_table", refuse)
+    tables_built.clear()
     for group in groups:
         _index_two_subgroups(group)
+    assert tables_built == []
 
 
 def test_index_two_subgroups_of_a_large_elementary_2_part():

@@ -1416,6 +1416,120 @@ def test_max_abelian_budget_flag():
     assert result.size >= 4  # greedy seeding already finds a cyclic witness
 
 
+def old_max_abelian(group, budget=2_000_000):
+    """The search before class roots and coset growth: it branches at the
+    root on every non-central element and closes each child with
+    ``closure``. Returns (size, exact, nodes)."""
+    n = group.order
+    comm = group.commuting_masks
+    priority = sorted(range(n), key=lambda x: (-comm[x].bit_count(), x))
+    position = [0] * n
+    for pos, x in enumerate(priority):
+        position[x] = pos
+
+    def mask_of(elems):
+        return sum(1 << e for e in set(elems))
+
+    center = group.center
+    center_mask = mask_of(center.elements)
+    best_size = center.order
+    x0 = max(group.elements(), key=lambda x: (group.element_orders[x], -x))
+    best_size = max(best_size, len(group.closure([x0])))
+    nodes = 0
+    exact = True
+    stack = [(center.elements, center_mask, ~center_mask & ((1 << n) - 1), -1)]
+    while stack:
+        elems, mask, compat, last_pos = stack.pop()
+        if len(elems) + compat.bit_count() <= best_size:
+            continue
+        children = []
+        cand = compat
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            if position[x] <= last_pos:
+                continue
+            nodes += 1
+            if nodes > budget:
+                exact = False
+                stack.clear()
+                children = []
+                break
+            closed = group.closure(list(elems) + [x])
+            best_size = max(best_size, len(closed))
+            new_mask = mask_of(closed)
+            children.append((tuple(sorted(closed)), new_mask,
+                             compat & comm[x] & ~new_mask, position[x]))
+        stack.extend(reversed(children))
+    return best_size, exact, nodes
+
+
+def check_abelian_witness(group, witness, size):
+    """The witness is an abelian subgroup of ``size`` elements holding Z(G),
+    checked pair by pair on the raw table."""
+    t = group.table
+    inside = set(witness.elements)
+    assert len(inside) == size and 0 in inside
+    assert set(group.center.elements) <= inside
+    for a in inside:
+        row = t[a]
+        for b in inside:
+            assert row[b] in inside and row[b] == t[b][a]
+
+
+def test_max_abelian_equals_old_search():
+    """Equal size and exact flag with the old search on every catalog group
+    (S6 and PGL2(13) among them) and on S3 x Z2^5; each witness is
+    re-checked, and at budgets 1-3 nodes stay within budget + 1. The node
+    counts are pinned, so a change to the search shows as a count."""
+    from cubeaut.catalog import built_in_catalog
+    s3_z2_5 = builders.symmetric(3)
+    for _ in range(5):
+        s3_z2_5 = builders.direct_product(s3_z2_5, builders.cyclic(2))
+    named = [*built_in_catalog().groups(), ("S3xZ2^5", s3_z2_5)]
+    pinned = {"S6": (191, 3909), "PGL2(13)": (56, 5121), "S3xZ2^5": (64, 160)}
+    new_nodes = old_nodes = 0
+    for name, group in named:
+        result = max_abelian_subgroup_order(group)
+        size, exact, nodes = old_max_abelian(group)
+        assert (result.size, result.exact) == (size, exact), name
+        check_abelian_witness(group, result.witness, size)
+        assert pinned.pop(name, (result.nodes, nodes)) == (result.nodes, nodes), name
+        new_nodes += result.nodes
+        old_nodes += nodes
+        for budget in (1, 2, 3):
+            cut = max_abelian_subgroup_order(group, budget=budget)
+            assert cut.nodes <= budget + 1, name
+            assert cut.exact == (cut.nodes <= budget), name
+            assert cut.size <= size and (not cut.exact or cut.size == size), name
+    assert pinned == {}
+    assert (new_nodes, old_nodes) == (1400, 21807)
+
+
+def test_max_abelian_calls_closure_once(monkeypatch):
+    """On the six groups-cold groups the search grows subgroups by cosets:
+    its one ``closure`` call is the cyclic seed's."""
+    from cubeaut.catalog import built_in_catalog
+    catalog = built_in_catalog()
+    named = [(name, catalog.build(name))
+             for name in ("A6", "S6", "L2(11)", "L2(13)", "T3i(2)", "T3ii")]
+    for _, group in named:
+        group.generating_set  # cached before counting: its greedy choice calls closure
+    calls = []
+    real = FiniteGroup.closure
+
+    def counting(self, gens):
+        calls.append(self.name)
+        return real(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "closure", counting)
+    for name, group in named:
+        calls.clear()
+        assert max_abelian_subgroup_order(group).exact, name
+        assert len(calls) <= 1, name
+
+
 # ---------------------------------------------------------------------------
 # File formats
 

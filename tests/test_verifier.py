@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from cubeaut import builders, verifier
-from cubeaut import groups as groups_module
 from cubeaut.automorphisms import (
     AutomorphismGroup,
     GroupMap,
@@ -277,17 +276,15 @@ def test_single_normal_check_refuses_each_fault(build, fault):
         check_quotient_inequality(g, alpha, normal)
 
 
-def test_normal_cosets_and_sylow_build_no_table(monkeypatch):
+def test_normal_cosets_and_sylow_build_no_table(tables_built):
     catalog_groups = [group for _, group in built_in_catalog().groups(order_cap=60)]
-    validated = []
-    monkeypatch.setattr(groups_module, "_validate_table",
-                        lambda rows: validated.append(len(rows)))
+    tables_built.clear()
     for group in catalog_groups:
         GroupContext(group, group.name).normal_cosets
         for p in range(2, group.order + 1):
             if group.order % p == 0 and all(p % d for d in range(2, p)):
                 group.sylow(p)
-    assert validated == []
+    assert tables_built == []
 
 
 def test_centralizer_cube_check():
@@ -1217,6 +1214,15 @@ def test_verify_abelian_indices_small():
     report = verify_abelian_indices(qs=(5, 7), budget=500_000)
     assert report["pass"]
     assert [r["index"] for r in report["rows"]] == [12, 24]
+
+
+def test_verify_abelian_indices_pins_the_search_nodes():
+    """Every row's node count, so a change to the search shows as a count:
+    one root per non-central class, the chain below it, cosets for growth."""
+    report = verify_abelian_indices()
+    assert report["pass"]
+    assert [(r["q"], r["nodes"]) for r in report["rows"]] == [
+        (5, 4), (7, 11), (9, 12), (8, 8), (11, 17), (13, 8)]
 
 
 def test_verify_abelian_indices_refuses_unknown_q_before_building(monkeypatch):
