@@ -3,9 +3,10 @@
 Everything returns a FiniteGroup with identity 0, built from the rows
 of a generating set by ``groups._from_generator_rows``, whose one walk
 composes the whole table and proves it a group: a builder hands over k
-rows of |G| entries, not |G|^2. The projective groups are built from
-the natural action on the projective line over GF(q), via permutation
-closure.
+rows of |G| entries, not |G|^2, and the walk composes |G| - 1 rows from
+them and 2k^2 more for its proof, whatever k is. The projective groups
+are built from the natural action on the projective line over GF(q),
+via permutation closure.
 """
 
 from __future__ import annotations

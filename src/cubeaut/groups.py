@@ -2,17 +2,22 @@
 
 Elements are the integers 0..n-1 and the identity is always element 0.
 Every table is proven a group by one breadth-first walk from 0,
-``_light_walk``, which checks Light's condition for every reached
-element against each generator and composes permutations only, so it
-also proves every row a permutation of 0..n-1 without a set of any row.
-A table given whole (``FiniteGroup(table)``, ``from_cayley_table``, a
-file, a quotient or a subgroup) is proven at construction (see
-``_validate_table``): one pass over the whole table checks that it is
-square with int entries and that row 0 and column 0 are the identity,
-then the walk runs on it, and only a refused table is searched row by
-row for the witness it raises. The builders and the permutation closure
-hand over the rows of a generating set only, and the same walk composes
-the other rows from them as it proves them (``_from_generator_rows``).
+``_light_walk``. It composes one row per element, each the row of the
+element it was reached from read through a generator row, and then
+proves the group of the generator rows regular: every generator column
+commutes with every generator row, so the table is that group's Cayley
+table. It composes permutations only, so it also proves every row a
+permutation of 0..n-1 without a set of any row. Only a refused walk
+checks Light's condition on every pair (element, generator), for the
+first one that fails: its witness. A table given whole
+(``FiniteGroup(table)``, ``from_cayley_table``, a file, a quotient or a
+subgroup) is proven at construction (see ``_validate_table``): one pass
+over the whole table checks that it is square with int entries and
+that row 0 and column 0 are the identity, then the walk runs on it, and
+only a refused table is searched row by row for the witness it raises.
+The builders and the permutation closure hand over the rows of a
+generating set only, and the same walk composes the other rows from
+them as it proves them (``_from_generator_rows``).
 
 A table entry must be a Python int: a bool, float or str is refused
 with a ``NotClosed`` witness, never converted. Generator rows of the
@@ -34,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, product
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -43,6 +48,7 @@ from .errors import (
     CapExceeded,
     FileFormatError,
     GroupTableError,
+    InternalCheckFailed,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -665,13 +671,11 @@ def _validate_table(table) -> tuple:
     """Prove the table is a group and return its rows as tuples.
 
     The proof (``_walk_proves_group``) checks that the table is square
-    with int entries, that row 0 and column 0 are the identity, and
-    Light's condition (a*s)*c == a*(s*c) for every element a and every
-    s in a generating set, found by the breadth-first walk from 0
-    (``_light_walk``). The walk also proves every row a permutation of
-    0..n-1, so each element has a right inverse, and a finite monoid in
-    which every element has a right inverse is a group: the columns are
-    permutations too and every inverse is two-sided.
+    with int entries and that row 0 and column 0 are the identity; then
+    the breadth-first walk from 0 (``_light_walk``) checks that every
+    row is a product of the rows of a generating set, and that the
+    generators' columns commute with their rows. So the group P those
+    rows generate is regular, and the table is P's Cayley table.
 
     A table the walk refuses goes through the per-row checks instead:
     every row a permutation (``_check_rows``), 0 a two-sided identity,
@@ -698,7 +702,9 @@ def _walk_proves_group(rows: tuple) -> bool:
     ``_light_walk`` runs with the least element not yet reached as the
     next generator each time it stalls. In a group these are the
     generators ``_light_associativity`` picks: each is the least
-    element outside the span of the earlier ones.
+    element outside the span of the earlier ones. The walk compares
+    each given row once, with the tree row that first reaches it, and
+    proves the rest with the generator columns.
     """
     n = len(rows)
     ident = tuple(range(n))
@@ -719,55 +725,104 @@ def _light_walk(rows, next_generator) -> Optional[tuple]:
     ``rows[0]`` is the identity. Each time the walk stalls,
     ``next_generator(reached)`` gives the next generator s with its row,
     or None to end; the row must be a permutation of 0..n-1 with s in
-    column 0. Each reached a is checked against every generator g,
-    including those given after a was reached: if row a*g is None it is
-    stored as row g read through row a, else it must equal that, i.e.
-    (a*g)*c == a*(g*c) for every c, and a*g is reached. So row a*g is
-    row a composed with row g: every reached row is a permutation with
-    its own index in column 0, and every entry comes from
+    column 0. Each reached a is walked against every generator g,
+    including those given after a was reached, and a pair (a, g) that
+    reaches c = a*g for the first time stores row c as row g read
+    through row a (a table given whole must already hold that row); a
+    pair whose c was already reached composes nothing. So the walk
+    composes one row per element, each row a product of generator rows
+    with its own index in column 0, and every entry comes from
     ``range(n)`` or a checked generator row, so no read is out of range.
-    Once all n elements are reached, 0 is a two-sided identity and
-    Light's condition holds for every a and every generator; the middle
-    elements that satisfy it are closed under products and contain the
-    generators, so the table is associative, and a finite monoid whose
-    rows are permutations is a group. A generator given after that is
-    checked on the pair (0, s) alone: its row must be row s, and then
-    the law holds for it by associativity.
 
-    Returns None when all n elements were reached and every check held,
-    else the first failure: ("row", s), ("law", a, g) for row a*g, or
-    ("reach", x) for the least element x not reached.
+    Once all n elements are reached, regularity replaces Light's test on
+    the other pairs: for walked generators g and y, column y (x -> x*y)
+    read through row g must equal row g read through column y, 2k^2
+    compositions for k walked generators. Every row lies in P, the group
+    of the walked generator rows; the columns commute with the generator
+    rows, so with all of P; and every x was reached as 0*y_1*...*y_m, a
+    word in the columns applied to 0, so a member of P that fixes 0
+    fixes every x. P is regular, row x is the one member of P taking 0
+    to x, and the table is P's Cayley table. A generator given after all
+    n are reached is checked on the pair (0, s) alone: its row must be
+    row s.
+
+    Returns None when all n elements were reached and every check held.
+    Otherwise it returns the failure that a check of Light's condition
+    on every pair would meet first, found by ``_first_light_failure`` on
+    refusal only: ("row", s), ("law", a, g) for row a*g, or ("reach", x)
+    for the least element x not reached. A failed commutation always has
+    such a Light failure, so finding none raises InternalCheckFailed.
     """
     n = len(rows)
     reached = bytearray(n)
     reached[0] = 1
     walk = [0]
-    gens: list = []  # (g, row g as a getter over a row)
+    gens: list = []  # (g, row g, row g as a getter over a row)
+    starts: list = []  # len(walk) when each generator was walked
+
+    def refuse(failure):
+        return _first_light_failure(rows, walk, gens, starts) or failure
+
     while (picked := next_generator(reached)) is not None:
         s, row_s = picked
         if not (_is_permutation(row_s, n) and row_s[0] == s):
-            return ("row", s)
-        if len(walk) == n:  # the rows walked are a group, so (0, s) is the one pair left
+            return refuse(("row", s))
+        if len(walk) == n:  # the rows walked make the group, so (0, s) is the one pair left
             if rows[s] != tuple(row_s):
-                return ("law", 0, s)
+                return refuse(("law", 0, s))
             continue
-        gens.append((s, itemgetter(*row_s)))  # n >= 2 here
+        gens.append((s, row_s, itemgetter(*row_s)))  # n >= 2 here
+        starts.append(len(walk))
         # the elements reached before s against s alone, the rest
         # against every generator
         newest, earlier = gens[-1:], len(walk)
         for i, a in enumerate(walk):  # walk grows during the loop
+            if len(walk) == n:  # every pair left would compose nothing
+                break
             row_a = rows[a]
-            for g, through_g in (newest if i < earlier else gens):
+            for g, _, through_g in (newest if i < earlier else gens):
                 c = row_a[g]
+                if reached[c]:
+                    continue
                 if rows[c] is None:
                     rows[c] = through_g(row_a)
                 elif rows[c] != through_g(row_a):
-                    return ("law", a, g)
-                if not reached[c]:
-                    reached[c] = 1
-                    walk.append(c)
+                    return refuse(("law", a, g))
+                reached[c] = 1
+                walk.append(c)
     x = reached.find(0)
-    return None if x < 0 else ("reach", x)
+    if x >= 0:
+        return refuse(("reach", x))
+    columns = [tuple(map(itemgetter(y), rows)) for y, _, _ in gens]
+    through_columns = [itemgetter(*column) for column in columns]
+    for _, row_g, through_g in gens:
+        for column, through_column in zip(columns, through_columns):
+            if through_column(row_g) != through_g(column):
+                failure = _first_light_failure(rows, walk, gens, starts)
+                if failure is None:
+                    raise InternalCheckFailed("a generator column does not commute with a "
+                                              "generator row, yet Light's law holds")
+                return failure
+    return None
+
+
+def _first_light_failure(rows, walk, gens, starts) -> Optional[tuple]:
+    """The first pair (a, g) of the walk, in its order, whose row a*g is
+    not row g read through row a, as ("law", a, g), else None.
+
+    The order is the walk's own: for each walked generator, the elements
+    reached before it against it alone, then the elements reached after
+    it against every generator so far. Only a refused walk runs this
+    search."""
+    ends = starts[1:] + [len(walk)]
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        pairs = chain(product(walk[:start], gens[j:j + 1]),
+                      product(walk[start:end], gens[:j + 1]))
+        for a, (g, _, through_g) in pairs:
+            row_a = rows[a]
+            if rows[row_a[g]] != through_g(row_a):
+                return ("law", a, g)
+    return None
 
 
 def _from_generator_rows(order: int, generator_rows: dict,
@@ -776,12 +831,13 @@ def _from_generator_rows(order: int, generator_rows: dict,
     ``generator_rows`` (element -> its row, the products g*x for x =
     0..order-1), with identity 0.
 
-    ``_light_walk`` builds the table and proves it in one pass, so the
-    group skips ``FiniteGroup.__init__`` and its whole-table proof. A
-    refusal raises the witness of the first failure: the row's own
-    (``_row_witness``), NoIdentity for a row without g in column 0,
-    NotAssociative (a, g, c) with the least c for a broken law, and
-    NotGenerated for an element the rows do not reach.
+    ``_light_walk`` composes one row per element and proves the table by
+    the generator columns, so the group skips ``FiniteGroup.__init__``
+    and its whole-table proof. A refusal raises the witness of the first
+    failure that Light's condition on every pair (element, generator)
+    meets: the row's own (``_row_witness``), NoIdentity for a row
+    without g in column 0, NotAssociative (a, g, c) with the least c for
+    a broken law, and NotGenerated for an element the rows do not reach.
     """
     rows = [tuple(range(order))] + [None] * (order - 1)
     pending = iter(generator_rows.items())

@@ -810,6 +810,130 @@ def test_build_walk_refusals(order, rows, error, witness, monkeypatch, capsys):
     assert captured.err == f"error: {info.value}\n" and captured.out == ""
 
 
+def _old_light_walk(rows, next_generator):
+    """The build walk as it was before regularity: every (a, g) pair
+    composes row g read through row a, stored when a*g is met first and
+    compared with the stored row after that (Light's law on every pair)."""
+    n = len(rows)
+    reached = bytearray(n)
+    reached[0] = 1
+    walk = [0]
+    gens = []
+    while (picked := next_generator(reached)) is not None:
+        s, row_s = picked
+        if not (_is_permutation(row_s, n) and row_s[0] == s):
+            return ("row", s)
+        if len(walk) == n:
+            if rows[s] != tuple(row_s):
+                return ("law", 0, s)
+            continue
+        gens.append((s, itemgetter(*row_s)))
+        newest, earlier = gens[-1:], len(walk)
+        for i, a in enumerate(walk):
+            row_a = rows[a]
+            for g, through_g in (newest if i < earlier else gens):
+                c = row_a[g]
+                if rows[c] is None:
+                    rows[c] = through_g(row_a)
+                elif rows[c] != through_g(row_a):
+                    return ("law", a, g)
+                if not reached[c]:
+                    reached[c] = 1
+                    walk.append(c)
+    x = reached.find(0)
+    return None if x < 0 else ("reach", x)
+
+
+def _small_generator_row_sets() -> list:
+    """For n = 3..6, every pair of permutations of 0..n-1 with g in
+    column 0 given as the rows of the generator pairs (1, 2), (2, 1)
+    and (1, n-1), and every such row of the single generator 1."""
+    sets = []
+    for n in range(3, 7):
+        with_first = {g: [p for p in permutations(range(n)) if p[0] == g] for g in (1, 2, n - 1)}
+        for g, h in ((1, 2), (2, 1), (1, n - 1)):
+            sets.extend((n, {g: p, h: q}) for p, q in product(with_first[g], with_first[h]))
+        sets.extend((n, {1: p}) for p in with_first[1])
+    return sets
+
+
+def test_build_walk_equals_the_all_pairs_walk(monkeypatch):
+    """The walk that composes one row per element and proves regularity
+    by generator columns builds the same table, or raises the same
+    exception with the same args, as the walk that checks Light's law on
+    every pair, on all 45,200 small generator row sets."""
+    from cubeaut import groups as groups_module
+    from cubeaut.groups import _from_generator_rows
+
+    row_sets = _small_generator_row_sets()
+    assert len(row_sets) == 45_200
+
+    def outcome(n, rows):
+        try:
+            return _from_generator_rows(n, rows).table
+        except GroupTableError as exc:
+            return type(exc), exc.args
+
+    new = [outcome(n, rows) for n, rows in row_sets]
+    monkeypatch.setattr(groups_module, "_light_walk", _old_light_walk)
+    old = [outcome(n, rows) for n, rows in row_sets]
+    for (n, rows), got, want in zip(row_sets, new, old):
+        assert got == want, (n, rows)
+    kinds = {o[0] if isinstance(o[0], type) else "table" for o in new}
+    assert kinds == {"table", NotAssociative, NotGenerated}
+
+
+def test_build_walk_without_a_light_witness_raises(monkeypatch):
+    """A failed column commutation is refused even when the witness
+    search finds nothing: that path raises InternalCheckFailed and never
+    accepts."""
+    from cubeaut import groups as groups_module
+    from cubeaut.errors import InternalCheckFailed
+    from cubeaut.groups import _from_generator_rows
+
+    monkeypatch.setattr(groups_module, "_first_light_failure", lambda *_: None)
+    with pytest.raises(InternalCheckFailed):
+        _from_generator_rows(4, {1: (1, 0, 2, 3), 2: (2, 3, 0, 1)})
+
+
+# group: (build, order, walked generators k, rows composed by the build)
+WALK_COMPOSITIONS = {
+    "A6": (lambda: builders.alternating(6), 360, 4, 391),
+    "S6": (lambda: builders.symmetric(6), 720, 2, 727),
+    "L2(11)": (lambda: builders.psl2(11), 660, 2, 667),
+    "L2(13)": (lambda: builders.psl2(13), 1092, 2, 1099),
+    "T3i(2)": (lambda: builders.type3_group_i(2), 32, 4, 63),
+    "T3ii": (builders.type3_group_ii, 64, 4, 95),
+    "PGL2(13)": (lambda: builders.pgl2(13), 2184, 3, 2201),
+    "A7": (lambda: builders.alternating(7), 2520, 5, 2569),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_COMPOSITIONS))
+def test_build_walk_composes_one_row_per_element(name, monkeypatch):
+    """A build composes |G| - 1 tree rows and 2k^2 column checks, at most
+    |G| - 1 + 2k^2 rows of |G| entries, not one per (element, generator)
+    pair: each call of a getter over more than one index is one row."""
+    from cubeaut import groups as groups_module
+
+    build, order, k, composed = WALK_COMPOSITIONS[name]
+    calls = []
+
+    def counting_itemgetter(*items):
+        getter = itemgetter(*items)
+        if len(items) == 1:
+            return getter
+
+        def compose(row):
+            calls.append(None)
+            return getter(row)
+        return compose
+
+    monkeypatch.setattr(groups_module, "itemgetter", counting_itemgetter)
+    assert build().order == order
+    assert len(calls) == composed <= order - 1 + 2 * k * k
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
