@@ -44,7 +44,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import getitem
+from operator import ge, getitem
 from pathlib import Path
 from typing import Optional
 
@@ -492,10 +492,12 @@ def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
     trivial kernel prove each an automorphism, as the enumerator's
     closure would. Each must be canonical: its images orbit-least level
     by level, as the enumerator finds them, checked once per shared
-    prefix (``_all_canonical``). A file is rejected when a representative
-    repeats, when #representatives * [G : Z(G)] differs from its
-    ``aut_order`` or that is not an int, or when it lacks the key (a
-    file of an earlier layout). Nothing is expanded. Completeness rests
+    prefix (``_all_canonical``). A file is rejected when its
+    representatives are not strictly ascending, the order the enumerator
+    finds them in (so none repeats, and member k is the same map as in
+    a fresh enumeration), when #representatives * [G : Z(G)] differs
+    from its ``aut_order`` or that is not an int, or when it lacks the
+    key (a file of an earlier layout). Nothing is expanded. Completeness rests
     on the key ``table_hash``, a digest of the columns of the generating
     set, which decide the table. Any file that fails to load, even one
     nested too deeply to parse, is re-enumerated and overwritten, so a
@@ -531,9 +533,11 @@ def _load_cache(path: Path, group: FiniteGroup) -> Optional[AutomorphismGroup]:
     if (set(map(type, stored)) != {list} or set(map(len, stored)) != {len(gens)}
             or not _are_indices(list(chain.from_iterable(stored)), n)):
         return None  # not every representative is a list of k element indices
+    if any(map(ge, stored, stored[1:])):
+        return None  # not strictly ascending, the order the enumerator finds them in
     found = _prove_stored(group.table, gens, stored, n)
-    if found is None or len(set(found)) != len(found):
-        return None  # not all automorphisms, or a repeated representative
+    if found is None:
+        return None  # not all automorphisms
     result = AutomorphismGroup(group, tuple(found), tuple(gens), 0)
     aut_order = data.get("aut_order")
     if type(aut_order) is not int or aut_order != result.order:

@@ -66,12 +66,6 @@ class NotLatin(GroupTableError):
         super().__init__(f"row {index} is not a permutation of 0..n-1")
 
 
-class NotGenerated(GroupTableError):
-    def __init__(self, element: int):
-        self.element = element
-        super().__init__(f"element {element} is not reached from the generator rows")
-
-
 class UnsupportedParameter(CubeautError):
     """Builder called with a parameter outside its supported range."""
 

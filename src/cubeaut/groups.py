@@ -7,9 +7,7 @@ element it was reached from read through a generator row, and then
 proves the group of the generator rows regular: every generator column
 commutes with every generator row, so the table is that group's Cayley
 table. It composes permutations only, so it also proves every row a
-permutation of 0..n-1 without a set of any row. Only a refused walk
-checks Light's condition on every pair (element, generator), for the
-first one that fails: its witness. A table given whole
+permutation of 0..n-1 without a set of any row. A table given whole
 (``FiniteGroup(table)``, ``from_cayley_table``, a file, a quotient or a
 subgroup) is proven at construction (see ``_validate_table``): one pass
 over the whole table checks that it is square with int entries and
@@ -17,7 +15,9 @@ that row 0 and column 0 are the identity, then the walk runs on it, and
 only a refused table is searched row by row for the witness it raises.
 The builders and the permutation closure hand over the rows of a
 generating set only, and the same walk composes the other rows from
-them as it proves them (``_from_generator_rows``).
+them as it proves them (``_from_generator_rows``). Those rows come from
+a group the caller built or whose input it checked, so the walk
+refusing them is a bug and raises InternalCheckFailed.
 
 A table entry must be a Python int: a bool, float or str is refused
 with a ``NotClosed`` witness, never converted. Generator rows of the
@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, product
+from itertools import chain, compress
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -54,7 +54,6 @@ from .errors import (
     NotAssociative,
     NotASubgroup,
     NotClosed,
-    NotGenerated,
     NotLatin,
     NotNormal,
     UnsupportedParameter,
@@ -206,8 +205,6 @@ class FiniteGroup:
             for b in elems:
                 if self.table[a][b] not in inside:
                     raise NotASubgroup(f"product {a}*{b} escapes the element set")
-        if self.order % len(elems) != 0:
-            raise NotASubgroup("size does not divide the group order")
         return Subgroup(self, tuple(elems))
 
     def subgroup_generated(self, gens: Iterable[int]) -> "Subgroup":
@@ -642,81 +639,61 @@ def _find_identity(rows) -> Optional[int]:
 def _check_rows(table) -> tuple:
     """The rows of a nonempty square table whose every row is a
     permutation of 0..n-1, as tuples. Only a failing row is searched for
-    its witness."""
+    its witness: its length, else its first entry that is not an int in
+    0..n-1, else a missing 0 (no inverse), else a repeated entry."""
     rows = tuple(map(tuple, table))
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty table")
     for i, row in enumerate(rows):
-        if not _is_permutation(row, n):
-            raise _row_witness(i, row, n)
+        if _is_permutation(row, n):
+            continue
+        if len(row) != n:
+            raise NotClosed(i, len(row), None)
+        for j, v in enumerate(row):
+            if type(v) is not int or not (0 <= v < n):
+                raise NotClosed(i, j, v)
+        if 0 not in row:
+            raise NoInverse(i)
+        raise NotLatin(i)
     return rows
-
-
-def _row_witness(i: int, row, n: int) -> GroupTableError:
-    """The error of row i, which is not a permutation of 0..n-1: its
-    length, else its first entry that is not an int in 0..n-1, else a
-    missing 0 (no inverse), else a repeated entry."""
-    if len(row) != n:
-        return NotClosed(i, len(row), None)
-    for j, v in enumerate(row):
-        if type(v) is not int or not (0 <= v < n):
-            return NotClosed(i, j, v)
-    if 0 not in row:
-        return NoInverse(i)
-    return NotLatin(i)
 
 
 def _validate_table(table) -> tuple:
     """Prove the table is a group and return its rows as tuples.
 
-    The proof (``_walk_proves_group``) checks that the table is square
-    with int entries and that row 0 and column 0 are the identity; then
-    the breadth-first walk from 0 (``_light_walk``) checks that every
-    row is a product of the rows of a generating set, and that the
-    generators' columns commute with their rows. So the group P those
-    rows generate is regular, and the table is P's Cayley table.
+    One pass checks that the table is square with int entries and that
+    row 0 and column 0 are the identity. Then the breadth-first walk
+    from 0 (``_light_walk``) takes the least element not yet reached as
+    its next generator each time it stalls; in a group these are the
+    generators ``_light_associativity`` picks, each the least element
+    outside the span of the earlier ones. The walk checks that every
+    row is a product of the generator rows and that the generators'
+    columns commute with their rows, so the group P those rows generate
+    is regular and the table is P's Cayley table.
 
     A table the walk refuses goes through the per-row checks instead:
     every row a permutation (``_check_rows``), 0 a two-sided identity,
     and Light's test (``_light_associativity``). The first that fails
-    raises its witness, so a refused table raises the same exception
-    whichever proof saw it first. These checks also prove a group, and
-    they accept exactly the tables the walk accepts.
+    raises its witness. These checks also prove a group, and they accept
+    exactly the tables the walk accepts.
     """
     rows = tuple(map(tuple, table))
-    if _walk_proves_group(rows):
-        return rows
-    rows = _check_rows(rows)
     ident = tuple(range(len(rows)))
-    if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
-        raise NoIdentity("element 0 is not a two-sided identity")
-    _light_associativity(rows)
-    return rows
-
-
-def _walk_proves_group(rows: tuple) -> bool:
-    """True iff the tuple rows are a group table with identity 0.
-
-    After the whole-table shape and type pass and the identity test,
-    ``_light_walk`` runs with the least element not yet reached as the
-    next generator each time it stalls. In a group these are the
-    generators ``_light_associativity`` picks: each is the least
-    element outside the span of the earlier ones. The walk compares
-    each given row once, with the tree row that first reaches it, and
-    proves the rest with the generator columns.
-    """
-    n = len(rows)
-    ident = tuple(range(n))
-    if not (_is_square_of_ints(rows)
-            and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident):
-        return False
 
     def least_unreached(reached):
         s = reached.find(0)
         return None if s < 0 else (s, rows[s])
 
-    return _light_walk(rows, least_unreached) is None
+    if (_is_square_of_ints(rows)
+            and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident
+            and _light_walk(rows, least_unreached) is None):
+        return rows
+    rows = _check_rows(rows)
+    if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
+        raise NoIdentity("element 0 is not a two-sided identity")
+    _light_associativity(rows)
+    return rows
 
 
 def _light_walk(rows, next_generator) -> Optional[tuple]:
@@ -746,33 +723,27 @@ def _light_walk(rows, next_generator) -> Optional[tuple]:
     n are reached is checked on the pair (0, s) alone: its row must be
     row s.
 
-    Returns None when all n elements were reached and every check held.
-    Otherwise it returns the failure that a check of Light's condition
-    on every pair would meet first, found by ``_first_light_failure`` on
-    refusal only: ("row", s), ("law", a, g) for row a*g, or ("reach", x)
-    for the least element x not reached. A failed commutation always has
-    such a Light failure, so finding none raises InternalCheckFailed.
+    Returns None when all n elements were reached and every check held,
+    else the first check that failed: ("row", s) for a bad generator
+    row, ("law", a, g) for a stored row a*g that is not row g read
+    through row a, ("reach", x) for the least element x not reached, or
+    ("commute", g, y) for a generator row g and column y that do not
+    commute.
     """
     n = len(rows)
     reached = bytearray(n)
     reached[0] = 1
     walk = [0]
     gens: list = []  # (g, row g, row g as a getter over a row)
-    starts: list = []  # len(walk) when each generator was walked
-
-    def refuse(failure):
-        return _first_light_failure(rows, walk, gens, starts) or failure
-
     while (picked := next_generator(reached)) is not None:
         s, row_s = picked
         if not (_is_permutation(row_s, n) and row_s[0] == s):
-            return refuse(("row", s))
+            return ("row", s)
         if len(walk) == n:  # the rows walked make the group, so (0, s) is the one pair left
             if rows[s] != tuple(row_s):
-                return refuse(("law", 0, s))
+                return ("law", 0, s)
             continue
         gens.append((s, row_s, itemgetter(*row_s)))  # n >= 2 here
-        starts.append(len(walk))
         # the elements reached before s against s alone, the rest
         # against every generator
         newest, earlier = gens[-1:], len(walk)
@@ -787,41 +758,18 @@ def _light_walk(rows, next_generator) -> Optional[tuple]:
                 if rows[c] is None:
                     rows[c] = through_g(row_a)
                 elif rows[c] != through_g(row_a):
-                    return refuse(("law", a, g))
+                    return ("law", a, g)
                 reached[c] = 1
                 walk.append(c)
     x = reached.find(0)
     if x >= 0:
-        return refuse(("reach", x))
+        return ("reach", x)
     columns = [tuple(map(itemgetter(y), rows)) for y, _, _ in gens]
     through_columns = [itemgetter(*column) for column in columns]
-    for _, row_g, through_g in gens:
-        for column, through_column in zip(columns, through_columns):
+    for g, row_g, through_g in gens:
+        for (y, _, _), column, through_column in zip(gens, columns, through_columns):
             if through_column(row_g) != through_g(column):
-                failure = _first_light_failure(rows, walk, gens, starts)
-                if failure is None:
-                    raise InternalCheckFailed("a generator column does not commute with a "
-                                              "generator row, yet Light's law holds")
-                return failure
-    return None
-
-
-def _first_light_failure(rows, walk, gens, starts) -> Optional[tuple]:
-    """The first pair (a, g) of the walk, in its order, whose row a*g is
-    not row g read through row a, as ("law", a, g), else None.
-
-    The order is the walk's own: for each walked generator, the elements
-    reached before it against it alone, then the elements reached after
-    it against every generator so far. Only a refused walk runs this
-    search."""
-    ends = starts[1:] + [len(walk)]
-    for j, (start, end) in enumerate(zip(starts, ends)):
-        pairs = chain(product(walk[:start], gens[j:j + 1]),
-                      product(walk[start:end], gens[:j + 1]))
-        for a, (g, _, through_g) in pairs:
-            row_a = rows[a]
-            if rows[row_a[g]] != through_g(row_a):
-                return ("law", a, g)
+                return ("commute", g, y)
     return None
 
 
@@ -833,33 +781,21 @@ def _from_generator_rows(order: int, generator_rows: dict,
 
     ``_light_walk`` composes one row per element and proves the table by
     the generator columns, so the group skips ``FiniteGroup.__init__``
-    and its whole-table proof. A refusal raises the witness of the first
-    failure that Light's condition on every pair (element, generator)
-    meets: the row's own (``_row_witness``), NoIdentity for a row
-    without g in column 0, NotAssociative (a, g, c) with the least c for
-    a broken law, and NotGenerated for an element the rows do not reach.
+    and its whole-table proof. Every caller hands over the rows of a
+    group it built, or whose input it has checked, so a refusal is a
+    bug: it raises InternalCheckFailed naming the group and the check
+    that failed.
     """
     rows = [tuple(range(order))] + [None] * (order - 1)
     pending = iter(generator_rows.items())
     failure = _light_walk(rows, lambda reached: next(pending, None))
-    if failure is None:
-        group = FiniteGroup.__new__(FiniteGroup)
-        group.table, group.order, group.name, group.relabeling = tuple(rows), order, name, None
-        return group
-    kind, *at = failure
-    if kind == "reach":
-        raise NotGenerated(at[0])
-    if kind == "law":
-        a, g = at
-        row_a, row_g = rows[a], generator_rows[g]
-        row_ag = rows[row_a[g]]
-        raise NotAssociative(a, g, next(c for c in range(order)
-                                        if row_ag[c] != row_a[row_g[c]]))
-    g, = at
-    row = generator_rows[g]
-    if not _is_permutation(row, order):
-        raise _row_witness(g, row, order)
-    raise NoIdentity(f"the row given for {bounded_repr(g)} has {row[0]} in column 0")
+    if failure is not None:
+        raise InternalCheckFailed(f"the build walk refused the generator rows of "
+                                  f"{name or 'a group'} of order {order}: "
+                                  f"{bounded_repr(failure)}")
+    group = FiniteGroup.__new__(FiniteGroup)
+    group.table, group.order, group.name, group.relabeling = tuple(rows), order, name, None
+    return group
 
 
 def _light_associativity(rows: tuple) -> None:

@@ -313,6 +313,29 @@ def test_init_skipped_only_by_the_build_walk():
     assert found == inside, f"FiniteGroup.__new__ outside the build walk at {sorted(found - inside)}"
 
 
+def test_build_walk_refuses_as_an_internal_error():
+    """``groups._light_walk`` and ``groups._from_generator_rows`` construct
+    no GroupTableError: every builder hands over the rows of a group, so
+    a refused build walk is a bug and raises InternalCheckFailed. And the
+    per-pair witness search ``_first_light_failure`` stays deleted, so a
+    refusal cannot grow back a second walk over every pair."""
+    from cubeaut import errors
+
+    table_errors = {name for name, value in vars(errors).items()
+                    if isinstance(value, type) and issubclass(value, errors.GroupTableError)}
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    walk = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("_light_walk", "_from_generator_rows")}
+    assert sorted(walk) == ["_from_generator_rows", "_light_walk"]
+    for name, node in walk.items():
+        called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                  for n in ast.walk(node) if isinstance(n, ast.Call)}
+        made = sorted(called & table_errors)
+        assert not made, f"{name} constructs {made}"
+    assert not hasattr(groups, "_first_light_failure")
+
+
 def test_builders_run_no_whole_table_proof(monkeypatch):
     """Building the six groups-cold groups (A6, S6, L2(11), L2(13),
     T3i(2), T3ii) runs neither ``_validate_table`` nor the whole-table

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ from cubeaut.automorphisms import (
     induced_on_quotient,
     power_map,
 )
-from cubeaut.catalog import Catalog, CatalogEntry, built_in_catalog
+from cubeaut.catalog import Catalog, CatalogEntry, build_named_group, built_in_catalog
 from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
 from cubeaut.errors import (
     InternalCheckFailed,
@@ -902,6 +903,26 @@ def test_verify_properties_jobs_match(cache_dir):
         assert left["instances"] == right["instances"]
         assert left["skipped"] == right["skipped"]
         assert left["failures"] == right["failures"]
+
+
+def test_reordered_cache_file_is_refused(tmp_path):
+    """Member k of Aut(G) is representative k // |T|, so a cache file
+    whose representatives are valid but reordered would change what a
+    sampled draw picks. The loader refuses such a file and rewrites it,
+    and the report equals the one run on a fresh cache."""
+    kwargs = dict(exhaustive_cap=0, sample_count=10, sample_min=16,
+                  sample_max=32, seed=3, cache_dir=tmp_path)
+    fresh = verify_properties(**kwargs)
+    path = tmp_path / f"aut-{build_named_group('Z2xD4').table_hash}.json"
+    text = path.read_text()
+    payload = json.loads(text)
+    assert len(payload["representatives"]) == 16
+    payload["representatives"].reverse()
+    path.write_text(json.dumps(payload))
+    report = verify_properties(**kwargs)
+    assert path.read_text() == text  # refused, enumerated again and rewritten
+    assert [{**c, "elapsed_ms": 0} for c in report["checks"]] \
+        == [{**c, "elapsed_ms": 0} for c in fresh["checks"]]
 
 
 def test_sampled_draws_build_no_members(monkeypatch, cache_dir):
