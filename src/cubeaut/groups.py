@@ -11,8 +11,10 @@ permutation of 0..n-1 without a set of any row. A table given whole
 (``FiniteGroup(table)``, ``from_cayley_table``, a file, a quotient or a
 subgroup) is proven at construction (see ``_validate_table``): one pass
 over the whole table checks that it is square with int entries and
-that row 0 and column 0 are the identity, then the walk runs on it, and
-only a refused table is searched row by row for the witness it raises.
+that row 0 and column 0 are the identity, then the walk runs on it.
+Only a refused table is searched row by row, for a bad row or a missing
+identity; failing those, the pair the walk refused names the
+associativity triple it raises.
 The builders and the permutation closure hand over the rows of a
 generating set only, and the same walk composes the other rows from
 them as it proves them (``_from_generator_rows``). Those rows come from
@@ -588,7 +590,8 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     the relabeling permutation (old index -> new index) is recorded on
     the returned group. A refused table raises the witness of its rows
     as given: a bad row or entry before a missing identity, and both
-    before a relabeled table's associativity witness.
+    before an associativity triple, which a relabeled table names in
+    the labels as given (sigma swaps 0 and e, so it is its own inverse).
     """
     rows = tuple(map(tuple, table))
     n = len(rows)
@@ -604,7 +607,10 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: Optional[str] = None
     for a in range(n):
         for b in range(n):
             relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
-    return FiniteGroup(relabeled, name=name, relabeling=tuple(sigma))
+    try:
+        return FiniteGroup(relabeled, name=name, relabeling=tuple(sigma))
+    except NotAssociative as exc:
+        raise NotAssociative(*map(sigma.__getitem__, exc.witness)) from None
 
 
 def _are_indices(values, n: int) -> bool:
@@ -665,35 +671,42 @@ def _validate_table(table) -> tuple:
     One pass checks that the table is square with int entries and that
     row 0 and column 0 are the identity. Then the breadth-first walk
     from 0 (``_light_walk``) takes the least element not yet reached as
-    its next generator each time it stalls; in a group these are the
-    generators ``_light_associativity`` picks, each the least element
-    outside the span of the earlier ones. The walk checks that every
+    its next generator each time it stalls. The walk checks that every
     row is a product of the generator rows and that the generators'
     columns commute with their rows, so the group P those rows generate
     is regular and the table is P's Cayley table.
 
-    A table the walk refuses goes through the per-row checks instead:
-    every row a permutation (``_check_rows``), 0 a two-sided identity,
-    and Light's test (``_light_associativity``). The first that fails
-    raises its witness. These checks also prove a group, and they accept
-    exactly the tables the walk accepts.
+    A refused table raises the witness of the first check that fails:
+    every row a permutation (``_check_rows``), then 0 a two-sided
+    identity. A table that passes both was refused by the walk on a law
+    or a commutation, and that failure is named as a triple (a, b, c)
+    with (a*b)*c != a*(b*c): ("law", a, g) as (a, g, least such c),
+    ("commute", g, y) as (g, least such b, y).
     """
     rows = tuple(map(tuple, table))
-    ident = tuple(range(len(rows)))
+    n = len(rows)
+    ident = tuple(range(n))
 
     def least_unreached(reached):
         s = reached.find(0)
         return None if s < 0 else (s, rows[s])
 
-    if (_is_square_of_ints(rows)
-            and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident
-            and _light_walk(rows, least_unreached) is None):
-        return rows
-    rows = _check_rows(rows)
+    failure = None
+    if _is_square_of_ints(rows) and rows[0] == ident and tuple(map(itemgetter(0), rows)) == ident:
+        failure = _light_walk(rows, least_unreached)
+        if failure is None:
+            return rows
+    _check_rows(rows)
     if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
         raise NoIdentity("element 0 is not a two-sided identity")
-    _light_associativity(rows)
-    return rows
+    # every row is a permutation with its own index in column 0, so the
+    # walk took no bad generator row, reached all n, and refused a law
+    # (a, g) or a commutation (g, y)
+    kind, p, q = failure
+    triples = (((p, q, c) for c in range(n)) if kind == "law"
+               else ((p, b, q) for b in range(n)))
+    raise NotAssociative(*next((a, b, c) for a, b, c in triples
+                               if rows[rows[a][b]][c] != rows[a][rows[b][c]]))
 
 
 def _light_walk(rows, next_generator) -> Optional[tuple]:
@@ -796,49 +809,6 @@ def _from_generator_rows(order: int, generator_rows: dict,
     group = FiniteGroup.__new__(FiniteGroup)
     group.table, group.order, group.name, group.relabeling = tuple(rows), order, name, None
     return group
-
-
-def _light_associativity(rows: tuple) -> None:
-    """Light's test: verifying (a*s)*c == a*(s*c) for s in a generating
-    set proves associativity for all triples (the set of middle elements
-    satisfying the law is closed under the product and contains 0)."""
-    n = len(rows)
-    gens = []
-    seen = {0}
-    for x in range(1, n):
-        if x in seen:
-            continue
-        gens.append(x)
-        # closure under the raw table; needs no associativity assumption
-        queue = [0]
-        seen = {0}
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
-        i = 0
-        while i < len(queue):
-            a = queue[i]
-            i += 1
-            for g in gens:
-                c = rows[a][g]
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-                d = rows[g][a]
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-    # row a*s against row s read through row a; only a failing row is
-    # searched for its least c
-    for s in gens:
-        row_s = rows[s]
-        through_s = itemgetter(*row_s)  # n >= 2 here, so it returns a tuple
-        for a, row_a in enumerate(rows):
-            row_as = rows[row_a[s]]
-            if row_as != through_s(row_a):
-                c = next(c for c in range(n) if row_as[c] != row_a[row_s[c]])
-                raise NotAssociative(a, s, c)
 
 
 def from_permutation_generators(generators: Sequence[Sequence[int]], degree: int,
@@ -1069,7 +1039,9 @@ def _check_table_format(table: list) -> None:
     a list of n entries or holds an entry that is not an int in 0..n-1."""
     n = len(table)
     for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != n:
+        if not isinstance(row, list):
+            raise FileFormatError(f"table[{i}]", f"row is a {type(row).__name__}, not a list")
+        if len(row) != n:
             raise FileFormatError(f"table[{i}]", "row length differs from table size")
         for j, v in enumerate(row):
             if type(v) is not int or not (0 <= v < n):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -96,6 +97,25 @@ def test_group_load_bad_table_reports_location(tmp_path, capsys):
         code, out, err = run(capsys, "group", "load", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field}: expected")
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_group_load_names_the_triple_in_the_file_labels(tmp_path, capsys, e):
+    """The least non-associative loop with its identity moved to e: the
+    triple on the error line breaks the law in the file's own table."""
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    sigma = list(range(5))
+    sigma[0], sigma[e] = e, 0
+    table = [[0] * 5 for _ in range(5)]
+    for a in range(5):
+        for b in range(5):
+            table[sigma[a]][sigma[b]] = sigma[loop5[a][b]]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"table": table}))
+    code, out, err = run(capsys, "group", "load", str(path))
+    assert code == 2 and out == ""
+    a, b, c = map(int, re.search(r"witness triple \((\d+), (\d+), (\d+)\)", err).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 @pytest.mark.parametrize("location, data", [
@@ -378,6 +398,13 @@ def test_sfs_bad_equation(capsys):
     code, out, err = run(capsys, "sfs", "t", "12", "--equation", "1,x,-2")
     assert code == 2
     assert err.startswith("error: ") and "--equation" in err
+
+
+def test_sfs_equation_above_max_variables_is_refused(capsys):
+    """A 14-variable equation is refused before any search runs."""
+    code, out, err = run(capsys, "sfs", "t", "7", "--equation", "1," * 13 + "-13")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"at most {sfs.MAX_VARIABLES} variables" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,7 +3,7 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 
 import pytest
@@ -40,7 +40,6 @@ from cubeaut.groups import (
     _check_rows,
     _find_identity,
     _is_permutation,
-    _light_associativity,
     _validate_table,
     from_cayley_table,
     from_permutation_generators,
@@ -310,33 +309,48 @@ def _per_entry_light_witness(rows):
     return None
 
 
+def _breaks_the_law(table, triple) -> bool:
+    """Whether (a*b)*c != a*(b*c) in ``table`` for the triple (a, b, c)."""
+    a, b, c = triple
+    return table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def _assert_same_outcome(got, want, table) -> None:
+    """``got`` is ``want`` (see ``_outcome``), except that a NotAssociative
+    triple need not be the reference's: it must break the law in the
+    table as given."""
+    if want[0] is NotAssociative:
+        assert got[0] is NotAssociative and _breaks_the_law(table, got[1]), (got, table)
+    else:
+        assert got == want, table
+
+
 def test_associativity_witness_equals_per_entry_reference():
     failed = 0
     for rows in _validator_tables():
-        try:
-            FiniteGroup(rows)
-        except NotAssociative as exc:
-            assert exc.witness == _per_entry_light_witness(rows), rows
-            failed += 1
-        except GroupTableError:
-            pass
+        got = _outcome(lambda t: FiniteGroup(t).table, rows)
+        _assert_same_outcome(got, _outcome(_per_row_validate, rows), rows)
+        failed += got[0] is NotAssociative
     assert failed > 500
 
 
 def _per_row_validate(table) -> tuple:
     """Reference validator without the breadth-first walk: every row a
-    permutation, then the identity, then Light's test."""
+    permutation, then the identity, then Light's test entry by entry."""
     rows = _check_rows(table)
     ident = tuple(range(len(rows)))
     if rows[0] != ident or tuple(map(itemgetter(0), rows)) != ident:
         raise NoIdentity("element 0 is not a two-sided identity")
-    _light_associativity(rows)
+    witness = _per_entry_light_witness(rows)
+    if witness is not None:
+        raise NotAssociative(*witness)
     return rows
 
 
 def _per_row_from_cayley_table(table) -> tuple:
     """Reference ``from_cayley_table``: the rows are checked before the
-    identity is found and moved to 0. Returns (rows, relabeling)."""
+    identity is found and moved to 0, and an associativity triple is
+    moved back to the labels as given. Returns (rows, relabeling)."""
     rows = _check_rows(table)
     n = len(rows)
     ident = _find_identity(rows)
@@ -350,14 +364,19 @@ def _per_row_from_cayley_table(table) -> tuple:
     for a in range(n):
         for b in range(n):
             relabeled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
-    return _per_row_validate(relabeled), tuple(sigma)
+    try:
+        return _per_row_validate(relabeled), tuple(sigma)
+    except NotAssociative as exc:
+        raise NotAssociative(*(sigma[x] for x in exc.witness)) from None
 
 
 def _per_entry_load(table) -> tuple:
     """Reference Cayley-form load: every row and entry checked in turn
     for its ``FileFormatError``, then ``_per_row_from_cayley_table``."""
     for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != len(table):
+        if not isinstance(row, list):
+            raise FileFormatError(f"table[{i}]", f"row is a {type(row).__name__}, not a list")
+        if len(row) != len(table):
             raise FileFormatError(f"table[{i}]", "row length differs from table size")
         for j, v in enumerate(row):
             if type(v) is not int or not (0 <= v < len(table)):
@@ -379,9 +398,12 @@ _VALIDATORS = {
 
 
 def _outcome(validate, table):
-    """The validator's result, or the class and args of its refusal."""
+    """The validator's result, or the class and args of its refusal; a
+    NotAssociative refusal gives its witness triple as its args."""
     try:
         return validate([list(row) for row in table])
+    except NotAssociative as exc:
+        return NotAssociative, exc.witness
     except Exception as exc:  # the class is part of the comparison
         return type(exc), exc.args
 
@@ -409,6 +431,17 @@ def _single_entry_mutations(rows) -> list:
     return out
 
 
+def _moved(rows, e) -> list:
+    """``rows`` with the labels 0 and e swapped, so its identity is e."""
+    n = len(rows)
+    sigma = list(range(n))
+    sigma[0], sigma[e] = e, 0
+    moved = [[0] * n for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        moved[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    return moved
+
+
 def _equivalence_tables() -> list:
     """The catalog tables of order <= 360, S4 and S4 with its identity
     moved to 5 with every single-entry mutation of both, and LOOP5."""
@@ -416,12 +449,7 @@ def _equivalence_tables() -> list:
 
     tables = [g.table for _, g in built_in_catalog().groups(order_cap=360)]
     s4 = builders.symmetric(4).table
-    sigma = list(range(24))
-    sigma[0], sigma[5] = 5, 0
-    moved = [[0] * 24 for _ in range(24)]
-    for a, b in product(range(24), repeat=2):
-        moved[sigma[a]][sigma[b]] = sigma[s4[a][b]]
-    for rows in (s4, moved):
+    for rows in (s4, _moved(s4, 5)):
         tables.append(rows)
         tables.extend(_single_entry_mutations(rows))
     tables.append(LOOP5)
@@ -434,7 +462,7 @@ def test_walk_validator_equals_per_row_reference(kind):
     refused = set()
     for table in _equivalence_tables():
         got, want = _outcome(validate, table), _outcome(reference, table)
-        assert got == want, table
+        _assert_same_outcome(got, want, table)
         if isinstance(want[0], type):
             refused.add(want[0])
     assert NotAssociative in refused and NoInverse in refused
@@ -451,11 +479,53 @@ def test_accepted_tables_skip_the_per_row_checks(monkeypatch):
         raise AssertionError("per-row check ran on a group table")
 
     monkeypatch.setattr(groups_module, "_check_rows", refuse)
-    monkeypatch.setattr(groups_module, "_light_associativity", refuse)
     for rows in tables:
         assert FiniteGroup(rows).table == rows
         assert from_cayley_table(rows).table == rows
         assert load_group_json({"table": [list(r) for r in rows]}).table == rows
+
+
+def test_loop5_names_the_walks_triple():
+    """The walk takes 1, then 2, and refuses the law at (1, 2): the least
+    c with (1*2)*c != 1*(2*c) is 2, since 3*2 = 4 and 1*0 = 1."""
+    with pytest.raises(NotAssociative) as info:
+        from_cayley_table(LOOP5)
+    assert info.value.witness == (1, 2, 2)
+
+
+def _latin_intercalate_swaps(rows, e) -> list:
+    """Every table made from ``rows`` by swapping the entries of a 2x2
+    Latin subsquare outside row e and column e: still a Latin square
+    with identity e, and for S4 never associative."""
+    n = len(rows)
+    others = [x for x in range(n) if x != e]
+    out = []
+    for (a, d), (b, c) in product(combinations(others, 2), repeat=2):
+        if rows[a][b] == rows[d][c] and rows[a][c] == rows[d][b]:
+            t = [list(r) for r in rows]
+            t[a][b], t[a][c], t[d][b], t[d][c] = t[a][c], t[a][b], t[d][c], t[d][b]
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("load", [from_cayley_table, lambda t: load_group_json({"table": t})],
+                         ids=["from_cayley_table", "load_group_json"])
+def test_relabeled_table_names_a_triple_in_its_own_labels(load):
+    """A table whose identity is not 0 is proven relabeled, but its
+    triple breaks the law in the table as given."""
+    moved_s4 = _moved(builders.symmetric(4).table, 5)
+    swaps = _latin_intercalate_swaps(moved_s4, 5)
+    tables = [_moved(LOOP5, e) for e in range(5)] + _single_entry_mutations(moved_s4) + swaps
+    triples = 0
+    for table in tables:
+        try:
+            load(table)
+        except NotAssociative as exc:
+            assert _breaks_the_law(table, exc.witness), (exc.witness, table)
+            triples += 1
+        except (GroupTableError, FileFormatError):
+            pass
+    assert triples == 5 + len(swaps) and len(swaps) > 1000
 
 
 def _pairwise_commuting_masks(group):
@@ -1680,6 +1750,10 @@ def test_file_errors_carry_locations():
         with pytest.raises(FileFormatError) as info:
             load_group_json({"table": table})
         assert info.value.location == location
+    # a row that is not a list is named as such, even at the right length
+    with pytest.raises(FileFormatError) as info:
+        load_group_json({"table": [{"a": 1, "b": 2}, [1, 0]]})
+    assert str(info.value) == "table[0]: row is a dict, not a list"
 
 
 @pytest.mark.parametrize("order", [2.0, True, "2", None], ids=repr)

@@ -78,6 +78,15 @@ def test_equation_refuses_non_iterable():
         LinearEquation(5)
 
 
+def test_equation_refuses_more_than_max_variables():
+    """The generic search walks 3^k slot splits and |A|^(k-1) prefixes
+    that no budget bounds, so a long equation is refused up front."""
+    longest = (1,) * (sfs.MAX_VARIABLES - 1) + (1 - sfs.MAX_VARIABLES,)
+    assert LinearEquation(longest).coefficients == longest
+    with pytest.raises(UnsupportedParameter, match=f"at most {sfs.MAX_VARIABLES} variables"):
+        LinearEquation((1,) * sfs.MAX_VARIABLES + (-sfs.MAX_VARIABLES,))
+
+
 def test_instance_refuses_equations_that_are_not_linear_equations():
     with pytest.raises(UnsupportedParameter, match="not a nonempty sequence"):
         max_free_subset(SfsInstance(12, ((1, 1, -2),)))

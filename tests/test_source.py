@@ -336,6 +336,20 @@ def test_build_walk_refuses_as_an_internal_error():
     assert not hasattr(groups, "_first_light_failure")
 
 
+def test_whole_table_has_one_proof():
+    """A table given whole is proven by the walk alone: Light's second
+    pass ``_light_associativity`` stays deleted, and NotAssociative is
+    constructed only where ``_validate_table`` names the walk's refusal
+    and where ``from_cayley_table`` moves that triple back to the labels
+    of the table as given."""
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    raising = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "NotAssociative"
+                       for n in ast.walk(node))}
+    assert raising == {"_validate_table", "from_cayley_table"}
+    assert not hasattr(groups, "_light_associativity")
+
+
 def test_builders_run_no_whole_table_proof(monkeypatch):
     """Building the six groups-cold groups (A6, S6, L2(11), L2(13),
     T3i(2), T3ii) runs neither ``_validate_table`` nor the whole-table
