@@ -475,9 +475,9 @@ def enumerate_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
 
 
 # ---------------------------------------------------------------------------
-# Disk cache, only in a directory the caller names (advisory: the
-# representatives are stored as generator images; a load proves them in
-# one column pass and checks canonicity once per shared prefix)
+# Disk cache, trusted input in a directory the caller names: completeness
+# is trusted from the table-hash key; a load proves the stored generator
+# images in one column pass and checks canonicity once per shared prefix
 
 
 def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
@@ -497,11 +497,12 @@ def automorphism_group(group: FiniteGroup, cache_dir=None) -> AutomorphismGroup:
     finds them in (so none repeats, and member k is the same map as in
     a fresh enumeration), when #representatives * [G : Z(G)] differs
     from its ``aut_order`` or that is not an int, or when it lacks the
-    key (a file of an earlier layout). Nothing is expanded. Completeness rests
-    on the key ``table_hash``, a digest of the columns of the generating
-    set, which decide the table. Any file that fails to load, even one
-    nested too deeply to parse, is re-enumerated and overwritten, so a
-    stale or corrupt cache can only cost time, not correctness.
+    key (a file of an earlier layout). Nothing is expanded. Completeness is
+    trusted from the key ``table_hash``, a digest of the columns of the
+    generating set, which decide the table: a file missing representatives,
+    with ``aut_order`` to match, loads, so the cache directory is trusted
+    input. Any file that fails to load, even one nested too deeply to
+    parse, is re-enumerated and overwritten.
     """
     if cache_dir is None:
         return enumerate_automorphisms(group)

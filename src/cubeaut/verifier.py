@@ -2,17 +2,18 @@
 
 Each check asserts a commutation or counting statement over every pair
 or coset meeting its hypothesis and accumulates into a ``CheckReport``.
-A failing instance enters a report only through ``_record``, which
-re-validates it without the scan's tables first (``revalidate``); a
-non-revalidating failure aborts the run as an internal bug. The
-commutation patterns are one table, ``PATTERNS`` (pattern id -> the
-exponent n of the fourth element a^n b; None for ba). One walk,
-``pattern_walk``, fills all five pattern reports, and
-``power_pattern_search`` runs it for any other exponent and re-checks
-its counterexample on the raw table. One walk over the pairs (H, x),
-H a cyclic subgroup inside the cube set and x in it, fills the three
-coset reports. ``check_property(group, alpha, check)`` runs the
-checker of one check id on a single pair and returns that id's report;
+Four walks add the counts and yield a (check id, witness) pair per
+violation. ``_check_patterns``, ``_check_cyclic_cosets`` and
+``_check_coset_bound`` read only the cube set T = {x : alpha(x) = x^3},
+so they run on sets no alpha produced; ``_check_quotient_monotone``
+reads alpha. One loop, ``_run_all_checks``, sends every violation
+through ``_record``, which re-validates it without the scan's tables
+(``revalidate``); a non-revalidating failure aborts the run as an
+internal bug. The commutation patterns are one table, ``PATTERNS``
+(pattern id -> the exponent n of the fourth element a^n b; None for
+ba), and ``power_pattern_search`` runs their walk, ``pattern_walk``,
+for any other exponent. ``check_property(group, alpha, check)`` runs
+the loop on one pair with only the walk that fills that id's report;
 ``check_quotient_inequality`` runs the quotient check on one normal
 subgroup.
 
@@ -38,7 +39,7 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -86,6 +87,10 @@ CHECK_IDS = (
     "coset_bound_half",
 )
 
+# The coset bound needs a certified-largest subgroup inside the cube set;
+# above this many members the pair is skipped rather than searched.
+COSET_BOUND_MAX_MEMBERS = 40
+
 EXPECTED_ABELIAN_INDEX = {5: 12, 7: 24, 9: 40, 8: 56, 11: 60, 13: 84}
 # A5 first: it attains 4/15 exactly; the others must not exceed it
 BOUNDARY_GROUPS = ("A5", "S5", "L2(7)", "PGL2(7)", "A6")
@@ -93,24 +98,14 @@ BOUNDARY_GROUPS = ("A5", "S5", "L2(7)", "PGL2(7)", "A6")
 
 @dataclass
 class CheckReport:
+    """One check's report; ``dataclasses.asdict`` is its JSON form."""
     check: str
+    scope: dict = field(default_factory=dict)
     instances: int = 0
     failures: list = field(default_factory=list)
     skipped: int = 0
-    scope: dict = field(default_factory=dict)
     seed: Optional[int] = None
     elapsed_ms: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "scope": self.scope,
-            "instances": self.instances,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,9 @@ def _cube_members(img, cubes) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Revalidation (independent of every fast path above)
+# Revalidation (the coset-bound branch re-derives maximality by the
+# scan's own search, ``_max_subgroup_inside``; every other branch
+# recomputes from the raw table)
 
 
 def revalidate(group: FiniteGroup, img, check: str, witness: dict) -> bool:
@@ -260,7 +257,8 @@ def _record(acc: CheckReport, ctx: GroupContext, img, check: str, witness: dict)
 
 
 # ---------------------------------------------------------------------------
-# The per-(group, automorphism) checks
+# The walks: each adds its instance and skip counts to ``accs`` and
+# yields a (check id, witness) pair per violation
 
 
 def pattern_walk(group: FiniteGroup, members, mask, tables) -> tuple:
@@ -290,37 +288,43 @@ def pattern_walk(group: FiniteGroup, members, mask, tables) -> tuple:
     return counts, found
 
 
-def _check_patterns(ctx: GroupContext, img, members, mask, accs):
+def _check_patterns(ctx: GroupContext, members, mask, accs):
+    """The five ``PATTERNS`` on the member set, in one ``pattern_walk``."""
     tables = [None if n is None else ctx.powers[n] for n in PATTERNS.values()]
     for name, count, pairs in zip(PATTERN_IDS, *pattern_walk(ctx.group, members, mask, tables)):
-        acc = accs[name]
-        acc.instances += count
+        accs[name].instances += count
         for a, b in pairs:
-            _record(acc, ctx, img, name, {"a": a, "b": b})
+            yield name, {"a": a, "b": b}
 
 
-def _check_quotient_monotone(ctx: GroupContext, img, members, mask, accs):
+def _check_quotient_monotone(ctx: GroupContext, img, members, accs):
+    """The one walk that reads alpha (``img``): it needs the invariant
+    normal subgroups N and the cosets of N that alpha cubes."""
     acc = accs["quotient_ratio_monotone"]
     t = ctx.group.table
     inv = ctx.powers[-1]
     pow3 = ctx.powers[3]
     n = ctx.group.order
-    t_count = len(members)
     for elem_set, reps in ctx.normal_cosets:
         if any(img[x] not in elem_set for x in elem_set):
             continue
         acc.instances += 1
         # (Nr)^3 = Nr^3, so the coset Nr is cubed when img(r) (r^3)^-1 is in N
         tq = sum(1 for r in reps if t[img[r]][inv[pow3[r]]] in elem_set)
-        if t_count * len(reps) > tq * n:
-            _record(acc, ctx, img, "quotient_ratio_monotone",
-                    {"normal": sorted(elem_set), "quotient_cube_count": tq})
+        if len(members) * len(reps) > tq * n:
+            yield "quotient_ratio_monotone", {"normal": sorted(elem_set),
+                                              "quotient_cube_count": tq}
 
 
-def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
+def _check_cyclic_cosets(ctx: GroupContext, members, mask, accs):
     """The three checks on a coset Hx, H a cyclic subgroup inside the
-    cube set and x in it, in one walk over the (H, x) pairs: the
-    centralizer index, the elementary-two-coset rule and the trace."""
+    member set and x in it, in one walk over the (H, x) pairs: the
+    centralizer index, the elementary-two-coset rule and the trace.
+
+    Precondition: the member set is closed under products of commuting
+    members. Then the members in Hx are a union of cosets of C_H(x), or
+    the walk raises ``InternalCheckFailed``. Every cube set is closed so:
+    alpha(ux) = u^3 x^3 = (ux)^3 when u and x commute."""
     cube_acc = accs["cube_centralizer"]
     two_acc = accs["elementary_two_coset"]
     trace_acc = accs["trace_avoidance"]
@@ -331,7 +335,7 @@ def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
     for x in members:
         cube_acc.instances += 1
         if comm[x] != comm[pow3[x]]:
-            _record(cube_acc, ctx, img, "cube_centralizer", {"x": x})
+            yield "cube_centralizer", {"x": x}
     for sub_mask, powers in ctx.cyclic_subgroups:
         if sub_mask & ~mask:
             continue
@@ -342,8 +346,7 @@ def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
             m = size // cent
             cube_acc.instances += 1
             if m % 3 == 0:
-                _record(cube_acc, ctx, img, "cube_centralizer",
-                        {"subgroup": list(powers), "x": x, "index": m})
+                yield "cube_centralizer", {"subgroup": list(powers), "x": x, "index": m}
             hits = [(mask >> t[h][x]) & 1 for h in powers]
             # the rule needs H/C_H(x^2) elementary abelian of exponent 2
             cent2_mask = sub_mask & comm[squares[x]]
@@ -351,8 +354,7 @@ def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
                 two_acc.instances += size
                 for h, hit in zip(powers, hits):
                     if hit != (comm_x >> h) & 1:
-                        _record(two_acc, ctx, img, "elementary_two_coset",
-                                {"subgroup": list(powers), "x": x, "h": h})
+                        yield "elementary_two_coset", {"subgroup": list(powers), "x": x, "h": h}
             # cyclic quotient: the coset of h^k is k mod m
             residues = {k % m for k, hit in enumerate(hits) if hit}
             if sum(hits) != len(residues) * cent:
@@ -367,9 +369,8 @@ def _check_cyclic_cosets(ctx: GroupContext, img, members, mask, accs):
             trace_acc.instances += len(solved)
             for eq_index, hit in enumerate(solved):
                 if hit:
-                    _record(trace_acc, ctx, img, "trace_avoidance",
-                            {"subgroup": list(powers), "x": x, "modulus": m,
-                             "trace": residue_list, "equation": eq_index})
+                    yield "trace_avoidance", {"subgroup": list(powers), "x": x, "modulus": m,
+                                              "trace": residue_list, "equation": eq_index}
 
 
 def _max_subgroup_inside(group: FiniteGroup, members, mask) -> frozenset:
@@ -395,55 +396,52 @@ def _max_subgroup_inside(group: FiniteGroup, members, mask) -> frozenset:
     return best
 
 
-def _check_coset_bound(ctx: GroupContext, img, members, mask, accs):
+def _check_coset_bound(ctx: GroupContext, members, mask, accs):
+    """Hypothesis: the member set is more than half of G. With H the
+    largest subgroup inside it, each member x outside H meets Hx in at
+    most half of it, and every right coset of H meets the set."""
     acc = accs["coset_bound_half"]
     group = ctx.group
-    if 2 * len(members) <= group.order:
-        acc.skipped += 1
-        return
-    if len(members) > 40:
-        # the bound needs a certified-maximum subgroup; above this size
-        # the exhaustive search is not attempted and the pair is skipped
+    if 2 * len(members) <= group.order or len(members) > COSET_BOUND_MAX_MEMBERS:
         acc.skipped += 1
         return
     h_set = _max_subgroup_inside(group, members, mask)
     h_elems = sorted(h_set)
-    h_size = len(h_elems)
     t = group.table
     for x in members:
         if x in h_set:
             continue
         acc.instances += 1
         hit = sum(1 for u in h_elems if (mask >> t[u][x]) & 1)
-        if 2 * hit > h_size:
-            _record(acc, ctx, img, "coset_bound_half",
-                    {"subgroup": h_elems, "x": x, "intersection": hit})
+        if 2 * hit > len(h_elems):
+            yield "coset_bound_half", {"subgroup": h_elems, "x": x, "intersection": hit}
     for rep, coset in zip(*group.right_cosets(Subgroup(group, tuple(h_elems)))):
         acc.instances += 1
         if not any((mask >> y) & 1 for y in coset):
-            _record(acc, ctx, img, "coset_bound_half",
-                    {"subgroup": h_elems, "coset_rep": rep})
+            yield "coset_bound_half", {"subgroup": h_elems, "coset_rep": rep}
 
 
-# Check id -> bulk checker. One _check_patterns call fills all five
-# pattern accumulators, one _check_cyclic_cosets call the three coset ones.
-_CHECKERS = {
-    "quotient_ratio_monotone": _check_quotient_monotone,
-    **dict.fromkeys(("cube_centralizer", "elementary_two_coset", "trace_avoidance"),
-                    _check_cyclic_cosets),
-    **dict.fromkeys(PATTERN_IDS, _check_patterns),
-    "coset_bound_half": _check_coset_bound,
-}
-
-
-def _run_all_checks(ctx: GroupContext, img, accs: dict):
+def _run_all_checks(ctx: GroupContext, img, accs: dict, check: Optional[str] = None):
+    """Every walk on the cube set of ``img``, or with ``check`` only the
+    walk that fills its report, keyed here by the ids it fills. A walk
+    is a generator, so one not iterated does no work. Each violation
+    enters its report through ``_record``."""
     members, mask = _cube_members(img, ctx.powers[3])
-    for checker in dict.fromkeys(_CHECKERS.values()):
-        checker(ctx, img, members, mask, accs)
+    walks = {
+        ("quotient_ratio_monotone",): _check_quotient_monotone(ctx, img, members, accs),
+        ("cube_centralizer", "elementary_two_coset", "trace_avoidance"):
+            _check_cyclic_cosets(ctx, members, mask, accs),
+        PATTERN_IDS: _check_patterns(ctx, members, mask, accs),
+        ("coset_bound_half",): _check_coset_bound(ctx, members, mask, accs),
+    }
+    for ids, walk in walks.items():
+        if check is None or check in ids:
+            for name, witness in walk:
+                _record(accs[name], ctx, img, name, witness)
 
 
 # ---------------------------------------------------------------------------
-# Public single-instance checks (the bulk checkers on one pair)
+# Public single-instance checks (the scan's loop on one pair and one walk)
 
 
 def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
@@ -453,8 +451,7 @@ def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
         raise NotAutomorphism("map does not act on this group")
     check_automorphism(alpha)
     reports = {name: CheckReport(name) for name in CHECK_IDS}
-    members, mask = _cube_members(alpha.images, ctx.powers[3])
-    _CHECKERS[check](ctx, alpha.images, members, mask, reports)
+    _run_all_checks(ctx, alpha.images, reports, check)
     report = reports[check]
     report.scope = scope
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -463,9 +460,9 @@ def _single_report(group: FiniteGroup, alpha: GroupMap, check: str,
 
 def check_property(group: FiniteGroup, alpha: GroupMap, check: str) -> CheckReport:
     """The report of ``check``, an id of ``CHECK_IDS``, on the one pair
-    (group, alpha): the scan's checker on a fresh context, so a pair the
-    scan skips is skipped here too. A checker that fills several reports
-    in one walk returns only this one."""
+    (group, alpha): the scan's loop with only the walk that fills it, on
+    a fresh context, so a pair the scan skips is skipped here too. A walk
+    that fills several reports returns only this one."""
     if check not in CHECK_IDS:  # a tuple test: an unhashable id is refused too
         raise UnsupportedParameter(
             f"unknown check {check!r}; known checks: {', '.join(CHECK_IDS)}")
@@ -636,7 +633,7 @@ def verify_properties(catalog: Optional[Catalog] = None, exhaustive_cap: int = 2
         "suite": "property-checks",
         "seed": seed,
         "scope": scope,
-        "checks": [r.to_json() for r in reports],
+        "checks": [asdict(r) for r in reports],
         "pass": all(not r.failures for r in reports),
         "stats": stats,
         "elapsed_ms": elapsed,

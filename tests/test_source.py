@@ -214,6 +214,32 @@ def test_failures_recorded_only_through_record():
     assert not outside, f"failures appended outside _record at lines {outside}"
 
 
+def test_record_has_one_call_site():
+    """Every violation a walk yields reaches its report through the one
+    loop of ``_run_all_checks``: verifier.py calls ``_record`` once."""
+    tree = ast.parse((ROOT / "src" / "cubeaut" / "verifier.py").read_text(encoding="utf-8"))
+    sites = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_record"]
+    assert len(sites) == 1, f"_record called at lines {sites}"
+
+
+def test_patterns_read_only_in_the_verifier():
+    """``PATTERNS`` is read nowhere outside verifier.py, in the package,
+    the tests or the benchmark: another use of Theorem 1's patterns goes
+    through the verifier's walks, not a second copy of the table."""
+    paths = [*SOURCES, *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    found = []
+    for path in paths:
+        if path == ROOT / "src" / "cubeaut" / "verifier.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if "PATTERNS" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, f"PATTERNS read outside verifier.py: {found}"
+
+
 def test_max_ratio_computed_only_by_ratio_row():
     """In cli.py and verifier.py only ``verifier.ratio_row`` calls
     max_cube_ratio: ``cube max`` and both theorem suites report its row,

@@ -46,6 +46,13 @@ from cubeaut.verifier import (
 from cubeaut.sfs import DEFAULT_EQUATIONS, find_nontrivial_solution
 
 
+def _record_all(ctx, img, accs, violations):
+    """Each (check id, witness) a walk yields, through ``_record`` as the
+    scan's loop sends it."""
+    for check, witness in violations:
+        verifier._record(accs[check], ctx, img, check, witness)
+
+
 # ---------------------------------------------------------------------------
 # Single-instance checks
 
@@ -73,13 +80,11 @@ def test_quotient_inequality_scans_all_normals():
     assert not report.failures
 
 
-def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
-    """With every element passed as cubed, the scan records each invariant
+def test_quotient_monotone_count_equals_quotient_table():
+    """With every element passed as cubed, the walk yields each invariant
     N whose cubed-coset count is below |G/N|, with that count; it must equal
     the count read from the quotient table, cubing in G/N."""
-    recorded, below = [], 0
-    monkeypatch.setattr(verifier, "_record",
-                        lambda acc, ctx, img, check, witness: recorded.append(witness))
+    below = 0
     for name, group in built_in_catalog().groups(order_cap=24):
         ctx = GroupContext(group, name)
         everything = list(group.elements())
@@ -92,10 +97,9 @@ def test_quotient_monotone_count_equals_quotient_table(monkeypatch):
             quotients.append((sub, qgrp, proj, reps))
         for alpha in enumerate_automorphisms(group).members:
             img = alpha.images
-            recorded.clear()
             acc = CheckReport("quotient_ratio_monotone")
-            verifier._check_quotient_monotone(ctx, img, everything, None,
-                                              {"quotient_ratio_monotone": acc})
+            recorded = [witness for _, witness in verifier._check_quotient_monotone(
+                ctx, img, everything, {"quotient_ratio_monotone": acc})]
             below += len(recorded)
             counts = {tuple(w["normal"]): w["quotient_cube_count"] for w in recorded}
             invariant = 0
@@ -146,12 +150,12 @@ def old_check_coset_bound(ctx, img, members, mask, accs):
 
 def coset_bound_runs(ctx, img, members):
     """(instances, skipped, failures) of the new and the reference check."""
-    runs = []
-    for checker in (verifier._check_coset_bound, old_check_coset_bound):
-        acc = CheckReport("coset_bound_half")
-        checker(ctx, img, members, verifier._mask_of(members), {"coset_bound_half": acc})
-        runs.append((acc.instances, acc.skipped, acc.failures))
-    return runs
+    mask = verifier._mask_of(members)
+    new, old = ({"coset_bound_half": CheckReport("coset_bound_half")} for _ in range(2))
+    _record_all(ctx, img, new, verifier._check_coset_bound(ctx, members, mask, new))
+    old_check_coset_bound(ctx, img, members, mask, old)
+    return [(acc.instances, acc.skipped, acc.failures)
+            for acc in (new["coset_bound_half"], old["coset_bound_half"])]
 
 
 def test_coset_bound_walk_equals_old_walk():
@@ -345,7 +349,7 @@ def walks_equal_old_loops(ctx, img, members, mask, powers):
     Returns the scan's five pattern reports."""
     new = {check: CheckReport(check) for check in PATTERN_IDS}
     old = {check: CheckReport(check) for check in PATTERN_IDS}
-    verifier._check_patterns(ctx, img, members, mask, new)
+    _record_all(ctx, img, new, verifier._check_patterns(ctx, members, mask, new))
     old_check_patterns(ctx, img, members, mask, old)
     for check in PATTERN_IDS:
         assert ((new[check].instances, new[check].failures)
@@ -521,7 +525,7 @@ def test_trace_memo_equals_unmemoized_loop(monkeypatch):
         plain = CheckReport("trace_avoidance")
         for img in arrays:
             members, mask = _cube_members(img, ctx.powers[3])
-            _check_cyclic_cosets(ctx, img, members, mask, memo)
+            _record_all(ctx, img, memo, _check_cyclic_cosets(ctx, members, mask, memo))
             _unmemoized_trace_avoidance(ctx, img, members, mask, plain)
         assert memo["trace_avoidance"].instances == plain.instances, name
         assert memo["trace_avoidance"].failures == plain.failures, name
@@ -609,7 +613,7 @@ def test_coset_walk_equals_three_separate_walks():
         separate = {check: CheckReport(check) for check in COSET_CHECKS}
         for img in arrays:
             members, mask = _cube_members(img, ctx.powers[3])
-            _check_cyclic_cosets(ctx, img, members, mask, merged)
+            _record_all(ctx, img, merged, _check_cyclic_cosets(ctx, members, mask, merged))
             for walk in (_separate_cube_centralizer, _separate_elementary_two_coset,
                          _separate_trace_avoidance):
                 walk(ref_ctx, img, members, mask, separate)
@@ -624,6 +628,69 @@ def test_coset_walk_equals_three_separate_walks():
                 if any(not (sub_mask & ctx.comm[squares[x]]) >> squares[u] & 1
                        for u in powers))
     assert hypothesis_fails
+
+
+def test_cube_set_walks_run_on_a_set_no_map_produced(monkeypatch):
+    """The three cube-set walks take no map: on each catalog group of
+    order <= 24 with the whole group as the member set (closed under
+    every product, so the coset walk's precondition holds), their counts
+    and yielded witnesses equal the references', whose ``_record`` is
+    patched to keep the witness alone. The nonabelian groups break every
+    pattern."""
+    monkeypatch.setattr(verifier, "_record",
+                        lambda acc, ctx, img, check, witness: acc.failures.append(witness))
+    references = (
+        (verifier._check_patterns, (old_check_patterns,), PATTERN_IDS),
+        (_check_cyclic_cosets, (_separate_cube_centralizer, _separate_elementary_two_coset,
+                                _separate_trace_avoidance), COSET_CHECKS),
+        (verifier._check_coset_bound, (old_check_coset_bound,), ("coset_bound_half",)),
+    )
+    broken = set()
+    for name, group in built_in_catalog().groups(order_cap=24):
+        members = list(group.elements())
+        mask = verifier._mask_of(members)
+        ctx, ref_ctx = GroupContext(group, name), GroupContext(group, name)
+        for walk, refs, checks in references:
+            new = {check: CheckReport(check) for check in checks}
+            old = {check: CheckReport(check) for check in checks}
+            yielded = list(walk(ctx, members, mask, new))
+            for ref in refs:
+                ref(ref_ctx, None, members, mask, old)
+            for check in checks:
+                assert [w for c, w in yielded if c == check] == old[check].failures, \
+                    (name, check)
+                assert ((new[check].instances, new[check].skipped)
+                        == (old[check].instances, old[check].skipped)), (name, check)
+                if old[check].failures:
+                    broken.add((name, check))
+        if not group.is_abelian:
+            assert {(name, check) for check in PATTERN_IDS} <= broken, name
+    assert broken
+
+
+def test_check_property_runs_only_the_walk_of_its_check(monkeypatch):
+    """check_property iterates the one walk that fills the report of
+    its check id, and no other."""
+    ran = []
+
+    def spy(walk):
+        def wrapped(*args):
+            ran.append(walk.__name__)
+            yield from walk(*args)
+        return wrapped
+
+    for walk in ("_check_quotient_monotone", "_check_cyclic_cosets", "_check_patterns",
+                 "_check_coset_bound"):
+        monkeypatch.setattr(verifier, walk, spy(getattr(verifier, walk)))
+    walk_of = {"quotient_ratio_monotone": "_check_quotient_monotone",
+               **dict.fromkeys(COSET_CHECKS, "_check_cyclic_cosets"),
+               **dict.fromkeys(PATTERN_IDS, "_check_patterns"),
+               "coset_bound_half": "_check_coset_bound"}
+    g = builders.symmetric(4)
+    for check in CHECK_IDS:
+        ran.clear()
+        check_property(g, identity_map(g), check)
+        assert ran == [walk_of[check]], check
 
 
 # Each check id's case keeps the id it had when every check was a
@@ -1040,22 +1107,26 @@ def test_sampled_task_weights_repeated_draws():
 
 
 def test_a_failure_sends_the_group_back_to_the_member_walk(monkeypatch):
-    """A patched check that fails on one member, the least of a class of
+    """A patched walk that fails on one member, the least of a class of
     three in Aut(S3), gives the failure list of a walk over every member:
-    that one failure, and the counts of that walk."""
+    that one failure, and the counts of that walk. The walk reads only
+    the cube set, and no other member of Aut(S3) has this one's."""
     group = builders.symmetric(3)
     auts = enumerate_automorphisms(group)
     cls = next(c for c in auts.conjugacy_classes if len(c) == 3)
     failing = _member(auts, cls[0])
-    checker = verifier._CHECKERS["coset_bound_half"]
+    cubes = power_map(group, 3).images
+    cube_sets = [_cube_members(_member(auts, k), cubes)[0] for k in range(auts.order)]
+    failing_members = _cube_members(failing, cubes)[0]
+    assert cube_sets.count(failing_members) == 1
+    walk = verifier._check_coset_bound
 
-    def patched(ctx, img, members, mask, accs):
-        checker(ctx, img, members, mask, accs)
-        if img == failing:
-            verifier._record(accs["coset_bound_half"], ctx, img, "coset_bound_half",
-                             {"subgroup": [0], "x": 0})
+    def patched(ctx, members, mask, accs):
+        yield from walk(ctx, members, mask, accs)
+        if members == failing_members:
+            yield "coset_bound_half", {"subgroup": [0], "x": 0}
 
-    monkeypatch.setitem(verifier._CHECKERS, "coset_bound_half", patched)
+    monkeypatch.setattr(verifier, "_check_coset_bound", patched)
     monkeypatch.setattr(verifier, "revalidate", lambda *args: True)
     task = verifier._property_task(
         {"name": "S3", "group": group, "cache_dir": None, "kind": "exhaustive"})
