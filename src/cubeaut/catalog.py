@@ -1,10 +1,10 @@
 """The shipped group catalog and the one table of group names.
 
 ``REGISTRY`` holds one row per family (Z, D, T3i, S, A, L2, PGL2) and one
-per single group (Q8, T3ii, SL23, ..., the direct products), in catalog
-order. A row gives the canonical name, the spellings that denote it, the
-``group build`` word, the builder, the shipped parameters and the order.
-``built_in_catalog`` and ``build_named_group`` both read it.
+per single group (Q8, T3ii, SL23, ...), in catalog order: name, spellings,
+``group build`` word, builder, shipped parameters and order. Names joined
+by ``x`` (Z2xQ8xZ2) denote the direct product of their factors, folded
+from the left; ``PRODUCTS`` lists the shipped ones, last in the catalog.
 
 Entries are lazy (groups are built on first use) so iterating with an
 order cap never constructs the large projective tables. Duplicate
@@ -148,17 +148,6 @@ def _group(name: str, build: Callable[[], FiniteGroup], order: int,
     return _Row(name, re.escape(name.lower()), build, lambda: order, word=word)
 
 
-def _product(name: str, order: int) -> _Row:
-    """The direct product of the factors the name spells, folded from the
-    left: Z2xQ8xZ2 is (Z2 x Q8) x Z2."""
-    def build():
-        factors = [_parse(f) for f in name.split("x")]
-        return functools.reduce(builders.direct_product,
-                                [row.build(*k) for row, k in factors])
-
-    return _group(name, build, order)
-
-
 _PAREN = r"[_(]?(\d+)\)?"  # l2_7, l2(7) and l27 all name L2(7)
 
 
@@ -189,31 +178,39 @@ REGISTRY = (
          _each(builders.SUPPORTED_Q), "psl2"),
     _Row("PGL2({})", "pgl2" + _PAREN, lambda q: builders.pgl2(q),
          lambda q: q * (q * q - 1), _each(builders.SUPPORTED_Q), "pgl2"),
-    *(_product(name, order) for name, order in (
-        ("Z2xZ2", 4), ("Z2xZ4", 8), ("Z2xZ2xZ2", 8), ("Z3xZ3", 9), ("Z2xZ6", 12),
-        ("Z2xS3", 12), ("Z4xZ4", 16), ("Z2xD4", 16), ("Z2xQ8", 16), ("Z3xS3", 18),
-        ("Z2xA4", 24), ("Z4xZ6", 24), ("Z3xD4", 24), ("Z3xQ8", 24), ("Z5xZ5", 25),
-        ("Z2xQ8xZ2", 32), ("D4xZ4", 32), ("S3xS3", 36), ("Z6xZ6", 36), ("Z3xA4", 36),
-        ("Z5xD4", 40), ("Z7xQ8", 56), ("Z2xZ2xZ16", 64))),
 )
+
+PRODUCTS = ("Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6", "Z2xS3", "Z4xZ4", "Z2xD4",
+            "Z2xQ8", "Z3xS3", "Z2xA4", "Z4xZ6", "Z3xD4", "Z3xQ8", "Z5xZ5", "Z2xQ8xZ2",
+            "D4xZ4", "S3xS3", "Z6xZ6", "Z3xA4", "Z5xD4", "Z7xQ8", "Z2xZ2xZ16")
 
 
 def built_in_catalog() -> Catalog:
-    """The shipped catalog: every group the analyses name, plus a
-    spread of positives and negatives for the classification scans."""
-    return Catalog(CatalogEntry(row.name.format(*params), row.order(*params),
-                                functools.partial(row.build, *params))
-                   for row in REGISTRY for params in row.shipped)
+    """The shipped catalog: every group the analyses name, then ``PRODUCTS``,
+    each built by ``build_named_group``. ``row.order`` runs on shipped
+    parameters only: on a user's name, a factorial of an unchecked
+    parameter would be unbounded work."""
+    shipped = [(row.name.format(*k), [(row, k)]) for row in REGISTRY for k in row.shipped]
+    shipped += [(name, _parse(name)) for name in PRODUCTS]
+    return Catalog(CatalogEntry(name, math.prod(row.order(*k) for row, k in factors),
+                                functools.partial(build_named_group, name))
+                   for name, factors in shipped)
 
 
-def _parse(name: str) -> Optional[tuple]:
-    """(row, parameters) for a spelling ``NAME [K]``: NAME is one of the
-    row's spellings, or its word followed by the parameters. None when
-    no row knows NAME."""
-    tokens = name.lower().split()
-    if not tokens:
-        return None
-    head, rest = tokens[0], tokens[1:]
+def _parse(name: str) -> Optional[list]:
+    """The factors [(row, parameters), ...] of ``NAME [K]`` (a row's spelling,
+    or its word and then the parameters) or of one token of names joined by
+    ``x`` (one factor each, no parameters after it); None for an unknown name."""
+    head, *rest = name.lower().split() or [""]
+    parts = head.split("x")
+    if len(parts) > 1:
+        factors = [_parse(part) for part in parts]
+        if None in factors:
+            return None
+        if rest:
+            raise UnsupportedParameter(
+                f"{head!r} takes 0 numeric parameter(s) after it, got {len(rest)}")
+        return sum(factors, [])
     for row in REGISTRY:
         match = re.fullmatch(row.spelling, head)
         if match is None and head != row.word:
@@ -224,7 +221,7 @@ def _parse(name: str) -> Optional[tuple]:
             raise UnsupportedParameter(
                 f"{head!r} takes {wanted} numeric parameter(s) after it, got {len(rest)}")
         try:
-            return row, tuple(int(k) for k in (*named, *rest))
+            return [(row, tuple(int(k) for k in (*named, *rest)))]
         except ValueError:
             raise UnsupportedParameter(
                 f"{head!r} takes integer parameters, got {rest}") from None
@@ -233,9 +230,11 @@ def _parse(name: str) -> Optional[tuple]:
 
 def build_named_group(name: str) -> FiniteGroup:
     """The group a spelling names (a5, z12, c12, l2_7, pgl2(7), cyclic 12,
-    ...), built by its row's builder, shipped in the catalog or not."""
-    parsed = _parse(name)
-    if parsed is None:
+    d4xs3, z2xq8xz2, ...), shipped in the catalog or not: the factors'
+    builds, one at a time, folded from the left by ``direct_product``, which
+    refuses an order above MAX_ORDER before allocating. One factor is
+    returned as its builder made it."""
+    factors = _parse(name)
+    if factors is None:
         raise UnsupportedParameter(f"unknown group name {name!r}")
-    row, params = parsed
-    return row.build(*params)
+    return functools.reduce(builders.direct_product, (row.build(*k) for row, k in factors))

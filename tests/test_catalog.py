@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -12,6 +13,10 @@ from cubeaut.catalog import (
     heisenberg27,
     special_linear_2_3,
 )
+
+
+def _fold(*factors):
+    return functools.reduce(builders.direct_product, factors)
 
 
 # Every spelling the CLI accepts for a group, and the builder it names.
@@ -49,6 +54,12 @@ SPELLINGS = [
     ("pgl2 7", lambda: builders.pgl2(7)),
     ("type3i 2", lambda: builders.type3_group_i(2)),
     ("type3ii", builders.type3_group_ii),
+    # any names joined by x: their direct product, folded from the left
+    ("c2xc2", lambda: _fold(builders.cyclic(2), builders.cyclic(2))),
+    ("d4xs3", lambda: _fold(builders.dihedral(4), builders.symmetric(3))),
+    ("S3xZ2", lambda: _fold(builders.symmetric(3), builders.cyclic(2))),
+    ("l2(7)xz2", lambda: _fold(builders.psl2(7), builders.cyclic(2))),
+    ("Z2xQ8xZ2", lambda: _fold(builders.cyclic(2), builders.quaternion8(), builders.cyclic(2))),
 ]
 
 
@@ -60,10 +71,12 @@ def test_spelling_builds_the_named_group(spelling, builder):
 
 
 def test_every_catalog_name_parses_to_its_row():
-    """``build_named_group`` reaches every shipped entry through ``_parse``."""
+    """``build_named_group`` reaches every shipped entry through ``_parse``:
+    the rows of its factors name them, and the names joined by x give the
+    entry's name."""
     for entry in built_in_catalog().entries:
-        row, params = _parse(entry.name)
-        assert row.name.format(*params) == entry.name
+        factors = _parse(entry.name)
+        assert "x".join(row.name.format(*params) for row, params in factors) == entry.name
 
 
 def test_named_group_makes_no_catalog(monkeypatch):

@@ -166,6 +166,29 @@ def test_unknown_group_name(capsys):
     assert "unknown group" in err
 
 
+# `group build` arguments naming a product, and the one error line each gets
+PRODUCT_REFUSALS = {
+    "z2x": "unknown group name 'z2x'",
+    "xz2": "unknown group name 'xz2'",
+    "x": "unknown group name 'x'",
+    "z2xfoo": "unknown group name 'z2xfoo'",
+    "z2xcyclic": "'cyclic' takes 1 numeric parameter(s) after it, got 0",
+    "z2xz2 3": "'z2xz2' takes 0 numeric parameter(s) after it, got 1",
+    "z200xz200": "order 40000 is above the limit 20000",
+}
+
+
+@pytest.mark.parametrize("argv", PRODUCT_REFUSALS)
+def test_product_spelling_refusals(capsys, argv):
+    """A product is names joined by x with no parameters after it; an
+    empty or unknown name, a factor missing its parameter, a parameter
+    after the product and an order above the limit each end in one
+    error line."""
+    code, out, err = run(capsys, "group", "build", *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: {PRODUCT_REFUSALS[argv]}\n"
+
+
 def test_missing_file_is_reported(capsys):
     code, out, err = run(capsys, "group", "load", "/nonexistent/g.json")
     assert code == 2
@@ -313,6 +336,22 @@ def test_cube_classify(capsys):
     code, payload, _ = run_json(capsys, "cube", "classify", "d4")
     assert payload["kind"] == "TypeIII(i)"
     assert payload["predicted_ratio"] == {"num": 3, "den": 4}
+
+
+@pytest.mark.parametrize("name, ratio, aut_order", [
+    ("d4xs3", {"num": 1, "den": 2}, 96),
+    ("q8xs3", {"num": 1, "den": 2}, 288),
+    ("z7xa5", {"num": 4, "den": 15}, 720),
+])
+def test_cube_commands_on_products(capsys, cache_dir, name, ratio, aut_order):
+    """Products outside the catalog reach `cube max` and `cube classify`
+    by name: Theorem 1's sharp examples at 1/2, and Z7 x A5 at 4/15."""
+    code, payload, _ = run_json(capsys, "--cache-dir", str(cache_dir), "cube", "max", name)
+    assert code == 0
+    assert (payload["max_ratio"], payload["aut_order"]) == (ratio, aut_order)
+    code, payload, _ = run_json(capsys, "cube", "classify", name)
+    assert code == 0
+    assert payload["kind"] == "None"
 
 
 def test_cube_ratio_power(capsys):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cubeaut
-from cubeaut import automorphisms, cli, cubing, groups, verifier
+from cubeaut import automorphisms, catalog, cli, cubing, groups, verifier
 from cubeaut.automorphisms import AutomorphismGroup
 from cubeaut.catalog import Catalog
 from cubeaut.groups import FiniteGroup
@@ -382,8 +382,6 @@ def test_builders_run_no_whole_table_proof(monkeypatch):
     type pass ``_is_square_of_ints``, while a table given whole, to
     FiniteGroup, from_cayley_table, a quotient or a subgroup, runs both
     once."""
-    from cubeaut import catalog
-
     calls = {"_validate_table": 0, "_is_square_of_ints": 0}
     for attr in calls:
         original = getattr(groups, attr)
@@ -450,6 +448,17 @@ def test_benchmark_calls_still_bind(tmp_path):
         args = parser.parse_args(["--format", "json", "--jobs", "1", "--seed", "101",
                                   "--cache-dir", str(tmp_path), *command])
         assert args.cache_dir == str(tmp_path) and hasattr(args, "handler"), command
+
+
+def test_products_have_one_spelling_path():
+    """A direct product is names joined by x, parsed factor by factor: no
+    registry row spells, words or names anything with an x in it (it
+    would shadow a product), no per-product row builder comes back, and
+    every shipped product parses into its factors."""
+    assert not [row.name for row in catalog.REGISTRY
+                if "x" in row.spelling + (row.word or "") + row.name.lower()]
+    assert not hasattr(catalog, "_product")
+    assert all(len(catalog._parse(name)) >= 2 for name in catalog.PRODUCTS)
 
 
 def test_every_subgroup_parameter_has_a_foreign_subgroup_case():

@@ -16,7 +16,13 @@ from cubeaut.automorphisms import (
     power_map,
 )
 from cubeaut.catalog import Catalog, CatalogEntry, build_named_group, built_in_catalog
-from cubeaut.cubing import classify_cubing_structure, coset_trace, cube_set
+from cubeaut.cubing import (
+    Kind,
+    _index_two_subgroups,
+    classify_cubing_structure,
+    coset_trace,
+    cube_set,
+)
 from cubeaut.errors import (
     InternalCheckFailed,
     NotAutomorphism,
@@ -1300,6 +1306,29 @@ def test_verify_boundary_names_missing_groups(cache_dir):
         verify_solvability_boundary(catalog=tiny, cache_dir=cache_dir)
     for name in ("A5", "S5", "L2(7)", "PGL2(7)", "A6"):
         assert name in str(info.value)
+
+
+# Products named by spelling, not catalog rows, so no catalog pin or
+# sampled draw moves. Theorem 1's "more than half" is sharp at D4xS3 and
+# Q8xS3: exactly 1/2 with no structure. B x A5 attains Theorem 2's 4/15
+# when an automorphism of B cubes all of B (Z2, Z7), and Z3 x A5 does not.
+THEOREM_PRODUCTS = {"D4xS3": (Fraction(1, 2), 96), "Q8xS3": (Fraction(1, 2), 288),
+                    "Z2xA5": (Fraction(4, 15), 120), "Z7xA5": (Fraction(4, 15), 720),
+                    "Z3xA5": (Fraction(4, 45), 240)}
+
+
+@pytest.mark.parametrize("name", THEOREM_PRODUCTS)
+def test_theorem_products_by_name(name):
+    group = build_named_group(name)
+    row, ratio, witness, _ = verifier.ratio_row(group, name)
+    assert (ratio, row["aut_order"]) == THEOREM_PRODUCTS[name]
+    assert cube_set(group, witness).ratio == ratio
+    assert name not in built_in_catalog()
+    if ratio == Fraction(1, 2):
+        assert classify_cubing_structure(group).kind == Kind.NONE
+        assert group.nilpotency_class is None
+        halves = _index_two_subgroups(group)
+        assert halves and not any(half.is_abelian for half in halves)
 
 
 def test_verify_abelian_indices_small():
