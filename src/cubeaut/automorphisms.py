@@ -214,8 +214,9 @@ class AutomorphismGroup:
 
     @cached_property
     def _cosets(self) -> tuple:
-        """(transversal, coset_of) for Z(G), from its element tuple: a
-        cached ``center`` Subgroup would tie a cycle to the group."""
+        """(transversal, coset_of) for Z(G), from its element tuple:
+        ``_coset_map`` reads elements only, so no ``center`` Subgroup is
+        built for it."""
         return self.base._coset_map(self.base._center_elements)
 
     @property

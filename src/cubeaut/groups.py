@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -513,12 +514,42 @@ class FiniteGroup:
         return tuple(subs)
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a FiniteGroup, stored as a sorted element tuple."""
+    """A subgroup of a FiniteGroup, stored as a sorted element tuple.
 
-    parent: FiniteGroup
-    elements: tuple
+    It refers to its group weakly, so it does not keep the group alive:
+    the subgroups a group caches (``center``, the series,
+    ``normal_subgroups``) tie no cycle back to it, and the group is freed
+    by reference counting once its last user drops it. A subgroup kept
+    after that still has ``elements``, ``order`` and ``in``; ``parent``,
+    and every query read through it, raise NotASubgroup. Two subgroups
+    are equal when they have the same group object and the same elements.
+    """
+
+    def __init__(self, parent: FiniteGroup, elements: tuple):
+        self._parent = weakref.ref(parent)
+        self.elements = elements
+
+    @property
+    def parent(self) -> FiniteGroup:
+        group = self._parent()
+        if group is None:
+            raise NotASubgroup("the subgroup's group no longer exists")
+        return group
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._parent == other._parent and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
+    def __repr__(self) -> str:
+        return f"Subgroup(parent={self._parent()!r}, elements={self.elements!r})"
+
+    def __reduce__(self) -> tuple:
+        return (Subgroup, (self.parent, self.elements))
 
     @property
     def order(self) -> int:
@@ -548,7 +579,7 @@ class Subgroup:
         return all(t[a][b] == t[b][a] for a in self.generators for b in self.generators)
 
     def _check_parent(self, group: FiniteGroup) -> None:
-        if self.parent is not group:
+        if self._parent() is not group:
             raise NotASubgroup("subgroup belongs to a different group")
 
     def as_group(self) -> tuple:

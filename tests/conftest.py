@@ -1,4 +1,22 @@
+import gc
+import weakref
+
 import pytest
+
+
+def _freed_after(build, run) -> bool:
+    """Whether a fresh group from ``build`` is freed by reference counting
+    alone, with the cyclic collector off, once ``run(group)`` has returned
+    and the last reference to the group is dropped."""
+    gc.disable()
+    try:
+        group = build()
+        ref = weakref.ref(group)
+        run(group)
+        del group
+        return ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

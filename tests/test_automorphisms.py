@@ -1,12 +1,12 @@
-import gc
 import hashlib
 import json
 import math
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import _freed_after
 
 from cubeaut import builders
 from cubeaut.automorphisms import (
@@ -1036,21 +1036,6 @@ _FRESH = {"A5": lambda: builders.alternating(5), "A6": lambda: builders.alternat
           "Z12": lambda: builders.cyclic(12)}
 
 
-def _freed_after(build, run) -> bool:
-    """Whether a fresh group from ``build`` is freed by reference counting
-    alone, with the cyclic collector off, once ``run(group)`` has returned
-    and the last reference to the group is dropped."""
-    gc.disable()
-    try:
-        group = build()
-        ref = weakref.ref(group)
-        run(group)
-        del group
-        return ref() is None
-    finally:
-        gc.enable()
-
-
 def test_enumeration_keeps_no_group_alive():
     """The backtracking search refers to itself; the enumerator breaks
     that cycle before it returns, so the group does not outlive its last
@@ -1063,9 +1048,9 @@ def test_enumeration_keeps_no_group_alive():
 
 
 def test_cached_load_keeps_no_group_alive(tmp_path):
-    """A warm-cache ratio row caches no ``Subgroup`` of the group on it:
-    a Subgroup holds its parent, so the group would wait for the cyclic
-    collector."""
+    """A warm-cache ratio row ties no reference cycle to the group on
+    it: the group is freed by reference counting alone, without waiting
+    for the cyclic collector."""
     for name, build in _FRESH.items():
         automorphism_group(build(), tmp_path)
         assert _freed_after(build, lambda group: ratio_row(group, name, tmp_path)), name

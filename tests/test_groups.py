@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -8,6 +9,8 @@ from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import _freed_after
 
 from cubeaut import builders
 from cubeaut.automorphisms import (
@@ -19,7 +22,13 @@ from cubeaut.automorphisms import (
     inner_automorphism,
     restrict,
 )
-from cubeaut.cubing import Type3Decomposition, build_type_II, build_type_III, coset_trace
+from cubeaut.cubing import (
+    Type3Decomposition,
+    build_type_II,
+    build_type_III,
+    classify_cubing_structure,
+    coset_trace,
+)
 from cubeaut.errors import (
     CapExceeded,
     FileFormatError,
@@ -49,7 +58,7 @@ from cubeaut.groups import (
     max_abelian_subgroup_order,
     prime_divisors,
 )
-from cubeaut.verifier import check_quotient_inequality
+from cubeaut.verifier import check_property, check_quotient_inequality, ratio_row
 
 
 # ---------------------------------------------------------------------------
@@ -1450,6 +1459,86 @@ def test_foreign_subgroup_is_refused(call, host):
              "S3": builders.symmetric(3)}[host]
     with pytest.raises(NotASubgroup, match="^subgroup belongs to a different group$"):
         call(group, a3)
+
+
+_STRUCTURAL = {"A6": lambda: builders.alternating(6), "T3ii": builders.type3_group_ii,
+               "D4": lambda: builders.dihedral(4), "S4": lambda: builders.symmetric(4),
+               "Q8": builders.quaternion8}
+
+
+def test_no_cached_query_ties_a_group_to_itself(tmp_path):
+    """Once every structural query, the classifier, the abelian search, a
+    property check and a ratio row have run on a group, nothing it
+    caches refers back to it: with the cyclic collector off, ``del``
+    frees it."""
+    def run_all(name):
+        def run(group):
+            group.center, group.derived_subgroup, group.normal_subgroups
+            group.derived_series, group.lower_central_series, group.nilpotency_class
+            group.sylow(2)
+            classify_cubing_structure(group)
+            max_abelian_subgroup_order(group)
+            check_property(group, identity_map(group), "quotient_ratio_monotone")
+            ratio_row(group, name, tmp_path)
+        return run
+
+    for name, build in _STRUCTURAL.items():
+        assert _freed_after(build, run_all(name)), name
+
+
+def _a3_of_a_gone_s3():
+    s3 = builders.symmetric(3)
+    return s3.subgroup_generated([next(x for x in s3.elements() if s3.element_orders[x] == 3)])
+
+
+def test_subgroup_kept_after_its_group_is_gone():
+    """A subgroup outliving its group keeps its elements; whatever needs
+    the group raises NotASubgroup saying it is gone."""
+    a3 = _a3_of_a_gone_s3()
+    hash(a3)  # first hashed after the group is gone
+    assert a3.order == 3 and len(a3.elements) == 3
+    assert 0 in a3 and 5 not in a3
+    for read in (lambda: a3.parent, a3.as_group, lambda: a3.generators):
+        with pytest.raises(NotASubgroup, match="^the subgroup's group no longer exists$"):
+            read()
+
+
+@pytest.mark.parametrize("call", FOREIGN_SUBGROUP_CALLS.values(), ids=FOREIGN_SUBGROUP_CALLS)
+def test_subgroup_of_a_gone_group_is_foreign(call):
+    """On a live group, a subgroup whose group is gone is one of another
+    group, also when the live group has the same table."""
+    a3 = _a3_of_a_gone_s3()
+    with pytest.raises(NotASubgroup, match="^subgroup belongs to a different group$"):
+        call(builders.symmetric(3), a3)
+
+
+def test_subgroup_equality_needs_the_same_group():
+    """Equal subgroups have the same group object and the same elements;
+    equal subgroups hash alike."""
+    g, h = builders.symmetric(4), builders.symmetric(4)
+    assert g.center == g.subgroup(g.center.elements)
+    assert hash(g.derived_subgroup) == hash(g.subgroup(g.derived_subgroup.elements))
+    assert g.derived_subgroup != h.derived_subgroup
+    assert g.derived_subgroup != g.derived_subgroup.elements
+    gone, other = _a3_of_a_gone_s3(), _a3_of_a_gone_s3()
+    assert gone == gone and gone != other and gone.elements == other.elements
+
+
+def test_group_with_filled_subgroup_caches_pickles():
+    """A group whose five subgroup caches are filled survives a pickle
+    round trip, and every copied subgroup belongs to the copy."""
+    group = builders.symmetric(4)
+    queries = ("center", "derived_subgroup", "derived_series", "lower_central_series",
+               "normal_subgroups")
+    subs = {q: getattr(group, q) for q in queries}
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy.center.parent is copy
+    for q in queries:
+        copied = getattr(copy, q)
+        assert copy.__dict__[q] is copied, q  # came from the pickle, not recomputed
+        pairs = zip(copied, subs[q]) if isinstance(copied, tuple) else [(copied, subs[q])]
+        for new, old in pairs:
+            assert new.parent is copy and new.elements == old.elements, q
 
 
 @pytest.mark.parametrize("bad", [1.9, "1", True, 4, -1])
